@@ -11,31 +11,20 @@ arguments, input files, and seed the output is byte-identical across runs.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
-from .agreement import boundary_strengths, majority_threshold, percent_agreement
-from .corpus import load_annotations, load_fic_coding, load_narrative
-from .errors import DegenerateDataError, ValidationError
-from .evaluation import (
-    METRIC_NAMES,
-    confusion,
-    evaluate_humans,
-    metrics,
-    target_boundaries,
-)
+from .agreement import boundary_strengths, percent_agreement
+from .corpus import load_annotations, load_fic_coding, load_narrative, read_json
+from .errors import DegenerateDataError, SchemaError, ValidationError
+from .evaluation import METRIC_NAMES, confusion, evaluate_humans, metrics, resolve_target
+from .render import PVALUE, RATIO, VARIANCE, num, sites_text, to_json, tsv
 from .report import BatchItem, build_report
-from .segmenters import (
-    CueLexicon,
-    cue_segment,
-    default_cue_lexicon,
-    normalize_to_sites,
-    np_segment,
-    pause_segment,
-)
+from .segmenters import CueLexicon, cue_segment, normalize_to_sites, np_segment, pause_segment
 from .significance import cochran_q, null_calibration
+
+# Each optional input of segment and eval belongs to exactly one --method.
+_FLAG_METHOD = {"coding": "np", "trace": "np", "cues": "cue", "leave_one_out": "humans"}
 
 
 class _UsageError(Exception):
@@ -49,41 +38,29 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(self, message)
 
 
-def _ratio(x) -> str:
-    return "NA" if x is None else f"{float(x):.2f}"
-
-
-def _pvalue(x) -> str:
-    return "NA" if x is None else f"{float(x):.2e}"
-
-
-def _num(x):
-    if x is None:
-        return None
-    if isinstance(x, Fraction):
-        return float(x)
-    return x
-
-
-def _read(path: str) -> bytes:
-    with open(path, "rb") as handle:
-        return handle.read()
-
-
 def _load_pair(args):
-    narrative = load_narrative(_read(args.narrative))
-    matrix = load_annotations(_read(args.annotations), narrative)
-    return narrative, matrix
+    narrative = load_narrative(args.narrative)
+    return narrative, load_annotations(args.annotations, narrative)
 
 
-def _lexicon(path: str | None) -> CueLexicon:
-    return default_cue_lexicon() if path is None else CueLexicon.from_file(path)
+def _check_method_flags(args) -> None:
+    for flag, method in _FLAG_METHOD.items():
+        if getattr(args, flag, None) not in (None, False) and args.method != method:
+            raise ValidationError(f"--{flag.replace('_', '-')} only applies to --method {method}")
+    if args.method == "np" and args.coding is None:
+        raise ValidationError("--method np requires --coding")
 
 
-def _set_text(values, narrative=None) -> str:
-    if not values:
-        return "-"
-    return ",".join(str(v) for v in sorted(values))
+def _predict(args, narrative):
+    """The --method's boundary set, plus the clause segmentation for np."""
+    if args.method == "np":
+        coding = load_fic_coding(args.coding, narrative)
+        segmentation = np_segment(coding)
+        return normalize_to_sites(segmentation, coding), segmentation
+    if args.method == "cue":
+        lexicon = None if args.cues is None else CueLexicon.from_file(args.cues)
+        return cue_segment(narrative, lexicon), None
+    return pause_segment(narrative), None
 
 
 # ---------------------------------------------------------------------------
@@ -91,91 +68,69 @@ def _set_text(values, narrative=None) -> str:
 
 
 def _cmd_agree(args) -> str:
-    narrative, matrix = _load_pair(args)
-    report = percent_agreement(matrix, args.threshold)
+    report = percent_agreement(_load_pair(args)[1], args.threshold)
+    classes = (  # TSV label, JSON key, observed, possible, percent
+        ("all", "total", report.observed, report.possible, report.percent),
+        ("boundary", "boundary", report.observed_boundary, report.possible_boundary,
+         report.percent_boundary),
+        ("non_boundary", "non_boundary", report.observed_non_boundary,
+         report.possible_non_boundary, report.percent_non_boundary),
+    )
     if args.format == "json":
-        def block(observed, possible, percent):
-            return {
-                "observed": observed,
-                "possible": possible,
-                "percent": _num(percent),
-            }
-
-        payload = {
+        return to_json({
             "narrative_id": report.narrative_id,
             "subjects": report.subjects,
             "sites": report.sites,
             "threshold": report.threshold,
-            "total": block(report.observed, report.possible, report.percent),
-            "boundary": block(
-                report.observed_boundary,
-                report.possible_boundary,
-                report.percent_boundary,
-            ),
-            "non_boundary": block(
-                report.observed_non_boundary,
-                report.possible_non_boundary,
-                report.percent_non_boundary,
-            ),
-        }
-        return json.dumps(payload, indent=2) + "\n"
-    lines = ["narrative\tclass\tobserved\tpossible\tpercent"]
-    for label, observed, possible, percent in (
-        ("all", report.observed, report.possible, report.percent),
-        ("boundary", report.observed_boundary, report.possible_boundary, report.percent_boundary),
-        (
-            "non_boundary",
-            report.observed_non_boundary,
-            report.possible_non_boundary,
-            report.percent_non_boundary,
-        ),
-    ):
-        lines.append(
-            f"{report.narrative_id}\t{label}\t{observed}\t{possible}\t{_ratio(percent)}"
-        )
-    return "\n".join(lines) + "\n"
+            **{
+                key: {"observed": observed, "possible": possible, "percent": percent}
+                for _, key, observed, possible, percent in classes
+            },
+        })
+    return tsv([
+        ["narrative", "class", "observed", "possible", "percent"],
+        *[
+            [report.narrative_id, label, observed, possible, num(percent)]
+            for label, _, observed, possible, percent in classes
+        ],
+    ])
 
 
 def _cmd_strengths(args) -> str:
     narrative, matrix = _load_pair(args)
     strengths = boundary_strengths(matrix)
+    levels = range(1, matrix.subjects + 1)
+    labels = {
+        (t, kind): getattr(strengths, kind)(t).labels(narrative)
+        for t in levels
+        for kind in ("exact", "cumulative")
+    }
     if args.format == "json":
-        payload = {
+        return to_json({
             "narrative_id": matrix.narrative_id,
             "subjects": matrix.subjects,
             "sites": matrix.sites,
             "strengths": [
                 {
                     "strength": t,
-                    "exact": {
-                        "count": len(strengths.exact(t).sites),
-                        "sites": list(strengths.exact(t).labels(narrative)),
-                    },
-                    "cumulative": {
-                        "count": len(strengths.cumulative(t).sites),
-                        "sites": list(strengths.cumulative(t).labels(narrative)),
+                    **{
+                        kind: {"count": len(labels[t, kind]), "sites": labels[t, kind]}
+                        for kind in ("exact", "cumulative")
                     },
                 }
-                for t in range(1, matrix.subjects + 1)
+                for t in levels
             ],
-        }
-        return json.dumps(payload, indent=2) + "\n"
-    lines = ["strength\tkind\tcount\tsites"]
-    for t in range(1, matrix.subjects + 1):
-        for kind, sites in (
-            ("exact", strengths.exact(t)),
-            ("cumulative", strengths.cumulative(t)),
-        ):
-            labels = sites.labels(narrative)
-            lines.append(
-                f"{t}\t{kind}\t{len(labels)}\t{','.join(labels) if labels else '-'}"
-            )
-    return "\n".join(lines) + "\n"
+        })
+    return tsv([
+        ["strength", "kind", "count", "sites"],
+        *[[t, kind, len(sites), sites_text(sites)] for (t, kind), sites in labels.items()],
+    ])
 
 
 def _cmd_cochran(args) -> str:
-    narrative, matrix = _load_pair(args)
+    matrix = _load_pair(args)[1]
     result = cochran_q(matrix, component_df=args.component_df)
+    components = [result.components[t] for t in sorted(result.components)]
     calibration = None
     if args.calibrate is not None:
         calibration = null_calibration(
@@ -192,14 +147,8 @@ def _cmd_cochran(args) -> str:
             "df": result.df,
             "p": result.p,
             "components": [
-                {
-                    "strength": comp.strength,
-                    "sites": comp.site_count,
-                    "q": comp.q,
-                    "df": comp.df,
-                    "p": comp.p,
-                }
-                for comp in result.components.values()
+                {"strength": c.strength, "sites": c.site_count, "q": c.q, "df": c.df, "p": c.p}
+                for c in components
             ],
         }
         if calibration is not None:
@@ -207,69 +156,40 @@ def _cmd_cochran(args) -> str:
                 "trials": calibration.trials,
                 "seed": calibration.seed,
                 "degenerate_trials": calibration.degenerate_trials,
-                "quantiles": {
-                    f"{level:.2f}": calibration.quantiles[level]
-                    for level in sorted(calibration.quantiles)
-                },
+                "quantiles": {num(k): v for k, v in sorted(calibration.quantiles.items())},
                 "chi_square_quantiles": {
-                    f"{level:.2f}": calibration.reference_quantiles[level]
-                    for level in sorted(calibration.reference_quantiles)
+                    num(k): v for k, v in sorted(calibration.reference_quantiles.items())
                 },
                 "rejection_rate_05": calibration.rejection_rate_05,
                 "empirical_p": calibration.empirical_p,
             }
-        return json.dumps(payload, indent=2) + "\n"
-    lines = [
-        "statistic\tvalue",
-        f"q\t{result.q:.2f}",
-        f"df\t{result.df}",
-        f"p\t{_pvalue(result.p)}",
-        "",
-        "strength\tsites\tq\tdf\tp",
+        return to_json(payload)
+    blocks = [
+        [["statistic", "value"], ["q", num(result.q)], ["df", result.df],
+         ["p", num(result.p, PVALUE)]],
+        [
+            ["strength", "sites", "q", "df", "p"],
+            *[[c.strength, c.site_count, num(c.q), c.df, num(c.p, PVALUE)] for c in components],
+        ],
     ]
-    for t in sorted(result.components):
-        comp = result.components[t]
-        lines.append(
-            f"{comp.strength}\t{comp.site_count}\t{comp.q:.2f}\t{comp.df}\t{_pvalue(comp.p)}"
-        )
     if calibration is not None:
-        lines.append("")
-        lines.append(f"# calibration trials={calibration.trials} seed={calibration.seed}")
-        lines.append("level\tempirical_q\tchi_square_q")
-        for level in sorted(calibration.quantiles):
-            lines.append(
-                f"{level:.2f}\t{calibration.quantiles[level]:.2f}"
-                f"\t{calibration.reference_quantiles[level]:.2f}"
-            )
-        lines.append(f"rejection_rate_05\t{calibration.rejection_rate_05:.4f}\t")
-        lines.append(f"empirical_p\t{_pvalue(calibration.empirical_p)}\t")
-    return "\n".join(lines) + "\n"
+        blocks.append([
+            [f"# calibration trials={calibration.trials} seed={calibration.seed}"],
+            ["level", "empirical_q", "chi_square_q"],
+            *[
+                [num(level), num(q), num(calibration.reference_quantiles[level])]
+                for level, q in sorted(calibration.quantiles.items())
+            ],
+            ["rejection_rate_05", num(calibration.rejection_rate_05, VARIANCE), ""],
+            ["empirical_p", num(calibration.empirical_p, PVALUE), ""],
+        ])
+    return tsv(*blocks)
 
 
 def _cmd_segment(args) -> str:
-    narrative = load_narrative(_read(args.narrative))
-    trace = None
-    clause_boundaries = None
-    if args.method == "np":
-        if args.coding is None:
-            raise ValidationError("--method np requires --coding")
-        coding = load_fic_coding(_read(args.coding), narrative)
-        segmentation = np_segment(coding)
-        boundaries = normalize_to_sites(segmentation, coding)
-        clause_boundaries = segmentation.boundaries
-        if args.trace:
-            trace = segmentation.trace
-    else:
-        if args.coding is not None:
-            raise ValidationError("--coding only applies to --method np")
-        if args.trace:
-            raise ValidationError("--trace only applies to --method np")
-        if args.method == "cue":
-            boundaries = cue_segment(narrative, _lexicon(args.cues))
-        else:
-            if args.cues is not None:
-                raise ValidationError("--cues only applies to --method cue")
-            boundaries = pause_segment(narrative)
+    _check_method_flags(args)
+    narrative = load_narrative(args.narrative)
+    boundaries, segmentation = _predict(args, narrative)
     sites = sorted(boundaries.sites)
     labels = boundaries.labels(narrative)
     if args.format == "json":
@@ -277,214 +197,135 @@ def _cmd_segment(args) -> str:
             "narrative_id": narrative.narrative_id,
             "method": args.method,
             "sites": sites,
-            "pairs": list(labels),
+            "pairs": labels,
         }
-        if clause_boundaries is not None:
-            payload["clause_boundaries"] = [list(pair) for pair in clause_boundaries]
-        if trace is not None:
+        if segmentation is not None:
+            payload["clause_boundaries"] = segmentation.boundaries
+        if args.trace:
             payload["trace"] = [
                 {
                     "fic": step.fic,
-                    "tests": [[name, passed] for name, passed in step.tests],
+                    "tests": step.tests,
                     "linked_by": step.linked_by,
-                    "clause_referents": sorted(step.clause_referents),
-                    "inferable_referents": sorted(step.inferable_referents),
-                    "pronoun_referents": sorted(step.pronoun_referents),
-                    "segment_referents": sorted(step.segment_referents),
+                    "clause_referents": step.clause_referents,
+                    "inferable_referents": step.inferable_referents,
+                    "pronoun_referents": step.pronoun_referents,
+                    "segment_referents": step.segment_referents,
                 }
-                for step in trace
+                for step in segmentation.trace
             ]
-        return json.dumps(payload, indent=2) + "\n"
-    lines = ["site\tpair"]
-    for site, label in zip(sites, labels):
-        lines.append(f"{site}\t{label}")
-    if clause_boundaries is not None:
-        lines.append("")
-        lines.append("# clause_boundaries")
-        lines.append("left\tright")
-        for left, right in clause_boundaries:
-            lines.append(f"{left}\t{right}")
-    if trace is not None:
-        lines.append("")
-        lines.append("# trace")
-        lines.append("fic\ttests\tlinked_by\tclause_referents\tinferable\tpronouns\tsegment")
-        for step in trace:
-            tests = ",".join(
-                f"{name}:{'pass' if passed else 'fail'}" for name, passed in step.tests
-            )
-            lines.append(
-                "\t".join(
-                    [
-                        str(step.fic),
-                        tests,
-                        step.linked_by or "boundary",
-                        _set_text(step.clause_referents),
-                        _set_text(step.inferable_referents),
-                        _set_text(step.pronoun_referents),
-                        _set_text(step.segment_referents),
-                    ]
-                )
-            )
-    return "\n".join(lines) + "\n"
+        return to_json(payload)
+    blocks = [[["site", "pair"], *zip(sites, labels)]]
+    if segmentation is not None:
+        blocks.append([["# clause_boundaries"], ["left", "right"], *segmentation.boundaries])
+    if args.trace:
+        blocks.append([
+            ["# trace"],
+            ["fic", "tests", "linked_by", "clause_referents", "inferable", "pronouns", "segment"],
+            *[
+                [
+                    step.fic,
+                    ",".join(f"{name}:{'pass' if ok else 'fail'}" for name, ok in step.tests),
+                    step.linked_by or "boundary",
+                    *[
+                        sites_text(sorted(referents))
+                        for referents in (
+                            step.clause_referents,
+                            step.inferable_referents,
+                            step.pronoun_referents,
+                            step.segment_referents,
+                        )
+                    ],
+                ]
+                for step in segmentation.trace
+            ],
+        ])
+    return tsv(*blocks)
 
 
 def _cmd_eval(args) -> str:
+    _check_method_flags(args)
     narrative, matrix = _load_pair(args)
     if args.method == "humans":
-        if args.coding is not None or args.cues is not None:
-            raise ValidationError("--method humans takes neither --coding nor --cues")
         human = evaluate_humans(
             matrix,
             threshold=args.threshold,
             exact=args.exact,
             leave_one_out=args.leave_one_out,
         )
-        if args.format == "json":
-            payload = {
-                "narrative_id": matrix.narrative_id,
-                "method": "humans",
-                "target": human.mode,
-                "subjects": [
-                    {
-                        "subject": score.subject_id,
-                        "confusion": {
-                            "a": score.counts.a,
-                            "b": score.counts.b,
-                            "c": score.counts.c,
-                            "d": score.counts.d,
-                        },
-                        "metrics": {
-                            name: _num(score.scores.as_dict()[name])
-                            for name in METRIC_NAMES
-                        },
-                    }
-                    for score in human.per_subject
-                ],
-                "summary": {
-                    name: {
-                        "mean": _num(human.summary[name].mean),
-                        "variance": _num(human.summary[name].variance),
-                        "count": human.summary[name].count,
-                        "skipped": human.summary[name].skipped,
-                    }
-                    for name in METRIC_NAMES
-                },
-            }
-            return json.dumps(payload, indent=2) + "\n"
-        lines = [
-            "narrative\tmethod\ttarget\tunit\ta\tb\tc\td\trecall\tprecision\tfallout\terror"
-        ]
-        for score in human.per_subject:
-            cells = [
-                matrix.narrative_id,
-                "humans",
-                human.mode,
-                score.subject_id,
-                str(score.counts.a),
-                str(score.counts.b),
-                str(score.counts.c),
-                str(score.counts.d),
-            ]
-            cells += [_ratio(score.scores.as_dict()[name]) for name in METRIC_NAMES]
-            lines.append("\t".join(cells))
-        for row_label, pick in (("mean", "mean"), ("variance", "variance")):
-            cells = [matrix.narrative_id, "humans", human.mode, row_label, "", "", "", ""]
-            for name in METRIC_NAMES:
-                value = getattr(human.summary[name], pick)
-                cells.append(_ratio(value) if pick == "mean" else
-                             ("NA" if value is None else f"{float(value):.4f}"))
-            lines.append("\t".join(cells))
-        return "\n".join(lines) + "\n"
-
-    if args.leave_one_out:
-        raise ValidationError("--leave-one-out only applies to --method humans")
-    if args.method != "np" and args.coding is not None:
-        raise ValidationError("--coding only applies to --method np")
-    if args.method not in ("cue",) and args.cues is not None:
-        raise ValidationError("--cues only applies to --method cue")
-    if args.method == "np":
-        if args.coding is None:
-            raise ValidationError("--method np requires --coding")
-        coding = load_fic_coding(_read(args.coding), narrative)
-        predicted = normalize_to_sites(np_segment(coding), coding)
-    elif args.method == "cue":
-        predicted = cue_segment(narrative, _lexicon(args.cues))
+        mode = human.mode
+        scored = [(s.subject_id, s.counts, s.scores) for s in human.per_subject]
     else:
-        predicted = pause_segment(narrative)
-    target = target_boundaries(matrix, threshold=args.threshold, exact=args.exact)
-    if args.exact is not None:
-        mode = f"exact={args.exact}"
-    else:
-        threshold = args.threshold
-        if threshold is None:
-            threshold = majority_threshold(matrix.subjects)
-        mode = f"threshold={threshold}"
-    counts = confusion(predicted, target, matrix.sites)
-    scored = metrics(counts)
+        target, mode = resolve_target(matrix, args.threshold, args.exact)
+        counts = confusion(_predict(args, narrative)[0], target, matrix.sites)
+        scored = [("algorithm", counts, metrics(counts))]
     if args.format == "json":
-        payload = {
-            "narrative_id": matrix.narrative_id,
-            "method": args.method,
-            "target": mode,
-            "confusion": {"a": counts.a, "b": counts.b, "c": counts.c, "d": counts.d},
-            "metrics": {
-                name: _num(scored.as_dict()[name]) for name in METRIC_NAMES
-            },
-        }
-        return json.dumps(payload, indent=2) + "\n"
-    lines = [
-        "narrative\tmethod\ttarget\tunit\ta\tb\tc\td\trecall\tprecision\tfallout\terror"
+        head = {"narrative_id": matrix.narrative_id, "method": args.method, "target": mode}
+        if args.method != "humans":
+            _, counts, scores = scored[0]
+            return to_json({**head, "confusion": counts, "metrics": scores.as_dict()})
+        return to_json({
+            **head,
+            "subjects": [
+                {"subject": unit, "confusion": counts, "metrics": scores.as_dict()}
+                for unit, counts, scores in scored
+            ],
+            "summary": human.summary,
+        })
+    lead = [matrix.narrative_id, args.method, mode]
+    rows = [
+        [*lead, unit, counts.a, counts.b, counts.c, counts.d,
+         *[num(v) for v in scores.as_dict().values()]]
+        for unit, counts, scores in scored
     ]
-    cells = [
-        matrix.narrative_id,
-        args.method,
-        mode,
-        "algorithm",
-        str(counts.a),
-        str(counts.b),
-        str(counts.c),
-        str(counts.d),
-    ]
-    cells += [_ratio(scored.as_dict()[name]) for name in METRIC_NAMES]
-    lines.append("\t".join(cells))
-    return "\n".join(lines) + "\n"
+    if args.method == "humans":
+        for label, spec in (("mean", RATIO), ("variance", VARIANCE)):
+            rows.append([
+                *lead, label, "", "", "", "",
+                *[num(getattr(human.summary[name], label), spec) for name in METRIC_NAMES],
+            ])
+    return tsv(
+        [["narrative", "method", "target", "unit", "a", "b", "c", "d", *METRIC_NAMES], *rows]
+    )
+
+
+def _manifest_path(entry: dict, key: str, where: str, base: Path) -> Path:
+    value = entry.get(key)
+    if not isinstance(value, str) or not value:
+        raise SchemaError(f"{where}{key}", "expected a path string")
+    return base / value  # an absolute value replaces base
 
 
 def _cmd_report(args) -> str:
-    manifest_path = Path(args.batch)
-    raw = json.loads(_read(args.batch).decode("utf-8"))
-    if not isinstance(raw, dict) or not isinstance(raw.get("items"), list) or not raw["items"]:
+    manifest = read_json(args.batch)
+    if (
+        not isinstance(manifest, dict)
+        or not isinstance(manifest.get("items"), list)
+        or not manifest["items"]
+    ):
         raise ValidationError("manifest must be an object with a non-empty items list")
-    base = manifest_path.parent
-
-    def resolve(path: str) -> Path:
-        p = Path(path)
-        return p if p.is_absolute() else base / p
-
+    base = Path(args.batch).parent
     items = []
-    for k, entry in enumerate(raw["items"]):
-        if not isinstance(entry, dict) or "narrative" not in entry or "annotations" not in entry:
-            raise ValidationError(
-                f"items[{k}]: each item needs narrative and annotations paths"
-            )
-        narrative = load_narrative(_read(str(resolve(entry["narrative"]))))
-        matrix = load_annotations(_read(str(resolve(entry["annotations"]))), narrative)
+    for k, entry in enumerate(manifest["items"]):
+        if not isinstance(entry, dict):
+            raise ValidationError(f"items[{k}]: each item needs narrative and annotations paths")
+        where = f"items[{k}]."
+        narrative = load_narrative(_manifest_path(entry, "narrative", where, base))
+        matrix = load_annotations(_manifest_path(entry, "annotations", where, base), narrative)
         coding = None
-        if entry.get("coding"):
-            coding = load_fic_coding(_read(str(resolve(entry["coding"]))), narrative)
+        if "coding" in entry:
+            coding = load_fic_coding(_manifest_path(entry, "coding", where, base), narrative)
         items.append(BatchItem(narrative=narrative, matrix=matrix, coding=coding))
 
     lexicon = None
     if args.cues is not None:
         lexicon = CueLexicon.from_file(args.cues)
-    elif raw.get("cues"):
-        lexicon = CueLexicon.from_file(str(resolve(raw["cues"])))
+    elif "cues" in manifest:
+        lexicon = CueLexicon.from_file(_manifest_path(manifest, "cues", "", base))
 
-    fmt = args.format
-    if fmt is None:
-        fmt = raw.get("format", "tsv")
-        if fmt not in ("tsv", "json"):
-            raise ValidationError(f"manifest format must be 'tsv' or 'json', got {fmt!r}")
+    fmt = args.format or manifest.get("format", "tsv")
+    if fmt not in ("tsv", "json"):
+        raise ValidationError(f"manifest format must be 'tsv' or 'json', got {fmt!r}")
 
     report = build_report(items, cue_lexicon=lexicon, threshold=args.threshold)
     text = report.to_json() if fmt == "json" else report.to_tsv()
@@ -601,9 +442,6 @@ def run(argv, stdout=None, stderr=None) -> int:
         return 3
     except ValidationError as exc:
         err.write(f"error: {exc}\n")
-        return 1
-    except json.JSONDecodeError as exc:
-        err.write(f"error: not valid JSON: {exc}\n")
         return 1
     except OSError as exc:
         err.write(f"error: {exc}\n")

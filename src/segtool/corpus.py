@@ -349,7 +349,7 @@ class BoundarySet:
 # JSON loading
 
 
-def _read_json(source) -> Any:
+def read_json(source) -> Any:
     """Parse JSON from a path, bytes, str, or file-like source."""
     if isinstance(source, (str, Path)):
         with open(source, "rb") as handle:
@@ -380,7 +380,7 @@ def _require(obj: dict, key: str, where: str) -> Any:
 
 def load_narrative(source) -> Narrative:
     """Load and validate a transcript file."""
-    data = _read_json(source)
+    data = read_json(source)
     narrative_id = _require(data, "narrative_id", "")
     if not isinstance(narrative_id, str) or not narrative_id:
         raise SchemaError("narrative_id", "expected a non-empty string")
@@ -452,7 +452,7 @@ def load_annotations(source, narrative: Narrative) -> AnnotationMatrix:
     The declared site count must equal the transcript's, and the two files
     must name the same narrative, so later joins on site indices are safe.
     """
-    data = _read_json(source)
+    data = read_json(source)
     narrative_id = _require(data, "narrative_id", "")
     if not isinstance(narrative_id, str) or not narrative_id:
         raise SchemaError("narrative_id", "expected a non-empty string")
@@ -528,7 +528,7 @@ def _build_site_map(
 
 def load_fic_coding(source, narrative: Narrative) -> FicCoding:
     """Load a clause coding and derive its junction-to-site map."""
-    data = _read_json(source)
+    data = read_json(source)
     narrative_id = _require(data, "narrative_id", "")
     if not isinstance(narrative_id, str) or not narrative_id:
         raise SchemaError("narrative_id", "expected a non-empty string")

@@ -102,9 +102,10 @@ def metrics(counts: ConfusionCounts) -> EvalMetrics:
     )
 
 
-def _resolve_target(
+def resolve_target(
     matrix: AnnotationMatrix, threshold: int | None, exact: int | None
 ) -> tuple[BoundarySet, str]:
+    """The pooled reference set and its label, "exact=t" or "threshold=t"."""
     if threshold is not None and exact is not None:
         raise ValidationError("give either threshold or exact, not both")
     strengths = boundary_strengths(matrix)
@@ -124,7 +125,7 @@ def target_boundaries(
 
     Defaults to the strict-majority threshold.
     """
-    target, _ = _resolve_target(matrix, threshold, exact)
+    target, _ = resolve_target(matrix, threshold, exact)
     return target
 
 
@@ -140,7 +141,7 @@ def evaluate_algorithm(
             f"prediction for {predicted.narrative_id} scored against "
             f"annotations of {matrix.narrative_id}"
         )
-    target, _ = _resolve_target(matrix, threshold, exact)
+    target, _ = resolve_target(matrix, threshold, exact)
     return metrics(confusion(predicted, target, matrix.sites))
 
 
@@ -206,7 +207,7 @@ def evaluate_humans(
     sites = matrix.sites
     per_subject = []
     mode = None
-    full_target, mode_label = _resolve_target(matrix, threshold, exact)
+    full_target, mode_label = resolve_target(matrix, threshold, exact)
     for row, subject_id in enumerate(matrix.subject_ids):
         if leave_one_out:
             if matrix.subjects < 2:
@@ -217,7 +218,7 @@ def evaluate_humans(
                 [matrix.subject_ids[r] for r in keep],
                 matrix.cells[keep],
             )
-            target, mode = _resolve_target(reduced, threshold, exact)
+            target, mode = resolve_target(reduced, threshold, exact)
         else:
             target, mode = full_target, mode_label
         counts = confusion(matrix.subject_sites(row), target, sites)

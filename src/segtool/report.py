@@ -17,7 +17,6 @@ report records how many observations each cell kept.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,6 +32,7 @@ from .evaluation import (
     metrics,
     target_boundaries,
 )
+from .render import MEAN_COUNT, VARIANCE, num, to_json, tsv
 from .segmenters import CueLexicon, cue_segment, np_segment, normalize_to_sites, pause_segment
 
 METHODS = ("np", "cue", "pause", "humans")
@@ -66,6 +66,20 @@ class AgreementRow:
     marks: int
     report: AgreementReport
 
+    def as_dict(self) -> dict:
+        """The row as the report's JSON object; the TSV reads the same values."""
+        return {
+            "narrative_id": self.narrative_id,
+            "subjects": self.subjects,
+            "sites": self.sites,
+            "opinions": self.marks,
+            "boundary_sites": self.report.boundary_site_count,
+            "non_boundary_sites": self.report.non_boundary_site_count,
+            "percent": self.report.percent,
+            "percent_boundary": self.report.percent_boundary,
+            "percent_non_boundary": self.report.percent_non_boundary,
+        }
+
 
 @dataclass(frozen=True)
 class Report:
@@ -77,153 +91,73 @@ class Report:
     strength_site_counts: dict[int, Fraction]
     strength_table: dict[str, dict[str, dict[int, MetricAggregate]]]
 
+    @property
+    def _threshold_label(self) -> int | str:
+        return "majority" if self.threshold is None else self.threshold
+
     def to_json(self) -> str:
-        def num(x):
-            if x is None:
-                return None
-            if isinstance(x, Fraction):
-                return float(x)
-            return x
-
-        def agg(a: MetricAggregate) -> dict:
-            return {
-                "mean": num(a.mean),
-                "variance": num(a.variance),
-                "count": a.count,
-                "skipped": a.skipped,
-            }
-
-        payload = {
-            "threshold": self.threshold if self.threshold is not None else "majority",
+        return to_json({
+            "threshold": self._threshold_label,
             "agreement": {
-                "narratives": [
-                    {
-                        "narrative_id": row.narrative_id,
-                        "subjects": row.subjects,
-                        "sites": row.sites,
-                        "opinions": row.marks,
-                        "boundary_sites": row.report.boundary_site_count,
-                        "non_boundary_sites": row.report.non_boundary_site_count,
-                        "percent": num(row.report.percent),
-                        "percent_boundary": num(row.report.percent_boundary),
-                        "percent_non_boundary": num(row.report.percent_non_boundary),
-                    }
-                    for row in self.agreement_rows
-                ],
-                "summary": {
-                    key: (agg(value) if isinstance(value, MetricAggregate) else num(value))
-                    for key, value in self.agreement_summary.items()
-                },
+                "narratives": [row.as_dict() for row in self.agreement_rows],
+                "summary": self.agreement_summary,
             },
-            "methods": {
-                method: {name: agg(self.method_table[method][name]) for name in METRIC_NAMES}
-                for method in METHODS
-            },
+            "methods": self.method_table,
             "strengths": {
-                "levels": list(self.strength_levels),
-                "sites_mean": {
-                    str(t): num(self.strength_site_counts[t]) for t in self.strength_levels
-                },
-                "methods": {
-                    method: {
-                        name: {
-                            str(t): agg(self.strength_table[method][name][t])
-                            for t in self.strength_levels
-                        }
-                        for name in ("recall", "precision")
-                    }
-                    for method in METHODS
-                },
+                "levels": self.strength_levels,
+                "sites_mean": self.strength_site_counts,
+                "methods": self.strength_table,
             },
-        }
-        return json.dumps(payload, indent=2) + "\n"
+        })
 
     def to_tsv(self) -> str:
-        def ratio(x) -> str:
-            return "NA" if x is None else f"{float(x):.2f}"
-
-        def var(x) -> str:
-            return "NA" if x is None else f"{float(x):.4f}"
-
-        lines = ["# agreement"]
-        ids = [row.narrative_id for row in self.agreement_rows]
-        lines.append("\t".join(["row", *ids, "all", "variance"]))
-        summary = self.agreement_summary
-
-        def count_row(label, values, total):
-            lines.append("\t".join([label, *[str(v) for v in values], str(total), ""]))
-
-        def percent_row(label, values, agg: MetricAggregate):
-            lines.append(
-                "\t".join(
-                    [label, *[ratio(v) for v in values], ratio(agg.mean), var(agg.variance)]
-                )
-            )
-
-        count_row(
-            "opinions", [row.marks for row in self.agreement_rows], summary["opinions"]
-        )
-        percent_row(
+        rows = [row.as_dict() for row in self.agreement_rows]
+        agreement = [
+            ["# agreement"],
+            ["row", *[row["narrative_id"] for row in rows], "all", "variance"],
+        ]
+        for key in (
+            "opinions",
             "percent",
-            [row.report.percent for row in self.agreement_rows],
-            summary["percent"],
-        )
-        count_row(
             "boundary_sites",
-            [row.report.boundary_site_count for row in self.agreement_rows],
-            summary["boundary_sites"],
-        )
-        percent_row(
             "percent_boundary",
-            [row.report.percent_boundary for row in self.agreement_rows],
-            summary["percent_boundary"],
-        )
-        count_row(
             "non_boundary_sites",
-            [row.report.non_boundary_site_count for row in self.agreement_rows],
-            summary["non_boundary_sites"],
-        )
-        percent_row(
             "percent_non_boundary",
-            [row.report.percent_non_boundary for row in self.agreement_rows],
-            summary["percent_non_boundary"],
-        )
+        ):
+            pooled = self.agreement_summary[key]
+            if isinstance(pooled, MetricAggregate):
+                agreement.append([
+                    key,
+                    *[num(row[key]) for row in rows],
+                    num(pooled.mean),
+                    num(pooled.variance, VARIANCE),
+                ])
+            else:
+                agreement.append([key, *[row[key] for row in rows], pooled, ""])
 
-        lines.append("")
-        label = self.threshold if self.threshold is not None else "majority"
-        lines.append(f"# methods threshold={label}")
-        header = ["method"]
-        for name in METRIC_NAMES:
-            header += [name, f"{name}_variance"]
-        lines.append("\t".join(header))
+        methods = [
+            [f"# methods threshold={self._threshold_label}"],
+            ["method", *[c for name in METRIC_NAMES for c in (name, f"{name}_variance")]],
+        ]
         for method in METHODS:
             cells = [method]
             for name in METRIC_NAMES:
                 agg = self.method_table[method][name]
-                cells += [ratio(agg.mean), var(agg.variance)]
-            lines.append("\t".join(cells))
+                cells += [num(agg.mean), num(agg.variance, VARIANCE)]
+            methods.append(cells)
 
-        lines.append("")
-        lines.append("# strengths")
-        lines.append("\t".join(["strength", *[str(t) for t in self.strength_levels]]))
-        lines.append(
-            "\t".join(
-                [
-                    "sites",
-                    *[
-                        f"{float(self.strength_site_counts[t]):.1f}"
-                        for t in self.strength_levels
-                    ],
-                ]
-            )
-        )
-        for method in METHODS:
-            for name in ("recall", "precision"):
-                cells = [f"{method}_{name}"]
-                for t in self.strength_levels:
-                    cells.append(ratio(self.strength_table[method][name][t].mean))
-                lines.append("\t".join(cells))
-        return "\n".join(lines) + "\n"
+        levels = self.strength_levels
+        strengths = [
+            ["# strengths"],
+            ["strength", *levels],
+            ["sites", *[num(self.strength_site_counts[t], MEAN_COUNT) for t in levels]],
+            *[
+                [f"{method}_{name}", *[num(agg.mean) for agg in by_level.values()]]
+                for method in METHODS
+                for name, by_level in self.strength_table[method].items()
+            ],
+        ]
+        return tsv(agreement, methods, strengths)
 
 
 def _predictions(item: BatchItem, lexicon: CueLexicon | None):

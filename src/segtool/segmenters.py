@@ -77,7 +77,10 @@ class CueLexicon:
     def from_file(cls, path, label: str | None = None) -> "CueLexicon":
         """Read one word per line; blank lines and # comments are skipped."""
         words = set()
-        text = Path(path).read_text(encoding="utf-8")
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not valid UTF-8: {exc}") from None
         for lineno, line in enumerate(text.splitlines(), start=1):
             entry = line.split("#", 1)[0].strip()
             if not entry:

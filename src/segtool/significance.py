@@ -321,6 +321,8 @@ def null_calibration(
             raise ValidationError(f"row total {x} outside [0, {sites}]")
     if trials < 1000:
         raise ValidationError("at least 1000 trials are required")
+    if seed < 0:
+        raise ValidationError("seed must be non-negative")
     if observed_q is not None and (not math.isfinite(observed_q) or observed_q < 0):
         raise ValidationError("observed_q must be finite and non-negative")
 

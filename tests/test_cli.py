@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import segtool
 from segtool import AnnotationMatrix, fixture_path, serialize_annotations
 from segtool.cli import run
 
@@ -17,6 +22,18 @@ def invoke(*argv):
     out, err = io.StringIO(), io.StringIO()
     rc = run(list(argv), stdout=out, stderr=err)
     return rc, out.getvalue(), err.getvalue()
+
+
+def invoke_process(*argv):
+    """Run the CLI in a fresh interpreter, so a traceback would reach stderr."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(segtool.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    )}
+    done = subprocess.run(
+        [sys.executable, "-m", "segtool.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    return done.returncode, done.stdout, done.stderr
 
 
 @pytest.fixture(scope="module")
@@ -413,6 +430,29 @@ class TestReport:
         assert (rc, out) == (1, "")
         assert "items" in err
 
+    @pytest.mark.parametrize("value", [5, "", None])
+    @pytest.mark.parametrize("key", ["narrative", "annotations", "coding", "cues"])
+    def test_manifest_paths_must_be_strings(self, manifest, key, value):
+        doc = json.loads(manifest.read_text())
+        if key == "cues":
+            doc["cues"] = value
+        else:
+            doc["items"][1][key] = value
+        manifest.write_text(json.dumps(doc))
+        rc, out, err = invoke_process("report", "--batch", str(manifest))
+        where = "cues" if key == "cues" else f"items[1].{key}"
+        assert (rc, out) == (1, "")
+        assert f"error: {where}: expected a path string" in err
+        assert "Traceback" not in err
+
+    def test_manifest_not_utf8(self, tmp_path):
+        path = tmp_path / "batch.json"
+        path.write_bytes(b'{"items": ["\xff"]}')
+        rc, out, err = invoke_process("report", "--batch", str(path))
+        assert (rc, out) == (1, "")
+        assert "not valid UTF-8" in err
+        assert "Traceback" not in err
+
 
 class TestExitCodes:
     def test_no_arguments(self):
@@ -441,6 +481,25 @@ class TestExitCodes:
             "--annotations", str(data / "pear9_excerpt_annotations.json"),
         )
         assert (rc, out) == (1, "")
+
+    def test_negative_calibration_seed(self, data):
+        rc, out, err = invoke_process(
+            "cochran", "--calibrate", "1000", "--seed", "-1", *pear_args(data)
+        )
+        assert (rc, out) == (1, "")
+        assert "seed must be non-negative" in err
+        assert "Traceback" not in err
+
+    def test_cue_lexicon_not_utf8(self, data, tmp_path):
+        path = tmp_path / "cues.txt"
+        path.write_bytes(b"and\n\xff\n")
+        rc, out, err = invoke_process(
+            "segment", "--method", "cue", "--cues", str(path),
+            "--narrative", str(data / "pear9_excerpt_narrative.json"),
+        )
+        assert (rc, out) == (1, "")
+        assert f"{path}: not valid UTF-8" in err
+        assert "Traceback" not in err
 
     def test_help(self):
         rc = run(["--help"], stdout=io.StringIO(), stderr=io.StringIO())
