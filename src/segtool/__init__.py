@@ -10,9 +10,7 @@ any boundary set against the pooled human opinion.
 from .agreement import (
     AgreementReport,
     BoundaryStrengths,
-    MajorityOpinion,
     boundary_strengths,
-    majority_opinion,
     majority_threshold,
     percent_agreement,
 )

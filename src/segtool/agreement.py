@@ -1,4 +1,4 @@
-"""Agreement among annotators: majority opinion, percent agreement, strengths.
+"""Agreement among annotators: percent agreement and strength pools.
 
 Percent agreement follows the pooled-opinion scheme: each site's majority
 label (boundary when at least ceil((i+1)/2) of i subjects marked it) is the
@@ -23,45 +23,6 @@ def majority_threshold(subjects: int) -> int:
     if subjects < 1:
         raise ValidationError("subject count must be positive")
     return (subjects + 2) // 2
-
-
-@dataclass(frozen=True)
-class MajorityOpinion:
-    """Per-site boundary/non-boundary classification at a given threshold."""
-
-    narrative_id: str
-    threshold: int
-    site_count: int
-    boundary_sites: frozenset[int]
-
-    def is_boundary(self, site: int) -> bool:
-        return site in self.boundary_sites
-
-    def boundaries(self) -> BoundarySet:
-        return BoundarySet(self.narrative_id, self.boundary_sites)
-
-
-def majority_opinion(
-    matrix: AnnotationMatrix, threshold: int | None = None
-) -> MajorityOpinion:
-    """Classify each site by how many subjects marked it.
-
-    threshold defaults to the strict majority of the panel. Any threshold in
-    [1, subjects] is accepted so cumulative agreement pools can be formed.
-    """
-    if threshold is None:
-        threshold = majority_threshold(matrix.subjects)
-    if not 1 <= threshold <= matrix.subjects:
-        raise ValidationError(
-            f"threshold {threshold} outside [1, {matrix.subjects}]"
-        )
-    marked = np.flatnonzero(matrix.column_totals >= threshold)
-    return MajorityOpinion(
-        narrative_id=matrix.narrative_id,
-        threshold=threshold,
-        site_count=matrix.sites,
-        boundary_sites=frozenset(int(k) for k in marked),
-    )
 
 
 @dataclass(frozen=True)
@@ -111,24 +72,29 @@ class AgreementReport:
 def percent_agreement(
     matrix: AnnotationMatrix, threshold: int | None = None
 ) -> AgreementReport:
-    """Score every subject's judgement at every site against the majority."""
-    opinion = majority_opinion(matrix, threshold)
+    """Score every subject's judgement at every site against the majority.
+
+    threshold defaults to the strict majority of the panel; any threshold in
+    [1, subjects] is accepted so cumulative agreement pools can be formed.
+    """
+    if threshold is None:
+        threshold = majority_threshold(matrix.subjects)
+    boundary = boundary_strengths(matrix).mask(threshold)
     i, j = matrix.subjects, matrix.sites
     totals = matrix.column_totals
-    boundary = np.zeros(j, dtype=bool)
-    boundary[sorted(opinion.boundary_sites)] = True
+    boundary_sites = int(boundary.sum())
 
     # At a boundary site the agreeing judgements are the 1-cells, at a
     # non-boundary site the 0-cells.
-    observed_b = int(totals[boundary].sum())
-    observed_nb = int((i - totals[~boundary]).sum())
-    possible_b = i * int(boundary.sum())
-    possible_nb = i * int((~boundary).sum())
+    observed_b = int(totals @ boundary)
+    observed_nb = int((i - totals) @ (1 - boundary))
+    possible_b = i * boundary_sites
+    possible_nb = i * (j - boundary_sites)
     return AgreementReport(
         narrative_id=matrix.narrative_id,
         subjects=i,
         sites=j,
-        threshold=opinion.threshold,
+        threshold=threshold,
         observed=observed_b + observed_nb,
         possible=possible_b + possible_nb,
         observed_boundary=observed_b,
@@ -138,40 +104,35 @@ def percent_agreement(
     )
 
 
+@dataclass(frozen=True, eq=False)
 class BoundaryStrengths:
-    """Sites grouped by how many subjects marked them.
+    """Sites grouped by how many subjects marked them, read off column totals.
 
-    exact(t) holds the sites marked by exactly t subjects; cumulative(t)
-    those marked by at least t. cumulative at the majority threshold is the
-    conventional reference pool for evaluation.
+    mask(t) is the 0/1 vector of the sites marked by at least t subjects,
+    mask(t, exact=True) of those marked by exactly t; cumulative(t) and
+    exact(t) are the same pools as BoundarySets. cumulative at the majority
+    threshold is the conventional reference pool for evaluation.
+    column_totals may also stack one row of totals per panel (the
+    leave-one-out panels); mask then returns one row per panel.
     """
 
-    def __init__(self, matrix: AnnotationMatrix):
-        self.narrative_id = matrix.narrative_id
-        self.subjects = matrix.subjects
-        totals = matrix.column_totals
-        self._exact = {
-            t: frozenset(int(k) for k in np.flatnonzero(totals == t))
-            for t in range(1, matrix.subjects + 1)
-        }
-        self._cumulative = {
-            t: frozenset(int(k) for k in np.flatnonzero(totals >= t))
-            for t in range(1, matrix.subjects + 1)
-        }
+    narrative_id: str
+    subjects: int
+    column_totals: np.ndarray
 
-    def _check(self, strength: int) -> None:
+    def mask(self, strength: int, exact: bool = False) -> np.ndarray:
         if not 1 <= strength <= self.subjects:
             raise ValidationError(
                 f"strength {strength} outside [1, {self.subjects}]"
             )
+        totals = self.column_totals
+        return (totals == strength if exact else totals >= strength).astype(np.int64)
 
     def exact(self, strength: int) -> BoundarySet:
-        self._check(strength)
-        return BoundarySet(self.narrative_id, self._exact[strength])
+        return BoundarySet.of(self.narrative_id, np.flatnonzero(self.mask(strength, exact=True)))
 
     def cumulative(self, strength: int) -> BoundarySet:
-        self._check(strength)
-        return BoundarySet(self.narrative_id, self._cumulative[strength])
+        return BoundarySet.of(self.narrative_id, np.flatnonzero(self.mask(strength)))
 
     def validated(self) -> BoundarySet:
         """Sites marked by a strict majority of the panel."""
@@ -179,4 +140,4 @@ class BoundaryStrengths:
 
 
 def boundary_strengths(matrix: AnnotationMatrix) -> BoundaryStrengths:
-    return BoundaryStrengths(matrix)
+    return BoundaryStrengths(matrix.narrative_id, matrix.subjects, matrix.column_totals)

@@ -21,7 +21,7 @@ from .evaluation import METRIC_NAMES, confusion, evaluate_humans, metrics, resol
 from .render import PVALUE, RATIO, VARIANCE, num, sites_text, to_json, tsv
 from .report import BatchItem, build_report
 from .segmenters import CueLexicon, cue_segment, normalize_to_sites, np_segment, pause_segment
-from .significance import cochran_q, null_calibration
+from .significance import MAX_TRIALS, cochran_q, null_calibration
 
 # Each optional input of segment and eval belongs to exactly one --method.
 _FLAG_METHOD = {"coding": "np", "trace": "np", "cues": "cue", "leave_one_out": "humans"}
@@ -256,8 +256,8 @@ def _cmd_eval(args) -> str:
         mode = human.mode
         scored = [(s.subject_id, s.counts, s.scores) for s in human.per_subject]
     else:
-        target, mode = resolve_target(matrix, args.threshold, args.exact)
-        counts = confusion(_predict(args, narrative)[0], target, matrix.sites)
+        target, mode = resolve_target(boundary_strengths(matrix), args.threshold, args.exact)
+        counts = confusion(_predict(args, narrative)[0], target.nonzero()[0], matrix.sites)
         scored = [("algorithm", counts, metrics(counts))]
     if args.format == "json":
         head = {"narrative_id": matrix.narrative_id, "method": args.method, "target": mode}
@@ -376,7 +376,7 @@ def _build_parser() -> _Parser:
     cochran.add_argument("--component-df", choices=("count", "count-1"), default="count",
                          help="degrees of freedom rule for partition components")
     cochran.add_argument("--calibrate", type=int, default=None, metavar="TRIALS",
-                         help="also simulate the null with this many trials")
+                         help=f"also simulate the null with this many trials (1000 to {MAX_TRIALS})")
     cochran.add_argument("--seed", type=int, default=0, help="simulation seed")
     formats(cochran)
     cochran.set_defaults(handler=_cmd_cochran)

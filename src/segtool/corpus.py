@@ -16,6 +16,7 @@ indices, and this module is the only place they get computed.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable
@@ -25,6 +26,7 @@ import numpy as np
 from .errors import SchemaError, ValidationError
 
 RELATION_TAGS = frozenset({"r1", "r2", "r3", "r4", "r5"})
+_PHRASE_ID = re.compile(r"[1-9][0-9]*\.[1-9][0-9]*")
 
 
 @dataclass(frozen=True, order=True)
@@ -48,14 +50,11 @@ class PhraseId:
 
     @classmethod
     def parse(cls, text: str) -> "PhraseId":
-        parts = str(text).split(".")
-        if len(parts) != 2:
-            raise ValidationError(f"phrase id must look like 's.p': {text!r}")
-        try:
-            sentence, phrase = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ValidationError(f"phrase id must be two integers: {text!r}") from None
-        return cls(sentence, phrase)
+        """Read the canonical form only, so str() gives back the same text."""
+        if not isinstance(text, str) or not _PHRASE_ID.fullmatch(text):
+            raise ValidationError(f"phrase id must look like 's.p', e.g. '3.1': {text!r}")
+        sentence, phrase = text.split(".")
+        return cls(int(sentence), int(phrase))
 
 
 @dataclass(frozen=True)
@@ -197,9 +196,6 @@ class AnnotationMatrix:
     def column_totals(self) -> np.ndarray:
         """Number of subjects marking each site."""
         return self._col_totals
-
-    def subject_sites(self, row: int) -> frozenset[int]:
-        return frozenset(int(k) for k in np.flatnonzero(self.cells[row]))
 
     def __eq__(self, other) -> bool:
         return (
@@ -350,7 +346,8 @@ class BoundarySet:
 
 
 def read_json(source) -> Any:
-    """Parse JSON from a path, bytes, str, or file-like source."""
+    """Parse JSON from a path (str or Path), bytes, or file-like source."""
+    location = str(source) if isinstance(source, (str, Path)) else "<file>"
     if isinstance(source, (str, Path)):
         with open(source, "rb") as handle:
             raw = handle.read()
@@ -365,9 +362,9 @@ def read_json(source) -> Any:
     try:
         return json.loads(raw.decode("utf-8"))
     except UnicodeDecodeError as exc:
-        raise SchemaError("<file>", f"not valid UTF-8: {exc}") from None
+        raise SchemaError(location, f"not valid UTF-8: {exc}") from None
     except json.JSONDecodeError as exc:
-        raise SchemaError("<file>", f"not valid JSON: {exc}") from None
+        raise SchemaError(location, f"not valid JSON: {exc}") from None
 
 
 def _require(obj: dict, key: str, where: str) -> Any:

@@ -17,7 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .agreement import boundary_strengths, majority_threshold
+import numpy as np
+
+from .agreement import BoundaryStrengths, boundary_strengths, majority_threshold
 from .corpus import AnnotationMatrix, BoundarySet
 from .errors import ValidationError
 
@@ -59,12 +61,32 @@ class EvalMetrics:
         }
 
 
-def _site_set(boundaries, sites: int, role: str) -> frozenset[int]:
-    values = boundaries.sites if isinstance(boundaries, BoundarySet) else frozenset(boundaries)
+def site_mask(boundaries, sites: int, role: str) -> np.ndarray:
+    """A BoundarySet or site iterable as a 0/1 vector over the sites."""
+    values = boundaries.sites if isinstance(boundaries, BoundarySet) else boundaries
+    mask = np.zeros(sites, dtype=np.int64)
     for k in values:
         if not 0 <= int(k) <= sites - 1:
             raise ValidationError(f"{role} site {k} outside [0, {sites - 1}]")
-    return frozenset(int(k) for k in values)
+        mask[int(k)] = 1
+    return mask
+
+
+def confusion_table(rows: np.ndarray, targets: np.ndarray) -> list[list[ConfusionCounts]]:
+    """Confusion cells of every 0/1 row (m x J) against every 0/1 target column (J x k).
+
+    Entry [r][k] scores row r as the prediction and column k as the target.
+    One integer product gives every a; b, c and d follow from the row
+    totals, the target sizes and J.
+    """
+    a = rows @ targets
+    b = rows.sum(axis=1, keepdims=True) - a
+    c = targets.sum(axis=0, keepdims=True) - a
+    d = rows.shape[1] - a - b - c
+    return [
+        [ConfusionCounts(*cell) for cell in zip(*row)]
+        for row in zip(a.tolist(), b.tolist(), c.tolist(), d.tolist())
+    ]
 
 
 def confusion(predicted, target, sites: int) -> ConfusionCounts:
@@ -80,12 +102,8 @@ def confusion(predicted, target, sites: int) -> ConfusionCounts:
             raise ValidationError(
                 f"cannot score {predicted.narrative_id} against {target.narrative_id}"
             )
-    p = _site_set(predicted, sites, "predicted")
-    t = _site_set(target, sites, "target")
-    a = len(p & t)
-    b = len(p - t)
-    c = len(t - p)
-    return ConfusionCounts(a=a, b=b, c=c, d=sites - a - b - c)
+    rows = site_mask(predicted, sites, "predicted")[None, :]
+    return confusion_table(rows, site_mask(target, sites, "target")[:, None])[0][0]
 
 
 def metrics(counts: ConfusionCounts) -> EvalMetrics:
@@ -103,17 +121,16 @@ def metrics(counts: ConfusionCounts) -> EvalMetrics:
 
 
 def resolve_target(
-    matrix: AnnotationMatrix, threshold: int | None, exact: int | None
-) -> tuple[BoundarySet, str]:
-    """The pooled reference set and its label, "exact=t" or "threshold=t"."""
+    strengths: BoundaryStrengths, threshold: int | None, exact: int | None
+) -> tuple[np.ndarray, str]:
+    """The pooled reference mask and its label, "exact=t" or "threshold=t"."""
     if threshold is not None and exact is not None:
         raise ValidationError("give either threshold or exact, not both")
-    strengths = boundary_strengths(matrix)
     if exact is not None:
-        return strengths.exact(exact), f"exact={exact}"
+        return strengths.mask(exact, exact=True), f"exact={exact}"
     if threshold is None:
-        threshold = majority_threshold(matrix.subjects)
-    return strengths.cumulative(threshold), f"threshold={threshold}"
+        threshold = majority_threshold(strengths.subjects)
+    return strengths.mask(threshold), f"threshold={threshold}"
 
 
 def target_boundaries(
@@ -125,8 +142,8 @@ def target_boundaries(
 
     Defaults to the strict-majority threshold.
     """
-    target, _ = resolve_target(matrix, threshold, exact)
-    return target
+    target, _ = resolve_target(boundary_strengths(matrix), threshold, exact)
+    return BoundarySet.of(matrix.narrative_id, np.flatnonzero(target))
 
 
 def evaluate_algorithm(
@@ -141,8 +158,7 @@ def evaluate_algorithm(
             f"prediction for {predicted.narrative_id} scored against "
             f"annotations of {matrix.narrative_id}"
         )
-    target, _ = resolve_target(matrix, threshold, exact)
-    return metrics(confusion(predicted, target, matrix.sites))
+    return metrics(confusion(predicted, target_boundaries(matrix, threshold, exact), matrix.sites))
 
 
 @dataclass(frozen=True)
@@ -161,9 +177,10 @@ class MetricAggregate:
 
 
 def aggregate_metric(values) -> MetricAggregate:
-    """Summarize a sequence of Fraction-or-None observations."""
+    """Summarize an iterable of Fraction-or-None observations."""
+    values = list(values)
     kept = [v for v in values if v is not None]
-    skipped = sum(1 for v in values if v is None)
+    skipped = len(values) - len(kept)
     if not kept:
         return MetricAggregate(mean=None, variance=None, count=0, skipped=skipped)
     mean = sum(kept, Fraction(0)) / len(kept)
@@ -204,33 +221,32 @@ def evaluate_humans(
     recall and boundary-class percent agreement, which is why it is off by
     default.
     """
-    sites = matrix.sites
-    per_subject = []
-    mode = None
-    full_target, mode_label = resolve_target(matrix, threshold, exact)
-    for row, subject_id in enumerate(matrix.subject_ids):
-        if leave_one_out:
-            if matrix.subjects < 2:
-                raise ValidationError("leave-one-out needs at least 2 subjects")
-            keep = [r for r in range(matrix.subjects) if r != row]
-            reduced = AnnotationMatrix(
-                matrix.narrative_id,
-                [matrix.subject_ids[r] for r in keep],
-                matrix.cells[keep],
-            )
-            target, mode = resolve_target(reduced, threshold, exact)
-        else:
-            target, mode = full_target, mode_label
-        counts = confusion(matrix.subject_sites(row), target, sites)
-        per_subject.append(SubjectScore(subject_id, counts, metrics(counts)))
+    strengths = boundary_strengths(matrix)
+    target, mode = resolve_target(strengths, threshold, exact)
+    if leave_one_out:
+        if matrix.subjects < 2:
+            raise ValidationError("leave-one-out needs at least 2 subjects")
+        # Row r of the stack is the opinion of every subject but r.
+        others = BoundaryStrengths(
+            matrix.narrative_id, matrix.subjects - 1, matrix.column_totals - matrix.cells
+        )
+        pooled, mode = resolve_target(others, threshold, exact)
+        scored = [row[r] for r, row in enumerate(confusion_table(matrix.cells, pooled.T))]
+        mode += " leave-one-out"
+    else:
+        scored = [row[0] for row in confusion_table(matrix.cells, target[:, None])]
+    per_subject = tuple(
+        SubjectScore(subject_id, counts, metrics(counts))
+        for subject_id, counts in zip(matrix.subject_ids, scored)
+    )
     summary = {
         name: aggregate_metric([s.scores.as_dict()[name] for s in per_subject])
         for name in METRIC_NAMES
     }
     return HumanEvaluation(
         narrative_id=matrix.narrative_id,
-        target=full_target,
-        mode=(mode or mode_label) + (" leave-one-out" if leave_one_out else ""),
-        per_subject=tuple(per_subject),
+        target=BoundarySet.of(matrix.narrative_id, np.flatnonzero(target)),
+        mode=mode,
+        per_subject=per_subject,
         summary=summary,
     )

@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .agreement import AgreementReport, boundary_strengths, percent_agreement
 from .corpus import AnnotationMatrix, FicCoding, Narrative
 from .errors import ValidationError
@@ -27,13 +29,16 @@ from .evaluation import (
     METRIC_NAMES,
     MetricAggregate,
     aggregate_metric,
-    confusion,
+    confusion_table,
     evaluate_humans,
     metrics,
-    target_boundaries,
+    resolve_target,
+    site_mask,
 )
 from .render import MEAN_COUNT, VARIANCE, num, to_json, tsv
-from .segmenters import CueLexicon, cue_segment, np_segment, normalize_to_sites, pause_segment
+from .segmenters import (
+    CueLexicon, cue_segment, default_cue_lexicon, normalize_to_sites, np_segment, pause_segment,
+)
 
 METHODS = ("np", "cue", "pause", "humans")
 
@@ -160,7 +165,7 @@ class Report:
         return tsv(agreement, methods, strengths)
 
 
-def _predictions(item: BatchItem, lexicon: CueLexicon | None):
+def _predictions(item: BatchItem, lexicon: CueLexicon):
     out = {
         "cue": cue_segment(item.narrative, lexicon),
         "pause": pause_segment(item.narrative),
@@ -198,6 +203,7 @@ def build_report(
         for m in METHODS
     }
     site_counts: dict[int, list] = {t: [] for t in levels}
+    lexicon = default_cue_lexicon() if cue_lexicon is None else cue_lexicon
 
     for item in items:
         matrix = item.matrix
@@ -212,37 +218,32 @@ def build_report(
             )
         )
 
-        predictions = _predictions(item, cue_lexicon)
-        target = target_boundaries(matrix, threshold=threshold)
-        for method in ("np", "cue", "pause"):
-            if method not in predictions:
-                continue
-            scored = metrics(confusion(predictions[method], target, matrix.sites))
-            for name in METRIC_NAMES:
-                method_values[method][name].append(scored.as_dict()[name])
-        humans = evaluate_humans(matrix, threshold=threshold)
-        for subject in humans.per_subject:
+        for subject in evaluate_humans(matrix, threshold=threshold).per_subject:
             for name in METRIC_NAMES:
                 method_values["humans"][name].append(subject.scores.as_dict()[name])
 
+        # One product scores every subject and segmenter against the pooled
+        # target (column 0) and the sites of each exact strength t (column t).
         strengths = boundary_strengths(matrix)
-        for t in levels:
-            if t > matrix.subjects:
-                continue
-            exact_target = strengths.exact(t)
-            site_counts[t].append(Fraction(len(exact_target.sites)))
-            for method in ("np", "cue", "pause"):
-                if method not in predictions:
-                    continue
-                scored = metrics(
-                    confusion(predictions[method], exact_target, matrix.sites)
-                )
-                strength_values[method]["recall"][t].append(scored.recall)
-                strength_values[method]["precision"][t].append(scored.precision)
-            humans_exact = evaluate_humans(matrix, exact=t)
-            for subject in humans_exact.per_subject:
-                strength_values["humans"]["recall"][t].append(subject.scores.recall)
-                strength_values["humans"]["precision"][t].append(subject.scores.precision)
+        own_levels = range(1, matrix.subjects + 1)
+        exact = np.column_stack([strengths.mask(t, exact=True) for t in own_levels])
+        target, _ = resolve_target(strengths, threshold, None)
+        predictions = _predictions(item, lexicon)
+        methods = ["humans"] * matrix.subjects + list(predictions)
+        rows = np.vstack([
+            matrix.cells,
+            *[site_mask(p, matrix.sites, "predicted") for p in predictions.values()],
+        ])
+        for method, row in zip(methods, confusion_table(rows, np.column_stack([target, exact]))):
+            scored = [metrics(counts) for counts in row]
+            if method != "humans":
+                for name in METRIC_NAMES:
+                    method_values[method][name].append(scored[0].as_dict()[name])
+            for t in own_levels:
+                strength_values[method]["recall"][t].append(scored[t].recall)
+                strength_values[method]["precision"][t].append(scored[t].precision)
+        for t, count in zip(own_levels, exact.sum(axis=0).tolist()):
+            site_counts[t].append(count)
 
     percent_agg = aggregate_metric([row.report.percent for row in agreement_rows])
     boundary_agg = aggregate_metric(
@@ -267,14 +268,8 @@ def build_report(
         m: {name: aggregate_metric(method_values[m][name]) for name in METRIC_NAMES}
         for m in METHODS
     }
-    strength_site_counts = {
-        t: (
-            sum(site_counts[t], Fraction(0)) / len(site_counts[t])
-            if site_counts[t]
-            else Fraction(0)
-        )
-        for t in levels
-    }
+    # The narrative with the largest panel counts sites at every level.
+    strength_site_counts = {t: Fraction(sum(c), len(c)) for t, c in site_counts.items()}
     strength_table = {
         m: {
             name: {t: aggregate_metric(strength_values[m][name][t]) for t in levels}

@@ -28,6 +28,8 @@ from .errors import DegenerateDataError, ValidationError
 
 _EPS = 1e-14
 _MAX_ITER = 10**6
+# The simulation keeps one float per trial, so this bounds its memory (8 MB).
+MAX_TRIALS = 10**6
 
 DEGENERATE_MESSAGE = "degenerate: no boundary variance"
 
@@ -321,6 +323,8 @@ def null_calibration(
             raise ValidationError(f"row total {x} outside [0, {sites}]")
     if trials < 1000:
         raise ValidationError("at least 1000 trials are required")
+    if trials > MAX_TRIALS:
+        raise ValidationError(f"at most {MAX_TRIALS} trials are allowed")
     if seed < 0:
         raise ValidationError("seed must be non-negative")
     if observed_q is not None and (not math.isfinite(observed_q) or observed_q < 0):

@@ -29,7 +29,6 @@ from segtool import (
     evaluate_algorithm,
     evaluate_humans,
     fixture_path,
-    majority_opinion,
     metrics,
     normalize_to_sites,
     np_segment,
@@ -37,6 +36,7 @@ from segtool import (
     partition_q,
     pause_segment,
     percent_agreement,
+    target_boundaries,
 )
 from segtool.cli import run
 
@@ -84,7 +84,7 @@ def test_criterion_02_majority_boundaries(pear9):
     validated = boundary_strengths(matrix).validated()
     assert validated.sites == frozenset({0, 10})
     assert validated.labels(narrative) == ("3.3→4.1", "8.4→9.1")
-    assert majority_opinion(matrix).boundary_sites == validated.sites
+    assert target_boundaries(matrix).sites == validated.sites
 
 
 def test_criterion_03_cue_and_pause_marks(pear9):

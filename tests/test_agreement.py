@@ -1,4 +1,4 @@
-"""Majority opinion, percent agreement, and strength pools.
+"""Majority pools, percent agreement, and strength pools.
 
 The percent-agreement oracle is a direct double loop over cells, written
 independently of the library's vectorized path.
@@ -18,9 +18,9 @@ from segtool import (
     AnnotationMatrix,
     ValidationError,
     boundary_strengths,
-    majority_opinion,
     majority_threshold,
     percent_agreement,
+    target_boundaries,
 )
 
 
@@ -67,23 +67,22 @@ class TestMajority:
 
     def test_fixture_majority_sites(self, pear9):
         _, matrix = pear9
-        opinion = majority_opinion(matrix)
-        assert opinion.threshold == 4
-        assert opinion.boundary_sites == frozenset({0, 10})
+        assert percent_agreement(matrix).threshold == 4
+        assert target_boundaries(matrix).sites == frozenset({0, 10})
 
     def test_threshold_override(self, pear9):
         _, matrix = pear9
-        assert majority_opinion(matrix, 1).boundary_sites == frozenset(
+        assert target_boundaries(matrix, threshold=1).sites == frozenset(
             {0, 3, 4, 5, 8, 10}
         )
-        assert majority_opinion(matrix, 7).boundary_sites == frozenset({10})
+        assert target_boundaries(matrix, threshold=7).sites == frozenset({10})
 
     def test_threshold_bounds(self, pear9):
         _, matrix = pear9
         with pytest.raises(ValidationError):
-            majority_opinion(matrix, 0)
+            percent_agreement(matrix, 0)
         with pytest.raises(ValidationError):
-            majority_opinion(matrix, 8)
+            percent_agreement(matrix, 8)
 
 
 class TestPercentAgreement:

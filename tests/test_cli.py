@@ -16,6 +16,7 @@ import pytest
 import segtool
 from segtool import AnnotationMatrix, fixture_path, serialize_annotations
 from segtool.cli import run
+from segtool.significance import MAX_TRIALS
 
 
 def invoke(*argv):
@@ -488,6 +489,23 @@ class TestExitCodes:
         )
         assert (rc, out) == (1, "")
         assert "seed must be non-negative" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("trials", [10**21, MAX_TRIALS + 1])
+    def test_calibration_trials_capped(self, data, trials):
+        rc, out, err = invoke_process("cochran", "--calibrate", str(trials), *pear_args(data))
+        assert (rc, out) == (1, "")
+        assert f"at most {MAX_TRIALS} trials" in err
+        assert "Traceback" not in err
+
+    def test_bad_annotations_file_is_named(self, data):
+        rc, out, err = invoke_process(
+            "agree",
+            "--narrative", str(data / "pear9_excerpt_narrative.json"),
+            "--annotations", str(data / "not_json.json"),
+        )
+        assert (rc, out) == (1, "")
+        assert f"error: {data / 'not_json.json'}: not valid JSON" in err
         assert "Traceback" not in err
 
     def test_cue_lexicon_not_utf8(self, data, tmp_path):

@@ -52,7 +52,9 @@ class TestPhraseId:
     def test_ordering_is_transcript_order(self):
         assert PhraseId(3, 3) < PhraseId(4, 1) < PhraseId(4, 2) < PhraseId(10, 1)
 
-    @pytest.mark.parametrize("bad", ["3", "3.3.3", "a.b", "0.1", "1.0", "-1.2"])
+    @pytest.mark.parametrize(
+        "bad", ["3", "3.3.3", "a.b", "0.1", "1.0", "-1.2", "1.01", " 1 . 1", "+1.1"]
+    )
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValidationError):
             PhraseId.parse(bad)

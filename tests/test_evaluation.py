@@ -152,6 +152,10 @@ class TestAggregate:
         assert agg.mean == F(3, 4)
         assert agg.variance == F(1, 24)
 
+    def test_generator_input_counts_skipped(self):
+        agg = aggregate_metric(v for v in [F(1), None])
+        assert (agg.mean, agg.count, agg.skipped) == (F(1), 1, 1)
+
     def test_all_none(self):
         agg = aggregate_metric([None, None])
         assert agg.mean is None

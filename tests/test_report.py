@@ -13,13 +13,22 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from segtool import (
     AnnotationMatrix,
     BatchItem,
+    ConfusionCounts,
+    MetricAggregate,
+    Narrative,
+    PhraseId,
+    ProsodicPhrase,
     ValidationError,
     build_report,
+    cue_segment,
     evaluate_humans,
+    pause_segment,
 )
 
 F = Fraction
@@ -254,3 +263,125 @@ class TestValidation:
         tsv_lines = report.to_tsv().splitlines()
         np_line = next(line for line in tsv_lines if line.startswith("np\t"))
         assert np_line.split("\t")[1:] == ["NA"] * 8
+
+
+# ---------------------------------------------------------------------------
+# Oracle: every confusion cell recounted site by site, panel by panel.
+
+
+@hst.composite
+def panels(draw):
+    """One narrative with a random panel: 1-6 subjects over 2-8 sites."""
+    sites = draw(hst.integers(2, 8))
+    subjects = draw(hst.integers(1, 6))
+    rows = draw(hst.lists(
+        hst.lists(hst.integers(0, 1), min_size=sites, max_size=sites),
+        min_size=subjects, max_size=subjects,
+    ))
+    words = draw(hst.lists(hst.sampled_from(["and", "so", "the", "man"]),
+                           min_size=sites + 1, max_size=sites + 1))
+    pauses = draw(hst.lists(hst.sampled_from([None, 0.0, 0.4]),
+                            min_size=sites + 1, max_size=sites + 1))
+    nid = f"n{draw(hst.integers(0, 10**6))}"
+    narrative = Narrative(nid, tuple(
+        ProsodicPhrase(PhraseId(k + 1, 1), (word, "rest"), True, pause)
+        for k, (word, pause) in enumerate(zip(words, pauses))
+    ))
+    return BatchItem(narrative, make_matrix(nid, rows))
+
+
+batches = hst.lists(panels(), min_size=1, max_size=3, unique_by=lambda i: i.narrative.narrative_id)
+
+
+def loop_counts(row, target):
+    """Confusion cells of one 0/1 row against one 0/1 target, site by site."""
+    a = b = c = d = 0
+    for predicted, marked in zip(row, target):
+        if predicted and marked:
+            a += 1
+        elif predicted:
+            b += 1
+        elif marked:
+            c += 1
+        else:
+            d += 1
+    return ConfusionCounts(a, b, c, d)
+
+
+def loop_scores(row, target):
+    counts = loop_counts(row, target)
+    a, b, c, d = counts.a, counts.b, counts.c, counts.d
+
+    def ratio(num, den):
+        return F(num, den) if den else None
+
+    return {"recall": ratio(a, a + c), "precision": ratio(a, a + b),
+            "fallout": ratio(b, b + d), "error": ratio(b + c, a + b + c + d)}
+
+
+def loop_aggregate(values):
+    kept = [v for v in values if v is not None]
+    if not kept:
+        return MetricAggregate(None, None, 0, len(values))
+    mean = sum(kept, F(0)) / len(kept)
+    variance = sum(((v - mean) ** 2 for v in kept), F(0)) / len(kept)
+    return MetricAggregate(mean, variance, len(kept), len(values) - len(kept))
+
+
+def loop_totals(rows):
+    return [sum(row[k] for row in rows) for k in range(len(rows[0]))]
+
+
+class TestOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(batches, hst.data())
+    def test_report_tables_match_site_loop(self, batch, data):
+        smallest = min(item.matrix.subjects for item in batch)
+        threshold = data.draw(hst.none() | hst.integers(1, smallest))
+        report = build_report(batch, threshold=threshold)
+
+        methods, strengths, sites = {}, {}, {}
+        for item in batch:
+            cells = item.matrix.cells.tolist()
+            totals = loop_totals(cells)
+            pooled = threshold or (len(cells) + 2) // 2
+            cue, pause = cue_segment(item.narrative).sites, pause_segment(item.narrative).sites
+            scored = {
+                "humans": cells,
+                "cue": [[int(k in cue) for k in range(len(totals))]],
+                "pause": [[int(k in pause) for k in range(len(totals))]],
+            }
+            for method, rows in scored.items():
+                for row in rows:
+                    for name, v in loop_scores(row, [x >= pooled for x in totals]).items():
+                        methods.setdefault((method, name), []).append(v)
+                    for t in range(1, len(cells) + 1):
+                        exact = loop_scores(row, [x == t for x in totals])
+                        for name in ("recall", "precision"):
+                            strengths.setdefault((method, name, t), []).append(exact[name])
+            for t in range(1, len(cells) + 1):
+                sites.setdefault(t, []).append(sum(x == t for x in totals))
+
+        for (method, name), values in methods.items():
+            assert report.method_table[method][name] == loop_aggregate(values)
+        for (method, name, t), values in strengths.items():
+            assert report.strength_table[method][name][t] == loop_aggregate(values)
+        assert report.strength_site_counts == {t: F(sum(c), len(c)) for t, c in sites.items()}
+
+    @settings(max_examples=60, deadline=None)
+    @given(batches, hst.data())
+    def test_leave_one_out_matches_reduced_panel(self, batch, data):
+        for item in batch:
+            cells = item.matrix.cells.tolist()
+            if len(cells) < 2:
+                continue
+            exact = data.draw(hst.none() | hst.integers(1, len(cells) - 1))
+            result = evaluate_humans(item.matrix, exact=exact, leave_one_out=True)
+            for r, subject in enumerate(result.per_subject):
+                reduced = cells[:r] + cells[r + 1:]
+                totals = loop_totals(reduced)
+                if exact is None:
+                    target = [x >= (len(reduced) + 2) // 2 for x in totals]
+                else:
+                    target = [x == exact for x in totals]
+                assert subject.counts == loop_counts(cells[r], target)
