@@ -161,7 +161,9 @@ def _cmd_cochran(args) -> str:
                     num(k): v for k, v in sorted(calibration.reference_quantiles.items())
                 },
                 "rejection_rate_05": calibration.rejection_rate_05,
+                "rejection_rate_05_se": calibration.rejection_rate_05_se,
                 "empirical_p": calibration.empirical_p,
+                "empirical_p_se": calibration.empirical_p_se,
             }
         return to_json(payload)
     blocks = [
@@ -181,7 +183,9 @@ def _cmd_cochran(args) -> str:
                 for level, q in sorted(calibration.quantiles.items())
             ],
             ["rejection_rate_05", num(calibration.rejection_rate_05, VARIANCE), ""],
+            ["rejection_rate_05_se", num(calibration.rejection_rate_05_se, VARIANCE), ""],
             ["empirical_p", num(calibration.empirical_p, PVALUE), ""],
+            ["empirical_p_se", num(calibration.empirical_p_se, PVALUE), ""],
         ])
     return tsv(*blocks)
 

@@ -14,6 +14,7 @@ module and the agreement one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -180,12 +181,23 @@ def aggregate_metric(values) -> MetricAggregate:
     """Summarize an iterable of Fraction-or-None observations."""
     values = list(values)
     kept = [v for v in values if v is not None]
-    skipped = len(values) - len(kept)
+    n, skipped = len(kept), len(values) - len(kept)
     if not kept:
         return MetricAggregate(mean=None, variance=None, count=0, skipped=skipped)
-    mean = sum(kept, Fraction(0)) / len(kept)
-    variance = sum(((v - mean) ** 2 for v in kept), Fraction(0)) / len(kept)
-    return MetricAggregate(mean=mean, variance=variance, count=len(kept), skipped=skipped)
+    # Over a common denominator L each value is a_k / L with a_k an integer,
+    # so with A = sum a_k and B = sum a_k^2 the mean is A / (n L) and the
+    # population variance (n B - A^2) / (n L)^2, exactly and without a gcd
+    # per addition.
+    common = math.lcm(*(v.denominator for v in kept))
+    scaled = [v.numerator * (common // v.denominator) for v in kept]
+    first = sum(scaled)
+    second = sum(a * a for a in scaled)
+    return MetricAggregate(
+        mean=Fraction(first, n * common),
+        variance=Fraction(n * second - first * first, (n * common) ** 2),
+        count=n,
+        skipped=skipped,
+    )
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,9 @@ _EPS = 1e-14
 _MAX_ITER = 10**6
 # The simulation keeps one float per trial, so this bounds its memory (8 MB).
 MAX_TRIALS = 10**6
+# Cells (trials x sites) simulated at once. The working set of a chunk, its
+# 0/1 marks, int32 column totals and one subject's draws, is then about 1-2 MB.
+_CHUNK_CELLS = 2**18
 
 DEGENERATE_MESSAGE = "degenerate: no boundary variance"
 
@@ -279,8 +282,10 @@ class CalibrationResult:
     reference_quantiles holds the chi-square(df) quantiles at the same
     levels for comparison. rejection_rate_05 is the fraction of trials at
     or above the chi-square 5% critical value, so a well-calibrated null
-    puts it near 0.05. All distribution fields are None when the row totals
-    admit no variance (then every trial is degenerate).
+    puts it near 0.05. rejection_rate_05_se and empirical_p_se are the
+    Monte-Carlo standard errors sqrt(p * (1 - p) / trials) of those two
+    estimates. All distribution fields are None when the row totals admit
+    no variance (then every trial is degenerate).
     """
 
     row_totals: tuple[int, ...]
@@ -294,6 +299,8 @@ class CalibrationResult:
     rejection_rate_05: float | None
     observed_q: float | None = None
     empirical_p: float | None = None
+    rejection_rate_05_se: float | None = None
+    empirical_p_se: float | None = None
 
 
 _QUANTILE_LEVELS = (0.5, 0.9, 0.95, 0.99)
@@ -308,9 +315,13 @@ def null_calibration(
 ) -> CalibrationResult:
     """Simulate Q under row-preserving random placement of boundary marks.
 
-    Trial streams derive from (seed, trial index), so results are
-    reproducible for a given seed and trials could be generated in any
-    order. The empirical p for an observed Q uses the add-one rule
+    Each trial places every subject's u marks on a uniformly random u-subset
+    of the sites (Floyd's algorithm), independently per subject. Trials are
+    simulated in chunks of max(1, _CHUNK_CELLS // sites) trials; chunk c
+    draws from default_rng((seed, c)), one integers() call per subject with
+    a nonzero total. So the same inputs give the same result on every run,
+    though not the numbers of earlier versions, which drew one stream per
+    trial. The empirical p for an observed Q uses the add-one rule
     (1 + exceedances) / (trials + 1).
     """
     u = tuple(int(x) for x in row_totals)
@@ -351,16 +362,18 @@ def null_calibration(
             empirical_p=None,
         )
 
+    # sum_k (j*T_k - N)^2 = j * D with D = j * sum_k T_k^2 - N^2, so
+    # Q = (j - 1) * D / denom. While (j - 1) * D < 2**53 the division rounds
+    # the same rational as cochran_q, so a trial with the observed column
+    # profile ties the observed Q exactly.
     stats = np.empty(trials, dtype=np.float64)
-    scale = (j - 1) / (j * denom)
-    for trial in range(trials):
-        rng = np.random.default_rng((seed, trial))
-        columns = np.zeros(j, dtype=np.int64)
-        for u_i in u:
-            if u_i:
-                columns[rng.choice(j, size=u_i, replace=False)] += 1
-        deviation_sq = int(((j * columns - total) ** 2).sum())
-        stats[trial] = scale * deviation_sq
+    chunk = max(1, _CHUNK_CELLS // j)
+    for index, start in enumerate(range(0, trials, chunk)):
+        n = min(chunk, trials - start)
+        columns = _chunk_columns(u, j, n, np.random.default_rng((seed, index)))
+        square_sums = np.einsum("ij,ij->i", columns, columns, dtype=np.int64)
+        del columns  # freed before the next chunk allocates its own
+        stats[start:start + n] = (j - 1) * (j * square_sums - total * total) / denom
 
     critical_05 = chi_square_critical(0.05, df)
     quantiles = {
@@ -369,6 +382,7 @@ def null_calibration(
     reference = {
         level: chi_square_critical(1.0 - level, df) for level in _QUANTILE_LEVELS
     }
+    rejection_rate = float((stats >= critical_05).mean())
     empirical_p = None
     if observed_q is not None:
         empirical_p = (1 + int((stats >= observed_q).sum())) / (trials + 1)
@@ -381,7 +395,40 @@ def null_calibration(
         degenerate_trials=0,
         quantiles=quantiles,
         reference_quantiles=reference,
-        rejection_rate_05=float((stats >= critical_05).mean()),
+        rejection_rate_05=rejection_rate,
         observed_q=observed_q,
         empirical_p=empirical_p,
+        rejection_rate_05_se=_standard_error(rejection_rate, trials),
+        empirical_p_se=_standard_error(empirical_p, trials),
     )
+
+
+def _standard_error(p: float | None, trials: int) -> float | None:
+    return None if p is None else math.sqrt(p * (1.0 - p) / trials)
+
+
+def _chunk_columns(
+    u: tuple[int, ...], sites: int, n: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Column totals (n x sites, int32) of n simulated trials.
+
+    Floyd's algorithm picks a uniform u-subset of range(sites) in u steps:
+    at step s it draws t from [0, k] with k = sites - u + s, and takes t, or
+    k when t is already taken. Every trial of the chunk runs each step at
+    once on a flat n x sites mark array.
+    """
+    offsets = np.arange(n, dtype=np.int64) * sites
+    columns = np.zeros((n, sites), dtype=np.int32)
+    mark = np.empty(n * sites, dtype=bool)
+    for u_i in u:
+        if not u_i:
+            continue
+        draws = rng.integers(0, np.arange(sites - u_i + 1, sites + 1)[:, None], size=(u_i, n))
+        draws += offsets
+        k = offsets + (sites - u_i)
+        mark[:] = False
+        for t in draws:
+            mark[np.where(mark[t], k, t)] = True
+            k += 1
+        columns += mark.reshape(n, sites)
+    return columns

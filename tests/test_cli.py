@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hst
 
 import segtool
 from segtool import AnnotationMatrix, fixture_path, serialize_annotations
@@ -177,6 +179,8 @@ class TestCochran:
         assert "level\tempirical_q\tchi_square_q" in out
         assert "rejection_rate_05\t" in out
         assert "empirical_p\t" in out
+        assert "rejection_rate_05_se\t" in out
+        assert "empirical_p_se\t" in out
 
     def test_degenerate_exit_code(self, data):
         rc, out, err = invoke(
@@ -490,6 +494,26 @@ class TestExitCodes:
         assert (rc, out) == (1, "")
         assert "seed must be non-negative" in err
         assert "Traceback" not in err
+
+    EDGES = (-1, 0, 999, 1000, MAX_TRIALS, MAX_TRIALS + 1, 10**21)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        calibrate=hst.sampled_from(EDGES),
+        seed=hst.sampled_from(EDGES),
+        annotations=hst.sampled_from(("pear9_excerpt", "all_zero")),
+    )
+    def test_calibration_fuzz(self, data, calibrate, seed, annotations):
+        # Only calls that a check rejects may ask for more than 1000 trials.
+        assume(calibrate <= 1000 or calibrate > MAX_TRIALS or seed < 0)
+        narrative = "three_link_tests" if annotations == "all_zero" else annotations
+        rc, out, _ = invoke(
+            "cochran", f"--calibrate={calibrate}", f"--seed={seed}",
+            "--narrative", str(data / f"{narrative}_narrative.json"),
+            "--annotations", str(data / f"{annotations}_annotations.json"),
+        )
+        assert rc in (0, 1, 2, 3)
+        assert (rc == 0) == (out != "")
 
     @pytest.mark.parametrize("trials", [10**21, MAX_TRIALS + 1])
     def test_calibration_trials_capped(self, data, trials):

@@ -156,6 +156,17 @@ class TestAggregate:
         agg = aggregate_metric(v for v in [F(1), None])
         assert (agg.mean, agg.count, agg.skipped) == (F(1), 1, 1)
 
+    @settings(max_examples=300, deadline=None)
+    @given(hst.lists(hst.one_of(hst.none(), hst.fractions(max_denominator=1000)), max_size=30))
+    def test_matches_fraction_sums(self, values):
+        kept = [v for v in values if v is not None]
+        agg = aggregate_metric(values)
+        assert (agg.count, agg.skipped) == (len(kept), len(values) - len(kept))
+        if kept:
+            mean = sum(kept, F(0)) / len(kept)
+            variance = sum(((v - mean) ** 2 for v in kept), F(0)) / len(kept)
+            assert (agg.mean, agg.variance) == (mean, variance)
+
     def test_all_none(self):
         agg = aggregate_metric([None, None])
         assert agg.mean is None

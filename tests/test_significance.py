@@ -7,6 +7,7 @@ for the statistic. The library itself never imports scipy.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from segtool import (
     null_calibration,
     partition_q,
 )
+from segtool.significance import _chunk_columns
 
 
 def make_matrix(cells, narrative_id="m") -> AnnotationMatrix:
@@ -250,6 +252,8 @@ class TestNullCalibration:
         assert result.quantiles is None
         assert result.rejection_rate_05 is None
         assert result.empirical_p is None
+        assert result.rejection_rate_05_se is None
+        assert result.empirical_p_se is None
 
     def test_tracks_chi_square_reference(self):
         result = null_calibration((3, 4, 2, 5), 20, trials=4000, seed=8)
@@ -267,3 +271,75 @@ class TestNullCalibration:
             null_calibration((), 8, trials=1000, seed=0)
         with pytest.raises(ValidationError):
             null_calibration((2,), 1, trials=1000, seed=0)
+
+
+def exact_null(row_totals, sites):
+    """Every row-preserving placement, as (integer deviation, matrix) pairs.
+
+    The deviation is sum_k (j*T_k - N)^2, which orders placements by Q.
+    """
+    rows_per_subject = [
+        [np.isin(np.arange(sites), chosen).astype(int)
+         for chosen in itertools.combinations(range(sites), u)]
+        for u in row_totals
+    ]
+    total = sum(row_totals)
+    placements = []
+    for rows in itertools.product(*rows_per_subject):
+        columns = np.sum(rows, axis=0)
+        placements.append((int(((sites * columns - total) ** 2).sum()), np.array(rows)))
+    return placements
+
+
+class TestExactNull:
+    """Cochran's null model itself, against full enumeration of tiny panels.
+
+    On (2, 3, 1) x 6 no placement reaches the chi-square 5% value, so the
+    simulated rejection rate must be exactly 0; (1, 2, 3) x 7 puts 4% of
+    placements there.
+    """
+
+    TRIALS = 20_000
+
+    def within_4se(self, simulated, exact):
+        se = math.sqrt(exact * (1 - exact) / self.TRIALS)
+        assert abs(simulated - exact) <= 4 * se, (simulated, exact, se)
+
+    @pytest.mark.parametrize("rows, sites", [((2, 3, 1), 6), ((1, 2, 3), 7)])
+    def test_simulated_p_matches_permutation_p(self, rows, sites):
+        placements = exact_null(rows, sites)
+        assert len(placements) == math.prod(math.comb(sites, u) for u in rows)
+
+        def tail(deviation):
+            return sum(d >= deviation for d, _ in placements) / len(placements)
+
+        deviations = sorted({d for d, _ in placements})
+        observed = []
+        for target in (0.5, 0.05):
+            deviation = min(deviations, key=lambda d: abs(tail(d) - target))
+            matrix = next(m for d, m in placements if d == deviation)
+            observed.append((cochran_q(make_matrix(matrix)).q, tail(deviation)))
+        j, total = sites, sum(rows)
+        denom = j * total - sum(u * u for u in rows)
+        critical = chi_square_critical(0.05, j - 1)
+        exact_rejection = sum(
+            (j - 1) * d / (j * denom) >= critical for d, _ in placements
+        ) / len(placements)
+        for seed in (1, 2, 3):
+            for q, exact_p in observed:
+                result = null_calibration(rows, sites, self.TRIALS, seed, observed_q=q)
+                self.within_4se(result.empirical_p, exact_p)
+                self.within_4se(result.rejection_rate_05, exact_rejection)
+                for value, se in ((result.empirical_p, result.empirical_p_se),
+                                  (result.rejection_rate_05, result.rejection_rate_05_se)):
+                    assert se == pytest.approx(math.sqrt(value * (1 - value) / self.TRIALS))
+
+    def test_every_trial_keeps_its_row_totals(self):
+        rng = np.random.default_rng(7)
+        for u in range(7):
+            columns = _chunk_columns((u,), 6, 500, rng)
+            assert set(np.unique(columns)) <= {0, 1}
+            assert (columns.sum(axis=1) == u).all()
+        columns = _chunk_columns((2, 3, 1, 0, 6), 6, 500, rng)
+        assert (columns.sum(axis=1) == 12).all()
+        assert columns.min() >= 1 and columns.max() <= 4
