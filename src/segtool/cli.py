@@ -11,6 +11,8 @@ arguments, input files, and seed the output is byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import sys
 from pathlib import Path
 
@@ -344,7 +346,13 @@ def _cmd_report(args) -> str:
 # Argument wiring
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process and shared by every run().
+
+    It holds no per-call state: parse_args returns a fresh namespace, and
+    run() redirects --help output to its own stream.
+    """
     parser = _Parser(prog="segtool", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")
 
@@ -423,12 +431,17 @@ def _build_parser() -> _Parser:
 
 
 def run(argv, stdout=None, stderr=None) -> int:
-    """Parse argv, execute, and write the result; returns the exit code."""
+    """Parse argv, execute, and write the result; returns the exit code.
+
+    Everything, --help included, goes to stdout and stderr (default: the
+    process's streams).
+    """
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stdout(out):
+            args = parser.parse_args(argv)
     except _UsageError as exc:
         err.write(exc.parser.format_usage())
         err.write(f"error: {exc}\n")

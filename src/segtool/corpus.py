@@ -15,7 +15,9 @@ indices, and this module is the only place they get computed.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -48,13 +50,22 @@ class PhraseId:
     def __str__(self) -> str:
         return f"{self.sentence}.{self.phrase}"
 
-    @classmethod
-    def parse(cls, text: str) -> "PhraseId":
+    @staticmethod
+    def parse(text: str) -> "PhraseId":
         """Read the canonical form only, so str() gives back the same text."""
-        if not isinstance(text, str) or not _PHRASE_ID.fullmatch(text):
+        if not isinstance(text, str):
             raise ValidationError(f"phrase id must look like 's.p', e.g. '3.1': {text!r}")
-        sentence, phrase = text.split(".")
-        return cls(int(sentence), int(phrase))
+        return _parse_phrase_id(text)
+
+
+# Transcripts and codings spell the same few hundred ids over and over;
+# PhraseId is immutable, so one instance per canonical text is shared.
+@functools.lru_cache(maxsize=4096)
+def _parse_phrase_id(text: str) -> PhraseId:
+    if not _PHRASE_ID.fullmatch(text):
+        raise ValidationError(f"phrase id must look like 's.p', e.g. '3.1': {text!r}")
+    sentence, phrase = text.split(".")
+    return PhraseId(int(sentence), int(phrase))
 
 
 @dataclass(frozen=True)
@@ -79,7 +90,7 @@ class ProsodicPhrase:
             raise ValidationError(f"phrase {self.id}: empty token list")
         if self.pause_before is not None:
             p = float(self.pause_before)
-            if not np.isfinite(p) or p < 0:
+            if not math.isfinite(p) or p < 0:
                 raise ValidationError(
                     f"phrase {self.id}: pause_before must be finite and non-negative"
                 )
@@ -367,6 +378,16 @@ def read_json(source) -> Any:
         raise SchemaError(location, f"not valid JSON: {exc}") from None
 
 
+def _is_int(value: Any) -> bool:
+    """A JSON integer; true and false are not numbers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _nonempty_strings(values: list) -> bool:
+    """Every item is a non-empty string, tested in C rather than per item."""
+    return set(map(type, values)) <= {str} and "" not in values
+
+
 def _require(obj: dict, key: str, where: str) -> Any:
     if not isinstance(obj, dict):
         raise SchemaError(where, f"expected an object, got {type(obj).__name__}")
@@ -396,17 +417,15 @@ def load_narrative(source) -> Narrative:
         if not isinstance(final, bool):
             raise SchemaError(f"{where}.sentence_final", "expected true or false")
         pause = _require(raw, "pause_before", where)
-        if pause is not None and not isinstance(pause, (int, float)):
+        if pause is not None and (
+            not isinstance(pause, (int, float)) or isinstance(pause, bool)
+        ):
             raise SchemaError(f"{where}.pause_before", "expected number or null")
         truncated = raw.get("pause_truncated", False)
         if not isinstance(truncated, bool):
             raise SchemaError(f"{where}.pause_truncated", "expected true or false")
         tokens = _require(raw, "text", where)
-        if (
-            not isinstance(tokens, list)
-            or not tokens
-            or not all(isinstance(t, str) and t for t in tokens)
-        ):
+        if not isinstance(tokens, list) or not tokens or not _nonempty_strings(tokens):
             raise SchemaError(f"{where}.text", "expected a non-empty list of non-empty strings")
         try:
             phrases.append(
@@ -459,12 +478,10 @@ def load_annotations(source, narrative: Narrative) -> AnnotationMatrix:
             f"{narrative.narrative_id!r}"
         )
     subjects = _require(data, "subjects", "")
-    if not isinstance(subjects, list) or not all(
-        isinstance(s, str) and s for s in subjects
-    ):
+    if not isinstance(subjects, list) or not _nonempty_strings(subjects):
         raise SchemaError("subjects", "expected a list of non-empty strings")
     sites = _require(data, "sites", "")
-    if not isinstance(sites, int) or sites < 1:
+    if not _is_int(sites) or sites < 1:
         raise SchemaError("sites", "expected a positive integer")
     if sites != narrative.site_count:
         raise ValidationError(
@@ -477,6 +494,10 @@ def load_annotations(source, narrative: Narrative) -> AnnotationMatrix:
     for r, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != sites:
             raise SchemaError(f"matrix[{r}]", f"expected {sites} cells")
+        # One pass in C for a good row; the type test comes first, as it
+        # also keeps unhashable cells away from set(row).
+        if set(map(type, row)) <= {int, float} and set(row) <= {0, 1}:
+            continue
         for k, cell in enumerate(row):
             if cell not in (0, 1) or isinstance(cell, bool):
                 raise SchemaError(f"matrix[{r}][{k}]", "expected 0 or 1")
@@ -496,13 +517,16 @@ def serialize_annotations(matrix: AnnotationMatrix) -> dict:
 
 
 def _build_site_map(
-    fics: tuple[Fic, ...], narrative: Narrative
+    fics: tuple[Fic, ...],
+    narrative: Narrative,
+    spans: list[tuple[int, int]] | None = None,
 ) -> dict[tuple[int, int], SiteMapping]:
+    """spans holds each clause's (start, end) phrase indices, when known."""
+    if spans is None:
+        spans = [tuple(map(narrative.index_of, fic.phrase_span)) for fic in fics]
     site_map: dict[tuple[int, int], SiteMapping] = {}
     last_site = narrative.site_count - 1
-    for prev, cur in zip(fics, fics[1:]):
-        end_idx = narrative.index_of(prev.phrase_span[1])
-        start_idx = narrative.index_of(cur.phrase_span[0])
+    for prev, cur, (_, end_idx), (start_idx, _) in zip(fics, fics[1:], spans, spans[1:]):
         if start_idx < end_idx:
             raise ValidationError(
                 f"coding {narrative.narrative_id}: clause {cur.index} starts at "
@@ -535,19 +559,18 @@ def load_fic_coding(source, narrative: Narrative) -> FicCoding:
     raw_fics = _require(data, "fics", "")
     if not isinstance(raw_fics, list) or not raw_fics:
         raise SchemaError("fics", "expected a non-empty list")
-    fics = []
+    fics, spans = [], []
     for n, raw in enumerate(raw_fics):
         where = f"fics[{n}]"
         index = _require(raw, "index", where)
-        if not isinstance(index, int) or isinstance(index, bool) or index < 1:
+        if not _is_int(index) or index < 1:
             raise SchemaError(f"{where}.index", "expected a positive integer")
         span = _require(raw, "span", where)
         if not isinstance(span, list) or len(span) != 2:
             raise SchemaError(f"{where}.span", "expected a [start, end] pair")
         try:
             start, end = PhraseId.parse(span[0]), PhraseId.parse(span[1])
-            narrative.index_of(start)
-            narrative.index_of(end)
+            spans.append((narrative.index_of(start), narrative.index_of(end)))
         except ValidationError as exc:
             raise SchemaError(f"{where}.span", str(exc)) from None
         raw_nps = _require(raw, "nps", where)
@@ -560,7 +583,7 @@ def load_fic_coding(source, narrative: Narrative) -> FicCoding:
             if not isinstance(form, str) or not form:
                 raise SchemaError(f"{np_where}.form", "expected a non-empty string")
             referent = _require(raw_np, "referent", np_where)
-            if not isinstance(referent, int) or isinstance(referent, bool):
+            if not _is_int(referent):
                 raise SchemaError(f"{np_where}.referent", "expected an integer")
             pronoun3 = raw_np.get("pronoun3", False)
             if not isinstance(pronoun3, bool):
@@ -573,9 +596,9 @@ def load_fic_coding(source, narrative: Narrative) -> FicCoding:
                 if (
                     not isinstance(rel, list)
                     or len(rel) != 3
-                    or not isinstance(rel[0], int)
+                    or not _is_int(rel[0])
                     or not isinstance(rel[1], str)
-                    or not isinstance(rel[2], int)
+                    or not _is_int(rel[2])
                 ):
                     raise SchemaError(
                         f"{np_where}.inferential[{r}]",
@@ -600,7 +623,7 @@ def load_fic_coding(source, narrative: Narrative) -> FicCoding:
             raise SchemaError(where, str(exc)) from None
     fics = tuple(fics)
     try:
-        site_map = _build_site_map(fics, narrative)
+        site_map = _build_site_map(fics, narrative, spans)
         return FicCoding(narrative_id=narrative_id, fics=fics, site_map=site_map)
     except ValidationError as exc:
         raise SchemaError("fics", str(exc)) from None

@@ -565,3 +565,171 @@ class TestDeterminism:
         second = invoke(*argv, *pear_args(data))
         assert first == second
         assert first[0] == 0
+
+
+class TestSharedParser:
+    """run() builds its parser once per process; no call may see another's options."""
+
+    def test_subcommand_help_goes_to_the_given_stdout(self, capsys):
+        out, err = io.StringIO(), io.StringIO()
+        assert run(["agree", "--help"], stdout=out, stderr=err) == 0
+        assert out.getvalue().startswith("usage: segtool agree")
+        assert "--narrative NARRATIVE" in out.getvalue()
+        assert err.getvalue() == ""
+        assert capsys.readouterr() == ("", "")
+
+    def test_sequence_matches_fresh_processes(self, data, tmp_path, monkeypatch):
+        # Help text wraps at the terminal width; pin it for both sides.
+        monkeypatch.setenv("COLUMNS", "80")
+        manifest = tmp_path / "batch.json"
+        manifest.write_text(json.dumps({"format": "tsv", "items": [{
+            "narrative": str(data / "pear9_excerpt_narrative.json"),
+            "annotations": str(data / "pear9_excerpt_annotations.json"),
+        }]}))
+        humans = ("eval", "--method", "humans", *pear_args(data))
+        sequence = [
+            (*humans, "--threshold", "2"),
+            humans,
+            ("report", "--json", "--batch", str(manifest)),
+            ("report", "--batch", str(manifest)),
+            (*humans, "--threshold", "2", "--exact", "1"),
+            ("cochran", "--calibrate", "1000", "--seed", "-1", *pear_args(data)),
+            ("--help",),
+            ("agree", "--help"),
+            ("cochran", *pear_args(data)),
+        ]
+        for argv in sequence:
+            assert invoke(*argv) == invoke_process(*argv), argv
+
+
+# Symbolic argv values for the fuzz below; names of the files made by the
+# fuzz_files fixture stand for their paths.
+INTEGERS = ("-1", "0", "1", "2", "4", "7", "8", "1000", str(MAX_TRIALS + 1), str(10**21),
+            str(-(10**21)), str(2**64), "2.5", "x", "")
+VALUES = {
+    "--narrative": ("pear_n", "link_n", "not_json", "not_utf8", "bool_narrative", "empty",
+                    "missing", "directory", "pear_a", "\udcff.json"),
+    "--annotations": ("pear_a", "link_a", "zero_a", "bool_annotations", "not_json",
+                      "not_utf8", "missing", "pear_n"),
+    "--coding": ("link_c", "pear_a", "not_json", "not_utf8", "missing"),
+    "--cues": ("cues", "not_utf8", "missing", "directory"),
+    "--batch": ("manifest", "manifest_json", "manifest_bad", "not_utf8", "missing"),
+    "--out": ("out_file", "directory", "no_such_dir/report.tsv"),
+    "--method": ("np", "cue", "pause", "humans", "bogus"),
+    "--component-df": ("count", "count-1", "bogus"),
+    "--threshold": INTEGERS,
+    "--exact": INTEGERS,
+    "--seed": INTEGERS,
+    # No valid count above 1000, so every example stays fast.
+    "--calibrate": ("-1", "0", "999", "1000", str(MAX_TRIALS + 1), str(10**21), "1e3", "x"),
+}
+SWITCHES = ("--json", "--tsv", "--trace", "--leave-one-out", "--help", "-h", "--bogus")
+PEAR = {"--narrative": "pear_n", "--annotations": "pear_a"}
+LINK = {"--narrative": "link_n", "--annotations": "link_a"}
+# A valid call of each subcommand, which the fuzz then mutates.
+TEMPLATES = {
+    "agree": (PEAR, LINK),
+    "strengths": (PEAR, LINK),
+    "cochran": (PEAR, {**LINK, "--annotations": "zero_a"}),
+    "segment": ({"--method": "np", "--narrative": "link_n", "--coding": "link_c"},
+                {"--method": "cue", "--narrative": "pear_n"},
+                {"--method": "pause", "--narrative": "pear_n"}),
+    "eval": ({"--method": "humans", **PEAR}, {"--method": "cue", **PEAR},
+             {"--method": "np", **LINK, "--coding": "link_c"}),
+    "report": ({"--batch": "manifest"}, {"--batch": "manifest_json"}),
+}
+
+
+# The flags each subcommand takes, so that most mutations get past parsing.
+OWN_FLAGS = {
+    "agree": ("--narrative", "--annotations", "--threshold", "--json", "--tsv"),
+    "strengths": ("--narrative", "--annotations", "--json", "--tsv"),
+    "cochran": ("--narrative", "--annotations", "--component-df", "--calibrate", "--seed",
+                "--json", "--tsv"),
+    "segment": ("--method", "--narrative", "--coding", "--cues", "--trace", "--json", "--tsv"),
+    "eval": ("--method", "--narrative", "--annotations", "--coding", "--cues", "--threshold",
+             "--exact", "--leave-one-out", "--json", "--tsv"),
+    "report": ("--batch", "--out", "--cues", "--threshold", "--json", "--tsv"),
+}
+ALL_FLAGS = (*sorted(VALUES), *SWITCHES)
+
+
+@hst.composite
+def fuzz_argv(draw):
+    command = draw(hst.sampled_from((*TEMPLATES, "bogus", "")))
+    options = dict(draw(hst.sampled_from(TEMPLATES.get(command, ({},)))))
+    groups = []
+    flags = hst.sampled_from(OWN_FLAGS.get(command, ALL_FLAGS)) | hst.sampled_from(ALL_FLAGS)
+    for flag in draw(hst.lists(flags, max_size=4)):
+        if flag not in VALUES:
+            groups.append([flag])
+        elif draw(hst.integers(0, 9)):
+            options[flag] = draw(hst.sampled_from(VALUES[flag]))
+        else:
+            options.pop(flag, None)
+            if draw(hst.booleans()):
+                groups.append([flag])  # its value left off
+    groups += [[flag, value] for flag, value in options.items()]
+    groups = draw(hst.permutations(groups))
+    return [command] * bool(command) + [token for group in groups for token in group]
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(data, tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    pear_n = data / "pear9_excerpt_narrative.json"
+    pear_a = data / "pear9_excerpt_annotations.json"
+    bool_narrative = json.loads(pear_n.read_text())
+    bool_narrative["phrases"][2]["pause_before"] = True
+    bool_annotations = json.loads(pear_a.read_text())
+    bool_annotations["matrix"][0][0] = True
+    documents = {
+        "bool_narrative": bool_narrative,
+        "bool_annotations": bool_annotations,
+        "manifest": {"items": [
+            {"narrative": str(pear_n), "annotations": str(pear_a)},
+            {"narrative": str(data / "three_link_tests_narrative.json"),
+             "annotations": str(data / "three_link_tests_annotations.json"),
+             "coding": str(data / "three_link_tests_coding.json")},
+        ]},
+        "manifest_json": {"format": "json", "cues": str(data / "maybe_cues.txt"),
+                          "items": [{"narrative": str(pear_n), "annotations": str(pear_a)}]},
+        "manifest_bad": {"format": "xml", "items": [{"narrative": 3}]},
+    }
+    files = {
+        "pear_n": pear_n,
+        "pear_a": pear_a,
+        "link_n": data / "three_link_tests_narrative.json",
+        "link_a": data / "three_link_tests_annotations.json",
+        "link_c": data / "three_link_tests_coding.json",
+        "zero_a": data / "all_zero_annotations.json",
+        "cues": data / "maybe_cues.txt",
+        "not_json": data / "not_json.json",
+        "missing": root / "missing.json",
+        "directory": root,
+        "out_file": root / "report.out",
+        "no_such_dir/report.tsv": root / "no_such_dir" / "report.tsv",
+    }
+    for name, document in documents.items():
+        files[name] = root / f"{name}.json"
+        files[name].write_text(json.dumps(document))
+    files["not_utf8"] = root / "not_utf8.json"
+    files["not_utf8"].write_bytes(b'{"narrative_id": "\xff\xfe"}')
+    files["empty"] = root / "empty.json"
+    files["empty"].write_bytes(b"")
+    return files
+
+
+class TestArgvFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(argv=fuzz_argv())
+    def test_exit_codes_and_streams(self, fuzz_files, argv):
+        argv = [str(fuzz_files.get(token, token)) for token in argv]
+        rc, out, err = invoke(*argv)
+        assert rc in (0, 1, 2, 3)
+        assert "Traceback" not in out + err
+        if rc != 0:
+            assert out == ""
+            assert err
+        elif out == "":  # the report went to its --out file instead
+            assert argv[0] == "report" and "--out" in argv

@@ -59,6 +59,14 @@ class TestPhraseId:
         with pytest.raises(ValidationError):
             PhraseId.parse(bad)
 
+    @pytest.mark.parametrize("bad", [None, 3, 1.1, True, ["1.1"], {"1": 1}])
+    def test_rejects_non_strings(self, bad):
+        with pytest.raises(ValidationError, match="phrase id must look like"):
+            PhraseId.parse(bad)
+
+    def test_repeated_parses_agree(self):
+        assert PhraseId.parse("12.3") == PhraseId.parse("12.3") == PhraseId(12, 3)
+
 
 class TestNarrativeLoading:
     def test_fixture_loads(self, pear9):
@@ -104,6 +112,13 @@ class TestNarrativeLoading:
         with pytest.raises(SchemaError) as excinfo:
             load_narrative(dumps(doc))
         assert "phrases[1].pause_before" in str(excinfo.value)
+
+    def test_boolean_pause_rejected(self):
+        doc = narrative_doc()
+        doc["phrases"][1]["pause_before"] = True
+        with pytest.raises(SchemaError) as excinfo:
+            load_narrative(dumps(doc))
+        assert str(excinfo.value) == "phrases[1].pause_before: expected number or null"
 
     def test_truncated_without_pause(self):
         doc = narrative_doc()
@@ -179,6 +194,28 @@ class TestAnnotationLoading:
         with pytest.raises(SchemaError) as excinfo:
             load_annotations(dumps(doc), narrative)
         assert "matrix[2][5]" in str(excinfo.value)
+
+    @pytest.mark.parametrize("cell", [True, False, 2, -1, 0.5, None, "1", [1], {"v": 1}])
+    def test_bad_cell_kinds_named(self, pear9, cell):
+        narrative, matrix = pear9
+        doc = serialize_annotations(matrix)
+        doc["matrix"][4][7] = cell
+        with pytest.raises(SchemaError) as excinfo:
+            load_annotations(dumps(doc), narrative)
+        assert str(excinfo.value) == "matrix[4][7]: expected 0 or 1"
+
+    def test_float_cells_read_as_integers(self, pear9):
+        narrative, matrix = pear9
+        doc = serialize_annotations(matrix)
+        doc["matrix"] = [[float(cell) for cell in row] for row in doc["matrix"]]
+        assert load_annotations(dumps(doc), narrative) == matrix
+
+    def test_boolean_site_count_rejected(self):
+        narrative = load_narrative(dumps(narrative_doc(n_phrases=2)))
+        doc = {"narrative_id": "toy", "subjects": ["a"], "sites": True, "matrix": [[1]]}
+        with pytest.raises(SchemaError) as excinfo:
+            load_annotations(dumps(doc), narrative)
+        assert str(excinfo.value) == "sites: expected a positive integer"
 
     def test_duplicate_subjects(self, pear9):
         narrative, matrix = pear9
@@ -264,6 +301,18 @@ class TestFicCodingLoading:
         doc["fics"][2]["nps"][0]["inferential"] = [[2, "r9", 1]]
         with pytest.raises(SchemaError):
             load_fic_coding(dumps(doc), narrative)
+
+    @pytest.mark.parametrize("rel", [[True, "r1", 2], [1, "r1", True], [1, "r1", False]])
+    def test_boolean_relation_ends_rejected(self, three_link, rel):
+        narrative, coding = three_link
+        doc = serialize_fic_coding(coding)
+        doc["fics"][2]["nps"][0]["referent"] = 1
+        doc["fics"][2]["nps"][0]["inferential"] = [[1, "r2", 2], rel]
+        with pytest.raises(SchemaError) as excinfo:
+            load_fic_coding(dumps(doc), narrative)
+        assert str(excinfo.value) == (
+            "fics[2].nps[0].inferential[1]: expected [source, tag, target]"
+        )
 
     def test_relation_source_must_be_own_referent(self, three_link):
         narrative, coding = three_link
