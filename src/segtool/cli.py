@@ -11,7 +11,6 @@ arguments, input files, and seed the output is byte-identical across runs.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import sys
 from pathlib import Path
@@ -35,9 +34,18 @@ class _UsageError(Exception):
         super().__init__(message)
 
 
+class _Help(Exception):
+    """--help was given; carries the text for run() to write to its stdout."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(self, message)
+
+    def print_help(self, file=None):
+        if file is not None:
+            return super().print_help(file)
+        raise _Help(self.format_help())
 
 
 def _load_pair(args):
@@ -297,7 +305,7 @@ def _cmd_eval(args) -> str:
 
 def _manifest_path(entry: dict, key: str, where: str, base: Path) -> Path:
     value = entry.get(key)
-    if not isinstance(value, str) or not value:
+    if not isinstance(value, str) or not value or "\0" in value:
         raise SchemaError(f"{where}{key}", "expected a path string")
     return base / value  # an absolute value replaces base
 
@@ -351,7 +359,7 @@ def _build_parser() -> _Parser:
     """The argument parser, built once per process and shared by every run().
 
     It holds no per-call state: parse_args returns a fresh namespace, and
-    run() redirects --help output to its own stream.
+    --help hands its text back to run() rather than printing it.
     """
     parser = _Parser(prog="segtool", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")
@@ -440,14 +448,16 @@ def run(argv, stdout=None, stderr=None) -> int:
     err = stderr if stderr is not None else sys.stderr
     parser = _build_parser()
     try:
-        with contextlib.redirect_stdout(out):
-            args = parser.parse_args(argv)
+        if any("\0" in arg for arg in argv or ()):
+            parser.error("an argument contains a NUL byte")
+        args = parser.parse_args(argv)
     except _UsageError as exc:
         err.write(exc.parser.format_usage())
         err.write(f"error: {exc}\n")
         return 1
-    except SystemExit as exc:  # --help
-        return int(exc.code or 0)
+    except _Help as exc:
+        out.write(exc.args[0])
+        return 0
     if getattr(args, "handler", None) is None:
         err.write(parser.format_usage())
         err.write("error: a subcommand is required\n")

@@ -15,7 +15,6 @@ indices, and this module is the only place they get computed.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import re
@@ -29,6 +28,8 @@ from .errors import SchemaError, ValidationError
 
 RELATION_TAGS = frozenset({"r1", "r2", "r3", "r4", "r5"})
 _PHRASE_ID = re.compile(r"[1-9][0-9]*\.[1-9][0-9]*")
+# A \uD800-\uDFFF escape, which may leave a lone surrogate in a string.
+_SURROGATE_ESCAPE = re.compile(rb"\\u[dD][89a-fA-F]")
 
 
 @dataclass(frozen=True, order=True)
@@ -50,22 +51,13 @@ class PhraseId:
     def __str__(self) -> str:
         return f"{self.sentence}.{self.phrase}"
 
-    @staticmethod
-    def parse(text: str) -> "PhraseId":
+    @classmethod
+    def parse(cls, text: str) -> "PhraseId":
         """Read the canonical form only, so str() gives back the same text."""
-        if not isinstance(text, str):
+        if not isinstance(text, str) or not _PHRASE_ID.fullmatch(text):
             raise ValidationError(f"phrase id must look like 's.p', e.g. '3.1': {text!r}")
-        return _parse_phrase_id(text)
-
-
-# Transcripts and codings spell the same few hundred ids over and over;
-# PhraseId is immutable, so one instance per canonical text is shared.
-@functools.lru_cache(maxsize=4096)
-def _parse_phrase_id(text: str) -> PhraseId:
-    if not _PHRASE_ID.fullmatch(text):
-        raise ValidationError(f"phrase id must look like 's.p', e.g. '3.1': {text!r}")
-    sentence, phrase = text.split(".")
-    return PhraseId(int(sentence), int(phrase))
+        sentence, phrase = text.split(".")
+        return cls(int(sentence), int(phrase))
 
 
 @dataclass(frozen=True)
@@ -371,11 +363,19 @@ def read_json(source) -> Any:
     else:
         raise TypeError(f"cannot read JSON from {type(source).__name__}")
     try:
-        return json.loads(raw.decode("utf-8"))
+        data = json.loads(raw.decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise SchemaError(location, f"not valid UTF-8: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also over-long ints, deep nesting
         raise SchemaError(location, f"not valid JSON: {exc}") from None
+    if _SURROGATE_ESCAPE.search(raw):
+        # Escaped pairs are fine; a lone surrogate could not be printed as UTF-8.
+        try:
+            json.dumps(data, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            lone = exc.object[exc.start : exc.end]
+            raise SchemaError(location, f"not valid UTF-8: lone surrogate {lone!r}") from None
+    return data
 
 
 def _is_int(value: Any) -> bool:
@@ -417,10 +417,13 @@ def load_narrative(source) -> Narrative:
         if not isinstance(final, bool):
             raise SchemaError(f"{where}.sentence_final", "expected true or false")
         pause = _require(raw, "pause_before", where)
-        if pause is not None and (
-            not isinstance(pause, (int, float)) or isinstance(pause, bool)
-        ):
-            raise SchemaError(f"{where}.pause_before", "expected number or null")
+        if pause is not None:
+            if not isinstance(pause, (int, float)) or isinstance(pause, bool):
+                raise SchemaError(f"{where}.pause_before", "expected number or null")
+            try:
+                pause = float(pause)
+            except OverflowError:  # an int past the float range
+                raise SchemaError(f"{where}.pause_before", "expected number or null") from None
         truncated = raw.get("pause_truncated", False)
         if not isinstance(truncated, bool):
             raise SchemaError(f"{where}.pause_truncated", "expected true or false")
@@ -433,7 +436,7 @@ def load_narrative(source) -> Narrative:
                     id=pid,
                     text=tuple(tokens),
                     sentence_final=final,
-                    pause_before=None if pause is None else float(pause),
+                    pause_before=pause,
                     pause_truncated=truncated,
                 )
             )
@@ -519,11 +522,9 @@ def serialize_annotations(matrix: AnnotationMatrix) -> dict:
 def _build_site_map(
     fics: tuple[Fic, ...],
     narrative: Narrative,
-    spans: list[tuple[int, int]] | None = None,
+    spans: list[tuple[int, int]],
 ) -> dict[tuple[int, int], SiteMapping]:
-    """spans holds each clause's (start, end) phrase indices, when known."""
-    if spans is None:
-        spans = [tuple(map(narrative.index_of, fic.phrase_span)) for fic in fics]
+    """spans holds each clause's (start, end) phrase indices."""
     site_map: dict[tuple[int, int], SiteMapping] = {}
     last_site = narrative.site_count - 1
     for prev, cur, (_, end_idx), (start_idx, _) in zip(fics, fics[1:], spans, spans[1:]):

@@ -547,6 +547,34 @@ class TestExitCodes:
         rc = run(["--help"], stdout=io.StringIO(), stderr=io.StringIO())
         assert rc == 0
 
+    def test_lone_surrogate_in_input(self, data, tmp_path, monkeypatch):
+        # A strict UTF-8 stdout could not print it, so the loader rejects it.
+        monkeypatch.setenv("PYTHONIOENCODING", "utf-8")
+        doc = json.loads((data / "pear9_excerpt_narrative.json").read_text())
+        doc["narrative_id"] = "\udcff"
+        path = tmp_path / "narrative.json"
+        path.write_text(json.dumps(doc))
+        rc, out, err = invoke_process(
+            "segment", "--method", "pause", "--narrative", str(path),
+        )
+        assert (rc, out) == (1, "")
+        assert err == f"error: {path}: not valid UTF-8: lone surrogate '\\udcff'\n"
+
+    def test_nul_byte_in_argument(self, data):
+        rc, out, err = invoke("agree", "--narrative", "n\0.json", "--annotations", "a.json")
+        assert (rc, out) == (1, "")
+        assert err.startswith("usage: segtool")
+        assert err.endswith("error: an argument contains a NUL byte\n")
+
+    def test_nul_byte_in_manifest_path(self, data, tmp_path):
+        manifest = tmp_path / "batch.json"
+        manifest.write_text(json.dumps({"items": [{
+            "narrative": "n\0.json",
+            "annotations": str(data / "pear9_excerpt_annotations.json"),
+        }]}))
+        rc, out, err = invoke("report", "--batch", str(manifest))
+        assert (rc, out, err) == (1, "", "error: items[0].narrative: expected a path string\n")
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
@@ -608,12 +636,14 @@ INTEGERS = ("-1", "0", "1", "2", "4", "7", "8", "1000", str(MAX_TRIALS + 1), str
             str(-(10**21)), str(2**64), "2.5", "x", "")
 VALUES = {
     "--narrative": ("pear_n", "link_n", "not_json", "not_utf8", "bool_narrative", "empty",
-                    "missing", "directory", "pear_a", "\udcff.json"),
+                    "missing", "directory", "pear_a", "\udcff.json", "nul\0.json",
+                    "huge_pause", "lone_surrogate", "long_int", "deep"),
     "--annotations": ("pear_a", "link_a", "zero_a", "bool_annotations", "not_json",
-                      "not_utf8", "missing", "pear_n"),
-    "--coding": ("link_c", "pear_a", "not_json", "not_utf8", "missing"),
+                      "not_utf8", "missing", "pear_n", "long_int", "deep"),
+    "--coding": ("link_c", "pear_a", "not_json", "not_utf8", "missing", "long_int", "deep"),
     "--cues": ("cues", "not_utf8", "missing", "directory"),
-    "--batch": ("manifest", "manifest_json", "manifest_bad", "not_utf8", "missing"),
+    "--batch": ("manifest", "manifest_json", "manifest_bad", "manifest_nul", "not_utf8",
+                "missing", "long_int", "deep"),
     "--out": ("out_file", "directory", "no_such_dir/report.tsv"),
     "--method": ("np", "cue", "pause", "humans", "bogus"),
     "--component-df": ("count", "count-1", "bogus"),
@@ -683,6 +713,9 @@ def fuzz_files(data, tmp_path_factory):
     bool_narrative["phrases"][2]["pause_before"] = True
     bool_annotations = json.loads(pear_a.read_text())
     bool_annotations["matrix"][0][0] = True
+    huge_pause = json.loads(pear_n.read_text())
+    huge_pause["phrases"][2]["pause_before"] = 10**400
+    lone_surrogate = {**json.loads(pear_n.read_text()), "narrative_id": "\udcff"}
     documents = {
         "bool_narrative": bool_narrative,
         "bool_annotations": bool_annotations,
@@ -695,6 +728,9 @@ def fuzz_files(data, tmp_path_factory):
         "manifest_json": {"format": "json", "cues": str(data / "maybe_cues.txt"),
                           "items": [{"narrative": str(pear_n), "annotations": str(pear_a)}]},
         "manifest_bad": {"format": "xml", "items": [{"narrative": 3}]},
+        "manifest_nul": {"items": [{"narrative": "nul\0.json", "annotations": str(pear_a)}]},
+        "huge_pause": huge_pause,
+        "lone_surrogate": lone_surrogate,
     }
     files = {
         "pear_n": pear_n,
@@ -717,6 +753,10 @@ def fuzz_files(data, tmp_path_factory):
     files["not_utf8"].write_bytes(b'{"narrative_id": "\xff\xfe"}')
     files["empty"] = root / "empty.json"
     files["empty"].write_bytes(b"")
+    files["long_int"] = root / "long_int.json"  # past Python's int digit limit
+    files["long_int"].write_bytes(b'{"narrative_id": 1' + b"0" * 5000 + b"}")
+    files["deep"] = root / "deep.json"  # past the parser's nesting limit
+    files["deep"].write_bytes(b"[" * 100_000 + b"]" * 100_000)
     return files
 
 

@@ -64,9 +64,6 @@ class TestPhraseId:
         with pytest.raises(ValidationError, match="phrase id must look like"):
             PhraseId.parse(bad)
 
-    def test_repeated_parses_agree(self):
-        assert PhraseId.parse("12.3") == PhraseId.parse("12.3") == PhraseId(12, 3)
-
 
 class TestNarrativeLoading:
     def test_fixture_loads(self, pear9):
@@ -120,6 +117,13 @@ class TestNarrativeLoading:
             load_narrative(dumps(doc))
         assert str(excinfo.value) == "phrases[1].pause_before: expected number or null"
 
+    def test_pause_past_float_range_rejected(self):
+        doc = narrative_doc()
+        doc["phrases"][1]["pause_before"] = 10**400  # JSON reads it back as an int
+        with pytest.raises(SchemaError) as excinfo:
+            load_narrative(dumps(doc))
+        assert str(excinfo.value) == "phrases[1].pause_before: expected number or null"
+
     def test_truncated_without_pause(self):
         doc = narrative_doc()
         doc["phrases"][1]["pause_truncated"] = True
@@ -135,6 +139,24 @@ class TestNarrativeLoading:
     def test_not_json(self):
         with pytest.raises(SchemaError):
             load_narrative(b"{not json")
+
+    @pytest.mark.parametrize(
+        "text",
+        [b'{"narrative_id": 1' + b"0" * 5000 + b"}", b"[" * 100_000 + b"]" * 100_000],
+        ids=["int-past-digit-limit", "nested-too-deep"],
+    )
+    def test_json_python_cannot_read(self, text):
+        with pytest.raises(SchemaError, match="^<file>: not valid JSON: "):
+            load_narrative(text)
+
+    def test_lone_surrogate_rejected(self):
+        doc = narrative_doc(narrative_id="\udcff")
+        with pytest.raises(SchemaError) as excinfo:
+            load_narrative(dumps(doc))  # ensure_ascii writes it as an escape
+        assert str(excinfo.value) == "<file>: not valid UTF-8: lone surrogate '\\udcff'"
+
+    def test_surrogate_pair_accepted(self):
+        assert load_narrative(dumps(narrative_doc(narrative_id="\U0001f600"))).narrative_id == "\U0001f600"
 
     def test_missing_field_named(self):
         doc = narrative_doc()

@@ -59,10 +59,11 @@ def coding_from(narrative, clauses):
             )
         )
     fics = tuple(fics)
+    spans = [tuple(map(narrative.index_of, f.phrase_span)) for f in fics]
     return FicCoding(
         narrative_id=narrative.narrative_id,
         fics=fics,
-        site_map=_build_site_map(fics, narrative),
+        site_map=_build_site_map(fics, narrative, spans),
     )
 
 
