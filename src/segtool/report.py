@@ -17,6 +17,7 @@ report records how many observations each cell kept.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,11 +28,11 @@ from .corpus import AnnotationMatrix, FicCoding, Narrative
 from .errors import ValidationError
 from .evaluation import (
     METRIC_NAMES,
+    RATIOS,
     MetricAggregate,
     aggregate_metric,
+    aggregate_pairs,
     confusion_table,
-    evaluate_humans,
-    metrics,
     resolve_target,
     site_mask,
 )
@@ -192,22 +193,20 @@ def build_report(
     if len(set(ids)) != len(ids):
         raise ValidationError("narrative ids in a batch must be distinct")
 
-    agreement_rows = []
-    method_values: dict[str, dict[str, list]] = {
-        m: {name: [] for name in METRIC_NAMES} for m in METHODS
-    }
-    max_subjects = max(item.matrix.subjects for item in items)
-    levels = tuple(range(1, max_subjects + 1))
-    strength_values: dict[str, dict[str, dict[int, list]]] = {
-        m: {name: {t: [] for t in levels} for name in ("recall", "precision")}
-        for m in METHODS
-    }
-    site_counts: dict[int, list] = {t: [] for t in levels}
     lexicon = default_cue_lexicon() if cue_lexicon is None else cue_lexicon
+    levels = tuple(range(1, max(item.matrix.subjects for item in items) + 1))
+    agreement_rows = []
+    # Per method, one (4, units, 1 + subjects) block of the cells a, b, c, d
+    # per narrative; the empty first block makes every column exist.
+    scored = {m: [np.zeros((4, 0, len(levels) + 1), dtype=np.int64)] for m in METHODS}
+    site_counts: dict[int, list] = {t: [] for t in levels}
 
     for item in items:
         matrix = item.matrix
-        agreement = percent_agreement(matrix, threshold)
+        try:
+            agreement = percent_agreement(matrix, threshold)
+        except ValidationError as exc:  # a threshold beyond this narrative's panel
+            raise ValidationError(f"{matrix.narrative_id}: {exc}") from exc
         agreement_rows.append(
             AgreementRow(
                 narrative_id=matrix.narrative_id,
@@ -218,40 +217,30 @@ def build_report(
             )
         )
 
-        for subject in evaluate_humans(matrix, threshold=threshold).per_subject:
-            for name in METRIC_NAMES:
-                method_values["humans"][name].append(subject.scores.as_dict()[name])
-
         # One product scores every subject and segmenter against the pooled
         # target (column 0) and the sites of each exact strength t (column t).
-        strengths = boundary_strengths(matrix)
-        own_levels = range(1, matrix.subjects + 1)
-        exact = np.column_stack([strengths.mask(t, exact=True) for t in own_levels])
-        target, _ = resolve_target(strengths, threshold, None)
+        target, _ = resolve_target(boundary_strengths(matrix), threshold, None)
         predictions = _predictions(item, lexicon)
-        methods = ["humans"] * matrix.subjects + list(predictions)
-        rows = np.vstack([
-            matrix.cells,
-            *[site_mask(p, matrix.sites, "predicted") for p in predictions.values()],
-        ])
-        for method, row in zip(methods, confusion_table(rows, np.column_stack([target, exact]))):
-            scored = [metrics(counts) for counts in row]
-            if method != "humans":
-                for name in METRIC_NAMES:
-                    method_values[method][name].append(scored[0].as_dict()[name])
-            for t in own_levels:
-                strength_values[method]["recall"][t].append(scored[t].recall)
-                strength_values[method]["precision"][t].append(scored[t].precision)
-        for t, count in zip(own_levels, exact.sum(axis=0).tolist()):
+        own_levels = np.arange(1, matrix.subjects + 1)
+        targets = np.column_stack([target, matrix.column_totals[:, None] == own_levels])
+        units = {
+            "humans": matrix.cells,
+            **{m: site_mask(p, matrix.sites, "predicted")[None, :] for m, p in predictions.items()},
+        }
+        table = np.stack(confusion_table(np.vstack(list(units.values())), targets))
+        bounds = np.cumsum([len(rows) for rows in units.values()])[:-1]
+        for method, block in zip(units, np.split(table, bounds, axis=1)):
+            scored[method].append(block)
+        for t, count in zip(own_levels.tolist(), targets[:, 1:].sum(axis=0).tolist()):
             site_counts[t].append(count)
 
-    percent_agg = aggregate_metric([row.report.percent for row in agreement_rows])
-    boundary_agg = aggregate_metric(
-        [row.report.percent_boundary for row in agreement_rows]
-    )
-    non_boundary_agg = aggregate_metric(
-        [row.report.percent_non_boundary for row in agreement_rows]
-    )
+    def pooled(method: str, column: int, names) -> dict[str, MetricAggregate]:
+        """Aggregate one column over every narrative whose panel has it."""
+        cells = np.concatenate(
+            [block[:, :, column] for block in scored[method] if block.shape[2] > column], axis=1
+        )
+        return {name: aggregate_pairs(*RATIOS[name](*cells)) for name in names}
+
     agreement_summary = {
         "narratives": len(agreement_rows),
         "opinions": sum(row.marks for row in agreement_rows),
@@ -259,24 +248,19 @@ def build_report(
         "non_boundary_sites": sum(
             row.report.non_boundary_site_count for row in agreement_rows
         ),
-        "percent": percent_agg,
-        "percent_boundary": boundary_agg,
-        "percent_non_boundary": non_boundary_agg,
+        **{
+            key: aggregate_metric([getattr(row.report, key) for row in agreement_rows])
+            for key in ("percent", "percent_boundary", "percent_non_boundary")
+        },
     }
 
-    method_table = {
-        m: {name: aggregate_metric(method_values[m][name]) for name in METRIC_NAMES}
-        for m in METHODS
-    }
+    method_table = {m: pooled(m, 0, METRIC_NAMES) for m in METHODS}
     # The narrative with the largest panel counts sites at every level.
     strength_site_counts = {t: Fraction(sum(c), len(c)) for t, c in site_counts.items()}
-    strength_table = {
-        m: {
-            name: {t: aggregate_metric(strength_values[m][name][t]) for t in levels}
-            for name in ("recall", "precision")
-        }
-        for m in METHODS
-    }
+    strength_table = {m: {"recall": {}, "precision": {}} for m in METHODS}
+    for m, t in itertools.product(METHODS, levels):
+        for name, agg in pooled(m, t, ("recall", "precision")).items():
+            strength_table[m][name][t] = agg
     return Report(
         threshold=threshold,
         agreement_rows=tuple(agreement_rows),

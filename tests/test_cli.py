@@ -450,6 +450,25 @@ class TestReport:
         assert f"error: {where}: expected a path string" in err
         assert "Traceback" not in err
 
+    def test_threshold_error_names_the_narrative(self, data, tmp_path):
+        # A threshold that fits the 7-subject panel but not a 3-subject copy.
+        narrative = json.loads((data / "pear9_excerpt_narrative.json").read_text())
+        annotations = json.loads((data / "pear9_excerpt_annotations.json").read_text())
+        narrative["narrative_id"] = annotations["narrative_id"] = "small"
+        annotations["subjects"] = annotations["subjects"][:3]
+        annotations["matrix"] = annotations["matrix"][:3]
+        (tmp_path / "small_narrative.json").write_text(json.dumps(narrative))
+        (tmp_path / "small_annotations.json").write_text(json.dumps(annotations))
+        path = tmp_path / "batch.json"
+        path.write_text(json.dumps({"items": [
+            {"narrative": str(data / "pear9_excerpt_narrative.json"),
+             "annotations": str(data / "pear9_excerpt_annotations.json")},
+            {"narrative": "small_narrative.json", "annotations": "small_annotations.json"},
+        ]}))
+        rc, out, err = invoke("report", "--threshold", "5", "--batch", str(path))
+        assert (rc, out) == (1, "")
+        assert err == "error: small: strength 5 outside [1, 3]\n"
+
     def test_manifest_not_utf8(self, tmp_path):
         path = tmp_path / "batch.json"
         path.write_bytes(b'{"items": ["\xff"]}')

@@ -13,6 +13,7 @@ from segtool import (
     AnnotationMatrix,
     BoundarySet,
     ConfusionCounts,
+    MetricAggregate,
     ValidationError,
     aggregate_metric,
     confusion,
@@ -24,6 +25,7 @@ from segtool import (
     percent_agreement,
     target_boundaries,
 )
+from segtool.evaluation import RATIOS, aggregate_pairs
 
 F = Fraction
 
@@ -173,6 +175,52 @@ class TestAggregate:
         assert agg.variance is None
         assert agg.count == 0
         assert agg.skipped == 2
+
+
+def fraction_sums(values):
+    """Mean and population variance by plain Fraction sums, None skipped."""
+    kept = [v for v in values if v is not None]
+    if not kept:
+        return MetricAggregate(None, None, 0, len(values))
+    mean = sum(kept, F(0)) / len(kept)
+    variance = sum(((v - mean) ** 2 for v in kept), F(0)) / len(kept)
+    return MetricAggregate(mean, variance, len(kept), len(values) - len(kept))
+
+
+cell_counts = hst.tuples(*[hst.integers(0, 60)] * 4)
+pair_lists = hst.one_of(
+    hst.lists(hst.tuples(hst.integers(-60, 60), hst.integers(0, 60)), max_size=40),
+    hst.lists(hst.tuples(hst.integers(-60, 60), hst.just(0)), max_size=10),
+)
+
+
+class TestIntegerCore:
+    @settings(max_examples=300, deadline=None)
+    @given(cell_counts)
+    def test_ratio_pairs_match_metrics(self, cells):
+        scores = metrics(ConfusionCounts(*cells)).as_dict()
+        columns = [np.array([x, x]) for x in cells]
+        assert list(RATIOS) == list(scores)
+        for name, ratio in RATIOS.items():
+            num, den = ratio(*cells)
+            assert scores[name] == (F(num, den) if den else None)
+            # The same table read over integer arrays gives the same pairs.
+            assert [x.tolist() for x in ratio(*columns)] == [[num, num], [den, den]]
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair_lists)
+    def test_pairs_match_fraction_sums(self, pairs):
+        numerators = np.array([n for n, _ in pairs], dtype=np.int64)
+        denominators = np.array([d for _, d in pairs], dtype=np.int64)
+        want = fraction_sums([F(n, d) if d else None for n, d in pairs])
+        assert aggregate_pairs(numerators, denominators) == want
+
+    def test_all_undefined_pairs(self):
+        agg = aggregate_pairs(np.array([0, 3, 0]), np.array([0, 0, 0]))
+        assert agg == MetricAggregate(None, None, 0, 3)
+        assert aggregate_pairs(np.array([], dtype=np.int64), np.array([], dtype=np.int64)) == (
+            MetricAggregate(None, None, 0, 0)
+        )
 
 
 class TestHumanScores:

@@ -28,6 +28,8 @@ from segtool import (
     build_report,
     cue_segment,
     evaluate_humans,
+    normalize_to_sites,
+    np_segment,
     pause_segment,
 )
 
@@ -367,6 +369,42 @@ class TestOracle:
         for (method, name, t), values in strengths.items():
             assert report.strength_table[method][name][t] == loop_aggregate(values)
         assert report.strength_site_counts == {t: F(sum(c), len(c)) for t, c in sites.items()}
+
+    @settings(max_examples=40, deadline=None)
+    @given(hst.data())
+    def test_np_row_matches_site_loop(self, bicycle, shared_phrase, three_link, data):
+        items = []
+        for narrative, coding in (bicycle, shared_phrase, three_link):
+            sites = narrative.site_count
+            rows = data.draw(hst.lists(
+                hst.lists(hst.integers(0, 1), min_size=sites, max_size=sites),
+                min_size=1, max_size=6,
+            ))
+            items.append(BatchItem(narrative, make_matrix(narrative.narrative_id, rows), coding))
+        smallest = min(item.matrix.subjects for item in items)
+        threshold = data.draw(hst.none() | hst.integers(1, smallest))
+        report = build_report(items, threshold=threshold)
+
+        methods, strengths = {}, {}
+        for item in items:
+            cells = item.matrix.cells.tolist()
+            totals = loop_totals(cells)
+            pooled = threshold or (len(cells) + 2) // 2
+            predicted = normalize_to_sites(np_segment(item.coding), item.coding).sites
+            row = [int(k in predicted) for k in range(len(totals))]
+            for name, v in loop_scores(row, [x >= pooled for x in totals]).items():
+                methods.setdefault(name, []).append(v)
+            for t in range(1, len(cells) + 1):
+                exact = loop_scores(row, [x == t for x in totals])
+                for name in ("recall", "precision"):
+                    strengths.setdefault((name, t), []).append(exact[name])
+
+        assert set(methods) == set(report.method_table["np"])
+        for name, values in methods.items():
+            assert report.method_table["np"][name] == loop_aggregate(values)
+        assert len(strengths) == 2 * len(report.strength_levels)
+        for (name, t), values in strengths.items():
+            assert report.strength_table["np"][name][t] == loop_aggregate(values)
 
     @settings(max_examples=60, deadline=None)
     @given(batches, hst.data())
