@@ -13,11 +13,10 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from pathlib import Path
 
 from .agreement import boundary_strengths, percent_agreement
-from .corpus import load_annotations, load_fic_coding, load_narrative, read_json
-from .errors import DegenerateDataError, SchemaError, ValidationError
+from .corpus import load_annotations, load_fic_coding, load_manifest, load_narrative
+from .errors import DegenerateDataError, ValidationError
 from .evaluation import METRIC_NAMES, confusion, evaluate_humans, metrics, resolve_target
 from .render import PVALUE, RATIO, VARIANCE, num, sites_text, to_json, tsv
 from .report import BatchItem, build_report
@@ -303,44 +302,18 @@ def _cmd_eval(args) -> str:
     )
 
 
-def _manifest_path(entry: dict, key: str, where: str, base: Path) -> Path:
-    value = entry.get(key)
-    if not isinstance(value, str) or not value or "\0" in value:
-        raise SchemaError(f"{where}{key}", "expected a path string")
-    return base / value  # an absolute value replaces base
-
-
 def _cmd_report(args) -> str:
-    manifest = read_json(args.batch)
-    if (
-        not isinstance(manifest, dict)
-        or not isinstance(manifest.get("items"), list)
-        or not manifest["items"]
-    ):
-        raise ValidationError("manifest must be an object with a non-empty items list")
-    base = Path(args.batch).parent
+    manifest = load_manifest(args.batch)
     items = []
-    for k, entry in enumerate(manifest["items"]):
-        if not isinstance(entry, dict):
-            raise ValidationError(f"items[{k}]: each item needs narrative and annotations paths")
-        where = f"items[{k}]."
-        narrative = load_narrative(_manifest_path(entry, "narrative", where, base))
-        matrix = load_annotations(_manifest_path(entry, "annotations", where, base), narrative)
-        coding = None
-        if "coding" in entry:
-            coding = load_fic_coding(_manifest_path(entry, "coding", where, base), narrative)
+    for narrative_path, annotations_path, coding_path in manifest.items():
+        narrative = load_narrative(narrative_path)
+        matrix = load_annotations(annotations_path, narrative)
+        coding = None if coding_path is None else load_fic_coding(coding_path, narrative)
         items.append(BatchItem(narrative=narrative, matrix=matrix, coding=coding))
-
-    lexicon = None
-    if args.cues is not None:
-        lexicon = CueLexicon.from_file(args.cues)
-    elif "cues" in manifest:
-        lexicon = CueLexicon.from_file(_manifest_path(manifest, "cues", "", base))
-
-    fmt = args.format or manifest.get("format", "tsv")
-    if fmt not in ("tsv", "json"):
-        raise ValidationError(f"manifest format must be 'tsv' or 'json', got {fmt!r}")
-
+    # --cues, --json and --tsv replace the manifest's values, left unread.
+    cues = args.cues if args.cues is not None else manifest.cues
+    lexicon = None if cues is None else CueLexicon.from_file(cues)
+    fmt = args.format or manifest.format
     report = build_report(items, cue_lexicon=lexicon, threshold=args.threshold)
     text = report.to_json() if fmt == "json" else report.to_tsv()
     if args.out is not None:

@@ -1,12 +1,14 @@
 """Data model and loaders for segmentation corpora.
 
-Three JSON file kinds are handled:
+Four JSON file kinds are handled; the constructors check the invariants,
+and the loaders the JSON shape and the location of nested objects:
 
 * transcripts: ordered prosodic phrases with pause and contour annotations
 * annotation matrices: one 0/1 row per subject over a transcript's
   boundary sites
 * clause codings: functionally independent clauses (FICs) carrying the
   referential noun phrases used by the noun-phrase segmenter
+* report manifests: the files of each narrative in a batch report
 
 A transcript of n phrases has n-1 boundary sites; site k lies between
 phrases k and k+1, 0-based. All downstream joins are on those site
@@ -20,14 +22,13 @@ import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
 from .errors import SchemaError, ValidationError
 
 RELATION_TAGS = frozenset({"r1", "r2", "r3", "r4", "r5"})
-_PHRASE_ID = re.compile(r"[1-9][0-9]*\.[1-9][0-9]*")
 # A \uD800-\uDFFF escape, which may leave a lone surrogate in a string.
 _SURROGATE_ESCAPE = re.compile(rb"\\u[dD][89a-fA-F]")
 
@@ -54,10 +55,14 @@ class PhraseId:
     @classmethod
     def parse(cls, text: str) -> "PhraseId":
         """Read the canonical form only, so str() gives back the same text."""
-        if not isinstance(text, str) or not _PHRASE_ID.fullmatch(text):
-            raise ValidationError(f"phrase id must look like 's.p', e.g. '3.1': {text!r}")
-        sentence, phrase = text.split(".")
-        return cls(int(sentence), int(phrase))
+        try:
+            sentence, phrase = text.split(".")
+            pid = cls(int(sentence), int(phrase))
+            if str(pid) == text:
+                return pid
+        except (AttributeError, TypeError, ValueError, ValidationError):
+            pass
+        raise ValidationError(f"phrase id must look like 's.p', e.g. '3.1': {text!r}")
 
 
 @dataclass(frozen=True)
@@ -78,14 +83,18 @@ class ProsodicPhrase:
     pause_truncated: bool = False
 
     def __post_init__(self):
-        if not self.text:
-            raise ValidationError(f"phrase {self.id}: empty token list")
+        if not self.text or not _nonempty_strings(self.text):
+            raise SchemaError("text", "expected a non-empty list of non-empty strings")
         if self.pause_before is not None:
-            p = float(self.pause_before)
+            try:
+                p = float(self.pause_before)
+            except OverflowError:  # an int past the float range
+                raise SchemaError("pause_before", "expected number or null") from None
             if not math.isfinite(p) or p < 0:
                 raise ValidationError(
                     f"phrase {self.id}: pause_before must be finite and non-negative"
                 )
+            object.__setattr__(self, "pause_before", p)
         elif self.pause_truncated:
             raise ValidationError(
                 f"phrase {self.id}: pause_truncated set without a pause_before value"
@@ -103,16 +112,17 @@ class Narrative:
     )
 
     def __post_init__(self):
-        if not self.narrative_id:
-            raise ValidationError("narrative_id must be non-empty")
+        _narrative_id(self.narrative_id)
         if len(self.phrases) < 2:
-            raise ValidationError(
+            raise SchemaError(
+                "phrases",
                 f"narrative {self.narrative_id}: needs at least 2 phrases "
-                f"(got {len(self.phrases)})"
+                f"(got {len(self.phrases)})",
             )
         for prev, cur in zip(self.phrases, self.phrases[1:]):
             if not prev.id < cur.id:
-                raise ValidationError(
+                raise SchemaError(
+                    "phrases",
                     f"narrative {self.narrative_id}: phrase ids out of order "
                     f"({prev.id} then {cur.id})"
                 )
@@ -149,30 +159,35 @@ class AnnotationMatrix:
     Cell (s, k) is 1 when subject s placed a boundary at site k. Row totals
     give each subject's boundary count; column totals give per-site agreement
     strength. The cell array is read-only once constructed.
+
+    cells are rows of equal length or a 2-d array; each cell must be the
+    number 0 or 1 before any cast, so true, 0.5 or "1" is refused.
     """
 
     def __init__(self, narrative_id: str, subject_ids: Iterable[str], cells):
-        cells = np.asarray(cells, dtype=np.int64)
+        _narrative_id(narrative_id)
         subject_ids = tuple(str(s) for s in subject_ids)
-        if not narrative_id:
-            raise ValidationError("narrative_id must be non-empty")
-        if cells.ndim != 2:
-            raise ValidationError("annotation cells must be a 2-d array")
-        i, j = cells.shape
-        if i < 1 or j < 1:
-            raise ValidationError("annotation matrix must have at least one subject and one site")
-        if len(subject_ids) != i:
-            raise ValidationError(
-                f"{len(subject_ids)} subject ids for {i} matrix rows"
-            )
-        if len(set(subject_ids)) != i:
-            raise ValidationError("subject ids must be distinct")
-        bad = (cells != 0) & (cells != 1)
-        if bad.any():
-            s, k = np.argwhere(bad)[0]
-            raise ValidationError(
-                f"matrix[{s}][{k}]: cells must be 0 or 1 (got {cells[s, k]})"
-            )
+        if not subject_ids:
+            raise SchemaError("subjects", "expected at least one subject")
+        rows = cells.tolist() if isinstance(cells, np.ndarray) else cells
+        if not isinstance(rows, list) or len(rows) != len(subject_ids):
+            raise SchemaError("matrix", f"expected {len(subject_ids)} rows")
+        width = len(rows[0]) if isinstance(rows[0], list) else 0
+        if not width:
+            raise SchemaError("matrix[0]", "expected a non-empty list of cells")
+        for r, row in enumerate(rows):
+            if not isinstance(row, list) or len(row) != width:
+                raise SchemaError(f"matrix[{r}]", f"expected {width} cells")
+            # One pass in C for a good row; the type test comes first, as it
+            # also keeps unhashable cells away from set(row).
+            if set(map(type, row)) <= {int, float} and set(row) <= {0, 1}:
+                continue
+            for k, cell in enumerate(row):
+                if cell not in (0, 1) or isinstance(cell, bool):
+                    raise SchemaError(f"matrix[{r}][{k}]", "expected 0 or 1")
+        if len(set(subject_ids)) != len(subject_ids):
+            raise SchemaError("matrix", "subject ids must be distinct")
+        cells = np.array(rows, dtype=np.int64)
         cells.setflags(write=False)
         self.narrative_id = narrative_id
         self.subject_ids = subject_ids
@@ -304,10 +319,11 @@ class FicCoding:
 
     def __post_init__(self):
         if not self.fics:
-            raise ValidationError(f"coding {self.narrative_id}: no clauses")
+            raise SchemaError("fics", "expected a non-empty list")
         for prev, cur in zip(self.fics, self.fics[1:]):
             if cur.index != prev.index + 1:
-                raise ValidationError(
+                raise SchemaError(
+                    "fics",
                     f"coding {self.narrative_id}: clause indices must be consecutive "
                     f"({prev.index} then {cur.index})"
                 )
@@ -396,12 +412,21 @@ def _require(obj: dict, key: str, where: str) -> Any:
     return obj[key]
 
 
+def _narrative_id(value: Any, narrative: Narrative | None = None, kind: str = "") -> str:
+    """A non-empty string; for a file read against a transcript, its id."""
+    if not isinstance(value, str) or not value:
+        raise SchemaError("narrative_id", "expected a non-empty string")
+    if narrative is not None and value != narrative.narrative_id:
+        raise ValidationError(
+            f"{kind} for {value!r} but the transcript is {narrative.narrative_id!r}"
+        )
+    return value
+
+
 def load_narrative(source) -> Narrative:
     """Load and validate a transcript file."""
     data = read_json(source)
-    narrative_id = _require(data, "narrative_id", "")
-    if not isinstance(narrative_id, str) or not narrative_id:
-        raise SchemaError("narrative_id", "expected a non-empty string")
+    narrative_id = _narrative_id(_require(data, "narrative_id", ""))
     raw_phrases = _require(data, "phrases", "")
     if not isinstance(raw_phrases, list):
         raise SchemaError("phrases", "expected a list")
@@ -417,18 +442,13 @@ def load_narrative(source) -> Narrative:
         if not isinstance(final, bool):
             raise SchemaError(f"{where}.sentence_final", "expected true or false")
         pause = _require(raw, "pause_before", where)
-        if pause is not None:
-            if not isinstance(pause, (int, float)) or isinstance(pause, bool):
-                raise SchemaError(f"{where}.pause_before", "expected number or null")
-            try:
-                pause = float(pause)
-            except OverflowError:  # an int past the float range
-                raise SchemaError(f"{where}.pause_before", "expected number or null") from None
+        if pause is not None and (not isinstance(pause, (int, float)) or isinstance(pause, bool)):
+            raise SchemaError(f"{where}.pause_before", "expected number or null")
         truncated = raw.get("pause_truncated", False)
         if not isinstance(truncated, bool):
             raise SchemaError(f"{where}.pause_truncated", "expected true or false")
         tokens = _require(raw, "text", where)
-        if not isinstance(tokens, list) or not tokens or not _nonempty_strings(tokens):
+        if not isinstance(tokens, list):
             raise SchemaError(f"{where}.text", "expected a non-empty list of non-empty strings")
         try:
             phrases.append(
@@ -440,12 +460,11 @@ def load_narrative(source) -> Narrative:
                     pause_truncated=truncated,
                 )
             )
+        except SchemaError as exc:
+            raise SchemaError(f"{where}.{exc.location}", exc.problem) from None
         except ValidationError as exc:
             raise SchemaError(where, str(exc)) from None
-    try:
-        return Narrative(narrative_id=narrative_id, phrases=tuple(phrases))
-    except ValidationError as exc:
-        raise SchemaError("phrases", str(exc)) from None
+    return Narrative(narrative_id=narrative_id, phrases=tuple(phrases))
 
 
 def serialize_narrative(narrative: Narrative) -> dict:
@@ -472,14 +491,7 @@ def load_annotations(source, narrative: Narrative) -> AnnotationMatrix:
     must name the same narrative, so later joins on site indices are safe.
     """
     data = read_json(source)
-    narrative_id = _require(data, "narrative_id", "")
-    if not isinstance(narrative_id, str) or not narrative_id:
-        raise SchemaError("narrative_id", "expected a non-empty string")
-    if narrative_id != narrative.narrative_id:
-        raise ValidationError(
-            f"annotations are for {narrative_id!r} but the transcript is "
-            f"{narrative.narrative_id!r}"
-        )
+    narrative_id = _narrative_id(_require(data, "narrative_id", ""), narrative, "annotations are")
     subjects = _require(data, "subjects", "")
     if not isinstance(subjects, list) or not _nonempty_strings(subjects):
         raise SchemaError("subjects", "expected a list of non-empty strings")
@@ -492,22 +504,12 @@ def load_annotations(source, narrative: Narrative) -> AnnotationMatrix:
             f"{narrative.narrative_id} has {narrative.site_count}"
         )
     rows = _require(data, "matrix", "")
-    if not isinstance(rows, list) or len(rows) != len(subjects):
-        raise SchemaError("matrix", f"expected {len(subjects)} rows")
-    for r, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != sites:
-            raise SchemaError(f"matrix[{r}]", f"expected {sites} cells")
-        # One pass in C for a good row; the type test comes first, as it
-        # also keeps unhashable cells away from set(row).
-        if set(map(type, row)) <= {int, float} and set(row) <= {0, 1}:
-            continue
-        for k, cell in enumerate(row):
-            if cell not in (0, 1) or isinstance(cell, bool):
-                raise SchemaError(f"matrix[{r}][{k}]", "expected 0 or 1")
-    try:
-        return AnnotationMatrix(narrative_id, subjects, rows)
-    except ValidationError as exc:
-        raise SchemaError("matrix", str(exc)) from None
+    # The constructor holds every row to the first one's width; sites sets it.
+    if isinstance(rows, list) and rows and (
+        not isinstance(rows[0], list) or len(rows[0]) != sites
+    ):
+        raise SchemaError("matrix[0]", f"expected {sites} cells")
+    return AnnotationMatrix(narrative_id, subjects, rows)
 
 
 def serialize_annotations(matrix: AnnotationMatrix) -> dict:
@@ -529,7 +531,8 @@ def _build_site_map(
     last_site = narrative.site_count - 1
     for prev, cur, (_, end_idx), (start_idx, _) in zip(fics, fics[1:], spans, spans[1:]):
         if start_idx < end_idx:
-            raise ValidationError(
+            raise SchemaError(
+                "fics",
                 f"coding {narrative.narrative_id}: clause {cur.index} starts at "
                 f"{cur.phrase_span[0]}, before clause {prev.index} ends at "
                 f"{prev.phrase_span[1]}"
@@ -549,16 +552,9 @@ def _build_site_map(
 def load_fic_coding(source, narrative: Narrative) -> FicCoding:
     """Load a clause coding and derive its junction-to-site map."""
     data = read_json(source)
-    narrative_id = _require(data, "narrative_id", "")
-    if not isinstance(narrative_id, str) or not narrative_id:
-        raise SchemaError("narrative_id", "expected a non-empty string")
-    if narrative_id != narrative.narrative_id:
-        raise ValidationError(
-            f"coding is for {narrative_id!r} but the transcript is "
-            f"{narrative.narrative_id!r}"
-        )
+    narrative_id = _narrative_id(_require(data, "narrative_id", ""), narrative, "coding is")
     raw_fics = _require(data, "fics", "")
-    if not isinstance(raw_fics, list) or not raw_fics:
+    if not isinstance(raw_fics, list):
         raise SchemaError("fics", "expected a non-empty list")
     fics, spans = [], []
     for n, raw in enumerate(raw_fics):
@@ -623,11 +619,8 @@ def load_fic_coding(source, narrative: Narrative) -> FicCoding:
         except ValidationError as exc:
             raise SchemaError(where, str(exc)) from None
     fics = tuple(fics)
-    try:
-        site_map = _build_site_map(fics, narrative, spans)
-        return FicCoding(narrative_id=narrative_id, fics=fics, site_map=site_map)
-    except ValidationError as exc:
-        raise SchemaError("fics", str(exc)) from None
+    site_map = _build_site_map(fics, narrative, spans)
+    return FicCoding(narrative_id=narrative_id, fics=fics, site_map=site_map)
 
 
 def serialize_fic_coding(coding: FicCoding) -> dict:
@@ -652,3 +645,54 @@ def serialize_fic_coding(coding: FicCoding) -> dict:
             for fic in coding.fics
         ],
     }
+
+
+@dataclass(frozen=True)
+class Manifest:
+    """A batch-report manifest whose fields are checked as they are read.
+
+    A command-line value used in place of cues or format thus leaves a bad
+    one unread. Relative paths resolve against the manifest's directory.
+    """
+
+    _data: dict
+    _base: Path
+
+    def items(self) -> Iterator[tuple[Path, Path, Path | None]]:
+        """Each item's (narrative, annotations, coding or None) paths."""
+        for k, entry in enumerate(self._data["items"]):
+            if not isinstance(entry, dict):
+                raise ValidationError(
+                    f"items[{k}]: each item needs narrative and annotations paths"
+                )
+            where = f"items[{k}]."
+            narrative = self._path(entry, "narrative", where)
+            annotations = self._path(entry, "annotations", where)
+            coding = self._path(entry, "coding", where) if "coding" in entry else None
+            yield narrative, annotations, coding
+
+    @property
+    def cues(self) -> Path | None:
+        """The cue lexicon file, None for the built-in lexicon."""
+        return self._path(self._data, "cues") if "cues" in self._data else None
+
+    @property
+    def format(self) -> str:
+        fmt = self._data.get("format", "tsv")
+        if fmt not in ("tsv", "json"):
+            raise ValidationError(f"manifest format must be 'tsv' or 'json', got {fmt!r}")
+        return fmt
+
+    def _path(self, entry: dict, key: str, where: str = "") -> Path:
+        value = entry.get(key)
+        if not isinstance(value, str) or not value or "\0" in value:
+            raise SchemaError(f"{where}{key}", "expected a path string")
+        return self._base / value  # an absolute value replaces the base
+
+
+def load_manifest(source) -> Manifest:
+    """Load a batch-report manifest; the files it names are read by the caller."""
+    data = read_json(source)
+    if not isinstance(data, dict) or not isinstance(data.get("items"), list) or not data["items"]:
+        raise ValidationError("manifest must be an object with a non-empty items list")
+    return Manifest(data, Path(source).parent if isinstance(source, (str, Path)) else Path())

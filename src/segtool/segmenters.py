@@ -97,13 +97,8 @@ class CueLexicon:
 
 def default_cue_lexicon() -> CueLexicon:
     """The lexicon shipped with the package (data/cue_words.txt)."""
-    data = resources.files("segtool").joinpath("data/cue_words.txt")
-    words = set()
-    for line in data.read_text(encoding="utf-8").splitlines():
-        entry = line.split("#", 1)[0].strip()
-        if entry:
-            words.add(entry.lower())
-    return CueLexicon(frozenset(words), label="builtin")
+    path = resources.files("segtool").joinpath("data/cue_words.txt")
+    return CueLexicon.from_file(str(path), label="builtin")
 
 
 def cue_segment(narrative: Narrative, lexicon: CueLexicon | None = None) -> BoundarySet:

@@ -175,18 +175,6 @@ class CochranResult:
     components: dict[int, QComponent]
 
 
-def _integer_terms(matrix: AnnotationMatrix) -> tuple[int, int, int]:
-    """(sites, total marks, denominator) with the denominator in integers.
-
-    denominator = j * sum(u) - sum(u^2) = sum_i u_i * (j - u_i), which is 0
-    exactly when every row is empty or full.
-    """
-    j = matrix.sites
-    total = int(matrix.row_totals.sum())
-    denom = j * total - int((matrix.row_totals.astype(np.int64) ** 2).sum())
-    return j, total, denom
-
-
 def partition_q(
     matrix: AnnotationMatrix, component_df: str = "count"
 ) -> dict[int, QComponent]:
@@ -202,27 +190,7 @@ def partition_q(
     default) or that number minus one (component_df="count-1"); components
     left with zero degrees of freedom get p = None.
     """
-    if component_df not in ("count", "count-1"):
-        raise ValidationError(f"component_df must be 'count' or 'count-1', got {component_df!r}")
-    j, total, denom = _integer_terms(matrix)
-    if j < 2:
-        raise ValidationError("Q needs at least 2 sites")
-    if denom == 0:
-        raise DegenerateDataError(DEGENERATE_MESSAGE)
-    counts = np.bincount(matrix.column_totals, minlength=matrix.subjects + 1)
-    components: dict[int, QComponent] = {}
-    for t in range(matrix.subjects + 1):
-        n_t = int(counts[t])
-        if n_t == 0:
-            continue
-        # (t - total/j)^2 scaled to integers: (j*t - total)^2 / j^2, then
-        # multiplied by j*(j-1)*n_t and divided by denom.
-        numerator = (j - 1) * n_t * (j * t - total) ** 2
-        q_t = numerator / (j * denom)
-        df_t = n_t if component_df == "count" else n_t - 1
-        p_t = chi_square_sf(q_t, df_t) if df_t >= 1 else None
-        components[t] = QComponent(strength=t, site_count=n_t, q=q_t, df=df_t, p=p_t)
-    return components
+    return cochran_q(matrix, component_df).components
 
 
 def cochran_q(
@@ -250,21 +218,38 @@ def cochran_q(
         When every row is all zeros or all ones, so the statistic's
         denominator vanishes.
     """
-    j, total, denom = _integer_terms(matrix)
+    j = matrix.sites
     if j < 2:
         raise ValidationError("Q needs at least 2 sites")
+    # denominator = j * sum(u) - sum(u^2) = sum_i u_i * (j - u_i), in
+    # integers; it is 0 exactly when every row is empty or full.
+    total = int(matrix.row_totals.sum())
+    denom = j * total - int((matrix.row_totals.astype(np.int64) ** 2).sum())
     if denom == 0:
         raise DegenerateDataError(DEGENERATE_MESSAGE)
-    deviation_sq = sum(
-        (j * int(t_k) - total) ** 2 for t_k in matrix.column_totals
-    )
+    if component_df not in ("count", "count-1"):
+        raise ValidationError(f"component_df must be 'count' or 'count-1', got {component_df!r}")
+    counts = np.bincount(matrix.column_totals, minlength=matrix.subjects + 1)
+    deviation_sq = 0
+    components: dict[int, QComponent] = {}
+    for t, n_t in enumerate(counts.tolist()):
+        if n_t == 0:
+            continue
+        # (t - total/j)^2 scaled to integers: (j*t - total)^2 / j^2; the
+        # n_t columns of strength t share it.
+        deviation_t = n_t * (j * t - total) ** 2
+        deviation_sq += deviation_t
+        q_t = (j - 1) * deviation_t / (j * denom)
+        df_t = n_t if component_df == "count" else n_t - 1
+        p_t = chi_square_sf(q_t, df_t) if df_t >= 1 else None
+        components[t] = QComponent(strength=t, site_count=n_t, q=q_t, df=df_t, p=p_t)
     q = (j - 1) * deviation_sq / (j * denom)
     df = j - 1
     return CochranResult(
         q=q,
         df=df,
         p=chi_square_sf(q, df),
-        components=partition_q(matrix, component_df),
+        components=components,
     )
 
 

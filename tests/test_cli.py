@@ -420,6 +420,20 @@ class TestReport:
         assert rc == 0
         assert out.startswith("# agreement")
 
+    def test_command_line_values_leave_bad_manifest_values_unread(self, manifest, data):
+        doc = json.loads(manifest.read_text())
+        doc.update(cues=5, format="xml")
+        manifest.write_text(json.dumps(doc))
+        rc, out, err = invoke("report", "--batch", str(manifest))
+        assert (rc, out, err) == (1, "", "error: cues: expected a path string\n")
+        cues = ("--cues", str(data / "maybe_cues.txt"))
+        rc, out, err = invoke("report", *cues, "--batch", str(manifest))
+        assert (rc, out) == (1, "")
+        assert err == "error: manifest format must be 'tsv' or 'json', got 'xml'\n"
+        rc, out, _ = invoke("report", *cues, "--tsv", "--batch", str(manifest))
+        assert rc == 0
+        assert out.startswith("# agreement")
+
     def test_out_file(self, manifest, tmp_path):
         target = tmp_path / "report.tsv"
         rc, out, _ = invoke("report", "--batch", str(manifest), "--out", str(target))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from segtool import (
     AnnotationMatrix,
     BoundarySet,
     PhraseId,
+    ProsodicPhrase,
     SchemaError,
     ValidationError,
     fixture_path,
@@ -21,6 +23,7 @@ from segtool import (
     serialize_fic_coding,
     serialize_narrative,
 )
+from segtool.corpus import load_manifest
 
 
 def dumps(obj) -> bytes:
@@ -53,7 +56,9 @@ class TestPhraseId:
         assert PhraseId(3, 3) < PhraseId(4, 1) < PhraseId(4, 2) < PhraseId(10, 1)
 
     @pytest.mark.parametrize(
-        "bad", ["3", "3.3.3", "a.b", "0.1", "1.0", "-1.2", "1.01", " 1 . 1", "+1.1"]
+        "bad",
+        ["3", "3.3.3", "a.b", "0.1", "1.0", "-1.2", "1.01", " 1 . 1", "+1.1", "1_0.1", "\u0661.1",
+         "1.1\n", ""],
     )
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValidationError):
@@ -63,6 +68,10 @@ class TestPhraseId:
     def test_rejects_non_strings(self, bad):
         with pytest.raises(ValidationError, match="phrase id must look like"):
             PhraseId.parse(bad)
+
+    def test_parts_must_be_positive(self):
+        with pytest.raises(ValidationError, match="must be positive"):
+            PhraseId(0, 1)
 
 
 class TestNarrativeLoading:
@@ -135,6 +144,15 @@ class TestNarrativeLoading:
         doc["phrases"][0]["text"] = []
         with pytest.raises(SchemaError):
             load_narrative(dumps(doc))
+
+    @pytest.mark.parametrize("text", [(), ("word", ""), ("word", 3)])
+    def test_phrase_tokens_are_non_empty_strings(self, text):
+        with pytest.raises(ValidationError, match="^text: expected a non-empty list"):
+            ProsodicPhrase(PhraseId(1, 1), text, True)
+
+    def test_phrase_pause_past_float_range_rejected(self):
+        with pytest.raises(ValidationError, match="^pause_before: expected number or null$"):
+            ProsodicPhrase(PhraseId(1, 1), ("word",), True, 10**400)
 
     def test_not_json(self):
         with pytest.raises(SchemaError):
@@ -252,6 +270,73 @@ class TestAnnotationLoading:
         doc["matrix"][3] = doc["matrix"][3][:-1]
         with pytest.raises(SchemaError):
             load_annotations(dumps(doc), narrative)
+
+    def test_empty_panel_names_subjects(self):
+        narrative = load_narrative(dumps(narrative_doc(n_phrases=2)))
+        doc = {"narrative_id": "toy", "subjects": [], "sites": 1, "matrix": []}
+        with pytest.raises(SchemaError) as excinfo:
+            load_annotations(dumps(doc), narrative)
+        assert str(excinfo.value) == "subjects: expected at least one subject"
+
+
+class TestAnnotationMatrixConstruction:
+    """The constructor holds rows to the file format's 0/1 rule, before any cast."""
+
+    @pytest.mark.parametrize("cell", ["1", 0.5, 1.9, True, None])
+    def test_bad_cell_named(self, cell):
+        with pytest.raises(ValidationError) as excinfo:
+            AnnotationMatrix("m", ["a", "b"], [[0, 1], [1, cell]])
+        assert str(excinfo.value) == "matrix[1][1]: expected 0 or 1"
+
+    def test_fractional_array_cell_named(self):
+        with pytest.raises(ValidationError) as excinfo:
+            AnnotationMatrix("m", ["a"], np.array([[0.0, 1.9]]))
+        assert str(excinfo.value) == "matrix[0][1]: expected 0 or 1"
+
+    @pytest.mark.parametrize("row", [[1], [1, 0, 1], 5, None])
+    def test_ragged_row_named(self, row):
+        with pytest.raises(ValidationError) as excinfo:
+            AnnotationMatrix("m", ["a", "b"], [[0, 1], row])
+        assert str(excinfo.value) == "matrix[1]: expected 2 cells"
+
+    def test_integer_arrays_construct(self):
+        cells = np.random.default_rng(5).integers(0, 2, size=(4, 6))
+        matrix = AnnotationMatrix("m", ["a", "b", "c", "d"], cells)
+        assert matrix.cells.tolist() == cells.tolist()
+        assert matrix.cells.dtype == np.int64
+        small = AnnotationMatrix("m", ["a"], np.array([[0, 1]], dtype=np.int64))
+        assert (small.subjects, small.sites) == (1, 2)
+
+
+class TestManifestLoading:
+    def test_paths_resolve_against_the_manifest(self, tmp_path):
+        absolute = (tmp_path / "elsewhere" / "a.json").resolve()
+        path = tmp_path / "batch.json"
+        path.write_text(json.dumps({
+            "items": [{"narrative": "n.json", "annotations": str(absolute), "coding": "c.json"},
+                      {"narrative": "n2.json", "annotations": "a2.json"}],
+            "cues": "cues.txt",
+        }))
+        manifest = load_manifest(path)
+        assert tuple(manifest.items()) == (
+            (tmp_path / "n.json", absolute, tmp_path / "c.json"),
+            (tmp_path / "n2.json", tmp_path / "a2.json", None),
+        )
+        assert manifest.cues == tmp_path / "cues.txt"
+        assert manifest.format == "tsv"
+
+    def test_fields_are_checked_when_read(self):
+        doc = {"items": [{"narrative": "n.json", "annotations": "a.json"}, {"narrative": 5}],
+               "cues": 5, "format": "xml"}
+        manifest = load_manifest(dumps(doc))
+        items = manifest.items()
+        assert next(items) == (Path("n.json"), Path("a.json"), None)
+        with pytest.raises(SchemaError, match=r"^items\[1\]\.narrative: expected a path string$"):
+            next(items)
+        with pytest.raises(SchemaError, match=r"^cues: expected a path string$"):
+            manifest.cues
+        with pytest.raises(ValidationError, match="^manifest format must be .* got 'xml'$"):
+            manifest.format
 
 
 class TestFicCodingLoading:

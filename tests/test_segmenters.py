@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import replace
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -99,6 +100,10 @@ class TestCueLexicon:
         # A bare exclamation opens phrases without signalling structure, so
         # the default list leaves it out.
         assert "oh" not in lexicon
+
+    def test_default_reads_the_packaged_file(self):
+        path = resources.files("segtool").joinpath("data/cue_words.txt")
+        assert default_cue_lexicon().words == CueLexicon.from_file(str(path)).words
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "cues.txt"
