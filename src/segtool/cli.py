@@ -25,6 +25,15 @@ from .significance import MAX_TRIALS, cochran_q, null_calibration
 
 # Each optional input of segment and eval belongs to exactly one --method.
 _FLAG_METHOD = {"coding": "np", "trace": "np", "cues": "cue", "leave_one_out": "humans"}
+# Output fields, each listed once for both --json and --tsv. Partition
+# columns: (JSON key and TSV column, attribute, TSV format or None for ints).
+# Calibration statistics map to a TSV format, trace referent sets to a column.
+_COMPONENT_FIELDS = (("strength", "strength", None), ("sites", "site_count", None),
+                     ("q", "q", RATIO), ("df", "df", None), ("p", "p", PVALUE))
+_CALIBRATION_STATS = {"rejection_rate_05": VARIANCE, "rejection_rate_05_se": VARIANCE,
+                      "empirical_p": PVALUE, "empirical_p_se": PVALUE}
+_TRACE_SETS = {"clause_referents": "clause_referents", "inferable_referents": "inferable",
+               "pronoun_referents": "pronouns", "segment_referents": "segment"}
 
 
 class _UsageError(Exception):
@@ -139,7 +148,7 @@ def _cmd_strengths(args) -> str:
 def _cmd_cochran(args) -> str:
     matrix = _load_pair(args)[1]
     result = cochran_q(matrix, component_df=args.component_df)
-    components = [result.components[t] for t in sorted(result.components)]
+    components = result.components.values()  # built in ascending strength
     calibration = None
     if args.calibrate is not None:
         calibration = null_calibration(
@@ -156,8 +165,7 @@ def _cmd_cochran(args) -> str:
             "df": result.df,
             "p": result.p,
             "components": [
-                {"strength": c.strength, "sites": c.site_count, "q": c.q, "df": c.df, "p": c.p}
-                for c in components
+                {key: getattr(c, attr) for key, attr, _ in _COMPONENT_FIELDS} for c in components
             ],
         }
         if calibration is not None:
@@ -165,22 +173,20 @@ def _cmd_cochran(args) -> str:
                 "trials": calibration.trials,
                 "seed": calibration.seed,
                 "degenerate_trials": calibration.degenerate_trials,
-                "quantiles": {num(k): v for k, v in sorted(calibration.quantiles.items())},
+                "quantiles": {num(k): v for k, v in calibration.quantiles.items()},
                 "chi_square_quantiles": {
-                    num(k): v for k, v in sorted(calibration.reference_quantiles.items())
+                    num(k): v for k, v in calibration.reference_quantiles.items()
                 },
-                "rejection_rate_05": calibration.rejection_rate_05,
-                "rejection_rate_05_se": calibration.rejection_rate_05_se,
-                "empirical_p": calibration.empirical_p,
-                "empirical_p_se": calibration.empirical_p_se,
+                **{name: getattr(calibration, name) for name in _CALIBRATION_STATS},
             }
         return to_json(payload)
     blocks = [
         [["statistic", "value"], ["q", num(result.q)], ["df", result.df],
          ["p", num(result.p, PVALUE)]],
         [
-            ["strength", "sites", "q", "df", "p"],
-            *[[c.strength, c.site_count, num(c.q), c.df, num(c.p, PVALUE)] for c in components],
+            [key for key, _, _ in _COMPONENT_FIELDS],
+            *[[getattr(c, attr) if spec is None else num(getattr(c, attr), spec)
+               for _, attr, spec in _COMPONENT_FIELDS] for c in components],
         ],
     ]
     if calibration is not None:
@@ -189,12 +195,10 @@ def _cmd_cochran(args) -> str:
             ["level", "empirical_q", "chi_square_q"],
             *[
                 [num(level), num(q), num(calibration.reference_quantiles[level])]
-                for level, q in sorted(calibration.quantiles.items())
+                for level, q in calibration.quantiles.items()
             ],
-            ["rejection_rate_05", num(calibration.rejection_rate_05, VARIANCE), ""],
-            ["rejection_rate_05_se", num(calibration.rejection_rate_05_se, VARIANCE), ""],
-            ["empirical_p", num(calibration.empirical_p, PVALUE), ""],
-            ["empirical_p_se", num(calibration.empirical_p_se, PVALUE), ""],
+            *[[name, num(getattr(calibration, name), spec), ""]
+              for name, spec in _CALIBRATION_STATS.items()],
         ])
     return tsv(*blocks)
 
@@ -220,10 +224,7 @@ def _cmd_segment(args) -> str:
                     "fic": step.fic,
                     "tests": step.tests,
                     "linked_by": step.linked_by,
-                    "clause_referents": step.clause_referents,
-                    "inferable_referents": step.inferable_referents,
-                    "pronoun_referents": step.pronoun_referents,
-                    "segment_referents": step.segment_referents,
+                    **{key: getattr(step, key) for key in _TRACE_SETS},
                 }
                 for step in segmentation.trace
             ]
@@ -234,21 +235,13 @@ def _cmd_segment(args) -> str:
     if args.trace:
         blocks.append([
             ["# trace"],
-            ["fic", "tests", "linked_by", "clause_referents", "inferable", "pronouns", "segment"],
+            ["fic", "tests", "linked_by", *_TRACE_SETS.values()],
             *[
                 [
                     step.fic,
                     ",".join(f"{name}:{'pass' if ok else 'fail'}" for name, ok in step.tests),
                     step.linked_by or "boundary",
-                    *[
-                        sites_text(sorted(referents))
-                        for referents in (
-                            step.clause_referents,
-                            step.inferable_referents,
-                            step.pronoun_referents,
-                            step.segment_referents,
-                        )
-                    ],
+                    *[sites_text(sorted(getattr(step, key))) for key in _TRACE_SETS],
                 ]
                 for step in segmentation.trace
             ],

@@ -404,6 +404,11 @@ def _nonempty_strings(values: list) -> bool:
     return set(map(type, values)) <= {str} and "" not in values
 
 
+def _one_line(text: str) -> bool:
+    """No tab and nothing str.splitlines() splits at, so one TSV cell holds it."""
+    return "\t" not in text and text.splitlines() == [text]
+
+
 def _require(obj: dict, key: str, where: str) -> Any:
     if not isinstance(obj, dict):
         raise SchemaError(where, f"expected an object, got {type(obj).__name__}")
@@ -416,6 +421,8 @@ def _narrative_id(value: Any, narrative: Narrative | None = None, kind: str = ""
     """A non-empty string; for a file read against a transcript, its id."""
     if not isinstance(value, str) or not value:
         raise SchemaError("narrative_id", "expected a non-empty string")
+    if not _one_line(value):
+        raise SchemaError("narrative_id", "expected no tab or line break")
     if narrative is not None and value != narrative.narrative_id:
         raise ValidationError(
             f"{kind} for {value!r} but the transcript is {narrative.narrative_id!r}"
@@ -495,6 +502,9 @@ def load_annotations(source, narrative: Narrative) -> AnnotationMatrix:
     subjects = _require(data, "subjects", "")
     if not isinstance(subjects, list) or not _nonempty_strings(subjects):
         raise SchemaError("subjects", "expected a list of non-empty strings")
+    for k, subject in enumerate(subjects):
+        if not _one_line(subject):
+            raise SchemaError(f"subjects[{k}]", "expected no tab or line break")
     sites = _require(data, "sites", "")
     if not _is_int(sites) or sites < 1:
         raise SchemaError("sites", "expected a positive integer")

@@ -199,28 +199,22 @@ def np_segment(coding: FicCoding) -> NpSegmentation:
         pronouns = frozenset(np_.referent for np_ in fic.nps if np_.pronoun3)
 
         tests: list[tuple[str, bool]] = []
-        linked_by = None
-        if current & previous:
-            tests.append((COREFERENCE, True))
-            linked_by = COREFERENCE
+        for name, clause_set, context in (
+            (COREFERENCE, current, previous),
+            (INFERENCE, inferable, previous),
+            (PRONOUN, pronouns, segment),
+        ):
+            held = not clause_set.isdisjoint(context)
+            tests.append((name, held))
+            if held:
+                linked_by = name
+                segment |= current
+                break
         else:
-            tests.append((COREFERENCE, False))
-            if inferable & previous:
-                tests.append((INFERENCE, True))
-                linked_by = INFERENCE
-            else:
-                tests.append((INFERENCE, False))
-                if pronouns & segment:
-                    tests.append((PRONOUN, True))
-                    linked_by = PRONOUN
-                else:
-                    tests.append((PRONOUN, False))
-
-        if linked_by is None:
+            linked_by = None
             boundaries.append((fics[n - 1].index, fic.index))
             segment = set(current)
-        else:
-            segment |= current
+
         trace.append(
             TraceStep(
                 fic=fic.index,

@@ -19,7 +19,7 @@ depend on one. Cochran (1950, Biometrika 37) is the source of the test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -93,6 +93,23 @@ def _check_chi_args(x: float, df: int) -> None:
         raise ValidationError(f"chi-square statistic must be finite and non-negative, got {x!r}")
 
 
+def _chi_square_tails(x: float, df: int) -> tuple[float, float]:
+    """Lower and upper tail of chi-square(df) at x, each clamped to [0, 1]."""
+    x = float(x)
+    _check_chi_args(x, df)
+    if x == 0.0:
+        return 0.0, 1.0
+    a = df / 2.0
+    half = x / 2.0
+    if half < a + 1.0:
+        lower = _lower_gamma_series(a, half)
+        upper = 1.0 - lower
+    else:
+        upper = _upper_gamma_cf(a, half)
+        lower = 1.0 - upper
+    return min(1.0, max(0.0, lower)), min(1.0, max(0.0, upper))
+
+
 def chi_square_sf(x: float, df: int) -> float:
     """Upper-tail probability P(X >= x) for chi-square with df degrees of freedom.
 
@@ -109,28 +126,12 @@ def chi_square_sf(x: float, df: int) -> float:
         The survival function value, in [0, 1]. chi_square_sf(0, df) is
         exactly 1.
     """
-    x = float(x)
-    _check_chi_args(x, df)
-    if x == 0.0:
-        return 1.0
-    a = df / 2.0
-    half = x / 2.0
-    if half < a + 1.0:
-        return min(1.0, max(0.0, 1.0 - _lower_gamma_series(a, half)))
-    return min(1.0, max(0.0, _upper_gamma_cf(a, half)))
+    return _chi_square_tails(x, df)[1]
 
 
 def chi_square_cdf(x: float, df: int) -> float:
     """Lower-tail companion of chi_square_sf."""
-    x = float(x)
-    _check_chi_args(x, df)
-    if x == 0.0:
-        return 0.0
-    a = df / 2.0
-    half = x / 2.0
-    if half < a + 1.0:
-        return min(1.0, max(0.0, _lower_gamma_series(a, half)))
-    return min(1.0, max(0.0, 1.0 - _upper_gamma_cf(a, half)))
+    return _chi_square_tails(x, df)[0]
 
 
 def chi_square_critical(tail: float, df: int, tol: float = 1e-12) -> float:
@@ -173,6 +174,21 @@ class CochranResult:
     df: int
     p: float
     components: dict[int, QComponent]
+
+
+def _q_denominator(sites: int, row_totals) -> tuple[int, int]:
+    """N = sum(u) and j*N - sum(u^2) = sum_i u_i * (j - u_i), 0 iff no row has variance."""
+    total = sum(row_totals)
+    return total, sites * total - sum(u * u for u in row_totals)
+
+
+def _q_from_square_sum(sites: int, total: int, denom: int, square_sum):
+    """Q = (j - 1) * (j*S - N^2) / denom from S = sum_k T_k^2, an int or int64 array.
+
+    An array divides as the int does while (j - 1) * (j*S - N^2) < 2**53, so
+    a trial with the observed column profile ties the observed Q exactly.
+    """
+    return (sites - 1) * (sites * square_sum - total * total) / denom
 
 
 def partition_q(
@@ -221,29 +237,24 @@ def cochran_q(
     j = matrix.sites
     if j < 2:
         raise ValidationError("Q needs at least 2 sites")
-    # denominator = j * sum(u) - sum(u^2) = sum_i u_i * (j - u_i), in
-    # integers; it is 0 exactly when every row is empty or full.
-    total = int(matrix.row_totals.sum())
-    denom = j * total - int((matrix.row_totals.astype(np.int64) ** 2).sum())
+    total, denom = _q_denominator(j, matrix.row_totals.tolist())
     if denom == 0:
         raise DegenerateDataError(DEGENERATE_MESSAGE)
     if component_df not in ("count", "count-1"):
         raise ValidationError(f"component_df must be 'count' or 'count-1', got {component_df!r}")
     counts = np.bincount(matrix.column_totals, minlength=matrix.subjects + 1)
-    deviation_sq = 0
+    square_sum = 0
     components: dict[int, QComponent] = {}
     for t, n_t in enumerate(counts.tolist()):
         if n_t == 0:
             continue
-        # (t - total/j)^2 scaled to integers: (j*t - total)^2 / j^2; the
-        # n_t columns of strength t share it.
-        deviation_t = n_t * (j * t - total) ** 2
-        deviation_sq += deviation_t
-        q_t = (j - 1) * deviation_t / (j * denom)
+        square_sum += n_t * t * t
+        # The n_t columns of strength t share (t - N/j)^2 = (j*t - N)^2 / j^2.
+        q_t = (j - 1) * n_t * (j * t - total) ** 2 / (j * denom)
         df_t = n_t if component_df == "count" else n_t - 1
         p_t = chi_square_sf(q_t, df_t) if df_t >= 1 else None
         components[t] = QComponent(strength=t, site_count=n_t, q=q_t, df=df_t, p=p_t)
-    q = (j - 1) * deviation_sq / (j * denom)
+    q = _q_from_square_sum(j, total, denom, square_sum)
     df = j - 1
     return CochranResult(
         q=q,
@@ -279,9 +290,9 @@ class CalibrationResult:
     seed: int
     df: int
     degenerate_trials: int
-    quantiles: dict[float, float] | None
-    reference_quantiles: dict[float, float] | None
-    rejection_rate_05: float | None
+    quantiles: dict[float, float] | None = None
+    reference_quantiles: dict[float, float] | None = None
+    rejection_rate_05: float | None = None
     observed_q: float | None = None
     empirical_p: float | None = None
     rejection_rate_05_se: float | None = None
@@ -328,29 +339,21 @@ def null_calibration(
 
     j = sites
     df = j - 1
-    total = sum(u)
-    denom = j * total - sum(x * x for x in u)
+    total, denom = _q_denominator(j, u)
+    degenerate = CalibrationResult(
+        row_totals=u,
+        sites=j,
+        trials=trials,
+        seed=seed,
+        df=df,
+        degenerate_trials=trials,
+        observed_q=observed_q,
+    )
     if denom == 0:
         # Every simulated matrix would be degenerate too; report that
         # instead of fabricating a distribution.
-        return CalibrationResult(
-            row_totals=u,
-            sites=j,
-            trials=trials,
-            seed=seed,
-            df=df,
-            degenerate_trials=trials,
-            quantiles=None,
-            reference_quantiles=None,
-            rejection_rate_05=None,
-            observed_q=observed_q,
-            empirical_p=None,
-        )
+        return degenerate
 
-    # sum_k (j*T_k - N)^2 = j * D with D = j * sum_k T_k^2 - N^2, so
-    # Q = (j - 1) * D / denom. While (j - 1) * D < 2**53 the division rounds
-    # the same rational as cochran_q, so a trial with the observed column
-    # profile ties the observed Q exactly.
     stats = np.empty(trials, dtype=np.float64)
     chunk = max(1, _CHUNK_CELLS // j)
     for index, start in enumerate(range(0, trials, chunk)):
@@ -358,7 +361,7 @@ def null_calibration(
         columns = _chunk_columns(u, j, n, np.random.default_rng((seed, index)))
         square_sums = np.einsum("ij,ij->i", columns, columns, dtype=np.int64)
         del columns  # freed before the next chunk allocates its own
-        stats[start:start + n] = (j - 1) * (j * square_sums - total * total) / denom
+        stats[start:start + n] = _q_from_square_sum(j, total, denom, square_sums)
 
     critical_05 = chi_square_critical(0.05, df)
     quantiles = {
@@ -371,17 +374,12 @@ def null_calibration(
     empirical_p = None
     if observed_q is not None:
         empirical_p = (1 + int((stats >= observed_q).sum())) / (trials + 1)
-    return CalibrationResult(
-        row_totals=u,
-        sites=j,
-        trials=trials,
-        seed=seed,
-        df=df,
+    return replace(
+        degenerate,
         degenerate_trials=0,
         quantiles=quantiles,
         reference_quantiles=reference,
         rejection_rate_05=rejection_rate,
-        observed_q=observed_q,
         empirical_p=empirical_p,
         rejection_rate_05_se=_standard_error(rejection_rate, trials),
         empirical_p_se=_standard_error(empirical_p, trials),

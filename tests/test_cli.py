@@ -262,6 +262,16 @@ class TestSegment:
         assert rc == 0
         assert json.loads(out)["sites"] == [0, 1, 3, 5, 6, 9, 10]
 
+    def test_bad_cue_file(self, data, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("a b\n")
+        rc, out, err = invoke(
+            "segment", "--method", "cue", "--cues", str(bad),
+            "--narrative", str(data / "pear9_excerpt_narrative.json"),
+        )
+        assert (rc, out) == (1, "")
+        assert err == f"error: {bad}:1: cue entries must be single words, got 'a b'\n"
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -576,6 +586,24 @@ class TestExitCodes:
         assert f"{path}: not valid UTF-8" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, field", [
+        (("agree",), "narrative_id"),
+        (("eval", "--method", "humans"), "subjects[0]"),
+    ])
+    def test_id_that_would_break_tsv(self, data, tmp_path, argv, field):
+        narrative = json.loads((data / "pear9_excerpt_narrative.json").read_text())
+        annotations = json.loads((data / "pear9_excerpt_annotations.json").read_text())
+        if field == "narrative_id":
+            narrative["narrative_id"] = annotations["narrative_id"] = "pear\t9\nx"
+        else:
+            annotations["subjects"][0] = "pear\t9\nx"
+        (tmp_path / "n.json").write_text(json.dumps(narrative))
+        (tmp_path / "a.json").write_text(json.dumps(annotations))
+        rc, out, err = invoke(*argv, "--narrative", str(tmp_path / "n.json"),
+                              "--annotations", str(tmp_path / "a.json"))
+        assert (rc, out) == (1, "")
+        assert err == f"error: {field}: expected no tab or line break\n"
+
     def test_help(self):
         rc = run(["--help"], stdout=io.StringIO(), stderr=io.StringIO())
         assert rc == 0
@@ -607,6 +635,56 @@ class TestExitCodes:
         }]}))
         rc, out, err = invoke("report", "--batch", str(manifest))
         assert (rc, out, err) == (1, "", "error: items[0].narrative: expected a path string\n")
+
+
+# Runs each argv of argv[1] (a JSON list) with every import of scipy failing,
+# then prints one [exit code, stderr] pair per argv.
+_WITHOUT_SCIPY = """
+import io, json, sys
+sys.modules["scipy"] = None
+try:
+    import scipy
+except ImportError:
+    pass
+else:
+    sys.exit("scipy was not blocked")
+from segtool.cli import run
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    results.append([run(argv, out, err), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+class TestRuntimeDependencies:
+    def test_commands_run_without_scipy(self, data, tmp_path):
+        manifest = tmp_path / "batch.json"
+        manifest.write_text(json.dumps({"items": [
+            {"narrative": str(data / "pear9_excerpt_narrative.json"),
+             "annotations": str(data / "pear9_excerpt_annotations.json")},
+            {"narrative": str(data / "three_link_tests_narrative.json"),
+             "annotations": str(data / "three_link_tests_annotations.json"),
+             "coding": str(data / "three_link_tests_coding.json")},
+        ]}))
+        argvs = [
+            ["agree", *pear_args(data)],
+            ["cochran", "--calibrate", "1000", *pear_args(data)],
+            ["eval", "--method", "humans", "--leave-one-out", *pear_args(data)],
+            ["segment", "--method", "np", "--trace",
+             "--narrative", str(data / "three_link_tests_narrative.json"),
+             "--coding", str(data / "three_link_tests_coding.json")],
+            ["report", "--batch", str(manifest)],
+        ]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(segtool.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        )}
+        done = subprocess.run(
+            [sys.executable, "-c", _WITHOUT_SCIPY, json.dumps(argvs)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == [[0, ""]] * len(argvs)
 
 
 class TestDeterminism:

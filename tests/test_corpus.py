@@ -279,6 +279,47 @@ class TestAnnotationLoading:
         assert str(excinfo.value) == "subjects: expected at least one subject"
 
 
+# Each would split a TSV cell: a tab, or anything str.splitlines() splits at.
+CELL_BREAKING_IDS = ["pear\t9", "pear\t9\nx", "pear9\n", "pear\r9", "pear\x0c9", "pear\u20289"]
+
+
+class TestIdsFitOneTsvCell:
+    @pytest.mark.parametrize("bad", CELL_BREAKING_IDS)
+    def test_narrative_id(self, bad):
+        with pytest.raises(SchemaError) as excinfo:
+            load_narrative(dumps(narrative_doc(narrative_id=bad)))
+        assert str(excinfo.value) == "narrative_id: expected no tab or line break"
+
+    @pytest.mark.parametrize("fixture, serialize, load", [
+        ("pear9", serialize_annotations, load_annotations),
+        ("three_link", serialize_fic_coding, load_fic_coding),
+    ], ids=["annotations", "coding"])
+    def test_narrative_id_of_a_file_read_against_a_transcript(
+        self, request, fixture, serialize, load
+    ):
+        narrative, parsed = request.getfixturevalue(fixture)
+        doc = serialize(parsed)
+        doc["narrative_id"] = narrative.narrative_id + "\n"
+        with pytest.raises(SchemaError) as excinfo:
+            load(dumps(doc), narrative)
+        assert str(excinfo.value) == "narrative_id: expected no tab or line break"
+
+    @pytest.mark.parametrize("bad", CELL_BREAKING_IDS)
+    def test_subject_id(self, pear9, bad):
+        narrative, matrix = pear9
+        doc = serialize_annotations(matrix)
+        doc["subjects"][2] = bad
+        with pytest.raises(SchemaError) as excinfo:
+            load_annotations(dumps(doc), narrative)
+        assert str(excinfo.value) == "subjects[2]: expected no tab or line break"
+
+    def test_other_characters_load(self, pear9):
+        narrative, matrix = pear9
+        doc = serialize_annotations(matrix)
+        doc["subjects"][0] = "s 1\x00\U0001f600"
+        assert load_annotations(dumps(doc), narrative).subject_ids[0] == "s 1\x00\U0001f600"
+
+
 class TestAnnotationMatrixConstruction:
     """The constructor holds rows to the file format's 0/1 rule, before any cast."""
 

@@ -1,21 +1,33 @@
-"""The README's file-format examples load through the real loaders."""
+"""The README's examples run: file formats load, commands and library calls
+give what the README shows."""
 
 from __future__ import annotations
 
+import io
 import json
 import re
+import shlex
+from fractions import Fraction
 from pathlib import Path
 
-from segtool import PhraseId, load_annotations, load_fic_coding, load_narrative
+from segtool import PhraseId, fixture_path, load_annotations, load_fic_coding, load_narrative
+from segtool.cli import run
 from segtool.corpus import load_manifest
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def _format_examples() -> dict[str, dict]:
+def _section(title: str) -> str:
     text = README.read_text(encoding="utf-8")
-    section = text.split("## File formats", 1)[1].split("\n## ", 1)[0]
-    blocks = [json.loads(b) for b in re.findall(r"```json\n(.*?)```", section, re.S)]
+    return text.split(f"## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def _blocks(title: str, language: str) -> list[str]:
+    return re.findall(rf"```{language}\n(.*?)```", _section(title), re.S)
+
+
+def _format_examples() -> dict[str, dict]:
+    blocks = [json.loads(b) for b in _blocks("File formats", "json")]
     kinds = {"phrases": "narrative", "matrix": "annotations", "fics": "coding",
              "items": "manifest"}
     return {kinds[key]: block for block in blocks for key in kinds if key in block}
@@ -67,3 +79,84 @@ def test_manifest_example_loads():
         for item in doc["items"]
     ]
     assert manifest.format == doc["format"]
+
+
+def _cli_examples() -> tuple[dict[str, str], list[tuple[list[str], list[str]]]]:
+    """The shell variables' fixture paths, and each segtool line's argv with
+    the commented lines that follow it."""
+    variables, commands = {}, []
+    for block in _blocks("Command line", "sh"):
+        for line in block.splitlines():
+            assignment = re.fullmatch(
+                r"""(\w+)=\$\(python3 -c "from segtool import fixture_path; """
+                r"""print\(fixture_path\('([\w.]+)'\)\)"\)""", line)
+            if assignment:
+                variables[assignment[1]] = str(fixture_path(assignment[2]))
+            elif line.startswith("segtool "):
+                for name, path in variables.items():
+                    line = line.replace(f"${name}", path)
+                commands.append((shlex.split(line)[1:], []))
+            elif line.startswith("# "):
+                commands[-1][1].append(line[2:])
+    return variables, commands
+
+
+def test_command_line_examples_run(tmp_path, monkeypatch):
+    variables, commands = _cli_examples()
+    assert set(variables) == {"NARR", "ANNS", "CNARR", "CCOD"}
+    assert {argv[0] for argv, _ in commands} == {
+        "agree", "strengths", "cochran", "segment", "eval", "report"
+    }
+    # The report line names batch.json and report.tsv in the working directory.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "batch.json").write_text(json.dumps({"items": [
+        {"narrative": variables["NARR"], "annotations": variables["ANNS"]},
+    ]}))
+    for argv, table in commands:
+        out, err = io.StringIO(), io.StringIO()
+        assert run(argv, out, err) == 0, (argv, err.getvalue())
+        assert [line.split() for line in table] == (
+            [row.split("\t") for row in out.getvalue().splitlines()] if table else []
+        )
+    assert (tmp_path / "report.tsv").read_text(encoding="utf-8").startswith("# agreement\n")
+    agree = next(table for argv, table in commands if argv[0] == "agree")
+    assert len(agree) == 4
+
+
+def test_library_example_values():
+    """The Library block run on the pear9 fixture, each commented value checked."""
+    block = _blocks("Library", "python")[0]
+    for name in ("narrative", "annotations"):
+        path = fixture_path(f"pear9_excerpt_{name}.json")
+        block = block.replace(f'"{name}.json"', repr(str(path)))
+    imports, statements = block.split("\n\n", 1)
+    namespace = {}
+    exec(imports, namespace)
+    checks = {
+        "the >= 4 pool as a 0/1 vector over sites": lambda value: (
+            value.tolist() == [int(k in namespace["strengths"].cumulative(4).sites)
+                               for k in range(namespace["matrix"].sites)]
+        ),
+        "float survival probability": lambda value: isinstance(value, float) and 0 < value < 1,
+    }
+    checked = []
+    for line in statements.splitlines():
+        code, _, comment = (part.strip() for part in line.partition("#"))
+        if re.fullmatch(r"\w+ = .*", code):
+            exec(code, namespace)
+        elif code:
+            value = eval(code, namespace)
+            literal = re.search(r"(Fraction\(\d+, \d+\)|\{[\d, ]*\})$", comment)
+            if literal:
+                assert value == eval(literal[1], {"Fraction": Fraction}), (code, value)
+                checked.append(code)
+            elif comment in checks:
+                assert checks[comment](value), (code, value)
+                checked.append(code)
+    assert checked == [
+        "percent_agreement(matrix).percent",
+        "strengths.cumulative(4).sites",
+        "strengths.exact(2).sites",
+        "strengths.mask(4)",
+        "cochran_q(matrix).p",
+    ]

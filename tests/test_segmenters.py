@@ -114,20 +114,40 @@ class TestCueLexicon:
     def test_rejects_empty(self, tmp_path):
         path = tmp_path / "cues.txt"
         path.write_text("# nothing here\n")
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError) as excinfo:
             CueLexicon.from_file(path)
+        assert str(excinfo.value) == f"{path}: no cue words found"
+
+    def test_rejects_empty_file(self, tmp_path):
+        path = tmp_path / "cues.txt"
+        path.write_text("")
+        with pytest.raises(ValidationError) as excinfo:
+            CueLexicon.from_file(path)
+        assert str(excinfo.value) == f"{path}: no cue words found"
 
     def test_rejects_multiword(self, tmp_path):
         path = tmp_path / "cues.txt"
         path.write_text("you know\n")
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError) as excinfo:
             CueLexicon.from_file(path)
+        assert str(excinfo.value) == f"{path}:1: cue entries must be single words, got 'you know'"
+
+    def test_multiword_message_counts_every_line(self, tmp_path):
+        path = tmp_path / "cues.txt"
+        path.write_text("# cues\n\nwell\na b  # two words\n")
+        with pytest.raises(ValidationError) as excinfo:
+            CueLexicon.from_file(path)
+        assert str(excinfo.value) == f"{path}:4: cue entries must be single words, got 'a b'"
 
     def test_constructor_validation(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^cue lexicon must be non-empty$"):
             CueLexicon(frozenset())
-        with pytest.raises(ValidationError):
-            CueLexicon(frozenset({"And"}))
+        for word in ("And", "So"):
+            with pytest.raises(ValidationError) as excinfo:
+                CueLexicon(frozenset({word}))
+            assert str(excinfo.value) == (
+                f"cue lexicon entries must be single lowercase words: {word!r}"
+            )
 
 
 class TestCueSegmenter:

@@ -9,9 +9,13 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter, defaultdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hst
 from scipy import integrate
 from scipy import stats as sps
 
@@ -343,3 +347,117 @@ class TestExactNull:
         columns = _chunk_columns((2, 3, 1, 0, 6), 6, 500, rng)
         assert (columns.sum(axis=1) == 12).all()
         assert columns.min() >= 1 and columns.max() <= 4
+
+
+def _splits(u, caps):
+    """Every (m_0, m_1, ...) with 0 <= m_t <= caps[t] and sum(m) == u."""
+    if not caps:
+        if u == 0:
+            yield ()
+        return
+    for m in range(min(u, caps[0]) + 1):
+        for rest in _splits(u - m, caps[1:]):
+            yield (m, *rest)
+
+
+def exact_q_distribution(row_totals, sites) -> Counter:
+    """Cochran's null of Q as {exact Q: number of placements}.
+
+    A state is the histogram h of column totals so far: h[t] columns are
+    marked by t subjects. A subject with u marks moves m_t columns from t to
+    t + 1 for every t, with sum(m) == u, in prod_t C(h[t], m_t) ways; the last
+    class is still empty then, so it gives no columns. Q depends on the
+    columns only through S = sum_k T_k^2 = sum_t t^2 h[t]:
+    Q = (j - 1) * (j * S - N^2) / (j * N - sum(u^2)).
+    """
+    states = {(sites,) + (0,) * len(row_totals): 1}
+    for u in row_totals:
+        after = defaultdict(int)
+        for h, ways in states.items():
+            for m in _splits(u, h[:-1]):
+                g = list(h)
+                for t, m_t in enumerate(m):
+                    g[t] -= m_t
+                    g[t + 1] += m_t
+                after[tuple(g)] += ways * math.prod(map(math.comb, h, m))
+        states = after
+    j, total = sites, sum(row_totals)
+    denom = j * total - sum(u * u for u in row_totals)
+    distribution = Counter()
+    for h, ways in states.items():
+        square_sum = sum(t * t * n for t, n in enumerate(h))
+        distribution[Fraction((j - 1) * (j * square_sum - total * total), denom)] += ways
+    return distribution
+
+
+def exact_tail(distribution: Counter, q) -> Fraction:
+    """P(Q >= q) under the exact null, ties included."""
+    return Fraction(sum(w for value, w in distribution.items() if value >= q),
+                    sum(distribution.values()))
+
+
+def exact_q(cells) -> Fraction:
+    cells = np.asarray(cells)
+    j, rows, columns = cells.shape[1], cells.sum(axis=1).tolist(), cells.sum(axis=0).tolist()
+    total = sum(rows)
+    return Fraction((j - 1) * (j * sum(t * t for t in columns) - total * total),
+                    j * total - sum(u * u for u in rows))
+
+
+def assert_within_4se(simulated, exact, trials):
+    """|simulated - exact| <= 4 SE, the SE floored at 1/trials."""
+    se = max(math.sqrt(exact * (1 - exact) / trials), 1 / trials)
+    assert abs(simulated - exact) <= 4 * se, (simulated, float(exact), se)
+
+
+class TestExactNullByHistogram:
+    """The exact null by dynamic programming, where enumeration is too big."""
+
+    @pytest.mark.parametrize("rows, sites", [((2, 3, 1), 6), ((1, 2, 3), 7)])
+    def test_matches_enumeration(self, rows, sites):
+        denom = sites * sum(rows) - sum(u * u for u in rows)
+        enumerated = Counter(
+            Fraction((sites - 1) * d, sites * denom) for d, _ in exact_null(rows, sites)
+        )
+        assert exact_q_distribution(rows, sites) == enumerated
+
+    def test_pear9_exact_values(self, pear9):
+        _, matrix = pear9
+        distribution = exact_q_distribution(matrix.row_totals.tolist(), matrix.sites)
+        assert sum(distribution.values()) == math.prod(
+            math.comb(matrix.sites, u) for u in matrix.row_totals.tolist()
+        )
+        rejection = exact_tail(distribution, sps.chi2.isf(0.05, matrix.sites - 1))
+        assert rejection == Fraction(24877219471, 747377296875)
+        assert round(float(rejection), 5) == 0.03329
+        observed = exact_q(matrix.cells)
+        assert observed == Fraction(688, 15)
+        assert exact_tail(distribution, observed) == Fraction(12709, 49825153125)
+        assert f"{float(exact_tail(distribution, observed)):.2e}" == "2.55e-07"
+
+    def test_pear9_calibration_within_4se(self, pear9):
+        _, matrix = pear9
+        rows = matrix.row_totals.tolist()
+        distribution = exact_q_distribution(rows, matrix.sites)
+        result = null_calibration(rows, matrix.sites, 10_000, 0, observed_q=cochran_q(matrix).q)
+        assert_within_4se(result.rejection_rate_05,
+                          exact_tail(distribution, chi_square_critical(0.05, result.df)), 10_000)
+        assert_within_4se(result.empirical_p, exact_tail(distribution, exact_q(matrix.cells)),
+                          10_000)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=hst.data())
+    def test_small_panels_within_4se(self, data):
+        subjects = data.draw(hst.integers(1, 4))
+        sites = data.draw(hst.integers(2, 7))
+        cells = data.draw(hst.lists(hst.lists(hst.integers(0, 1), min_size=sites, max_size=sites),
+                                    min_size=subjects, max_size=subjects))
+        rows = [sum(row) for row in cells]
+        assume(any(0 < u < sites for u in rows))
+        seed = data.draw(hst.integers(0, 2**31))
+        observed = exact_q(cells)
+        distribution = exact_q_distribution(rows, sites)
+        result = null_calibration(rows, sites, 2000, seed, observed_q=float(observed))
+        assert_within_4se(result.rejection_rate_05,
+                          exact_tail(distribution, chi_square_critical(0.05, sites - 1)), 2000)
+        assert_within_4se(result.empirical_p, exact_tail(distribution, observed), 2000)
