@@ -21,6 +21,8 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
+from itertools import chain, count, islice, repeat, starmap
+from operator import attrgetter, itemgetter, lt
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
@@ -31,6 +33,9 @@ from .errors import SchemaError, ValidationError
 RELATION_TAGS = frozenset({"r1", "r2", "r3", "r4", "r5"})
 # A \uD800-\uDFFF escape, which may leave a lone surrogate in a string.
 _SURROGATE_ESCAPE = re.compile(rb"\\u[dD][89a-fA-F]")
+# The canonical "sentence.phrase" text, the only one str(PhraseId) gives.
+_PHRASE_ID = re.compile(r"[1-9][0-9]*\.[1-9][0-9]*")
+_ID_PROBLEM = "phrase id must look like 's.p', e.g. '3.1': {!r}"
 
 
 @dataclass(frozen=True, order=True)
@@ -55,14 +60,10 @@ class PhraseId:
     @classmethod
     def parse(cls, text: str) -> "PhraseId":
         """Read the canonical form only, so str() gives back the same text."""
-        try:
+        if isinstance(text, str) and _PHRASE_ID.fullmatch(text):
             sentence, phrase = text.split(".")
-            pid = cls(int(sentence), int(phrase))
-            if str(pid) == text:
-                return pid
-        except (AttributeError, TypeError, ValueError, ValidationError):
-            pass
-        raise ValidationError(f"phrase id must look like 's.p', e.g. '3.1': {text!r}")
+            return cls(int(sentence), int(phrase))
+        raise ValidationError(_ID_PROBLEM.format(text))
 
 
 @dataclass(frozen=True)
@@ -107,7 +108,7 @@ class Narrative:
 
     narrative_id: str
     phrases: tuple[ProsodicPhrase, ...]
-    _index: dict[PhraseId, int] = field(
+    _index: dict[str, int] = field(  # by id text, as a coding file's spans give it
         init=False, repr=False, compare=False, default_factory=dict
     )
 
@@ -119,26 +120,25 @@ class Narrative:
                 f"narrative {self.narrative_id}: needs at least 2 phrases "
                 f"(got {len(self.phrases)})",
             )
-        for prev, cur in zip(self.phrases, self.phrases[1:]):
-            if not prev.id < cur.id:
+        keys = list(map(attrgetter("id.sentence", "id.phrase"), self.phrases))
+        for k, in_order in enumerate(map(lt, keys, keys[1:])):
+            if not in_order:
                 raise SchemaError(
                     "phrases",
                     f"narrative {self.narrative_id}: phrase ids out of order "
-                    f"({prev.id} then {cur.id})"
+                    f"({self.phrases[k].id} then {self.phrases[k + 1].id})"
                 )
-        self._index.update({p.id: k for k, p in enumerate(self.phrases)})
+        self._index.update(zip(starmap("{}.{}".format, keys), count()))
 
     @property
     def site_count(self) -> int:
         return len(self.phrases) - 1
 
     def index_of(self, phrase_id: PhraseId) -> int:
-        try:
-            return self._index[phrase_id]
-        except KeyError:
-            raise ValidationError(
-                f"narrative {self.narrative_id}: no phrase {phrase_id}"
-            ) from None
+        k = self._index.get(str(phrase_id)) if isinstance(phrase_id, PhraseId) else None
+        if k is None:
+            raise ValidationError(f"narrative {self.narrative_id}: no phrase {phrase_id}")
+        return k
 
     def site_pair(self, site: int) -> tuple[PhraseId, PhraseId]:
         if not 0 <= site < self.site_count:
@@ -364,9 +364,14 @@ class BoundarySet:
 # JSON loading
 
 
+def _location(source) -> str:
+    """The file's name in a message: its path, or <file> for bytes or a stream."""
+    return str(source) if isinstance(source, (str, Path)) else "<file>"
+
+
 def read_json(source) -> Any:
     """Parse JSON from a path (str or Path), bytes, or file-like source."""
-    location = str(source) if isinstance(source, (str, Path)) else "<file>"
+    location = _location(source)
     if isinstance(source, (str, Path)):
         with open(source, "rb") as handle:
             raw = handle.read()
@@ -394,19 +399,26 @@ def read_json(source) -> Any:
     return data
 
 
-def _is_int(value: Any) -> bool:
-    """A JSON integer; true and false are not numbers here."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _nonempty_strings(values: list) -> bool:
     """Every item is a non-empty string, tested in C rather than per item."""
-    return set(map(type, values)) <= {str} and "" not in values
+    try:
+        "".join(values)
+    except TypeError:  # an item that is no string
+        return False
+    return "" not in values
 
 
 def _one_line(text: str) -> bool:
     """No tab and nothing str.splitlines() splits at, so one TSV cell holds it."""
     return "\t" not in text and text.splitlines() == [text]
+
+
+def _read_object(source) -> dict:
+    """read_json for a file whose top level must be an object."""
+    data = read_json(source)
+    if not isinstance(data, dict):
+        raise SchemaError(_location(source), f"expected an object, got {type(data).__name__}")
+    return data
 
 
 def _require(obj: dict, key: str, where: str) -> Any:
@@ -415,6 +427,60 @@ def _require(obj: dict, key: str, where: str) -> Any:
     if key not in obj:
         raise SchemaError(f"{where}.{key}" if where else key, "missing field")
     return obj[key]
+
+
+# An element's fields as (key, default or _REQUIRED, the JSON types allowed, the
+# problem reported, a further test of an allowed value or None), in the order
+# _fields checks them; _columns reads them too. JSON gives exact built-in types.
+_REQUIRED = object()
+_PHRASE_FIELDS = (
+    ("id", _REQUIRED, {str}, _ID_PROBLEM, _PHRASE_ID.fullmatch),
+    ("sentence_final", _REQUIRED, {bool}, "expected true or false", None),
+    ("pause_before", _REQUIRED, {int, float, type(None)}, "expected number or null", None),
+    ("pause_truncated", False, {bool}, "expected true or false", None),
+    ("text", _REQUIRED, {list}, "expected a non-empty list of non-empty strings", None),
+)
+_FIC_FIELDS = (
+    ("index", _REQUIRED, {int}, "expected a positive integer", (0).__lt__),
+    ("span", _REQUIRED, {list}, "expected a [start, end] pair", lambda span: len(span) == 2),
+    ("nps", _REQUIRED, {list}, "expected a list", None),
+)
+_NP_FIELDS = (
+    ("form", _REQUIRED, {str}, "expected a non-empty string", bool),
+    ("referent", _REQUIRED, {int}, "expected an integer", None),
+    ("pronoun3", False, {bool}, "expected true or false", None),
+    ("inferential", [], {list}, "expected a list", None),
+)
+
+
+def _fields(raw: Any, table: tuple, where: str) -> Iterator[Any]:
+    """One element's fields; the first fault raises, located under where."""
+    for key, default, types, problem, test in table:
+        value = _require(raw, key, where) if default is _REQUIRED else raw.get(key, default)
+        if type(value) not in types or test and not test(value):
+            raise SchemaError(f"{where}.{key}", problem.format(value))
+        yield value
+
+
+def _columns(items: list, table: tuple) -> Iterator[list]:
+    """_fields for all elements at once, a column at a time in C; faults raise _FAULTS."""
+    for key, default, types, _, test in table:
+        column = list(
+            map(itemgetter(key), items) if default is _REQUIRED
+            else map(dict.get, items, repeat(key), repeat(default))
+        )
+        if not set(map(type, column)) <= types or test and not all(map(test, column)):
+            raise ValueError(key)
+        yield column
+
+
+# A missing key, an element that is no object, a failed check, a constructor's error.
+_FAULTS = (KeyError, TypeError, ValueError, ValidationError)
+
+
+def _is_relation(rel: Any) -> bool:
+    """[source, tag, target] with integer ends and a string tag."""
+    return type(rel) is list and list(map(type, rel)) == [int, str, int]
 
 
 def _narrative_id(value: Any, narrative: Narrative | None = None, kind: str = "") -> str:
@@ -430,47 +496,36 @@ def _narrative_id(value: Any, narrative: Narrative | None = None, kind: str = ""
     return value
 
 
-def load_narrative(source) -> Narrative:
-    """Load and validate a transcript file."""
-    data = read_json(source)
-    narrative_id = _narrative_id(_require(data, "narrative_id", ""))
-    raw_phrases = _require(data, "phrases", "")
-    if not isinstance(raw_phrases, list):
-        raise SchemaError("phrases", "expected a list")
+def _phrases_by_element(raw_phrases: list) -> list[ProsodicPhrase]:
+    """The phrases, raising at the first fault with its location."""
     phrases = []
     for k, raw in enumerate(raw_phrases):
         where = f"phrases[{k}]"
-        pid_text = _require(raw, "id", where)
+        pid, final, pause, truncated, text = _fields(raw, _PHRASE_FIELDS, where)
         try:
-            pid = PhraseId.parse(pid_text)
-        except ValidationError as exc:
-            raise SchemaError(f"{where}.id", str(exc)) from None
-        final = _require(raw, "sentence_final", where)
-        if not isinstance(final, bool):
-            raise SchemaError(f"{where}.sentence_final", "expected true or false")
-        pause = _require(raw, "pause_before", where)
-        if pause is not None and (not isinstance(pause, (int, float)) or isinstance(pause, bool)):
-            raise SchemaError(f"{where}.pause_before", "expected number or null")
-        truncated = raw.get("pause_truncated", False)
-        if not isinstance(truncated, bool):
-            raise SchemaError(f"{where}.pause_truncated", "expected true or false")
-        tokens = _require(raw, "text", where)
-        if not isinstance(tokens, list):
-            raise SchemaError(f"{where}.text", "expected a non-empty list of non-empty strings")
-        try:
-            phrases.append(
-                ProsodicPhrase(
-                    id=pid,
-                    text=tuple(tokens),
-                    sentence_final=final,
-                    pause_before=pause,
-                    pause_truncated=truncated,
-                )
-            )
+            phrases.append(ProsodicPhrase(PhraseId.parse(pid), tuple(text), final, pause, truncated))
         except SchemaError as exc:
             raise SchemaError(f"{where}.{exc.location}", exc.problem) from None
         except ValidationError as exc:
             raise SchemaError(where, str(exc)) from None
+    return phrases
+
+
+def load_narrative(source) -> Narrative:
+    """Load and validate a transcript file."""
+    data = _read_object(source)
+    narrative_id = _narrative_id(_require(data, "narrative_id", ""))
+    raw_phrases = _require(data, "phrases", "")
+    if not isinstance(raw_phrases, list):
+        raise SchemaError("phrases", "expected a list")
+    try:
+        ids, finals, pauses, truncated, texts = _columns(raw_phrases, _PHRASE_FIELDS)
+        # Canonical ids as [sentence, phrase, sentence, ...]; no ids give int("").
+        parts = list(map(int, ".".join(ids).split(".")))
+        pids = map(PhraseId, parts[::2], parts[1::2])
+        phrases = list(map(ProsodicPhrase, pids, map(tuple, texts), finals, pauses, truncated))
+    except _FAULTS:
+        phrases = _phrases_by_element(raw_phrases)
     return Narrative(narrative_id=narrative_id, phrases=tuple(phrases))
 
 
@@ -497,7 +552,7 @@ def load_annotations(source, narrative: Narrative) -> AnnotationMatrix:
     The declared site count must equal the transcript's, and the two files
     must name the same narrative, so later joins on site indices are safe.
     """
-    data = read_json(source)
+    data = _read_object(source)
     narrative_id = _narrative_id(_require(data, "narrative_id", ""), narrative, "annotations are")
     subjects = _require(data, "subjects", "")
     if not isinstance(subjects, list) or not _nonempty_strings(subjects):
@@ -506,7 +561,7 @@ def load_annotations(source, narrative: Narrative) -> AnnotationMatrix:
         if not _one_line(subject):
             raise SchemaError(f"subjects[{k}]", "expected no tab or line break")
     sites = _require(data, "sites", "")
-    if not _is_int(sites) or sites < 1:
+    if type(sites) is not int or sites < 1:
         raise SchemaError("sites", "expected a positive integer")
     if sites != narrative.site_count:
         raise ValidationError(
@@ -532,7 +587,7 @@ def serialize_annotations(matrix: AnnotationMatrix) -> dict:
 
 
 def _build_site_map(
-    fics: tuple[Fic, ...],
+    fics: list[Fic],
     narrative: Narrative,
     spans: list[tuple[int, int]],
 ) -> dict[tuple[int, int], SiteMapping]:
@@ -547,90 +602,75 @@ def _build_site_map(
                 f"{cur.phrase_span[0]}, before clause {prev.index} ends at "
                 f"{prev.phrase_span[1]}"
             )
-        if start_idx == end_idx:
-            # Junction inside one phrase: project to the site at its end,
-            # which does not exist when the shared phrase is the last one.
-            site = start_idx if start_idx <= last_site else None
-            site_map[(prev.index, cur.index)] = SiteMapping(site, intra_phrase=True)
-        else:
-            site_map[(prev.index, cur.index)] = SiteMapping(
-                start_idx - 1, intra_phrase=False
-            )
+        # A junction between phrases projects to the site before the later
+        # clause; one inside a phrase to the site at the phrase's end, which
+        # does not exist when the shared phrase is the last one.
+        intra = start_idx == end_idx
+        site = start_idx if intra else start_idx - 1
+        site_map[(prev.index, cur.index)] = SiteMapping(site if site <= last_site else None, intra)
     return site_map
 
 
-def load_fic_coding(source, narrative: Narrative) -> FicCoding:
-    """Load a clause coding and derive its junction-to-site map."""
-    data = read_json(source)
-    narrative_id = _narrative_id(_require(data, "narrative_id", ""), narrative, "coding is")
-    raw_fics = _require(data, "fics", "")
-    if not isinstance(raw_fics, list):
-        raise SchemaError("fics", "expected a non-empty list")
+def _fics_by_element(raw_fics: list, narrative: Narrative) -> tuple[list, list]:
+    """The clauses and their phrase indices, raising at the first fault."""
     fics, spans = [], []
     for n, raw in enumerate(raw_fics):
         where = f"fics[{n}]"
-        index = _require(raw, "index", where)
-        if not _is_int(index) or index < 1:
-            raise SchemaError(f"{where}.index", "expected a positive integer")
-        span = _require(raw, "span", where)
-        if not isinstance(span, list) or len(span) != 2:
-            raise SchemaError(f"{where}.span", "expected a [start, end] pair")
+        index, span = _fields(raw, _FIC_FIELDS[:2], where)  # the span before the NPs
         try:
             start, end = PhraseId.parse(span[0]), PhraseId.parse(span[1])
             spans.append((narrative.index_of(start), narrative.index_of(end)))
         except ValidationError as exc:
             raise SchemaError(f"{where}.span", str(exc)) from None
-        raw_nps = _require(raw, "nps", where)
-        if not isinstance(raw_nps, list):
-            raise SchemaError(f"{where}.nps", "expected a list")
+        (raw_nps,) = _fields(raw, _FIC_FIELDS[2:], where)
         nps = []
         for m, raw_np in enumerate(raw_nps):
             np_where = f"{where}.nps[{m}]"
-            form = _require(raw_np, "form", np_where)
-            if not isinstance(form, str) or not form:
-                raise SchemaError(f"{np_where}.form", "expected a non-empty string")
-            referent = _require(raw_np, "referent", np_where)
-            if not _is_int(referent):
-                raise SchemaError(f"{np_where}.referent", "expected an integer")
-            pronoun3 = raw_np.get("pronoun3", False)
-            if not isinstance(pronoun3, bool):
-                raise SchemaError(f"{np_where}.pronoun3", "expected true or false")
-            raw_rels = raw_np.get("inferential", [])
-            if not isinstance(raw_rels, list):
-                raise SchemaError(f"{np_where}.inferential", "expected a list")
-            rels = set()
-            for r, rel in enumerate(raw_rels):
-                if (
-                    not isinstance(rel, list)
-                    or len(rel) != 3
-                    or not _is_int(rel[0])
-                    or not isinstance(rel[1], str)
-                    or not _is_int(rel[2])
-                ):
+            form, referent, pronoun3, rels = _fields(raw_np, _NP_FIELDS, np_where)
+            for r, rel in enumerate(rels):
+                if not _is_relation(rel):
                     raise SchemaError(
-                        f"{np_where}.inferential[{r}]",
-                        "expected [source, tag, target]",
+                        f"{np_where}.inferential[{r}]", "expected [source, tag, target]"
                     )
-                rels.add((rel[0], rel[1], rel[2]))
             try:
-                nps.append(
-                    ReferentialNp(
-                        fic=index,
-                        surface=form,
-                        referent=referent,
-                        pronoun3=pronoun3,
-                        inferential=frozenset(rels),
-                    )
-                )
+                nps.append(ReferentialNp(index, form, referent, pronoun3, frozenset(map(tuple, rels))))
             except ValidationError as exc:
                 raise SchemaError(np_where, str(exc)) from None
         try:
-            fics.append(Fic(index=index, phrase_span=(start, end), nps=tuple(nps)))
+            fics.append(Fic(index, (start, end), tuple(nps)))
         except ValidationError as exc:
             raise SchemaError(where, str(exc)) from None
-    fics = tuple(fics)
-    site_map = _build_site_map(fics, narrative, spans)
-    return FicCoding(narrative_id=narrative_id, fics=fics, site_map=site_map)
+    return fics, spans
+
+
+def load_fic_coding(source, narrative: Narrative) -> FicCoding:
+    """Load a clause coding and derive its junction-to-site map."""
+    data = _read_object(source)
+    narrative_id = _narrative_id(_require(data, "narrative_id", ""), narrative, "coding is")
+    raw_fics = _require(data, "fics", "")
+    if not isinstance(raw_fics, list):
+        raise SchemaError("fics", "expected a non-empty list")
+    try:
+        indices, raw_spans, raw_nps = _columns(raw_fics, _FIC_FIELDS)
+        all_nps = list(chain.from_iterable(raw_nps))
+        forms, referents, pronoun3s, raw_rels = _columns(all_nps, _NP_FIELDS)
+        if not all(map(_is_relation, chain.from_iterable(raw_rels))):
+            raise ValueError("inferential")
+        # Span ids are looked up by their text, so a non-canonical one is no key.
+        ends = list(map(narrative._index.__getitem__, chain.from_iterable(raw_spans)))
+        spans = list(zip(ends[::2], ends[1::2]))
+        ids, sizes = [p.id for p in narrative.phrases], list(map(len, raw_nps))
+        nps = map(
+            ReferentialNp, chain.from_iterable(map(repeat, indices, sizes)), forms, referents,
+            pronoun3s, map(frozenset, map(map, repeat(tuple), raw_rels)),
+        )
+        fics = list(map(
+            Fic, indices, zip(map(ids.__getitem__, ends[::2]), map(ids.__getitem__, ends[1::2])),
+            map(tuple, map(islice, repeat(nps), sizes)),
+        ))
+    except _FAULTS:
+        fics, spans = _fics_by_element(raw_fics, narrative)
+    return FicCoding(narrative_id, tuple(fics), _build_site_map(fics, narrative, spans))
 
 
 def serialize_fic_coding(coding: FicCoding) -> dict:

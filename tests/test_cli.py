@@ -530,6 +530,21 @@ class TestExitCodes:
         )
         assert (rc, out) == (1, "")
 
+    @pytest.mark.parametrize("flag", ["--narrative", "--annotations", "--coding"])
+    def test_top_level_not_an_object_names_the_file(self, data, tmp_path, flag):
+        path = tmp_path / "n.json"
+        path.write_text("[]")
+        files = {
+            "--narrative": str(data / "three_link_tests_narrative.json"),
+            "--annotations": str(data / "three_link_tests_annotations.json"),
+            "--coding": str(data / "three_link_tests_coding.json"),
+            flag: str(path),
+        }
+        argv = (["segment", "--method", "np", "--coding", files["--coding"]] if flag == "--coding"
+                else ["agree", "--annotations", files["--annotations"]])
+        rc, out, err = invoke(*argv, "--narrative", files["--narrative"])
+        assert (rc, out, err) == (1, "", f"error: {path}: expected an object, got list\n")
+
     def test_negative_calibration_seed(self, data):
         rc, out, err = invoke_process(
             "cochran", "--calibrate", "1000", "--seed", "-1", *pear_args(data)

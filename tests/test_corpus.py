@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import copy
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
+from segtool import corpus
 from segtool import (
     AnnotationMatrix,
     BoundarySet,
@@ -506,3 +511,328 @@ class TestBoundarySet:
         narrative, _ = pear9
         with pytest.raises(ValidationError):
             BoundarySet.of("pear-09-excerpt", {11}).labels(narrative)
+
+
+class TestTopLevelShape:
+    """A file whose top level is no object is named by its path, or <file>."""
+
+    @pytest.mark.parametrize("top, kind", [([], "list"), ("x", "str"), (3, "int"), (None, "NoneType")])
+    def test_transcript(self, tmp_path, top, kind):
+        path = tmp_path / "n.json"
+        path.write_text(json.dumps(top))
+        with pytest.raises(SchemaError) as excinfo:
+            load_narrative(path)
+        assert str(excinfo.value) == f"{path}: expected an object, got {kind}"
+        with pytest.raises(SchemaError, match=f"^<file>: expected an object, got {kind}$"):
+            load_narrative(dumps(top))
+
+    @pytest.mark.parametrize("fixture, load", [
+        ("pear9", load_annotations), ("three_link", load_fic_coding),
+    ], ids=["annotations", "coding"])
+    def test_file_read_against_a_transcript(self, request, tmp_path, fixture, load):
+        narrative, _ = request.getfixturevalue(fixture)
+        path = tmp_path / "a.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(SchemaError) as excinfo:
+            load(str(path), narrative)
+        assert str(excinfo.value) == f"{path}: expected an object, got list"
+        with pytest.raises(SchemaError, match="^<file>: expected an object, got list$"):
+            load(b"[1, 2]", narrative)
+
+
+# A five-phrase transcript and a five-clause coding of it; clause k spans
+# phrase k and holds two NPs, the second with no optional field.
+TOY_IDS = ["1.1", "1.2", "2.1", "3.1", "3.2"]
+DELETE = object()
+
+
+def toy_transcript():
+    return {"narrative_id": "toy", "phrases": [
+        {"id": pid, "sentence_final": k % 2 == 1, "pause_before": 0.25 if k else None,
+         "pause_truncated": False, "text": ["word", str(k)]}
+        for k, pid in enumerate(TOY_IDS)
+    ]}
+
+
+def toy_coding():
+    return {"narrative_id": "toy", "fics": [
+        {"index": k + 1, "span": [pid, pid], "nps": [
+            {"form": "he", "referent": 1, "pronoun3": True, "inferential": [[1, "r1", 2]]},
+            {"form": "the pears", "referent": 2},
+        ]}
+        for k, pid in enumerate(TOY_IDS)
+    ]}
+
+
+def planted(doc, path, value):
+    """A copy of doc with the value at path replaced, or deleted for DELETE."""
+    doc = copy.deepcopy(doc)
+    *parents, last = path
+    target = doc
+    for step in parents:
+        target = target[step]
+    if value is DELETE:
+        del target[last]
+    else:
+        target[last] = value
+    return doc
+
+
+ID_TEXT = "phrase id must look like 's.p', e.g. '3.1': "
+LISTS = "expected a non-empty list of non-empty strings"
+# Each element field's faults as (value, problem). The problems are the
+# per-element walk's texts, which the column pass must not change.
+PHRASE_FAULTS = {
+    "id": [(DELETE, "missing field"), (11, ID_TEXT + "11"), (["1.1"], ID_TEXT + "['1.1']"),
+           (True, ID_TEXT + "True"), ("03.1", ID_TEXT + "'03.1'"), ("1.1 ", ID_TEXT + "'1.1 '"),
+           ("+1.1", ID_TEXT + "'+1.1'"), ("1_0.1", ID_TEXT + "'1_0.1'"), ("0.1", ID_TEXT + "'0.1'")],
+    "sentence_final": [(DELETE, "missing field"), ("yes", "expected true or false"),
+                       (1, "expected true or false"), (None, "expected true or false")],
+    "pause_before": [(DELETE, "missing field"), ("long", "expected number or null"),
+                     (True, "expected number or null"), ([0.5], "expected number or null"),
+                     (10**400, "expected number or null")],
+    "pause_truncated": [("no", "expected true or false"), (0, "expected true or false")],
+    "text": [(DELETE, "missing field"), ("word", LISTS), ([3], LISTS), ([], LISTS),
+             (["ok", ""], LISTS), (True, LISTS)],
+}
+FIC_FAULTS = {
+    "index": [(DELETE, "missing field"), ("1", "expected a positive integer"),
+              (True, "expected a positive integer"), (1.0, "expected a positive integer"),
+              (0, "expected a positive integer")],
+    "span": [(DELETE, "missing field"), ("1.1", "expected a [start, end] pair"),
+             (["1.1"], "expected a [start, end] pair"), (True, "expected a [start, end] pair"),
+             (["1.1", "1.1", "1.1"], "expected a [start, end] pair"),
+             ([11, "1.1"], ID_TEXT + "11"), (["1.1", True], ID_TEXT + "True"),
+             (["1.1", None], ID_TEXT + "None"), ([["1.1"], "1.1"], ID_TEXT + "['1.1']"),
+             (["03.1", "1.1"], ID_TEXT + "'03.1'"), (["1.1", "1.1 "], ID_TEXT + "'1.1 '"),
+             (["+1.1", "1.1"], ID_TEXT + "'+1.1'"), (["1_0.1", "1.1"], ID_TEXT + "'1_0.1'"),
+             (["8.8", "8.8"], "narrative toy: no phrase 8.8"),
+             (["1.1", "9.9"], "narrative toy: no phrase 9.9")],
+    "nps": [(DELETE, "missing field"), ("he", "expected a list"), ({}, "expected a list"),
+            (True, "expected a list")],
+}
+NP_FAULTS = {
+    "form": [(DELETE, "missing field"), (3, "expected a non-empty string"),
+             ("", "expected a non-empty string"), (True, "expected a non-empty string")],
+    "referent": [(DELETE, "missing field"), ("1", "expected an integer"),
+                 (True, "expected an integer"), (1.5, "expected an integer")],
+    "pronoun3": [("yes", "expected true or false"), (1, "expected true or false"),
+                 (None, "expected true or false")],
+    "inferential": [("r1", "expected a list"), ({}, "expected a list"), (True, "expected a list")],
+}
+BAD_RELATIONS = [[[1, "r1"]], [[True, "r1", 2]], [[1, 2, 2]], [[1, "r1", 2.0]], ["x"],
+                 [[1, "r1", 2, 3]], [[1, "r1", 2], [1, "r2"]]]
+NOT_OBJECTS = [([], "list"), ("1.1", "str"), (3, "int"), (None, "NoneType"), (True, "bool")]
+FIRST_MIDDLE_LAST = (0, 2, 4)
+# The NP at the first, a middle and the last place of the coding's ten.
+NP_PLACES = ((0, 0), (2, 1), (4, 1))
+
+
+def transcript_faults():
+    """(document, the message) for every single phrase fault."""
+    base = toy_transcript()
+    for k in FIRST_MIDDLE_LAST:
+        at = f"phrases[{k}]"
+        for key, faults in PHRASE_FAULTS.items():
+            for value, problem in faults:
+                yield planted(base, ("phrases", k, key), value), f"{at}.{key}: {problem}"
+        for value, kind in NOT_OBJECTS:
+            yield planted(base, ("phrases", k), value), f"{at}: expected an object, got {kind}"
+        # Out of order: a phrase takes its neighbour's id.
+        twin = TOY_IDS[k - 1] if k else TOY_IDS[1]
+        yield planted(base, ("phrases", k, "id"), twin), (
+            f"phrases: narrative toy: phrase ids out of order ({twin} then {twin})"
+        )
+        yield planted(base, ("phrases", k, "pause_before"), -1), (
+            f"{at}: phrase {TOY_IDS[k]}: pause_before must be finite and non-negative"
+        )
+
+
+def coding_faults():
+    """(document, the message) for every single clause, NP and relation fault."""
+    base = toy_coding()
+    for n in FIRST_MIDDLE_LAST:
+        at = f"fics[{n}]"
+        for key, faults in FIC_FAULTS.items():
+            for value, problem in faults:
+                yield planted(base, ("fics", n, key), value), f"{at}.{key}: {problem}"
+        for value, kind in NOT_OBJECTS:
+            yield planted(base, ("fics", n), value), f"{at}: expected an object, got {kind}"
+        # Out of order: a gap in the clause indices, a span running backwards.
+        gap = 9 if n else 7
+        pair = f"{gap} then 2" if n == 0 else f"{n} then {gap}"
+        yield planted(base, ("fics", n, "index"), gap), (
+            f"fics: coding toy: clause indices must be consecutive ({pair})"
+        )
+        back = [TOY_IDS[max(n, 1)], TOY_IDS[max(n, 1) - 1]]
+        yield planted(base, ("fics", n, "span"), back), (
+            f"{at}: fic {n + 1}: span end {back[1]} precedes start {back[0]}"
+        )
+    for n in (2, 4):  # a clause starting before the one before it ends
+        yield planted(base, ("fics", n, "span"), [TOY_IDS[0], TOY_IDS[n]]), (
+            f"fics: coding toy: clause {n + 1} starts at 1.1, before clause {n} ends at "
+            f"{TOY_IDS[n - 1]}"
+        )
+    for n, m in NP_PLACES:
+        at = f"fics[{n}].nps[{m}]"
+        for key, faults in NP_FAULTS.items():
+            for value, problem in faults:
+                yield planted(base, ("fics", n, "nps", m, key), value), f"{at}.{key}: {problem}"
+        for value, kind in NOT_OBJECTS:
+            yield planted(base, ("fics", n, "nps", m), value), f"{at}: expected an object, got {kind}"
+        for rels in BAD_RELATIONS:
+            yield planted(base, ("fics", n, "nps", m, "inferential"), rels), (
+                f"{at}.inferential[{len(rels) - 1}]: expected [source, tag, target]"
+            )
+        form, referent = ("he", 1) if m == 0 else ("the pears", 2)
+        yield planted(base, ("fics", n, "nps", m, "inferential"), [[referent, "r9", 2]]), (
+            f"{at}: fic {n + 1} NP '{form}': unknown relation tag 'r9'"
+        )
+        yield planted(base, ("fics", n, "nps", m, "referent"), 0), (
+            f"{at}: fic {n + 1} NP '{form}': referent must be positive"
+        )
+
+
+def _case_id(case):
+    return case[1]
+
+
+class TestEverySingleFaultIsNamed:
+    """The exact text of each fault, at the first, a middle and the last element."""
+
+    def test_toy_files_load(self):
+        narrative = load_narrative(dumps(toy_transcript()))
+        coding = load_fic_coding(dumps(toy_coding()), narrative)
+        assert len(narrative.phrases) == len(coding.fics) == 5
+
+    @pytest.mark.parametrize("case", list(transcript_faults()), ids=_case_id)
+    def test_transcript(self, case):
+        doc, message = case
+        with pytest.raises(SchemaError) as excinfo:
+            load_narrative(dumps(doc))
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("case", list(coding_faults()), ids=_case_id)
+    def test_coding(self, case):
+        doc, message = case
+        narrative = load_narrative(dumps(toy_transcript()))
+        with pytest.raises(SchemaError) as excinfo:
+            load_fic_coding(dumps(doc), narrative)
+        assert str(excinfo.value) == message
+
+
+@hst.composite
+def transcript_and_coding(draw):
+    """A valid transcript and a valid coding of it."""
+    count = draw(hst.integers(2, 7))
+    ids, sentence, phrase = [], 1, 0
+    for _ in range(count):
+        if phrase and draw(hst.booleans()):
+            sentence, phrase = sentence + draw(hst.integers(1, 3)), 1
+        else:
+            phrase += draw(hst.integers(1, 2))
+        ids.append(f"{sentence}.{phrase}")
+    phrases = []
+    for pid in ids:
+        pause = draw(hst.none() | hst.floats(0, 5, allow_nan=False))
+        raw = {"id": pid, "sentence_final": draw(hst.booleans()), "pause_before": pause,
+               "text": draw(hst.lists(hst.sampled_from(["so", "the", "man", "um"]), min_size=1,
+                                      max_size=3))}
+        if draw(hst.booleans()):
+            raw["pause_truncated"] = pause is not None and draw(hst.booleans())
+        phrases.append(raw)
+    clauses = draw(hst.integers(1, 5))
+    ends = sorted(draw(hst.lists(hst.integers(0, count - 1), min_size=2 * clauses,
+                                 max_size=2 * clauses)))
+    first = draw(hst.integers(1, 30))
+    fics = []
+    for n in range(clauses):
+        nps = []
+        for _ in range(draw(hst.integers(0, 2))):
+            referent = draw(hst.integers(1, 4))
+            raw_np = {"form": draw(hst.sampled_from(["he", "the pears", "a goat"])),
+                      "referent": referent}
+            if draw(hst.booleans()):
+                raw_np["pronoun3"] = draw(hst.booleans())
+            if draw(hst.booleans()):
+                raw_np["inferential"] = draw(hst.lists(hst.tuples(
+                    hst.just(referent), hst.sampled_from(sorted(corpus.RELATION_TAGS)),
+                    hst.integers(1, 4)).map(list), max_size=2))
+            nps.append(raw_np)
+        fics.append({"index": first + n, "span": [ids[ends[2 * n]], ids[ends[2 * n + 1]]],
+                     "nps": nps})
+    return ({"narrative_id": "drawn", "phrases": phrases},
+            {"narrative_id": "drawn", "fics": fics})
+
+
+def _field_faults(table):
+    return [(key, value) for key, faults in table.items() for value, _ in faults]
+
+
+# Faults that stay inside one element: the walk names the first such element.
+LOCAL_FAULTS = {
+    "phrase": _field_faults(PHRASE_FAULTS) + [(None, value) for value, _ in NOT_OBJECTS],
+    "fic": _field_faults(FIC_FAULTS) + [(None, value) for value, _ in NOT_OBJECTS],
+    "np": _field_faults(NP_FAULTS) + [("inferential", rels) for rels in BAD_RELATIONS]
+          + [("inferential", [[99, "r1", 1]]), (None, [])],
+}
+
+
+def outcome(load, *args):
+    """What a loader gives: an equality-comparable object, or the error text."""
+    try:
+        loaded = load(*args)
+    except ValidationError as exc:
+        return type(exc).__name__, str(exc)
+    return loaded, getattr(loaded, "site_map", None)
+
+
+def walked(load, *args):
+    """The loader's outcome when the column pass always finds a fault."""
+    with mock.patch.object(corpus, "_columns", side_effect=KeyError):
+        return outcome(load, *args)
+
+
+class TestColumnPassAgreesWithTheWalk:
+    """The column pass is never looser than the per-element walk, nor names another fault."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(files=transcript_and_coding(), data=hst.data())
+    def test_planted_faults(self, files, data):
+        transcript, coding = files
+        target = data.draw(hst.sampled_from(["phrase", "fic", "np"]))
+        if target == "phrase":
+            doc, places = transcript, [("phrases", k) for k in range(len(transcript["phrases"]))]
+        else:
+            doc = coding
+            places = [("fics", n) for n in range(len(coding["fics"]))]
+            if target == "np":
+                places = [("fics", n, "nps", m) for n, fic in enumerate(coding["fics"])
+                          for m in range(len(fic["nps"]))]
+        faults = data.draw(hst.integers(0, min(2, len(places))))
+        chosen = sorted(data.draw(hst.sets(hst.integers(0, len(places) - 1),
+                                           min_size=faults, max_size=faults))) if faults else []
+        planted_docs = []
+        for k in chosen:
+            key, value = data.draw(hst.sampled_from(LOCAL_FAULTS[target]))
+            path = places[k] if key is None else (*places[k], key)
+            doc = planted(doc, path, value)
+            planted_docs.append(planted(transcript if target == "phrase" else coding,
+                                        path, value))
+        if target == "phrase":
+            load, args, first_alone = load_narrative, (dumps(doc),), (
+                (dumps(planted_docs[0]),) if planted_docs else None)
+        else:
+            narrative = load_narrative(dumps(transcript))
+            load, args, first_alone = load_fic_coding, (dumps(doc), narrative), (
+                (dumps(planted_docs[0]), narrative) if planted_docs else None)
+        got = outcome(load, *args)
+        assert got == walked(load, *args)
+        if not chosen:
+            # A valid file is built by the column pass alone.
+            with mock.patch.object(corpus, "_phrases_by_element", side_effect=AssertionError), \
+                    mock.patch.object(corpus, "_fics_by_element", side_effect=AssertionError):
+                assert outcome(load, *args) == got
+        elif len(chosen) == 2 and places[chosen[0]][:2] != places[chosen[1]][:2]:
+            # Two faults in different elements: the first in document order is named.
+            assert got == outcome(load, *first_alone)
