@@ -21,8 +21,8 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
-from itertools import chain, count, islice, repeat, starmap
-from operator import attrgetter, itemgetter, lt
+from itertools import chain, count, islice, repeat
+from operator import itemgetter, lt
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
@@ -120,7 +120,7 @@ class Narrative:
                 f"narrative {self.narrative_id}: needs at least 2 phrases "
                 f"(got {len(self.phrases)})",
             )
-        keys = list(map(attrgetter("id.sentence", "id.phrase"), self.phrases))
+        keys = [(p.id.sentence, p.id.phrase) for p in self.phrases]
         for k, in_order in enumerate(map(lt, keys, keys[1:])):
             if not in_order:
                 raise SchemaError(
@@ -128,7 +128,7 @@ class Narrative:
                     f"narrative {self.narrative_id}: phrase ids out of order "
                     f"({self.phrases[k].id} then {self.phrases[k + 1].id})"
                 )
-        self._index.update(zip(starmap("{}.{}".format, keys), count()))
+        self._index.update(zip(map("%s.%s".__mod__, keys), count()))
 
     @property
     def site_count(self) -> int:
@@ -389,7 +389,7 @@ def read_json(source) -> Any:
         raise SchemaError(location, f"not valid UTF-8: {exc}") from None
     except (ValueError, RecursionError) as exc:  # also over-long ints, deep nesting
         raise SchemaError(location, f"not valid JSON: {exc}") from None
-    if _SURROGATE_ESCAPE.search(raw):
+    if b"\\u" in raw and _SURROGATE_ESCAPE.search(raw):
         # Escaped pairs are fine; a lone surrogate could not be printed as UTF-8.
         try:
             json.dumps(data, ensure_ascii=False).encode("utf-8")
