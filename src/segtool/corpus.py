@@ -389,7 +389,7 @@ def read_json(source) -> Any:
         raise SchemaError(location, f"not valid UTF-8: {exc}") from None
     except (ValueError, RecursionError) as exc:  # also over-long ints, deep nesting
         raise SchemaError(location, f"not valid JSON: {exc}") from None
-    if b"\\u" in raw and _SURROGATE_ESCAPE.search(raw):
+    if _SURROGATE_ESCAPE.search(raw):
         # Escaped pairs are fine; a lone surrogate could not be printed as UTF-8.
         try:
             json.dumps(data, ensure_ascii=False).encode("utf-8")
