@@ -662,12 +662,12 @@ def load_fic_coding(source, narrative: Narrative) -> FicCoding:
         ids, sizes = [p.id for p in narrative.phrases], list(map(len, raw_nps))
         nps = map(
             ReferentialNp, chain.from_iterable(map(repeat, indices, sizes)), forms, referents,
-            pronoun3s, map(frozenset, map(map, repeat(tuple), raw_rels)),
+            pronoun3s, [frozenset(map(tuple, rels)) for rels in raw_rels],
         )
-        fics = list(map(
-            Fic, indices, zip(map(ids.__getitem__, ends[::2]), map(ids.__getitem__, ends[1::2])),
-            map(tuple, map(islice, repeat(nps), sizes)),
-        ))
+        fics = [
+            Fic(index, (ids[start], ids[end]), tuple(islice(nps, size)))
+            for index, (start, end), size in zip(indices, spans, sizes)
+        ]
     except _FAULTS:
         fics, spans = _fics_by_element(raw_fics, narrative)
     return FicCoding(narrative_id, tuple(fics), _build_site_map(fics, narrative, spans))
