@@ -33,8 +33,9 @@ from .errors import SchemaError, ValidationError
 RELATION_TAGS = frozenset({"r1", "r2", "r3", "r4", "r5"})
 # A \uD800-\uDFFF escape, which may leave a lone surrogate in a string.
 _SURROGATE_ESCAPE = re.compile(rb"\\u[dD][89a-fA-F]")
-# The canonical "sentence.phrase" text, the only one str(PhraseId) gives.
-_PHRASE_ID = re.compile(r"[1-9][0-9]*\.[1-9][0-9]*")
+# The canonical "sentence.phrase" text, the only one str(PhraseId) gives; each
+# part has at most 4300 digits, the most int() reads by default.
+_PHRASE_ID = re.compile(r"[1-9][0-9]{0,4299}\.[1-9][0-9]{0,4299}")
 _ID_PROBLEM = "phrase id must look like 's.p', e.g. '3.1': {!r}"
 
 
@@ -61,8 +62,10 @@ class PhraseId:
     def parse(cls, text: str) -> "PhraseId":
         """Read the canonical form only, so str() gives back the same text."""
         if isinstance(text, str) and _PHRASE_ID.fullmatch(text):
-            sentence, phrase = text.split(".")
-            return cls(int(sentence), int(phrase))
+            try:
+                return cls(*map(int, text.split(".")))
+            except ValueError:  # a part past a lowered int() digit limit
+                pass
         raise ValidationError(_ID_PROBLEM.format(text))
 
 
@@ -401,11 +404,7 @@ def read_json(source) -> Any:
 
 def _nonempty_strings(values: list) -> bool:
     """Every item is a non-empty string, tested in C rather than per item."""
-    try:
-        "".join(values)
-    except TypeError:  # an item that is no string
-        return False
-    return "" not in values
+    return set(map(type, values)) <= {str} and "" not in values
 
 
 def _one_line(text: str) -> bool:
@@ -602,12 +601,13 @@ def _build_site_map(
                 f"{cur.phrase_span[0]}, before clause {prev.index} ends at "
                 f"{prev.phrase_span[1]}"
             )
-        # A junction between phrases projects to the site before the later
-        # clause; one inside a phrase to the site at the phrase's end, which
-        # does not exist when the shared phrase is the last one.
-        intra = start_idx == end_idx
-        site = start_idx if intra else start_idx - 1
-        site_map[(prev.index, cur.index)] = SiteMapping(site if site <= last_site else None, intra)
+        if start_idx == end_idx:
+            # Junction inside one phrase: project to the site at its end,
+            # which does not exist when the shared phrase is the last one.
+            site = start_idx if start_idx <= last_site else None
+            site_map[(prev.index, cur.index)] = SiteMapping(site, intra_phrase=True)
+        else:
+            site_map[(prev.index, cur.index)] = SiteMapping(start_idx - 1, intra_phrase=False)
     return site_map
 
 

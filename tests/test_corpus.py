@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -77,6 +78,32 @@ class TestPhraseId:
     def test_parts_must_be_positive(self):
         with pytest.raises(ValidationError, match="must be positive"):
             PhraseId(0, 1)
+
+    def test_parts_have_at_most_the_digits_int_reads_by_default(self):
+        assert str(PhraseId.parse("9" * 4300 + ".1")) == "9" * 4300 + ".1"
+        for bad in ("1" * 4301 + ".1", "1." + "1" * 4301):
+            with pytest.raises(ValidationError, match="phrase id must look like"):
+                PhraseId.parse(bad)
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit")
+    def test_an_id_past_a_lowered_int_digit_limit_is_a_schema_error(self):
+        long_id = "1" * 1000 + ".1"
+        transcript = toy_transcript()
+        transcript["phrases"][0]["id"] = long_id
+        coding = toy_coding()
+        coding["fics"][0]["span"][1] = long_id
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            with pytest.raises(ValidationError, match="phrase id must look like"):
+                PhraseId.parse(long_id)
+            with pytest.raises(SchemaError, match=r"^phrases\[0\]"):
+                load_narrative(dumps(transcript))
+            narrative = load_narrative(dumps(toy_transcript()))
+            with pytest.raises(SchemaError, match=r"^fics\[0\]\.span: phrase id must look"):
+                load_fic_coding(dumps(coding), narrative)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestNarrativeLoading:
@@ -580,12 +607,15 @@ def planted(doc, path, value):
 
 ID_TEXT = "phrase id must look like 's.p', e.g. '3.1': "
 LISTS = "expected a non-empty list of non-empty strings"
+# Canonical in form, but its sentence part is past int()'s 4300-digit limit.
+LONG_ID = "1" * 4301 + ".1"
 # Each element field's faults as (value, problem). The problems are the
 # per-element walk's texts, which the column pass must not change.
 PHRASE_FAULTS = {
     "id": [(DELETE, "missing field"), (11, ID_TEXT + "11"), (["1.1"], ID_TEXT + "['1.1']"),
            (True, ID_TEXT + "True"), ("03.1", ID_TEXT + "'03.1'"), ("1.1 ", ID_TEXT + "'1.1 '"),
-           ("+1.1", ID_TEXT + "'+1.1'"), ("1_0.1", ID_TEXT + "'1_0.1'"), ("0.1", ID_TEXT + "'0.1'")],
+           ("+1.1", ID_TEXT + "'+1.1'"), ("1_0.1", ID_TEXT + "'1_0.1'"), ("0.1", ID_TEXT + "'0.1'"),
+           (LONG_ID, ID_TEXT + repr(LONG_ID))],
     "sentence_final": [(DELETE, "missing field"), ("yes", "expected true or false"),
                        (1, "expected true or false"), (None, "expected true or false")],
     "pause_before": [(DELETE, "missing field"), ("long", "expected number or null"),
@@ -606,6 +636,7 @@ FIC_FAULTS = {
              (["1.1", None], ID_TEXT + "None"), ([["1.1"], "1.1"], ID_TEXT + "['1.1']"),
              (["03.1", "1.1"], ID_TEXT + "'03.1'"), (["1.1", "1.1 "], ID_TEXT + "'1.1 '"),
              (["+1.1", "1.1"], ID_TEXT + "'+1.1'"), (["1_0.1", "1.1"], ID_TEXT + "'1_0.1'"),
+             (["1.1", LONG_ID], ID_TEXT + repr(LONG_ID)),
              (["8.8", "8.8"], "narrative toy: no phrase 8.8"),
              (["1.1", "9.9"], "narrative toy: no phrase 9.9")],
     "nps": [(DELETE, "missing field"), ("he", "expected a list"), ({}, "expected a list"),
@@ -694,7 +725,8 @@ def coding_faults():
 
 
 def _case_id(case):
-    return case[1]
+    message = case[1]
+    return message if len(message) < 200 else message[:80] + "..."
 
 
 class TestEverySingleFaultIsNamed:
