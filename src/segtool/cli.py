@@ -20,7 +20,7 @@ from .errors import DegenerateDataError, ValidationError
 from .evaluation import METRIC_NAMES, confusion, evaluate_humans, metrics, resolve_target
 from .render import PVALUE, RATIO, VARIANCE, num, sites_text, to_json, tsv
 from .report import BatchItem, build_report
-from .segmenters import CueLexicon, cue_segment, normalize_to_sites, np_segment, pause_segment
+from .segmenters import CueLexicon, segment_by
 from .significance import MAX_TRIALS, cochran_q, null_calibration
 
 # Each optional input of segment and eval belongs to exactly one --method.
@@ -71,115 +71,76 @@ def _check_method_flags(args) -> None:
 
 def _predict(args, narrative):
     """The --method's boundary set, plus the clause segmentation for np."""
-    if args.method == "np":
-        coding = load_fic_coding(args.coding, narrative)
-        segmentation = np_segment(coding)
-        return normalize_to_sites(segmentation, coding), segmentation
-    if args.method == "cue":
-        lexicon = None if args.cues is None else CueLexicon.from_file(args.cues)
-        return cue_segment(narrative, lexicon), None
-    return pause_segment(narrative), None
+    coding = None if args.coding is None else load_fic_coding(args.coding, narrative)
+    lexicon = None if args.cues is None else CueLexicon.from_file(args.cues)
+    return segment_by(args.method, narrative, coding, lexicon)
 
 
 # ---------------------------------------------------------------------------
 # Subcommand handlers, each returning the full stdout payload.
 
 
+def _output(args, payload: dict, *blocks) -> str:
+    """The --json payload or the TSV blocks, whichever args.format asks for."""
+    return to_json(payload) if args.format == "json" else tsv(*blocks)
+
+
 def _cmd_agree(args) -> str:
     report = percent_agreement(_load_pair(args)[1], args.threshold)
-    classes = (  # TSV label, JSON key, observed, possible, percent
-        ("all", "total", report.observed, report.possible, report.percent),
-        ("boundary", "boundary", report.observed_boundary, report.possible_boundary,
-         report.percent_boundary),
-        ("non_boundary", "non_boundary", report.observed_non_boundary,
-         report.possible_non_boundary, report.percent_non_boundary),
-    )
-    if args.format == "json":
-        return to_json({
-            "narrative_id": report.narrative_id,
-            "subjects": report.subjects,
-            "sites": report.sites,
-            "threshold": report.threshold,
-            **{
-                key: {"observed": observed, "possible": possible, "percent": percent}
-                for _, key, observed, possible, percent in classes
-            },
-        })
-    return tsv([
-        ["narrative", "class", "observed", "possible", "percent"],
-        *[
-            [report.narrative_id, label, observed, possible, num(percent)]
-            for label, _, observed, possible, percent in classes
-        ],
-    ])
+    payload = {
+        "narrative_id": report.narrative_id,
+        "subjects": report.subjects,
+        "sites": report.sites,
+        "threshold": report.threshold,
+    }
+    rows = [["narrative", "class", "observed", "possible", "percent"]]
+    for label, key, suffix in (  # TSV label, JSON key, report attribute suffix
+        ("all", "total", ""),
+        ("boundary", "boundary", "_boundary"),
+        ("non_boundary", "non_boundary", "_non_boundary"),
+    ):
+        observed, possible, percent = (
+            getattr(report, stat + suffix) for stat in ("observed", "possible", "percent")
+        )
+        payload[key] = {"observed": observed, "possible": possible, "percent": percent}
+        rows.append([report.narrative_id, label, observed, possible, num(percent)])
+    return _output(args, payload, rows)
 
 
 def _cmd_strengths(args) -> str:
     narrative, matrix = _load_pair(args)
     strengths = boundary_strengths(matrix)
-    levels = range(1, matrix.subjects + 1)
-    labels = {
-        (t, kind): getattr(strengths, kind)(t).labels(narrative)
-        for t in levels
-        for kind in ("exact", "cumulative")
+    levels = []
+    rows = [["strength", "kind", "count", "sites"]]
+    for t in range(1, matrix.subjects + 1):
+        level = {"strength": t}
+        for kind in ("exact", "cumulative"):
+            sites = getattr(strengths, kind)(t).labels(narrative)
+            level[kind] = {"count": len(sites), "sites": sites}
+            rows.append([t, kind, len(sites), sites_text(sites)])
+        levels.append(level)
+    payload = {
+        "narrative_id": matrix.narrative_id,
+        "subjects": matrix.subjects,
+        "sites": matrix.sites,
+        "strengths": levels,
     }
-    if args.format == "json":
-        return to_json({
-            "narrative_id": matrix.narrative_id,
-            "subjects": matrix.subjects,
-            "sites": matrix.sites,
-            "strengths": [
-                {
-                    "strength": t,
-                    **{
-                        kind: {"count": len(labels[t, kind]), "sites": labels[t, kind]}
-                        for kind in ("exact", "cumulative")
-                    },
-                }
-                for t in levels
-            ],
-        })
-    return tsv([
-        ["strength", "kind", "count", "sites"],
-        *[[t, kind, len(sites), sites_text(sites)] for (t, kind), sites in labels.items()],
-    ])
+    return _output(args, payload, rows)
 
 
 def _cmd_cochran(args) -> str:
     matrix = _load_pair(args)[1]
     result = cochran_q(matrix, component_df=args.component_df)
     components = result.components.values()  # built in ascending strength
-    calibration = None
-    if args.calibrate is not None:
-        calibration = null_calibration(
-            [int(x) for x in matrix.row_totals],
-            matrix.sites,
-            trials=args.calibrate,
-            seed=args.seed,
-            observed_q=result.q,
-        )
-    if args.format == "json":
-        payload = {
-            "narrative_id": matrix.narrative_id,
-            "q": result.q,
-            "df": result.df,
-            "p": result.p,
-            "components": [
-                {key: getattr(c, attr) for key, attr, _ in _COMPONENT_FIELDS} for c in components
-            ],
-        }
-        if calibration is not None:
-            payload["calibration"] = {
-                "trials": calibration.trials,
-                "seed": calibration.seed,
-                "degenerate_trials": calibration.degenerate_trials,
-                "quantiles": {num(k): v for k, v in calibration.quantiles.items()},
-                "chi_square_quantiles": {
-                    num(k): v for k, v in calibration.reference_quantiles.items()
-                },
-                **{name: getattr(calibration, name) for name in _CALIBRATION_STATS},
-            }
-        return to_json(payload)
+    payload = {
+        "narrative_id": matrix.narrative_id,
+        "q": result.q,
+        "df": result.df,
+        "p": result.p,
+        "components": [
+            {key: getattr(c, attr) for key, attr, _ in _COMPONENT_FIELDS} for c in components
+        ],
+    }
     blocks = [
         [["statistic", "value"], ["q", num(result.q)], ["df", result.df],
          ["p", num(result.p, PVALUE)]],
@@ -189,7 +150,24 @@ def _cmd_cochran(args) -> str:
                for _, attr, spec in _COMPONENT_FIELDS] for c in components],
         ],
     ]
-    if calibration is not None:
+    if args.calibrate is not None:
+        calibration = null_calibration(
+            [int(x) for x in matrix.row_totals],
+            matrix.sites,
+            trials=args.calibrate,
+            seed=args.seed,
+            observed_q=result.q,
+        )
+        payload["calibration"] = {
+            "trials": calibration.trials,
+            "seed": calibration.seed,
+            "degenerate_trials": calibration.degenerate_trials,
+            "quantiles": {num(k): v for k, v in calibration.quantiles.items()},
+            "chi_square_quantiles": {
+                num(k): v for k, v in calibration.reference_quantiles.items()
+            },
+            **{name: getattr(calibration, name) for name in _CALIBRATION_STATS},
+        }
         blocks.append([
             [f"# calibration trials={calibration.trials} seed={calibration.seed}"],
             ["level", "empirical_q", "chi_square_q"],
@@ -200,7 +178,7 @@ def _cmd_cochran(args) -> str:
             *[[name, num(getattr(calibration, name), spec), ""]
               for name, spec in _CALIBRATION_STATS.items()],
         ])
-    return tsv(*blocks)
+    return _output(args, payload, *blocks)
 
 
 def _cmd_segment(args) -> str:
@@ -209,44 +187,34 @@ def _cmd_segment(args) -> str:
     boundaries, segmentation = _predict(args, narrative)
     sites = sorted(boundaries.sites)
     labels = boundaries.labels(narrative)
-    if args.format == "json":
-        payload = {
-            "narrative_id": narrative.narrative_id,
-            "method": args.method,
-            "sites": sites,
-            "pairs": labels,
-        }
-        if segmentation is not None:
-            payload["clause_boundaries"] = segmentation.boundaries
-        if args.trace:
-            payload["trace"] = [
-                {
-                    "fic": step.fic,
-                    "tests": step.tests,
-                    "linked_by": step.linked_by,
-                    **{key: getattr(step, key) for key in _TRACE_SETS},
-                }
-                for step in segmentation.trace
-            ]
-        return to_json(payload)
+    payload = {
+        "narrative_id": narrative.narrative_id,
+        "method": args.method,
+        "sites": sites,
+        "pairs": labels,
+    }
     blocks = [[["site", "pair"], *zip(sites, labels)]]
     if segmentation is not None:
+        payload["clause_boundaries"] = segmentation.boundaries
         blocks.append([["# clause_boundaries"], ["left", "right"], *segmentation.boundaries])
     if args.trace:
-        blocks.append([
-            ["# trace"],
-            ["fic", "tests", "linked_by", *_TRACE_SETS.values()],
-            *[
-                [
-                    step.fic,
-                    ",".join(f"{name}:{'pass' if ok else 'fail'}" for name, ok in step.tests),
-                    step.linked_by or "boundary",
-                    *[sites_text(sorted(getattr(step, key))) for key in _TRACE_SETS],
-                ]
-                for step in segmentation.trace
-            ],
-        ])
-    return tsv(*blocks)
+        steps = payload["trace"] = []
+        rows = [["# trace"], ["fic", "tests", "linked_by", *_TRACE_SETS.values()]]
+        for step in segmentation.trace:
+            steps.append({
+                "fic": step.fic,
+                "tests": step.tests,
+                "linked_by": step.linked_by,
+                **{key: getattr(step, key) for key in _TRACE_SETS},
+            })
+            rows.append([
+                step.fic,
+                ",".join(f"{name}:{'pass' if ok else 'fail'}" for name, ok in step.tests),
+                step.linked_by or "boundary",
+                *[sites_text(sorted(getattr(step, key))) for key in _TRACE_SETS],
+            ])
+        blocks.append(rows)
+    return _output(args, payload, *blocks)
 
 
 def _cmd_eval(args) -> str:
@@ -261,38 +229,33 @@ def _cmd_eval(args) -> str:
         )
         mode = human.mode
         scored = [(s.subject_id, s.counts, s.scores) for s in human.per_subject]
-    else:
-        target, mode = resolve_target(boundary_strengths(matrix), args.threshold, args.exact)
-        counts = confusion(_predict(args, narrative)[0], target.nonzero()[0], matrix.sites)
-        scored = [("algorithm", counts, metrics(counts))]
-    if args.format == "json":
-        head = {"narrative_id": matrix.narrative_id, "method": args.method, "target": mode}
-        if args.method != "humans":
-            _, counts, scores = scored[0]
-            return to_json({**head, "confusion": counts, "metrics": scores.as_dict()})
-        return to_json({
-            **head,
+        results = {
             "subjects": [
                 {"subject": unit, "confusion": counts, "metrics": scores.as_dict()}
                 for unit, counts, scores in scored
             ],
             "summary": human.summary,
-        })
+        }
+        summary_rows = [
+            [label, "", "", "", "",
+             *[num(getattr(human.summary[name], label), spec) for name in METRIC_NAMES]]
+            for label, spec in (("mean", RATIO), ("variance", VARIANCE))
+        ]
+    else:
+        target, mode = resolve_target(boundary_strengths(matrix), args.threshold, args.exact)
+        counts = confusion(_predict(args, narrative)[0], target.nonzero()[0], matrix.sites)
+        scores = metrics(counts)
+        scored = [("algorithm", counts, scores)]
+        results = {"confusion": counts, "metrics": scores.as_dict()}
+        summary_rows = []
     lead = [matrix.narrative_id, args.method, mode]
-    rows = [
-        [*lead, unit, counts.a, counts.b, counts.c, counts.d,
-         *[num(v) for v in scores.as_dict().values()]]
-        for unit, counts, scores in scored
-    ]
-    if args.method == "humans":
-        for label, spec in (("mean", RATIO), ("variance", VARIANCE)):
-            rows.append([
-                *lead, label, "", "", "", "",
-                *[num(getattr(human.summary[name], label), spec) for name in METRIC_NAMES],
-            ])
-    return tsv(
-        [["narrative", "method", "target", "unit", "a", "b", "c", "d", *METRIC_NAMES], *rows]
-    )
+    payload = {"narrative_id": matrix.narrative_id, "method": args.method, "target": mode}
+    return _output(args, {**payload, **results}, [
+        ["narrative", "method", "target", "unit", "a", "b", "c", "d", *METRIC_NAMES],
+        *[[*lead, unit, counts.a, counts.b, counts.c, counts.d,
+           *[num(v) for v in scores.as_dict().values()]] for unit, counts, scores in scored],
+        *[[*lead, *row] for row in summary_rows],
+    ])
 
 
 def _cmd_report(args) -> str:

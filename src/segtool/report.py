@@ -37,9 +37,7 @@ from .evaluation import (
     site_mask,
 )
 from .render import MEAN_COUNT, VARIANCE, num, to_json, tsv
-from .segmenters import (
-    CueLexicon, cue_segment, default_cue_lexicon, normalize_to_sites, np_segment, pause_segment,
-)
+from .segmenters import CueLexicon, default_cue_lexicon, segment_by
 
 METHODS = ("np", "cue", "pause", "humans")
 
@@ -166,16 +164,6 @@ class Report:
         return tsv(agreement, methods, strengths)
 
 
-def _predictions(item: BatchItem, lexicon: CueLexicon):
-    out = {
-        "cue": cue_segment(item.narrative, lexicon),
-        "pause": pause_segment(item.narrative),
-    }
-    if item.coding is not None:
-        out["np"] = normalize_to_sites(np_segment(item.coding), item.coding)
-    return out
-
-
 def build_report(
     items,
     cue_lexicon: CueLexicon | None = None,
@@ -220,13 +208,12 @@ def build_report(
         # One product scores every subject and segmenter against the pooled
         # target (column 0) and the sites of each exact strength t (column t).
         target, _ = resolve_target(boundary_strengths(matrix), threshold, None)
-        predictions = _predictions(item, lexicon)
         own_levels = np.arange(1, matrix.subjects + 1)
         targets = np.column_stack([target, matrix.column_totals[:, None] == own_levels])
-        units = {
-            "humans": matrix.cells,
-            **{m: site_mask(p, matrix.sites, "predicted")[None, :] for m, p in predictions.items()},
-        }
+        units = {"humans": matrix.cells}
+        for method in ("cue", "pause") if item.coding is None else ("np", "cue", "pause"):
+            boundaries = segment_by(method, item.narrative, item.coding, lexicon)[0]
+            units[method] = site_mask(boundaries, matrix.sites, "predicted")[None, :]
         table = np.stack(confusion_table(np.vstack(list(units.values())), targets))
         bounds = np.cumsum([len(rows) for rows in units.values()])[:-1]
         for method, block in zip(units, np.split(table, bounds, axis=1)):

@@ -78,7 +78,7 @@ class CueLexicon:
         """Read one word per line; blank lines and # comments are skipped."""
         words = set()
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            text = Path(path).read_text(encoding="utf-8-sig")
         except UnicodeDecodeError as exc:
             raise ValidationError(f"{path}: not valid UTF-8: {exc}") from None
         for lineno, line in enumerate(text.splitlines(), start=1):
@@ -101,16 +101,17 @@ def default_cue_lexicon() -> CueLexicon:
     return CueLexicon.from_file(str(path), label="builtin")
 
 
+def _phrase_sites(narrative: Narrative, test) -> BoundarySet:
+    """The site before every phrase after the first that passes test."""
+    sites = [site for site, phrase in enumerate(narrative.phrases[1:]) if test(phrase)]
+    return BoundarySet.of(narrative.narrative_id, sites)
+
+
 def cue_segment(narrative: Narrative, lexicon: CueLexicon | None = None) -> BoundarySet:
     """Mark a boundary before every phrase that opens with a cue word."""
     if lexicon is None:
         lexicon = default_cue_lexicon()
-    sites = set()
-    for k, phrase in enumerate(narrative.phrases[1:], start=1):
-        word = first_lexical_token(phrase.text)
-        if word is not None and word in lexicon:
-            sites.add(k - 1)
-    return BoundarySet.of(narrative.narrative_id, sites)
+    return _phrase_sites(narrative, lambda phrase: first_lexical_token(phrase.text) in lexicon)
 
 
 def pause_segment(narrative: Narrative) -> BoundarySet:
@@ -119,12 +120,12 @@ def pause_segment(narrative: Narrative) -> BoundarySet:
     Presence is all that matters; durations are not thresholded. A
     truncated measurement counts as present whatever its recorded value.
     """
-    sites = set()
-    for k, phrase in enumerate(narrative.phrases[1:], start=1):
+
+    def paused(phrase) -> bool:
         pause = phrase.pause_before
-        if pause is not None and (pause > 0 or phrase.pause_truncated):
-            sites.add(k - 1)
-    return BoundarySet.of(narrative.narrative_id, sites)
+        return pause is not None and (pause > 0 or phrase.pause_truncated)
+
+    return _phrase_sites(narrative, paused)
 
 
 @dataclass(frozen=True)
@@ -262,3 +263,26 @@ def normalize_to_sites(
         if mapping.site is not None:
             sites.add(mapping.site)
     return BoundarySet.of(coding.narrative_id, sites)
+
+
+def segment_by(
+    method: str,
+    narrative: Narrative,
+    coding: FicCoding | None = None,
+    lexicon: CueLexicon | None = None,
+) -> tuple[BoundarySet, NpSegmentation | None]:
+    """The boundary set of method np, cue or pause, plus the clause segmentation for np.
+
+    np reads only the coding, cue the narrative and the lexicon (the
+    builtin one when None), pause the narrative.
+    """
+    if method == "np":
+        if coding is None:
+            raise ValidationError("method np needs a clause coding")
+        segmentation = np_segment(coding)
+        return normalize_to_sites(segmentation, coding), segmentation
+    if method == "cue":
+        return cue_segment(narrative, lexicon), None
+    if method == "pause":
+        return pause_segment(narrative), None
+    raise ValidationError(f"unknown segmentation method {method!r}")

@@ -65,6 +65,11 @@ class TestMajority:
         assert majority_threshold(5) == 3
         assert majority_threshold(1) == 1
 
+    @pytest.mark.parametrize("subjects", [0, -3])
+    def test_threshold_needs_a_subject(self, subjects):
+        with pytest.raises(ValidationError, match="^subject count must be positive$"):
+            majority_threshold(subjects)
+
     def test_fixture_majority_sites(self, pear9):
         _, matrix = pear9
         assert percent_agreement(matrix).threshold == 4

@@ -254,6 +254,16 @@ class TestSegment:
         assert rc == 0
         assert out == "site\tpair\n9\t8.3→8.4\n"
 
+    def test_cue_file_with_byte_order_mark(self, data, tmp_path):
+        outputs = []
+        for name, prefix in (("plain.txt", b""), ("marked.txt", b"\xef\xbb\xbf")):
+            (tmp_path / name).write_bytes(prefix + b"and\nso\n")
+            outputs.append(invoke(
+                "segment", "--method", "cue", "--cues", str(tmp_path / name),
+                "--narrative", str(data / "pear9_excerpt_narrative.json"),
+            ))
+        assert outputs[1] == outputs[0] == (0, "site\tpair\n1\t4.1→4.2\n10\t8.4→9.1\n", "")
+
     def test_pause(self, data):
         rc, out, _ = invoke(
             "segment", "--method", "pause", "--json",

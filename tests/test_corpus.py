@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import copy
+import io
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -17,6 +19,7 @@ from segtool import corpus
 from segtool import (
     AnnotationMatrix,
     BoundarySet,
+    Fic,
     PhraseId,
     ProsodicPhrase,
     SchemaError,
@@ -186,14 +189,23 @@ class TestNarrativeLoading:
         with pytest.raises(ValidationError, match="^pause_before: expected number or null$"):
             ProsodicPhrase(PhraseId(1, 1), ("word",), True, 10**400)
 
+    def test_streams_read_like_bytes(self):
+        raw = dumps(narrative_doc())
+        expected = corpus.read_json(raw)
+        assert corpus.read_json(io.BytesIO(raw)) == expected
+        assert corpus.read_json(io.StringIO(raw.decode("utf-8"))) == expected
+        with pytest.raises(TypeError, match="^cannot read JSON from int$"):
+            corpus.read_json(3)
+
     def test_not_json(self):
         with pytest.raises(SchemaError):
             load_narrative(b"{not json")
 
     @pytest.mark.parametrize(
         "text",
-        [b'{"narrative_id": 1' + b"0" * 5000 + b"}", b"[" * 100_000 + b"]" * 100_000],
-        ids=["int-past-digit-limit", "nested-too-deep"],
+        [b'{"narrative_id": 1' + b"0" * 5000 + b"}", b"[" * 100_000 + b"]" * 100_000,
+         b"\xef\xbb\xbf" + dumps(narrative_doc())],
+        ids=["int-past-digit-limit", "nested-too-deep", "byte-order-mark"],
     )
     def test_json_python_cannot_read(self, text):
         with pytest.raises(SchemaError, match="^<file>: not valid JSON: "):
@@ -303,6 +315,20 @@ class TestAnnotationLoading:
         with pytest.raises(SchemaError):
             load_annotations(dumps(doc), narrative)
 
+    @pytest.mark.parametrize("change, message", [
+        (lambda doc: doc.update(subjects="s1"), "subjects: expected a list of non-empty strings"),
+        (lambda doc: doc.update(subjects=3), "subjects: expected a list of non-empty strings"),
+        (lambda doc: doc["matrix"][0].pop(), "matrix[0]: expected 11 cells"),
+        (lambda doc: doc["matrix"].pop(), "matrix: expected 7 rows"),
+    ], ids=["subjects-string", "subjects-number", "short-first-row", "missing-row"])
+    def test_panel_shape_named(self, pear9, change, message):
+        narrative, matrix = pear9
+        doc = serialize_annotations(matrix)
+        change(doc)
+        with pytest.raises(SchemaError) as excinfo:
+            load_annotations(dumps(doc), narrative)
+        assert str(excinfo.value) == message
+
     def test_empty_panel_names_subjects(self):
         narrative = load_narrative(dumps(narrative_doc(n_phrases=2)))
         doc = {"narrative_id": "toy", "subjects": [], "sites": 1, "matrix": []}
@@ -372,6 +398,11 @@ class TestAnnotationMatrixConstruction:
             AnnotationMatrix("m", ["a", "b"], [[0, 1], row])
         assert str(excinfo.value) == "matrix[1]: expected 2 cells"
 
+    def test_empty_first_row_named(self):
+        with pytest.raises(ValidationError) as excinfo:
+            AnnotationMatrix("n", ["s"], [[]])
+        assert str(excinfo.value) == "matrix[0]: expected a non-empty list of cells"
+
     def test_integer_arrays_construct(self):
         cells = np.random.default_rng(5).integers(0, 2, size=(4, 6))
         matrix = AnnotationMatrix("m", ["a", "b", "c", "d"], cells)
@@ -397,6 +428,13 @@ class TestManifestLoading:
         )
         assert manifest.cues == tmp_path / "cues.txt"
         assert manifest.format == "tsv"
+
+    @pytest.mark.parametrize("entry", [3, "n.json", None, ["n.json", "a.json"]])
+    def test_item_that_is_no_object(self, entry):
+        manifest = load_manifest(dumps({"items": [entry]}))
+        with pytest.raises(ValidationError) as excinfo:
+            next(manifest.items())
+        assert str(excinfo.value) == "items[0]: each item needs narrative and annotations paths"
 
     def test_fields_are_checked_when_read(self):
         doc = {"items": [{"narrative": "n.json", "annotations": "a.json"}, {"narrative": 5}],
@@ -515,6 +553,13 @@ class TestFicCodingLoading:
         with pytest.raises(SchemaError):
             load_fic_coding(dumps(doc), narrative)
 
+    def test_np_tagged_for_another_fic(self, three_link):
+        _, coding = three_link
+        fic = coding.fics[0]
+        with pytest.raises(ValidationError) as excinfo:
+            Fic(fic.index, fic.phrase_span, (replace(fic.nps[0], fic=fic.index + 1),))
+        assert str(excinfo.value) == "fic 1: NP 'a truck' tagged for fic 2"
+
     def test_id_mismatch(self, three_link):
         narrative, coding = three_link
         doc = serialize_fic_coding(coding)
@@ -533,6 +578,12 @@ class TestBoundarySet:
         narrative, _ = pear9
         with pytest.raises(ValidationError):
             BoundarySet.of("elsewhere", {0}).labels(narrative)
+
+    @pytest.mark.parametrize("site", [-1, 1.0, "1"])
+    def test_bad_site_index(self, site):
+        with pytest.raises(ValidationError) as excinfo:
+            BoundarySet("n", frozenset({site}))
+        assert str(excinfo.value) == f"bad site index {site!r}"
 
     def test_site_bounds_checked(self, pear9):
         narrative, _ = pear9
@@ -660,8 +711,12 @@ NP_PLACES = ((0, 0), (2, 1), (4, 1))
 
 
 def transcript_faults():
-    """(document, the message) for every single phrase fault."""
+    """(document, the message) for every single top-level and phrase fault."""
     base = toy_transcript()
+    for value in (3, None, ""):
+        yield planted(base, ("narrative_id",), value), "narrative_id: expected a non-empty string"
+    for value in ("1.1", {}):
+        yield planted(base, ("phrases",), value), "phrases: expected a list"
     for k in FIRST_MIDDLE_LAST:
         at = f"phrases[{k}]"
         for key, faults in PHRASE_FAULTS.items():
@@ -680,8 +735,10 @@ def transcript_faults():
 
 
 def coding_faults():
-    """(document, the message) for every single clause, NP and relation fault."""
+    """(document, the message) for every single top-level, clause, NP and relation fault."""
     base = toy_coding()
+    for value in ({}, []):
+        yield planted(base, ("fics",), value), "fics: expected a non-empty list"
     for n in FIRST_MIDDLE_LAST:
         at = f"fics[{n}]"
         for key, faults in FIC_FAULTS.items():
@@ -721,6 +778,9 @@ def coding_faults():
         )
         yield planted(base, ("fics", n, "nps", m, "referent"), 0), (
             f"{at}: fic {n + 1} NP '{form}': referent must be positive"
+        )
+        yield planted(base, ("fics", n, "nps", m, "inferential"), [[referent, "r1", 0]]), (
+            f"{at}: fic {n + 1} NP '{form}': relation target must be positive"
         )
 
 

@@ -31,6 +31,7 @@ from segtool import (
     normalize_to_sites,
     np_segment,
     pause_segment,
+    render,
 )
 
 F = Fraction
@@ -225,6 +226,10 @@ class TestRendering:
         second = build_report(batch)
         assert first.to_tsv() == second.to_tsv()
         assert first.to_json() == second.to_json()
+
+    def test_unrenderable_value_refused(self):
+        with pytest.raises(TypeError, match="^cannot render object as JSON$"):
+            render.to_json({"cell": object()})
 
     def test_threshold_override_is_labelled(self, batch):
         report = build_report(batch, threshold=1)

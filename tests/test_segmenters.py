@@ -26,7 +26,7 @@ from segtool import (
     pause_segment,
 )
 from segtool.corpus import _build_site_map
-from segtool.segmenters import first_lexical_token, normalize_token
+from segtool.segmenters import first_lexical_token, normalize_token, segment_by
 
 
 def phrase(pid, tokens, pause=None, truncated=False, final=True):
@@ -110,6 +110,12 @@ class TestCueLexicon:
         path.write_text("# comment\nAnd\nwell  # trailing\n\nnow\n")
         lexicon = CueLexicon.from_file(path)
         assert lexicon.words == frozenset({"and", "well", "now"})
+
+    def test_byte_order_mark_is_not_part_of_the_first_word(self, tmp_path):
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_bytes(b"and\nso\n")
+        marked.write_bytes(b"\xef\xbb\xbfand\nso\n")
+        assert CueLexicon.from_file(marked).words == CueLexicon.from_file(plain).words
 
     def test_rejects_empty(self, tmp_path):
         path = tmp_path / "cues.txt"
@@ -381,6 +387,29 @@ class TestNpSegmenter:
                 )
             )
         assert len(payloads) == 1
+
+
+class TestSegmentBy:
+    def test_each_method_runs_its_segmenter(self, three_link):
+        narrative, coding = three_link
+        lexicon = CueLexicon(frozenset({"and"}))
+        segmentation = np_segment(coding)
+        assert segment_by("np", narrative, coding) == (
+            normalize_to_sites(segmentation, coding), segmentation
+        )
+        assert segment_by("cue", narrative, lexicon=lexicon) == (
+            cue_segment(narrative, lexicon), None
+        )
+        assert segment_by("cue", narrative) == (cue_segment(narrative), None)
+        assert segment_by("pause", narrative) == (pause_segment(narrative), None)
+
+    def test_unknown_method(self, pear9):
+        with pytest.raises(ValidationError, match="^unknown segmentation method 'humans'$"):
+            segment_by("humans", pear9[0])
+
+    def test_np_needs_a_coding(self, pear9):
+        with pytest.raises(ValidationError, match="^method np needs a clause coding$"):
+            segment_by("np", pear9[0])
 
 
 class TestNormalizeToSites:

@@ -123,6 +123,18 @@ class TestChiSquareTail:
         with pytest.raises(ValidationError):
             chi_square_sf(float("nan"), 3)
 
+    @pytest.mark.parametrize("tail, df", [(1e-12, 1), (1e-300, 2), (1e-15, 999)])
+    def test_critical_far_in_the_tail(self, tail, df):
+        # The first two lie past the starting bracket max(4 df, 16), which
+        # must then widen.
+        assert chi_square_critical(tail, df) == pytest.approx(sps.chi2.isf(tail, df), rel=1e-11)
+
+    @pytest.mark.parametrize("tail", [0.0, 1.0, -0.5, 1.5, float("nan")])
+    def test_critical_tail_range(self, tail):
+        with pytest.raises(ValidationError) as excinfo:
+            chi_square_critical(tail, 3)
+        assert str(excinfo.value) == f"tail probability must be in (0, 1), got {tail!r}"
+
     def test_critical_inverts_sf(self):
         for df in (1, 5, 10, 99):
             for tail in (0.5, 0.1, 0.05, 0.01):
@@ -275,6 +287,10 @@ class TestNullCalibration:
             null_calibration((), 8, trials=1000, seed=0)
         with pytest.raises(ValidationError):
             null_calibration((2,), 1, trials=1000, seed=0)
+        message = "^observed_q must be finite and non-negative$"
+        for observed in (-1.0, float("inf"), float("nan")):
+            with pytest.raises(ValidationError, match=message):
+                null_calibration((2, 3), 8, trials=1000, seed=0, observed_q=observed)
 
 
 def exact_null(row_totals, sites):
