@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
+import os
 import sys
 
 from .agreement import boundary_strengths, percent_agreement
@@ -73,7 +75,7 @@ def _predict(args, narrative):
     """The --method's boundary set, plus the clause segmentation for np."""
     coding = None if args.coding is None else load_fic_coding(args.coding, narrative)
     lexicon = None if args.cues is None else CueLexicon.from_file(args.cues)
-    return segment_by(args.method, narrative, coding, lexicon)
+    return segment_by(args.method, narrative, coding, lexicon, trace=getattr(args, "trace", False))
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +409,30 @@ def run(argv, stdout=None, stderr=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    """The console entry point: run() with its stdout written as UTF-8 bytes.
+
+    The bytes do not depend on the locale or PYTHONIOENCODING. A failed
+    write, such as to a closed pipe, exits 2 with one error line.
+    """
+    out = io.StringIO()
+    code = run(sys.argv[1:], out)
+    data = out.getvalue().encode("utf-8")
+    if not data:
+        sys.exit(code)
+    stream = getattr(sys.stdout, "buffer", None)  # None when fd 1 was closed at start
+    try:
+        if stream is None:
+            raise OSError("stdout is closed")
+        stream.write(data)
+        stream.flush()
+    except OSError as exc:
+        if stream is not None:
+            # The interpreter flushes stdout again at exit; send that flush to
+            # the null device, as the SIGPIPE note in the signal docs shows.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        sys.stderr.write(f"error: cannot write the output: {exc.strerror or exc}\n")
+        code = 2
+    sys.exit(code)
 
 
 if __name__ == "__main__":

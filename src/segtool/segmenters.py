@@ -149,14 +149,14 @@ class TraceStep:
 
 @dataclass(frozen=True)
 class NpSegmentation:
-    """Clause-level boundaries plus the per-clause decision trace."""
+    """Clause-level boundaries, plus the per-clause decision trace (None if not asked for)."""
 
     narrative_id: str
     boundaries: tuple[tuple[int, int], ...]
-    trace: tuple[TraceStep, ...]
+    trace: tuple[TraceStep, ...] | None
 
 
-def _one_hop_neighbours(coding: FicCoding) -> dict[int, frozenset[int]]:
+def _one_hop_neighbours(coding: FicCoding) -> dict[int, set[int]]:
     """Referents reachable over exactly one inferential link, either direction."""
     neighbours: dict[int, set[int]] = defaultdict(set)
     for fic in coding.fics:
@@ -164,10 +164,27 @@ def _one_hop_neighbours(coding: FicCoding) -> dict[int, frozenset[int]]:
             for src, _tag, tgt in np_.inferential:
                 neighbours[src].add(tgt)
                 neighbours[tgt].add(src)
-    return {r: frozenset(peers) for r, peers in neighbours.items()}
+    return neighbours
 
 
-def np_segment(coding: FicCoding) -> NpSegmentation:
+# The link tests in the order they run, as (name, the clause's referents under
+# test): coreference and inference test them against the previous clause's
+# referents, the pronoun test against the open segment's pool.
+_LINK_TESTS = (
+    (COREFERENCE, lambda fic, current, neighbours: current),
+    (INFERENCE, lambda fic, current, neighbours: frozenset(
+        peer for r in current for peer in neighbours.get(r, ()))),
+    (PRONOUN, lambda fic, current, neighbours: frozenset(
+        np_.referent for np_ in fic.nps if np_.pronoun3)),
+)
+# A trace step's test outcomes, by the test that held (None: a boundary).
+_OUTCOMES = {
+    linked_by: tuple((name, name == linked_by) for name, _ in _LINK_TESTS[:stop])
+    for stop, linked_by in ((1, COREFERENCE), (2, INFERENCE), (3, PRONOUN), (3, None))
+}
+
+
+def np_segment(coding: FicCoding, _traced: bool = True) -> NpSegmentation:
     """Segment a narrative by referential ties between adjacent clauses.
 
     For each clause after the first, three tests run in a fixed order and
@@ -181,57 +198,34 @@ def np_segment(coding: FicCoding) -> NpSegmentation:
 
     When none holds, a boundary is emitted between the previous clause and
     this one and the segment pool restarts from this clause. The returned
-    trace records every decision, so the walk can be audited step by step.
+    trace records every decision, so the walk can be audited step by step;
+    segment_by leaves it out (None) unless its caller asks for it.
     """
     fics = coding.fics
-    clause_referents = [fic.referents() for fic in fics]
     neighbours = _one_hop_neighbours(coding)
-
     boundaries: list[tuple[int, int]] = []
     trace: list[TraceStep] = []
-    segment: set[int] = set(clause_referents[0])
+    # Trace steps share the segment pool, so it is replaced, never updated in place.
+    previous = segment = fics[0].referents()
     for n in range(1, len(fics)):
         fic = fics[n]
-        current = clause_referents[n]
-        previous = clause_referents[n - 1]
-        inferable = frozenset(
-            peer for r in current for peer in neighbours.get(r, ())
-        )
-        pronouns = frozenset(np_.referent for np_ in fic.nps if np_.pronoun3)
-
-        tests: list[tuple[str, bool]] = []
-        for name, clause_set, context in (
-            (COREFERENCE, current, previous),
-            (INFERENCE, inferable, previous),
-            (PRONOUN, pronouns, segment),
-        ):
-            held = not clause_set.isdisjoint(context)
-            tests.append((name, held))
-            if held:
+        current = fic.referents()
+        # The trace shows every clause set; untraced, one is built only if its test runs.
+        clause_sets = [make(fic, current, neighbours) for _, make in _LINK_TESTS] if _traced else ()
+        for k, (name, make) in enumerate(_LINK_TESTS):
+            referents = clause_sets[k] if _traced else make(fic, current, neighbours)
+            if not referents.isdisjoint(segment if name == PRONOUN else previous):
                 linked_by = name
-                segment |= current
+                segment = segment | current
                 break
         else:
             linked_by = None
             boundaries.append((fics[n - 1].index, fic.index))
-            segment = set(current)
-
-        trace.append(
-            TraceStep(
-                fic=fic.index,
-                clause_referents=current,
-                inferable_referents=inferable,
-                pronoun_referents=pronouns,
-                tests=tuple(tests),
-                linked_by=linked_by,
-                segment_referents=frozenset(segment),
-            )
-        )
-    return NpSegmentation(
-        narrative_id=coding.narrative_id,
-        boundaries=tuple(boundaries),
-        trace=tuple(trace),
-    )
+            segment = current
+        if _traced:
+            trace.append(TraceStep(fic.index, *clause_sets, _OUTCOMES[linked_by], linked_by, segment))
+        previous = current
+    return NpSegmentation(coding.narrative_id, tuple(boundaries), tuple(trace) if _traced else None)
 
 
 def normalize_to_sites(
@@ -270,16 +264,19 @@ def segment_by(
     narrative: Narrative,
     coding: FicCoding | None = None,
     lexicon: CueLexicon | None = None,
+    *,
+    trace: bool = False,
 ) -> tuple[BoundarySet, NpSegmentation | None]:
     """The boundary set of method np, cue or pause, plus the clause segmentation for np.
 
     np reads only the coding, cue the narrative and the lexicon (the
-    builtin one when None), pause the narrative.
+    builtin one when None), pause the narrative. The np segmentation
+    carries its decision trace only when trace is set.
     """
     if method == "np":
         if coding is None:
             raise ValidationError("method np needs a clause coding")
-        segmentation = np_segment(coding)
+        segmentation = np_segment(coding, _traced=trace)
         return normalize_to_sites(segmentation, coding), segmentation
     if method == "cue":
         return cue_segment(narrative, lexicon), None

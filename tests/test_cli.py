@@ -27,14 +27,18 @@ def invoke(*argv):
     return rc, out.getvalue(), err.getvalue()
 
 
-def invoke_process(*argv):
-    """Run the CLI in a fresh interpreter, so a traceback would reach stderr."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+def process_env(**settings):
+    """os.environ with segtool importable and the given variables set."""
+    return {**os.environ, **settings, "PYTHONPATH": os.pathsep.join(
         [str(Path(segtool.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     )}
+
+
+def invoke_process(*argv):
+    """Run the CLI in a fresh interpreter, so a traceback would reach stderr."""
     done = subprocess.run(
         [sys.executable, "-m", "segtool.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=process_env(), timeout=60,
     )
     return done.returncode, done.stdout, done.stderr
 
@@ -680,6 +684,44 @@ for argv in json.loads(sys.argv[1]):
     results.append([run(argv, out, err), err.getvalue()])
 print(json.dumps(results))
 """
+
+
+class TestProcessStdout:
+    """The console entry point writes UTF-8 bytes and exits 2 when the write fails."""
+
+    def test_closed_pipe(self, data):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to the pipe now fails
+        with os.fdopen(write_end, "wb") as closed_pipe:
+            done = subprocess.run(
+                [sys.executable, "-m", "segtool.cli", "strengths", *pear_args(data)],
+                stdout=closed_pipe, stderr=subprocess.PIPE, text=True,
+                env=process_env(), timeout=60,
+            )
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize("setting", [
+        {"PYTHONIOENCODING": "ascii"}, {"PYTHONIOENCODING": "latin-1"}, {"LC_ALL": "C"},
+    ])
+    @pytest.mark.parametrize("golden, argv", [
+        ("strengths-pear9_excerpt.tsv", ("strengths", "{pear}")),
+        ("segment-np-trace-three_link_tests.tsv", (
+            "segment", "--method", "np", "--trace",
+            "--narrative", "{d}/three_link_tests_narrative.json",
+            "--coding", "{d}/three_link_tests_coding.json",
+        )),
+    ])
+    def test_stdout_bytes_ignore_the_locale(self, data, setting, golden, argv):
+        env = {k: v for k, v in process_env(**setting).items()
+               if k in setting or k not in ("PYTHONIOENCODING", "PYTHONUTF8", "LC_ALL")}
+        args = [part for arg in argv for part in (
+            pear_args(data) if arg == "{pear}" else [arg.format(d=data)])]
+        done = subprocess.run([sys.executable, "-m", "segtool.cli", *args],
+                              capture_output=True, env=env, timeout=60)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert done.stdout == (Path(__file__).with_name("golden") / golden).read_bytes()
 
 
 class TestRuntimeDependencies:

@@ -32,6 +32,7 @@ from segtool import (
     np_segment,
     pause_segment,
     render,
+    segmenters,
 )
 
 F = Fraction
@@ -61,6 +62,19 @@ def batch(pear9, three_link, shared_phrase):
 @pytest.fixture(scope="module")
 def report(batch):
     return build_report(batch)
+
+
+def test_report_builds_no_np_trace(batch, monkeypatch):
+    """The report keeps only the np boundaries, so it never builds a trace step."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_report built an np trace step")
+
+    expected = build_report(batch).to_tsv()
+    monkeypatch.setattr(segmenters, "TraceStep", refuse)
+    assert build_report(batch).to_tsv() == expected
+    with pytest.raises(AssertionError, match="trace step"):
+        np_segment(batch[1].coding)
 
 
 class TestAgreementBlock:

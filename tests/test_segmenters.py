@@ -15,6 +15,7 @@ from segtool import (
     Fic,
     FicCoding,
     Narrative,
+    NpSegmentation,
     PhraseId,
     ProsodicPhrase,
     ReferentialNp,
@@ -389,13 +390,82 @@ class TestNpSegmenter:
         assert len(payloads) == 1
 
 
+def np_oracle(coding):
+    """The np walk by the letter of its rule, as (boundaries, per-clause steps).
+
+    Nothing is carried from one clause to the next but the position of the
+    open segment's first clause: the pool and the inferential links are
+    rebuilt from the clauses at every step. A step is (linked_by, pool).
+    """
+    fics = coding.fics
+    boundaries, steps, start = [], [], 0
+    for n in range(1, len(fics)):
+        current = {np_.referent for np_ in fics[n].nps}
+        previous = {np_.referent for np_ in fics[n - 1].nps}
+        links = {frozenset((src, tgt)) for fic in fics for np_ in fic.nps
+                 for src, _tag, tgt in np_.inferential}
+        pool = {np_.referent for fic in fics[start:n] for np_ in fic.nps}
+        pronouns = {np_.referent for np_ in fics[n].nps if np_.pronoun3}
+        if current & previous:
+            linked_by = "coreference"
+        elif any(frozenset((r, p)) in links for r in current for p in previous):
+            linked_by = "inference"
+        elif pronouns & pool:
+            linked_by = "pronoun"
+        else:
+            linked_by = None
+            boundaries.append((fics[n - 1].index, fics[n].index))
+            start = n
+        steps.append((linked_by, {np_.referent for fic in fics[start:n + 1] for np_ in fic.nps}))
+    return tuple(boundaries), steps
+
+
+@hst.composite
+def random_codings(draw):
+    """A one-phrase-per-clause coding, plus a final uncoded phrase, with random
+    referents, pronouns and inferential links.
+
+    Each NP may carry an inferential link to any referent, so links run both
+    forward and backward in the narrative.
+    """
+    referent = hst.integers(1, 8)
+    size = draw(hst.integers(1, 12))
+    narrative = Narrative("n", tuple(phrase(f"{k}.1", ["w"]) for k in range(1, size + 2)))
+    clauses = []
+    for index in range(1, size + 1):
+        nps = []
+        for ref in draw(hst.lists(referent, min_size=1, max_size=3)):
+            targets = draw(hst.lists(referent, max_size=2))
+            nps.append((ref, draw(hst.booleans()), [(ref, "r1", t) for t in targets]))
+        clauses.append((index, (f"{index}.1", f"{index}.1"), nps))
+    return narrative, coding_from(narrative, clauses)
+
+
+class TestNpWalkOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(case=random_codings())
+    def test_both_walks_match_the_oracle(self, case):
+        narrative, coding = case
+        boundaries, steps = np_oracle(coding)
+        traced = np_segment(coding)
+        sites, untraced = segment_by("np", narrative, coding)
+        assert traced.boundaries == untraced.boundaries == boundaries
+        assert untraced.trace is None
+        assert sites == normalize_to_sites(traced, coding)
+        assert [(step.linked_by, step.segment_referents) for step in traced.trace] == steps
+
+
 class TestSegmentBy:
     def test_each_method_runs_its_segmenter(self, three_link):
         narrative, coding = three_link
         lexicon = CueLexicon(frozenset({"and"}))
         segmentation = np_segment(coding)
-        assert segment_by("np", narrative, coding) == (
+        assert segment_by("np", narrative, coding, trace=True) == (
             normalize_to_sites(segmentation, coding), segmentation
+        )
+        untraced = NpSegmentation(coding.narrative_id, segmentation.boundaries, None)
+        assert segment_by("np", narrative, coding) == (
+            normalize_to_sites(segmentation, coding), untraced
         )
         assert segment_by("cue", narrative, lexicon=lexicon) == (
             cue_segment(narrative, lexicon), None
