@@ -20,11 +20,12 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import chain, count, islice, repeat
 from operator import itemgetter, lt
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -39,24 +40,34 @@ _PHRASE_ID = re.compile(r"[1-9][0-9]{0,4299}\.[1-9][0-9]{0,4299}")
 _ID_PROBLEM = "phrase id must look like 's.p', e.g. '3.1': {!r}"
 
 
-@dataclass(frozen=True, order=True)
-class PhraseId:
+def _record(fields: str):
+    """A namedtuple base for an element record whose __new__ checks its rules.
+
+    namedtuple's _make, which _replace calls, would build the tuple directly;
+    this one goes through the record's constructor, so no public path skips a rule.
+    """
+    base = namedtuple("_Record", fields)
+    base._make = classmethod(lambda cls, values: cls(*values))
+    return base
+
+
+class PhraseId(_record("sentence phrase")):
     """Position of a prosodic phrase, rendered "sentence.phrase" (e.g. "3.3").
 
-    Lexicographic order on (sentence, phrase) is transcript order.
+    The (sentence, phrase) tuple's order is transcript order.
     """
 
-    sentence: int
-    phrase: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.sentence < 1 or self.phrase < 1:
+    def __new__(cls, sentence: int, phrase: int):
+        if type(sentence) is not int or type(phrase) is not int or sentence < 1 or phrase < 1:
             raise ValidationError(
-                f"phrase id parts must be positive: {self.sentence}.{self.phrase}"
+                f"phrase id parts must be positive integers: {sentence!r}.{phrase!r}"
             )
+        return tuple.__new__(cls, (sentence, phrase))
 
     def __str__(self) -> str:
-        return f"{self.sentence}.{self.phrase}"
+        return "%s.%s" % self
 
     @classmethod
     def parse(cls, text: str) -> "PhraseId":
@@ -69,40 +80,32 @@ class PhraseId:
         raise ValidationError(_ID_PROBLEM.format(text))
 
 
-@dataclass(frozen=True)
-class ProsodicPhrase:
+class ProsodicPhrase(_record("id text sentence_final pause_before pause_truncated")):
     """One intonation unit of a transcript.
 
     pause_before is the silence separating this phrase from its predecessor,
-    in seconds; None means no pause was transcribed. pause_truncated marks a
-    measurement cut short, so the true duration is at least the given value.
-    Tokens keep their transcript surface form (case, lengthening hyphens,
-    bracketed in-phrase pauses) untouched.
+    in seconds, stored as a float; None means no pause was transcribed.
+    pause_truncated marks a measurement cut short, so the true duration is at
+    least the given value. Tokens keep their transcript surface form (case,
+    lengthening hyphens, bracketed in-phrase pauses) untouched.
     """
 
-    id: PhraseId
-    text: tuple[str, ...]
-    sentence_final: bool
-    pause_before: float | None = None
-    pause_truncated: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.text or not _nonempty_strings(self.text):
+    def __new__(cls, id: PhraseId, text: tuple[str, ...], sentence_final: bool,
+                pause_before: float | None = None, pause_truncated: bool = False):
+        if not text or not _nonempty_strings(text):
             raise SchemaError("text", "expected a non-empty list of non-empty strings")
-        if self.pause_before is not None:
+        if pause_before is not None:
             try:
-                p = float(self.pause_before)
+                pause_before = float(pause_before)
             except OverflowError:  # an int past the float range
                 raise SchemaError("pause_before", "expected number or null") from None
-            if not math.isfinite(p) or p < 0:
-                raise ValidationError(
-                    f"phrase {self.id}: pause_before must be finite and non-negative"
-                )
-            object.__setattr__(self, "pause_before", p)
-        elif self.pause_truncated:
-            raise ValidationError(
-                f"phrase {self.id}: pause_truncated set without a pause_before value"
-            )
+            if not math.isfinite(pause_before) or pause_before < 0:
+                raise ValidationError(f"phrase {id}: pause_before must be finite and non-negative")
+        elif pause_truncated:
+            raise ValidationError(f"phrase {id}: pause_truncated set without a pause_before value")
+        return tuple.__new__(cls, (id, text, sentence_final, pause_before, pause_truncated))
 
 
 @dataclass(frozen=True)
@@ -123,13 +126,13 @@ class Narrative:
                 f"narrative {self.narrative_id}: needs at least 2 phrases "
                 f"(got {len(self.phrases)})",
             )
-        keys = [(p.id.sentence, p.id.phrase) for p in self.phrases]
+        keys = [p.id for p in self.phrases]
         for k, in_order in enumerate(map(lt, keys, keys[1:])):
             if not in_order:
                 raise SchemaError(
                     "phrases",
                     f"narrative {self.narrative_id}: phrase ids out of order "
-                    f"({self.phrases[k].id} then {self.phrases[k + 1].id})"
+                    f"({keys[k]} then {keys[k + 1]})"
                 )
         self._index.update(zip(map("%s.%s".__mod__, keys), count()))
 
@@ -233,8 +236,7 @@ class AnnotationMatrix:
         )
 
 
-@dataclass(frozen=True)
-class ReferentialNp:
+class ReferentialNp(_record("fic surface referent pronoun3 inferential")):
     """A referential noun phrase inside one coded clause.
 
     inferential holds (source, tag, target) referent links; the source is
@@ -242,59 +244,49 @@ class ReferentialNp:
     pronoun3 marks third-person definite pronouns.
     """
 
-    fic: int
-    surface: str
-    referent: int
-    pronoun3: bool = False
-    inferential: frozenset[tuple[int, str, int]] = frozenset()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.referent < 1:
-            raise ValidationError(
-                f"fic {self.fic} NP {self.surface!r}: referent must be positive"
-            )
-        for src, tag, tgt in self.inferential:
+    def __new__(cls, fic: int, surface: str, referent: int, pronoun3: bool = False,
+                inferential: frozenset[tuple[int, str, int]] = frozenset()):
+        if referent < 1:
+            raise ValidationError(f"fic {fic} NP {surface!r}: referent must be positive")
+        for src, tag, tgt in inferential:
             if tag not in RELATION_TAGS:
+                raise ValidationError(f"fic {fic} NP {surface!r}: unknown relation tag {tag!r}")
+            if src != referent:
                 raise ValidationError(
-                    f"fic {self.fic} NP {self.surface!r}: unknown relation tag {tag!r}"
-                )
-            if src != self.referent:
-                raise ValidationError(
-                    f"fic {self.fic} NP {self.surface!r}: relation source {src} "
-                    f"differs from the NP's referent {self.referent}"
+                    f"fic {fic} NP {surface!r}: relation source {src} "
+                    f"differs from the NP's referent {referent}"
                 )
             if tgt < 1:
                 raise ValidationError(
-                    f"fic {self.fic} NP {self.surface!r}: relation target must be positive"
+                    f"fic {fic} NP {surface!r}: relation target must be positive"
                 )
+        return tuple.__new__(cls, (fic, surface, referent, pronoun3, inferential))
 
 
-@dataclass(frozen=True)
-class Fic:
+class Fic(_record("index phrase_span nps")):
     """A functionally independent clause spanning one or more phrases."""
 
-    index: int
-    phrase_span: tuple[PhraseId, PhraseId]
-    nps: tuple[ReferentialNp, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        start, end = self.phrase_span
+    def __new__(cls, index: int, phrase_span: tuple[PhraseId, PhraseId],
+                nps: tuple[ReferentialNp, ...]):
+        start, end = phrase_span
         if end < start:
-            raise ValidationError(
-                f"fic {self.index}: span end {end} precedes start {start}"
-            )
-        for np_ in self.nps:
-            if np_.fic != self.index:
+            raise ValidationError(f"fic {index}: span end {end} precedes start {start}")
+        for np_ in nps:
+            if np_.fic != index:
                 raise ValidationError(
-                    f"fic {self.index}: NP {np_.surface!r} tagged for fic {np_.fic}"
+                    f"fic {index}: NP {np_.surface!r} tagged for fic {np_.fic}"
                 )
+        return tuple.__new__(cls, (index, phrase_span, nps))
 
     def referents(self) -> frozenset[int]:
         return frozenset(np_.referent for np_ in self.nps)
 
 
-@dataclass(frozen=True)
-class SiteMapping:
+class SiteMapping(NamedTuple):
     """Where the junction between two adjacent FICs falls.
 
     site is the boundary-site index the junction projects to, or None when
@@ -607,9 +599,9 @@ def _build_site_map(
             # Junction inside one phrase: project to the site at its end,
             # which does not exist when the shared phrase is the last one.
             site = start_idx if start_idx <= last_site else None
-            site_map[(prev.index, cur.index)] = SiteMapping(site, intra_phrase=True)
+            site_map[(prev.index, cur.index)] = SiteMapping(site, True)
         else:
-            site_map[(prev.index, cur.index)] = SiteMapping(start_idx - 1, intra_phrase=False)
+            site_map[(prev.index, cur.index)] = SiteMapping(start_idx - 1, False)
     return site_map
 
 

@@ -17,6 +17,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .corpus import BoundarySet, FicCoding, Narrative
 from .errors import ValidationError
@@ -35,8 +36,10 @@ def normalize_token(token: str) -> str:
     Lowercases, removes lengthening hyphens ("A-nd" to "and"), and strips
     punctuation from both edges while keeping word-internal apostrophes.
     """
-    core = token.lower().replace("-", "")
-    return _EDGE_PUNCT.sub("", core)
+    word = token.lower()
+    if word.isascii() and word.isalnum():  # only [a-z0-9]: nothing to remove
+        return word
+    return _EDGE_PUNCT.sub("", word.replace("-", ""))
 
 
 def first_lexical_token(tokens) -> str | None:
@@ -128,8 +131,7 @@ def pause_segment(narrative: Narrative) -> BoundarySet:
     return _phrase_sites(narrative, paused)
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     """One decision of the noun-phrase segmenter.
 
     tests lists the link tests in the order they were evaluated with their

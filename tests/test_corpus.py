@@ -6,7 +6,6 @@ import copy
 import io
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -22,7 +21,9 @@ from segtool import (
     Fic,
     PhraseId,
     ProsodicPhrase,
+    ReferentialNp,
     SchemaError,
+    SiteMapping,
     ValidationError,
     fixture_path,
     load_annotations,
@@ -81,6 +82,21 @@ class TestPhraseId:
     def test_parts_must_be_positive(self):
         with pytest.raises(ValidationError, match="must be positive"):
             PhraseId(0, 1)
+
+    @pytest.mark.parametrize("parts", [(1.5, 2), (True, 1), (1, False), (1, "2"), (np.int64(1), 1)])
+    def test_parts_must_be_integers(self, parts):
+        # Such an id would print as text that parse refuses, e.g. "1.5.2" or "True.1".
+        with pytest.raises(ValidationError, match="must be positive integers"):
+            PhraseId(*parts)
+
+    @given(hst.tuples(hst.integers(1, 10**30), hst.integers(1, 10**30)),
+           hst.tuples(hst.integers(1, 10**30), hst.integers(1, 10**30)))
+    def test_orders_compares_and_hashes_as_its_tuple(self, a, b):
+        pa, pb = PhraseId(*a), PhraseId(*b)
+        assert pa == a and (pa.sentence, pa.phrase) == a
+        assert (pa < pb, pa <= pb, pa == pb, pa > pb) == (a < b, a <= b, a == b, a > b)
+        assert hash(pa) == hash(a)
+        assert str(pa) == "%s.%s" % a and PhraseId.parse(str(pa)) == pa
 
     def test_parts_have_at_most_the_digits_int_reads_by_default(self):
         assert str(PhraseId.parse("9" * 4300 + ".1")) == "9" * 4300 + ".1"
@@ -556,8 +572,10 @@ class TestFicCodingLoading:
     def test_np_tagged_for_another_fic(self, three_link):
         _, coding = three_link
         fic = coding.fics[0]
+        np_ = fic.nps[0]
+        other = ReferentialNp(fic.index + 1, np_.surface, np_.referent, np_.pronoun3, np_.inferential)
         with pytest.raises(ValidationError) as excinfo:
-            Fic(fic.index, fic.phrase_span, (replace(fic.nps[0], fic=fic.index + 1),))
+            Fic(fic.index, fic.phrase_span, (other,))
         assert str(excinfo.value) == "fic 1: NP 'a truck' tagged for fic 2"
 
     def test_id_mismatch(self, three_link):
@@ -566,6 +584,55 @@ class TestFicCodingLoading:
         doc["narrative_id"] = "other"
         with pytest.raises(ValidationError):
             load_fic_coding(dumps(doc), narrative)
+
+
+_PID = PhraseId(1, 1)
+_NP = ReferentialNp(1, "a truck", 2, False, frozenset({(2, "r1", 3)}))
+# Per record kind: a valid record, then fields that its constructor refuses.
+_REFUSED = [
+    (PhraseId(1, 2), {"sentence": -1}, "must be positive"),
+    (PhraseId(1, 2), {"phrase": 1.0}, "must be positive integers"),
+    (ProsodicPhrase(_PID, ("a",), True, 0.5), {"pause_before": -1}, "finite and non-negative"),
+    (ProsodicPhrase(_PID, ("a",), True, 0.5), {"text": ()}, "non-empty list"),
+    (_NP, {"referent": -2}, "referent must be positive"),
+    (_NP, {"inferential": frozenset({(2, "r9", 3)})}, "unknown relation tag"),
+    (Fic(1, (_PID, PhraseId(1, 2)), (_NP,)), {"nps": (_NP._replace(fic=2),)}, "tagged for fic 2"),
+    (Fic(1, (_PID, PhraseId(1, 2)), (_NP,)), {"phrase_span": (PhraseId(1, 2), _PID)},
+     "span end 1.1 precedes start 1.2"),
+]
+
+
+class TestElementRecords:
+    """Immutable tuples that check their rules on every path that builds them."""
+
+    @pytest.mark.parametrize("record, bad, message", _REFUSED)
+    def test_every_public_construction_path_checks_the_rules(self, record, bad, message):
+        cls = type(record)
+        fields = {**record._asdict(), **bad}
+        for build in (
+            lambda: cls(**fields),
+            lambda: cls(*fields.values()),
+            lambda: cls._make(fields.values()),
+            lambda: record._replace(**bad),
+        ):
+            with pytest.raises((ValidationError, SchemaError), match=message):
+                build()
+
+    def test_replace_and_make_give_the_constructors_record(self):
+        phrase = ProsodicPhrase(_PID, ("a",), True, 0.5)
+        assert type(phrase._replace(pause_before=1).pause_before) is float
+        assert ProsodicPhrase._make(phrase) == phrase
+        assert type(ProsodicPhrase._make(phrase)) is ProsodicPhrase
+        assert str(_PID._replace(phrase=7)) == "1.7"
+
+    @pytest.mark.parametrize("record", [*(r for r, _, _ in _REFUSED[::2]), SiteMapping(3, True)],
+                             ids=lambda r: type(r).__name__)
+    def test_records_are_immutable_tuples(self, record):
+        assert record == tuple(record)
+        assert not hasattr(record, "__dict__")
+        for name in (*record._fields, "other"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, record._fields[0]))
 
 
 class TestBoundarySet:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 from importlib import resources
 
 import pytest
@@ -26,6 +25,7 @@ from segtool import (
     np_segment,
     pause_segment,
 )
+from segtool import segmenters
 from segtool.corpus import _build_site_map
 from segtool.segmenters import first_lexical_token, normalize_token, segment_by
 
@@ -85,6 +85,12 @@ class TestTokenNormalization:
     )
     def test_normalize(self, raw, expected):
         assert normalize_token(raw) == expected
+
+    @given(hst.text(hst.one_of(hst.sampled_from("-'.,[]09aZİßéK\u212a"), hst.characters()),
+                    max_size=12))
+    def test_plain_words_skip_the_regex_with_the_same_result(self, token):
+        assert normalize_token(token) == segmenters._EDGE_PUNCT.sub(
+            "", token.lower().replace("-", ""))
 
     def test_first_lexical_skips_pause_and_noise_tokens(self):
         assert first_lexical_token(["[.9]", "A-nd", "um"]) == "and"
@@ -215,10 +221,12 @@ class TestPauseSegmenter:
         flattened = Narrative(
             narrative.narrative_id,
             tuple(
-                replace(
-                    p,
-                    pause_before=None if p.pause_before is None else 1.0,
-                    pause_truncated=False,
+                ProsodicPhrase(
+                    p.id,
+                    p.text,
+                    p.sentence_final,
+                    None if p.pause_before is None else 1.0,
+                    False,
                 )
                 for p in narrative.phrases
             ),
