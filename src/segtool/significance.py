@@ -30,9 +30,9 @@ _EPS = 1e-14
 _MAX_ITER = 10**6
 # The simulation keeps one float per trial, so this bounds its memory (8 MB).
 MAX_TRIALS = 10**6
-# Cells (trials x sites) simulated at once. The working set of a chunk, its
-# 0/1 marks, int32 column totals and one subject's draws, is then about 1-2 MB.
-_CHUNK_CELLS = 2**18
+# Cells (trials x sites) simulated at once. A chunk keeps a 0/1 mark byte and
+# a column-total byte (two past 255 subjects) per cell, about 2 MB in all.
+_CHUNK_CELLS = 2**20
 
 DEGENERATE_MESSAGE = "degenerate: no boundary variance"
 
@@ -314,17 +314,21 @@ def null_calibration(
     Each trial places every subject's u marks on a uniformly random u-subset
     of the sites (Floyd's algorithm), independently per subject. Trials are
     simulated in chunks of max(1, _CHUNK_CELLS // sites) trials; chunk c
-    draws from default_rng((seed, c)), one integers() call per subject with
-    a nonzero total. So the same inputs give the same result on every run,
-    though not the numbers of earlier versions, which drew one stream per
-    trial. The empirical p for an observed Q uses the add-one rule
-    (1 + exceedances) / (trials + 1).
+    draws from default_rng((seed, c)), one integers() call per Floyd step.
+    So the same inputs give the same result on every run; a run longer than
+    max(1, 2**18 // sites) trials gives other numbers than versions that
+    used 2**18-cell chunks. The empirical p for an observed Q uses the
+    add-one rule (1 + exceedances) / (trials + 1).
     """
-    u = tuple(int(x) for x in row_totals)
+    u = tuple(row_totals)
     if not u:
         raise ValidationError("row totals must be non-empty")
     if not isinstance(sites, int) or isinstance(sites, bool) or sites < 2:
         raise ValidationError("sites must be an integer >= 2")
+    for name, x in (*(("row total", x) for x in u), ("trials", trials), ("seed", seed)):
+        if not isinstance(x, (int, np.integer)) or isinstance(x, bool):
+            raise ValidationError(f"{name} must be an integer, got {x!r}")
+    u = tuple(map(int, u))
     for x in u:
         if not 0 <= x <= sites:
             raise ValidationError(f"row total {x} outside [0, {sites}]")
@@ -364,9 +368,7 @@ def null_calibration(
         stats[start:start + n] = _q_from_square_sum(j, total, denom, square_sums)
 
     critical_05 = chi_square_critical(0.05, df)
-    quantiles = {
-        level: float(np.quantile(stats, level)) for level in _QUANTILE_LEVELS
-    }
+    quantiles = dict(zip(_QUANTILE_LEVELS, np.quantile(stats, _QUANTILE_LEVELS).tolist()))
     reference = {
         level: chi_square_critical(1.0 - level, df) for level in _QUANTILE_LEVELS
     }
@@ -393,25 +395,23 @@ def _standard_error(p: float | None, trials: int) -> float | None:
 def _chunk_columns(
     u: tuple[int, ...], sites: int, n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Column totals (n x sites, int32) of n simulated trials.
+    """Column totals (n x sites, the least uint dtype for len(u)) of n trials.
 
     Floyd's algorithm picks a uniform u-subset of range(sites) in u steps:
     at step s it draws t from [0, k] with k = sites - u + s, and takes t, or
     k when t is already taken. Every trial of the chunk runs each step at
-    once on a flat n x sites mark array.
+    once on a flat n x sites mark array, drawing its t with one integers().
     """
     offsets = np.arange(n, dtype=np.int64) * sites
-    columns = np.zeros((n, sites), dtype=np.int32)
-    mark = np.empty(n * sites, dtype=bool)
-    for u_i in u:
-        if not u_i:
-            continue
-        draws = rng.integers(0, np.arange(sites - u_i + 1, sites + 1)[:, None], size=(u_i, n))
-        draws += offsets
+    columns = np.zeros((n, sites), dtype=np.min_scalar_type(len(u)))
+    mark = np.zeros(n * sites, dtype=bool)
+    for u_i in filter(None, u):
         k = offsets + (sites - u_i)
-        mark[:] = False
-        for t in draws:
+        for bound in range(sites - u_i + 1, sites + 1):
+            t = rng.integers(0, bound, size=n)
+            t += offsets
             mark[np.where(mark[t], k, t)] = True
             k += 1
         columns += mark.reshape(n, sites)
+        mark[:] = False
     return columns

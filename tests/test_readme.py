@@ -11,6 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from segtool import PhraseId, fixture_path, load_annotations, load_fic_coding, load_narrative
+from segtool import significance
 from segtool.cli import run
 from segtool.corpus import load_manifest
 
@@ -79,6 +80,12 @@ def test_manifest_example_loads():
         for item in doc["items"]
     ]
     assert manifest.format == doc["format"]
+
+
+def test_calibration_chunk_formula_is_the_code():
+    text = " ".join(_section("Command line").split())
+    assert re.search(r"Trials run in chunks of max\(1, (\d+) // sites\)", text)[1] == str(
+        significance._CHUNK_CELLS)
 
 
 def _cli_examples() -> tuple[dict[str, str], list[tuple[list[str], list[str]]]]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 from collections import Counter, defaultdict
 from fractions import Fraction
 
@@ -30,7 +31,7 @@ from segtool import (
     null_calibration,
     partition_q,
 )
-from segtool.significance import _chunk_columns
+from segtool.significance import _CHUNK_CELLS, _chunk_columns
 
 
 def make_matrix(cells, narrative_id="m") -> AnnotationMatrix:
@@ -292,6 +293,56 @@ class TestNullCalibration:
             with pytest.raises(ValidationError, match=message):
                 null_calibration((2, 3), 8, trials=1000, seed=0, observed_q=observed)
 
+    @pytest.mark.parametrize("rows, trials, seed, message", [
+        ((2, 2.5), 1000, 0, "row total must be an integer, got 2.5"),
+        ((2, True), 1000, 0, "row total must be an integer, got True"),
+        ((2, np.float64(3)), 1000, 0, f"row total must be an integer, got {np.float64(3)!r}"),
+        ((2, 3), 1000.0, 0, "trials must be an integer, got 1000.0"),
+        ((2, 3), True, 0, "trials must be an integer, got True"),
+        ((2, 3), 1000, 1.5, "seed must be an integer, got 1.5"),
+        ((2, 3), 1000, False, "seed must be an integer, got False"),
+    ])
+    def test_non_integer_arguments_refused(self, rows, trials, seed, message):
+        with pytest.raises(ValidationError) as excinfo:
+            null_calibration(rows, 8, trials, seed)
+        assert str(excinfo.value) == message
+
+    def test_numpy_integers_accepted(self):
+        result = null_calibration(np.array([2, 3]), 8, np.int64(1000), np.uint8(7))
+        assert result == null_calibration((2, 3), 8, 1000, 7)
+        assert all(type(u) is int for u in result.row_totals)
+
+    def test_chunk_c_draws_from_its_own_stream(self):
+        rows, sites, trials, seed = (30, 50, 10), 200, 6000, 9
+        chunk = _CHUNK_CELLS // sites
+        columns = np.concatenate([
+            _chunk_columns(rows, sites, n, np.random.default_rng((seed, c)))
+            for c, n in enumerate((chunk, trials - chunk))
+        ]).astype(np.int64)
+        total, denom = sum(rows), sites * sum(rows) - sum(u * u for u in rows)
+        stats = (sites - 1) * (sites * (columns**2).sum(axis=1) - total**2) / denom
+        observed = float(np.median(stats))
+        result = null_calibration(rows, sites, trials, seed, observed_q=observed)
+        assert result.quantiles == {level: float(np.quantile(stats, level))
+                                    for level in result.quantiles}
+        assert result.empirical_p == (1 + (stats >= observed).sum()) / (trials + 1)
+
+    def test_column_totals_past_255_subjects(self):
+        # Both columns are marked by at least 299 subjects, so every trial
+        # has the observed profile (300, 299) in some order and Q = 1.
+        result = null_calibration((2,) * 299 + (1,), 2, 1000, 0)
+        assert result.quantiles == dict.fromkeys((0.5, 0.9, 0.95, 0.99), 1.0)
+
+    def test_memory_of_a_stress_panel(self):
+        rows = np.random.default_rng(3).integers(100, 200, size=40).tolist()
+        tracemalloc.start()
+        try:
+            null_calibration(rows, 1000, 2000, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20, peak
+
 
 def exact_null(row_totals, sites):
     """Every row-preserving placement, as (integer deviation, matrix) pairs.
@@ -309,6 +360,25 @@ def exact_null(row_totals, sites):
         columns = np.sum(rows, axis=0)
         placements.append((int(((sites * columns - total) ** 2).sum()), np.array(rows)))
     return placements
+
+
+def floyd_columns(row_totals, sites, n, rng):
+    """Column totals of n trials by Floyd's algorithm, one trial at a time.
+
+    Each subject's draws come from one integers() call whose row s holds the
+    n draws from [0, sites - u + s], the stream that _chunk_columns takes.
+    """
+    columns = np.zeros((n, sites), dtype=np.int64)
+    for u in row_totals:
+        if not u:
+            continue
+        draws = rng.integers(0, np.arange(sites - u + 1, sites + 1)[:, None], size=(u, n))
+        for trial in range(n):
+            chosen = set()
+            for k, t in zip(range(sites - u, sites), draws[:, trial].tolist()):
+                chosen.add(k if t in chosen else t)
+            columns[trial, sorted(chosen)] += 1
+    return columns
 
 
 class TestExactNull:
@@ -353,6 +423,14 @@ class TestExactNull:
                 for value, se in ((result.empirical_p, result.empirical_p_se),
                                   (result.rejection_rate_05, result.rejection_rate_05_se)):
                     assert se == pytest.approx(math.sqrt(value * (1 - value) / self.TRIALS))
+
+    @pytest.mark.parametrize("n", [1, 7, 50])
+    def test_chunk_matches_per_trial_floyd(self, n):
+        for sites in range(1, 13):
+            rows = tuple(range(sites + 1))
+            expected = floyd_columns(rows, sites, n, np.random.default_rng((sites, n)))
+            columns = _chunk_columns(rows, sites, n, np.random.default_rng((sites, n)))
+            assert columns.tolist() == expected.tolist(), (sites, n)
 
     def test_every_trial_keeps_its_row_totals(self):
         rng = np.random.default_rng(7)
@@ -460,6 +538,16 @@ class TestExactNullByHistogram:
                           exact_tail(distribution, chi_square_critical(0.05, result.df)), 10_000)
         assert_within_4se(result.empirical_p, exact_tail(distribution, exact_q(matrix.cells)),
                           10_000)
+
+    def test_trials_spanning_chunks_within_4se(self):
+        rows, sites, trials = (10, 25, 40), 200, 10_000
+        assert trials > _CHUNK_CELLS // sites  # so chunk 1 draws a share of them
+        distribution = exact_q_distribution(rows, sites)
+        observed = min(distribution, key=lambda q: abs(exact_tail(distribution, q) - 0.1))
+        result = null_calibration(rows, sites, trials, 5, observed_q=float(observed))
+        assert_within_4se(result.rejection_rate_05,
+                          exact_tail(distribution, chi_square_critical(0.05, sites - 1)), trials)
+        assert_within_4se(result.empirical_p, exact_tail(distribution, observed), trials)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(data=hst.data())
