@@ -20,10 +20,10 @@ from __future__ import annotations
 import json
 import math
 import re
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from dataclasses import dataclass, field
-from itertools import chain, count, islice, repeat
-from operator import itemgetter, lt
+from itertools import chain, compress, count, islice, repeat
+from operator import eq, itemgetter, le, lt
 from pathlib import Path
 from typing import Any, Iterable, Iterator, NamedTuple
 
@@ -282,9 +282,6 @@ class Fic(_record("index phrase_span nps")):
                 )
         return tuple.__new__(cls, (index, phrase_span, nps))
 
-    def referents(self) -> frozenset[int]:
-        return frozenset(np_.referent for np_ in self.nps)
-
 
 class SiteMapping(NamedTuple):
     """Where the junction between two adjacent FICs falls.
@@ -299,34 +296,106 @@ class SiteMapping(NamedTuple):
     intra_phrase: bool
 
 
-@dataclass(frozen=True)
 class FicCoding:
-    """The clause coding of one narrative, with the derived site map.
+    """The clause coding of one narrative, held as columns.
 
-    site_map has one entry per adjacent FIC pair (by index). Pairs whose
-    junction coincides with a phrase boundary map injectively onto sites;
-    intra-phrase junctions share the site at the end of their phrase.
+    Clause n has index indices[n]; clause_referents[n] holds its referents
+    and pronoun_referents[n] those of its third-person definite pronouns.
+    neighbours maps a referent to those one inferential link away, either
+    direction. junction_sites maps each adjacent clause pair (by index) to
+    the site of its SiteMapping: pairs whose junction coincides with a
+    phrase boundary map injectively onto sites; intra-phrase junctions
+    share the site at the end of their phrase. The records of fics and
+    site_map are built on first access.
     """
 
-    narrative_id: str
-    fics: tuple[Fic, ...]
-    site_map: dict[tuple[int, int], SiteMapping] = field(compare=False, default_factory=dict)
+    def __init__(self, narrative: Narrative, fics: Iterable[Fic]):
+        """The coding of narrative that the clause records give."""
+        fics = tuple(fics)
+        nps = [np_ for fic in fics for np_ in fic.nps]
+        ends = [narrative.index_of(pid) for fic in fics for pid in fic.phrase_span]
+        self._hold(narrative, [fic.index for fic in fics], ends[::2], ends[1::2],
+                   [len(fic.nps) for fic in fics], *(list(zip(*nps))[1:] or [()] * 4))
+        self._fics = fics
 
-    def __post_init__(self):
-        if not self.fics:
+    @classmethod
+    def _of_columns(cls, narrative: Narrative, *columns) -> "FicCoding":
+        """The coding of the loader's columns, which keep the rules of ReferentialNp and Fic."""
+        coding = cls.__new__(cls)
+        coding._hold(narrative, *columns)
+        return coding
+
+    def _hold(self, narrative, indices, starts, ends, sizes, surfaces, referents, pronoun3s,
+              inferential):
+        """Check the rules across clauses, keep the columns and derive the walk's."""
+        self.narrative_id, phrases = narrative.narrative_id, narrative.phrases
+        in_order = list(map(le, ends, starts[1:]))
+        if not all(in_order):
+            n = in_order.index(False) + 1
+            raise SchemaError("fics", f"coding {self.narrative_id}: clause {indices[n]} starts at "
+                              f"{phrases[starts[n]].id}, before clause {indices[n - 1]} ends at "
+                              f"{phrases[ends[n - 1]].id}")
+        if not indices:
             raise SchemaError("fics", "expected a non-empty list")
-        for prev, cur in zip(self.fics, self.fics[1:]):
-            if cur.index != prev.index + 1:
-                raise SchemaError(
-                    "fics",
-                    f"coding {self.narrative_id}: clause indices must be consecutive "
-                    f"({prev.index} then {cur.index})"
-                )
+        self.indices = range(indices[0], indices[0] + len(indices))
+        if list(indices) != list(self.indices):
+            n = next(n for n in count(1) if indices[n] != indices[n - 1] + 1)
+            raise SchemaError("fics", f"coding {self.narrative_id}: clause indices must be "
+                              f"consecutive ({indices[n - 1]} then {indices[n]})")
+        refs = iter(referents)
+        self.clause_referents = [frozenset(islice(refs, size)) for size in sizes]
+        self.pronoun_referents = [frozenset()] * len(sizes)
+        owners = compress(chain.from_iterable(map(repeat, count(), sizes)), pronoun3s)
+        for n, referent in zip(owners, compress(referents, pronoun3s)):
+            self.pronoun_referents[n] |= {referent}
+        neighbours = defaultdict(set)
+        for src, _tag, tgt in chain.from_iterable(inferential):
+            neighbours[src].add(tgt)
+            neighbours[tgt].add(src)
+        self.neighbours = dict(neighbours)
+        # A junction inside one phrase projects to the site at its end, which
+        # does not exist when the shared phrase is the last one.
+        sites = [start - 1 if start > end else start if start < len(phrases) - 1 else None
+                 for end, start in zip(ends, starts[1:])]
+        self.junction_sites = dict(zip(zip(self.indices, self.indices[1:]), sites))
+        self._phrases, self._starts, self._ends, self._sizes = phrases, starts, ends, sizes
+        self._nps = surfaces, referents, pronoun3s, inferential
+        self._fics = self._site_map = None
+
+    @property
+    def fics(self) -> tuple[Fic, ...]:
+        """The clause records, built through their constructors on first access."""
+        if self._fics is None:
+            surfaces, referents, pronoun3s, inferential = self._nps
+            owners = chain.from_iterable(map(repeat, self.indices, self._sizes))
+            links = [frozenset(map(tuple, rels)) for rels in inferential]
+            nps = map(ReferentialNp, owners, surfaces, referents, pronoun3s, links)
+            ids = [phrase.id for phrase in self._phrases]
+            clauses = zip(self.indices, self._starts, self._ends, self._sizes)
+            self._fics = tuple(Fic(index, (ids[start], ids[end]), tuple(islice(nps, size)))
+                               for index, start, end, size in clauses)
+        return self._fics
+
+    @property
+    def site_map(self) -> dict[tuple[int, int], SiteMapping]:
+        """Each adjacent clause pair's SiteMapping, built on first access."""
+        if self._site_map is None:
+            sites, intra = self.junction_sites, map(eq, self._ends, self._starts[1:])
+            self._site_map = dict(zip(sites, map(SiteMapping, sites.values(), intra)))
+        return self._site_map
 
     def adjacent_pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(
-            (prev.index, cur.index) for prev, cur in zip(self.fics, self.fics[1:])
-        )
+        return tuple(self.junction_sites)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FicCoding) and (self.narrative_id, self.fics) == (
+            other.narrative_id, other.fics)
+
+    def __hash__(self) -> int:
+        return hash((self.narrative_id, self.fics))
+
+    def __repr__(self) -> str:
+        return f"FicCoding({self.narrative_id!r}, {len(self.indices)} clauses)"
 
 
 @dataclass(frozen=True)
@@ -338,7 +407,7 @@ class BoundarySet:
 
     def __post_init__(self):
         for k in self.sites:
-            if not isinstance(k, int) or k < 0:
+            if type(k) is not int or k < 0:
                 raise ValidationError(f"bad site index {k!r}")
 
     @classmethod
@@ -579,32 +648,6 @@ def serialize_annotations(matrix: AnnotationMatrix) -> dict:
     }
 
 
-def _build_site_map(
-    fics: list[Fic],
-    narrative: Narrative,
-    spans: list[tuple[int, int]],
-) -> dict[tuple[int, int], SiteMapping]:
-    """spans holds each clause's (start, end) phrase indices."""
-    site_map: dict[tuple[int, int], SiteMapping] = {}
-    last_site = narrative.site_count - 1
-    for prev, cur, (_, end_idx), (start_idx, _) in zip(fics, fics[1:], spans, spans[1:]):
-        if start_idx < end_idx:
-            raise SchemaError(
-                "fics",
-                f"coding {narrative.narrative_id}: clause {cur.index} starts at "
-                f"{cur.phrase_span[0]}, before clause {prev.index} ends at "
-                f"{prev.phrase_span[1]}"
-            )
-        if start_idx == end_idx:
-            # Junction inside one phrase: project to the site at its end,
-            # which does not exist when the shared phrase is the last one.
-            site = start_idx if start_idx <= last_site else None
-            site_map[(prev.index, cur.index)] = SiteMapping(site, True)
-        else:
-            site_map[(prev.index, cur.index)] = SiteMapping(start_idx - 1, False)
-    return site_map
-
-
 def _fics_by_element(raw_fics: list, narrative: Narrative) -> tuple[list, list]:
     """The clauses and their phrase indices, raising at the first fault."""
     fics, spans = [], []
@@ -638,9 +681,9 @@ def _fics_by_element(raw_fics: list, narrative: Narrative) -> tuple[list, list]:
 
 
 def load_fic_coding(source, narrative: Narrative) -> FicCoding:
-    """Load a clause coding and derive its junction-to-site map."""
+    """Load a clause coding; its records are built when first read."""
     data = _read_object(source)
-    narrative_id = _narrative_id(_require(data, "narrative_id", ""), narrative, "coding is")
+    _narrative_id(_require(data, "narrative_id", ""), narrative, "coding is")
     raw_fics = _require(data, "fics", "")
     if not isinstance(raw_fics, list):
         raise SchemaError("fics", "expected a non-empty list")
@@ -648,21 +691,23 @@ def load_fic_coding(source, narrative: Narrative) -> FicCoding:
         indices, raw_spans, raw_nps = _columns(raw_fics, _FIC_FIELDS)
         all_nps = list(chain.from_iterable(raw_nps))
         forms, referents, pronoun3s, raw_rels = _columns(all_nps, _NP_FIELDS)
-        if not all(map(_is_relation, chain.from_iterable(raw_rels))):
+        rels = list(chain.from_iterable(raw_rels))
+        if not all(map(_is_relation, rels)):
             raise ValueError("inferential")
         # Span ids are looked up by their text, so a non-canonical one is no key.
         ends = list(map(narrative._index.__getitem__, chain.from_iterable(raw_spans)))
-        spans = list(zip(ends[::2], ends[1::2]))
-        ids, sizes = [p.id for p in narrative.phrases], list(map(len, raw_nps))
-        nps = map(ReferentialNp, chain.from_iterable(map(repeat, indices, sizes)), forms,
-                  referents, pronoun3s, [frozenset(map(tuple, rels)) for rels in raw_rels])
-        fics = [
-            Fic(index, (ids[start], ids[end]), tuple(islice(nps, size)))
-            for index, (start, end), size in zip(indices, spans, sizes)
-        ]
+        starts, ends = ends[::2], ends[1::2]
+        # The rules of ReferentialNp and Fic, a column at a time.
+        sources, tags, targets = zip(*rels) if rels else ((), (), ())
+        owners = chain.from_iterable(map(repeat, referents, map(len, raw_rels)))
+        if (min(referents, default=1) < 1 or not RELATION_TAGS.issuperset(tags)
+                or not all(map(eq, sources, owners)) or min(targets, default=1) < 1
+                or not all(map(le, starts, ends))):
+            raise ValueError("rules")
     except _FAULTS:
-        fics, spans = _fics_by_element(raw_fics, narrative)
-    return FicCoding(narrative_id, tuple(fics), _build_site_map(fics, narrative, spans))
+        return FicCoding(narrative, _fics_by_element(raw_fics, narrative)[0])
+    return FicCoding._of_columns(narrative, indices, starts, ends, list(map(len, raw_nps)),
+                                 forms, referents, pronoun3s, raw_rels)
 
 
 def serialize_fic_coding(coding: FicCoding) -> dict:

@@ -13,9 +13,9 @@ presence of any preceding pause.
 from __future__ import annotations
 
 import re
-from collections import defaultdict
 from dataclasses import dataclass
 from importlib import resources
+from itertools import chain, repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -158,26 +158,14 @@ class NpSegmentation:
     trace: tuple[TraceStep, ...] | None
 
 
-def _one_hop_neighbours(coding: FicCoding) -> dict[int, set[int]]:
-    """Referents reachable over exactly one inferential link, either direction."""
-    neighbours: dict[int, set[int]] = defaultdict(set)
-    for fic in coding.fics:
-        for np_ in fic.nps:
-            for src, _tag, tgt in np_.inferential:
-                neighbours[src].add(tgt)
-                neighbours[tgt].add(src)
-    return neighbours
-
-
-# The link tests in the order they run, as (name, the clause's referents under
+# The link tests in the order they run, as (name, clause n's referents under
 # test): coreference and inference test them against the previous clause's
 # referents, the pronoun test against the open segment's pool.
 _LINK_TESTS = (
-    (COREFERENCE, lambda fic, current, neighbours: current),
-    (INFERENCE, lambda fic, current, neighbours: frozenset(
-        peer for r in current for peer in neighbours.get(r, ()))),
-    (PRONOUN, lambda fic, current, neighbours: frozenset(
-        np_.referent for np_ in fic.nps if np_.pronoun3)),
+    (COREFERENCE, lambda coding, n: coding.clause_referents[n]),
+    (INFERENCE, lambda coding, n: frozenset(chain.from_iterable(
+        map(coding.neighbours.get, coding.clause_referents[n], repeat(()))))),
+    (PRONOUN, lambda coding, n: coding.pronoun_referents[n]),
 )
 # A trace step's test outcomes, by the test that held (None: a boundary).
 _OUTCOMES = {
@@ -203,29 +191,27 @@ def np_segment(coding: FicCoding, _traced: bool = True) -> NpSegmentation:
     trace records every decision, so the walk can be audited step by step;
     segment_by leaves it out (None) unless its caller asks for it.
     """
-    fics = coding.fics
-    neighbours = _one_hop_neighbours(coding)
+    indices, referents = coding.indices, coding.clause_referents
     boundaries: list[tuple[int, int]] = []
     trace: list[TraceStep] = []
     # Trace steps share the segment pool, so it is replaced, never updated in place.
-    previous = segment = fics[0].referents()
-    for n in range(1, len(fics)):
-        fic = fics[n]
-        current = fic.referents()
+    previous = segment = referents[0]
+    for n in range(1, len(referents)):
+        current = referents[n]
         # The trace shows every clause set; untraced, one is built only if its test runs.
-        clause_sets = [make(fic, current, neighbours) for _, make in _LINK_TESTS] if _traced else ()
+        clause_sets = [make(coding, n) for _, make in _LINK_TESTS] if _traced else ()
         for k, (name, make) in enumerate(_LINK_TESTS):
-            referents = clause_sets[k] if _traced else make(fic, current, neighbours)
-            if not referents.isdisjoint(segment if name == PRONOUN else previous):
+            tested = clause_sets[k] if _traced else make(coding, n)
+            if not tested.isdisjoint(segment if name == PRONOUN else previous):
                 linked_by = name
                 segment = segment | current
                 break
         else:
             linked_by = None
-            boundaries.append((fics[n - 1].index, fic.index))
+            boundaries.append((indices[n - 1], indices[n]))
             segment = current
         if _traced:
-            trace.append(TraceStep(fic.index, *clause_sets, _OUTCOMES[linked_by], linked_by, segment))
+            trace.append(TraceStep(indices[n], *clause_sets, _OUTCOMES[linked_by], linked_by, segment))
         previous = current
     return NpSegmentation(coding.narrative_id, tuple(boundaries), tuple(trace) if _traced else None)
 
@@ -253,12 +239,10 @@ def normalize_to_sites(
         pairs = tuple(segmentation)
     sites = set()
     for pair in pairs:
-        mapping = coding.site_map.get(tuple(pair))
-        if mapping is None:
+        if tuple(pair) not in coding.junction_sites:
             raise ValidationError(f"no adjacent clause pair {pair} in the coding")
-        if mapping.site is not None:
-            sites.add(mapping.site)
-    return BoundarySet.of(coding.narrative_id, sites)
+        sites.add(coding.junction_sites[tuple(pair)])
+    return BoundarySet.of(coding.narrative_id, sites - {None})
 
 
 def segment_by(

@@ -323,12 +323,12 @@ def null_calibration(
     u = tuple(row_totals)
     if not u:
         raise ValidationError("row totals must be non-empty")
-    if not isinstance(sites, int) or isinstance(sites, bool) or sites < 2:
+    if not isinstance(sites, (int, np.integer)) or isinstance(sites, bool) or sites < 2:
         raise ValidationError("sites must be an integer >= 2")
     for name, x in (*(("row total", x) for x in u), ("trials", trials), ("seed", seed)):
         if not isinstance(x, (int, np.integer)) or isinstance(x, bool):
             raise ValidationError(f"{name} must be an integer, got {x!r}")
-    u = tuple(map(int, u))
+    u, sites = tuple(map(int, u)), int(sites)
     for x in u:
         if not 0 <= x <= sites:
             raise ValidationError(f"row total {x} outside [0, {sites}]")

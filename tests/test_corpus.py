@@ -646,11 +646,16 @@ class TestBoundarySet:
         with pytest.raises(ValidationError):
             BoundarySet.of("elsewhere", {0}).labels(narrative)
 
-    @pytest.mark.parametrize("site", [-1, 1.0, "1"])
+    @pytest.mark.parametrize("site", [-1, 1.0, "1", True, False, np.int64(2)])
     def test_bad_site_index(self, site):
         with pytest.raises(ValidationError) as excinfo:
             BoundarySet("n", frozenset({site}))
         assert str(excinfo.value) == f"bad site index {site!r}"
+
+    def test_of_casts_numpy_integers(self):
+        sites = BoundarySet.of("n", [np.int64(3), np.uint8(1), 0]).sites
+        assert sites == {0, 1, 3}
+        assert all(type(k) is int for k in sites)
 
     def test_site_bounds_checked(self, pear9):
         narrative, _ = pear9
@@ -995,3 +1000,44 @@ class TestColumnPassAgreesWithTheWalk:
         elif len(chosen) == 2 and places[chosen[0]][:2] != places[chosen[1]][:2]:
             # Two faults in different elements: the first in document order is named.
             assert got == outcome(load, *first_alone)
+
+
+# Each rule of ReferentialNp, Fic and FicCoding that the column pass checks,
+# planted alone in the toy coding, with its located message.
+COLUMN_RULES = [
+    (("fics", 2, "nps", 1, "referent"), 0,
+     "fics[2].nps[1]: fic 3 NP 'the pears': referent must be positive"),
+    (("fics", 2, "nps", 0, "inferential"), [[1, "r6", 2]],
+     "fics[2].nps[0]: fic 3 NP 'he': unknown relation tag 'r6'"),
+    (("fics", 2, "nps", 0, "inferential"), [[1, "r1", 2], [2, "r1", 1]],
+     "fics[2].nps[0]: fic 3 NP 'he': relation source 2 differs from the NP's referent 1"),
+    (("fics", 2, "nps", 0, "inferential"), [[1, "r1", 0]],
+     "fics[2].nps[0]: fic 3 NP 'he': relation target must be positive"),
+    (("fics", 2, "span"), ["3.1", "2.1"], "fics[2]: fic 3: span end 2.1 precedes start 3.1"),
+    (("fics", 2, "index"), 5, "fics: coding toy: clause indices must be consecutive (2 then 5)"),
+    (("fics",), [], "fics: expected a non-empty list"),
+    (("fics", 2, "span"), ["1.1", "2.1"],
+     "fics: coding toy: clause 3 starts at 1.1, before clause 2 ends at 1.2"),
+]
+
+
+class TestColumnRules:
+    """Each rule the column pass checks, planted alone, is named as the walk names it."""
+
+    @pytest.mark.parametrize("path, value, message", COLUMN_RULES, ids=lambda x: str(x)[:40])
+    def test_planted_alone(self, path, value, message):
+        narrative = load_narrative(dumps(toy_transcript()))
+        doc = dumps(planted(toy_coding(), path, value))
+        got = outcome(load_fic_coding, doc, narrative)
+        assert got == walked(load_fic_coding, doc, narrative) == ("SchemaError", message)
+
+    def test_records_are_built_on_first_read(self):
+        narrative = load_narrative(dumps(toy_transcript()))
+        with mock.patch.object(corpus, "Fic", side_effect=AssertionError), \
+                mock.patch.object(corpus, "ReferentialNp", side_effect=AssertionError), \
+                mock.patch.object(corpus, "SiteMapping", side_effect=AssertionError):
+            coding = load_fic_coding(dumps(toy_coding()), narrative)
+            assert coding.clause_referents == [{1, 2}] * 5
+            with pytest.raises(AssertionError):
+                coding.fics
+        assert (coding, coding.site_map) == walked(load_fic_coding, dumps(toy_coding()), narrative)

@@ -26,13 +26,16 @@ from segtool import (
     ProsodicPhrase,
     ValidationError,
     build_report,
+    corpus,
     cue_segment,
     evaluate_humans,
+    load_fic_coding,
     normalize_to_sites,
     np_segment,
     pause_segment,
     render,
     segmenters,
+    serialize_fic_coding,
 )
 
 F = Fraction
@@ -75,6 +78,25 @@ def test_report_builds_no_np_trace(batch, monkeypatch):
     assert build_report(batch).to_tsv() == expected
     with pytest.raises(AssertionError, match="trace step"):
         np_segment(batch[1].coding)
+
+
+def test_report_builds_no_coding_record(batch, monkeypatch):
+    """A loaded coding builds its records when they are read, and the report reads none."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a coding record")
+
+    expected = build_report(batch).to_tsv()
+    files = [item.coding and json.dumps(serialize_fic_coding(item.coding)).encode()
+             for item in batch]
+    for name in ("Fic", "ReferentialNp", "SiteMapping"):
+        monkeypatch.setattr(corpus, name, refuse)
+    fresh = [BatchItem(item.narrative, item.matrix,
+                       None if raw is None else load_fic_coding(raw, item.narrative))
+             for item, raw in zip(batch, files)]
+    assert build_report(fresh).to_tsv() == expected
+    with pytest.raises(AssertionError, match="coding record"):
+        fresh[1].coding.fics
 
 
 class TestAgreementBlock:

@@ -21,12 +21,13 @@ from segtool import (
     ValidationError,
     cue_segment,
     default_cue_lexicon,
+    load_fic_coding,
     normalize_to_sites,
     np_segment,
     pause_segment,
+    serialize_fic_coding,
 )
 from segtool import segmenters
-from segtool.corpus import _build_site_map
 from segtool.segmenters import first_lexical_token, normalize_token, segment_by
 
 
@@ -60,13 +61,7 @@ def coding_from(narrative, clauses):
                 ),
             )
         )
-    fics = tuple(fics)
-    spans = [tuple(map(narrative.index_of, f.phrase_span)) for f in fics]
-    return FicCoding(
-        narrative_id=narrative.narrative_id,
-        fics=fics,
-        site_map=_build_site_map(fics, narrative, spans),
-    )
+    return FicCoding(narrative, fics)
 
 
 class TestTokenNormalization:
@@ -369,7 +364,7 @@ class TestNpSegmenter:
 
             # Re-derive the running pool from the clause referent sets and
             # the emitted boundaries alone.
-            referents = {fic.index: fic.referents() for fic in coding.fics}
+            referents = {fic.index: {np_.referent for np_ in fic.nps} for fic in coding.fics}
             cuts = {right for _left, right in result.boundaries}
             pool = set(referents[1])
             for step in result.trace:
@@ -459,6 +454,21 @@ class TestNpWalkOracle:
         sites, untraced = segment_by("np", narrative, coding)
         assert traced.boundaries == untraced.boundaries == boundaries
         assert untraced.trace is None
+        assert sites == normalize_to_sites(traced, coding)
+        assert [(step.linked_by, step.segment_referents) for step in traced.trace] == steps
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=random_codings())
+    def test_a_loaded_coding_walks_its_columns(self, case):
+        """The loader keeps columns; the walks read them, the oracle the records built from them."""
+        narrative, coding = case
+        loaded = load_fic_coding(json.dumps(serialize_fic_coding(coding)).encode(), narrative)
+        traced = np_segment(loaded)
+        sites, untraced = segment_by("np", narrative, loaded)
+        assert loaded.fics == coding.fics
+        assert loaded.site_map == coding.site_map
+        boundaries, steps = np_oracle(loaded)
+        assert traced.boundaries == untraced.boundaries == boundaries
         assert sites == normalize_to_sites(traced, coding)
         assert [(step.linked_by, step.segment_referents) for step in traced.trace] == steps
 

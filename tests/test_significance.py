@@ -312,6 +312,19 @@ class TestNullCalibration:
         assert result == null_calibration((2, 3), 8, 1000, 7)
         assert all(type(u) is int for u in result.row_totals)
 
+    def test_numpy_integer_sites_accepted(self):
+        result = null_calibration((2, 3), np.int64(8), 1000, 0)
+        assert result == null_calibration((2, 3), 8, 1000, 0)
+        # uint8 arithmetic would wrap in the Q denominator, 200 * 270.
+        result = null_calibration((150, 120), np.uint8(200), 1000, 0)
+        assert result == null_calibration((150, 120), 200, 1000, 0)
+        assert type(result.sites) is int
+
+    @pytest.mark.parametrize("sites", [True, np.bool_(True), 8.0, np.float64(8)])
+    def test_non_integer_sites_refused(self, sites):
+        with pytest.raises(ValidationError, match="^sites must be an integer >= 2$"):
+            null_calibration((2, 3), sites, 1000, 0)
+
     def test_chunk_c_draws_from_its_own_stream(self):
         rows, sites, trials, seed = (30, 50, 10), 200, 6000, 9
         chunk = _CHUNK_CELLS // sites
