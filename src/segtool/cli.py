@@ -75,7 +75,7 @@ def _predict(args, narrative):
     """The --method's boundary set, plus the clause segmentation for np."""
     coding = None if args.coding is None else load_fic_coding(args.coding, narrative)
     lexicon = None if args.cues is None else CueLexicon.from_file(args.cues)
-    return segment_by(args.method, narrative, coding, lexicon, trace=getattr(args, "trace", False))
+    return segment_by(args.method, narrative, coding, lexicon)
 
 
 # ---------------------------------------------------------------------------

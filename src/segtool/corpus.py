@@ -22,6 +22,7 @@ import math
 import re
 from collections import defaultdict, namedtuple
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, compress, count, islice, repeat
 from operator import eq, itemgetter, le, lt
 from pathlib import Path
@@ -172,7 +173,7 @@ class AnnotationMatrix:
 
     def __init__(self, narrative_id: str, subject_ids: Iterable[str], cells):
         _narrative_id(narrative_id)
-        subject_ids = tuple(str(s) for s in subject_ids)
+        subject_ids = _subject_ids(tuple(subject_ids))
         if not subject_ids:
             raise SchemaError("subjects", "expected at least one subject")
         rows = cells.tolist() if isinstance(cells, np.ndarray) else cells
@@ -316,7 +317,7 @@ class FicCoding:
         ends = [narrative.index_of(pid) for fic in fics for pid in fic.phrase_span]
         self._hold(narrative, [fic.index for fic in fics], ends[::2], ends[1::2],
                    [len(fic.nps) for fic in fics], *(list(zip(*nps))[1:] or [()] * 4))
-        self._fics = fics
+        self.fics = fics  # fills the cached property
 
     @classmethod
     def _of_columns(cls, narrative: Narrative, *columns) -> "FicCoding":
@@ -360,29 +361,24 @@ class FicCoding:
         self.junction_sites = dict(zip(zip(self.indices, self.indices[1:]), sites))
         self._phrases, self._starts, self._ends, self._sizes = phrases, starts, ends, sizes
         self._nps = surfaces, referents, pronoun3s, inferential
-        self._fics = self._site_map = None
 
-    @property
+    @cached_property
     def fics(self) -> tuple[Fic, ...]:
         """The clause records, built through their constructors on first access."""
-        if self._fics is None:
-            surfaces, referents, pronoun3s, inferential = self._nps
-            owners = chain.from_iterable(map(repeat, self.indices, self._sizes))
-            links = [frozenset(map(tuple, rels)) for rels in inferential]
-            nps = map(ReferentialNp, owners, surfaces, referents, pronoun3s, links)
-            ids = [phrase.id for phrase in self._phrases]
-            clauses = zip(self.indices, self._starts, self._ends, self._sizes)
-            self._fics = tuple(Fic(index, (ids[start], ids[end]), tuple(islice(nps, size)))
-                               for index, start, end, size in clauses)
-        return self._fics
+        surfaces, referents, pronoun3s, inferential = self._nps
+        owners = chain.from_iterable(map(repeat, self.indices, self._sizes))
+        links = [frozenset(map(tuple, rels)) for rels in inferential]
+        nps = map(ReferentialNp, owners, surfaces, referents, pronoun3s, links)
+        ids = [phrase.id for phrase in self._phrases]
+        clauses = zip(self.indices, self._starts, self._ends, self._sizes)
+        return tuple(Fic(index, (ids[start], ids[end]), tuple(islice(nps, size)))
+                     for index, start, end, size in clauses)
 
-    @property
+    @cached_property
     def site_map(self) -> dict[tuple[int, int], SiteMapping]:
         """Each adjacent clause pair's SiteMapping, built on first access."""
-        if self._site_map is None:
-            sites, intra = self.junction_sites, map(eq, self._ends, self._starts[1:])
-            self._site_map = dict(zip(sites, map(SiteMapping, sites.values(), intra)))
-        return self._site_map
+        sites, intra = self.junction_sites, map(eq, self._ends, self._starts[1:])
+        return dict(zip(sites, map(SiteMapping, sites.values(), intra)))
 
     def adjacent_pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(self.junction_sites)
@@ -558,6 +554,16 @@ def _narrative_id(value: Any, narrative: Narrative | None = None, kind: str = ""
     return value
 
 
+def _subject_ids(value: Any) -> tuple[str, ...]:
+    """Non-empty strings that each fit in one TSV cell."""
+    if not isinstance(value, (list, tuple)) or not _nonempty_strings(value):
+        raise SchemaError("subjects", "expected a list of non-empty strings")
+    for k, subject in enumerate(value):
+        if not _one_line(subject):
+            raise SchemaError(f"subjects[{k}]", "expected no tab or line break")
+    return tuple(value)
+
+
 def _phrases_by_element(raw_phrases: list) -> list[ProsodicPhrase]:
     """The phrases, raising at the first fault with its location."""
     phrases = []
@@ -616,12 +622,7 @@ def load_annotations(source, narrative: Narrative) -> AnnotationMatrix:
     """
     data = _read_object(source)
     narrative_id = _narrative_id(_require(data, "narrative_id", ""), narrative, "annotations are")
-    subjects = _require(data, "subjects", "")
-    if not isinstance(subjects, list) or not _nonempty_strings(subjects):
-        raise SchemaError("subjects", "expected a list of non-empty strings")
-    for k, subject in enumerate(subjects):
-        if not _one_line(subject):
-            raise SchemaError(f"subjects[{k}]", "expected no tab or line break")
+    subjects = _subject_ids(_require(data, "subjects", ""))
     sites = _require(data, "sites", "")
     if type(sites) is not int or sites < 1:
         raise SchemaError("sites", "expected a positive integer")
@@ -648,15 +649,15 @@ def serialize_annotations(matrix: AnnotationMatrix) -> dict:
     }
 
 
-def _fics_by_element(raw_fics: list, narrative: Narrative) -> tuple[list, list]:
-    """The clauses and their phrase indices, raising at the first fault."""
-    fics, spans = [], []
+def _fics_by_element(raw_fics: list, narrative: Narrative) -> list[Fic]:
+    """The clauses, raising at the first fault."""
+    fics = []
     for n, raw in enumerate(raw_fics):
         where = f"fics[{n}]"
         index, span = _fields(raw, _FIC_FIELDS[:2], where)  # the span before the NPs
         try:
             start, end = PhraseId.parse(span[0]), PhraseId.parse(span[1])
-            spans.append((narrative.index_of(start), narrative.index_of(end)))
+            narrative.index_of(start), narrative.index_of(end)  # an id not in the transcript
         except ValidationError as exc:
             raise SchemaError(f"{where}.span", str(exc)) from None
         (raw_nps,) = _fields(raw, _FIC_FIELDS[2:], where)
@@ -677,7 +678,7 @@ def _fics_by_element(raw_fics: list, narrative: Narrative) -> tuple[list, list]:
             fics.append(Fic(index, (start, end), tuple(nps)))
         except ValidationError as exc:
             raise SchemaError(where, str(exc)) from None
-    return fics, spans
+    return fics
 
 
 def load_fic_coding(source, narrative: Narrative) -> FicCoding:
@@ -705,7 +706,7 @@ def load_fic_coding(source, narrative: Narrative) -> FicCoding:
                 or not all(map(le, starts, ends))):
             raise ValueError("rules")
     except _FAULTS:
-        return FicCoding(narrative, _fics_by_element(raw_fics, narrative)[0])
+        return FicCoding(narrative, _fics_by_element(raw_fics, narrative))
     return FicCoding._of_columns(narrative, indices, starts, ends, list(map(len, raw_nps)),
                                  forms, referents, pronoun3s, raw_rels)
 

@@ -13,7 +13,8 @@ presence of any preceding pause.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 from itertools import chain, repeat
 from pathlib import Path
@@ -151,11 +152,20 @@ class TraceStep(NamedTuple):
 
 @dataclass(frozen=True)
 class NpSegmentation:
-    """Clause-level boundaries, plus the per-clause decision trace (None if not asked for)."""
+    """Clause-level boundaries, with each later clause's (test that held or None, pool) step."""
 
     narrative_id: str
     boundaries: tuple[tuple[int, int], ...]
-    trace: tuple[TraceStep, ...] | None
+    steps: tuple[tuple[str | None, frozenset[int]], ...]
+    coding: FicCoding = field(compare=False)
+
+    @cached_property
+    def trace(self) -> tuple[TraceStep, ...]:
+        """The per-clause decision trace, built from the steps on first read."""
+        coding = self.coding
+        return tuple(TraceStep(coding.indices[n], *[make(coding, n) for _, make in _LINK_TESTS],
+                               _OUTCOMES[linked_by], linked_by, pool)
+                     for n, (linked_by, pool) in enumerate(self.steps, start=1))
 
 
 # The link tests in the order they run, as (name, clause n's referents under
@@ -174,7 +184,7 @@ _OUTCOMES = {
 }
 
 
-def np_segment(coding: FicCoding, _traced: bool = True) -> NpSegmentation:
+def np_segment(coding: FicCoding) -> NpSegmentation:
     """Segment a narrative by referential ties between adjacent clauses.
 
     For each clause after the first, three tests run in a fixed order and
@@ -187,22 +197,18 @@ def np_segment(coding: FicCoding, _traced: bool = True) -> NpSegmentation:
        something mentioned anywhere in the current segment
 
     When none holds, a boundary is emitted between the previous clause and
-    this one and the segment pool restarts from this clause. The returned
-    trace records every decision, so the walk can be audited step by step;
-    segment_by leaves it out (None) unless its caller asks for it.
+    this one and the segment pool restarts from this clause. Every decision
+    is kept, so the trace can audit the walk step by step.
     """
     indices, referents = coding.indices, coding.clause_referents
     boundaries: list[tuple[int, int]] = []
-    trace: list[TraceStep] = []
-    # Trace steps share the segment pool, so it is replaced, never updated in place.
+    steps: list[tuple[str | None, frozenset[int]]] = []
+    # Steps share the segment pool, so it is replaced, never updated in place.
     previous = segment = referents[0]
     for n in range(1, len(referents)):
         current = referents[n]
-        # The trace shows every clause set; untraced, one is built only if its test runs.
-        clause_sets = [make(coding, n) for _, make in _LINK_TESTS] if _traced else ()
-        for k, (name, make) in enumerate(_LINK_TESTS):
-            tested = clause_sets[k] if _traced else make(coding, n)
-            if not tested.isdisjoint(segment if name == PRONOUN else previous):
+        for name, make in _LINK_TESTS:
+            if not make(coding, n).isdisjoint(segment if name == PRONOUN else previous):
                 linked_by = name
                 segment = segment | current
                 break
@@ -210,10 +216,9 @@ def np_segment(coding: FicCoding, _traced: bool = True) -> NpSegmentation:
             linked_by = None
             boundaries.append((indices[n - 1], indices[n]))
             segment = current
-        if _traced:
-            trace.append(TraceStep(indices[n], *clause_sets, _OUTCOMES[linked_by], linked_by, segment))
+        steps.append((linked_by, segment))
         previous = current
-    return NpSegmentation(coding.narrative_id, tuple(boundaries), tuple(trace) if _traced else None)
+    return NpSegmentation(coding.narrative_id, tuple(boundaries), tuple(steps), coding)
 
 
 def normalize_to_sites(
@@ -250,19 +255,16 @@ def segment_by(
     narrative: Narrative,
     coding: FicCoding | None = None,
     lexicon: CueLexicon | None = None,
-    *,
-    trace: bool = False,
 ) -> tuple[BoundarySet, NpSegmentation | None]:
     """The boundary set of method np, cue or pause, plus the clause segmentation for np.
 
     np reads only the coding, cue the narrative and the lexicon (the
-    builtin one when None), pause the narrative. The np segmentation
-    carries its decision trace only when trace is set.
+    builtin one when None), pause the narrative.
     """
     if method == "np":
         if coding is None:
             raise ValidationError("method np needs a clause coding")
-        segmentation = np_segment(coding, _traced=trace)
+        segmentation = np_segment(coding)
         return normalize_to_sites(segmentation, coding), segmentation
     if method == "cue":
         return cue_segment(narrative, lexicon), None

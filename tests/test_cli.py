@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
 import segtool
-from segtool import AnnotationMatrix, fixture_path, serialize_annotations
+from segtool import AnnotationMatrix, fixture_path, segmenters, serialize_annotations
 from segtool.cli import run
 from segtool.significance import MAX_TRIALS
 
@@ -240,6 +240,25 @@ class TestSegment:
             ["inference", False],
             ["pronoun", False],
         ]
+
+    def test_untraced_np_builds_no_trace_step(self, data, monkeypatch):
+        """segment and eval --method np without --trace never read the trace."""
+        coding = ("--coding", str(data / "three_link_tests_coding.json"))
+        argvs = [
+            ("segment", "--method", "np", *coding,
+             "--narrative", str(data / "three_link_tests_narrative.json")),
+            ("segment", "--method", "np", "--json", *coding,
+             "--narrative", str(data / "three_link_tests_narrative.json")),
+            ("eval", "--method", "np", *coding, *link_args(data)),
+        ]
+        expected = [invoke(*argv) for argv in argvs]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built an np trace step")
+
+        monkeypatch.setattr(segmenters, "TraceStep", refuse)
+        assert [invoke(*argv) for argv in argvs] == expected
+        assert all(rc == 0 for rc, _, _ in expected)
 
     def test_cue_default_lexicon(self, data):
         rc, out, _ = invoke(

@@ -428,6 +428,26 @@ class TestAnnotationMatrixConstruction:
         assert (small.subjects, small.sites) == (1, 2)
 
 
+class TestAnnotationMatrixSubjectIds:
+    """The constructor holds subject ids to the loader's rule, with its messages."""
+
+    @pytest.mark.parametrize("bad", ["", 1, None, b"s"])
+    def test_non_string_or_empty_id(self, bad):
+        with pytest.raises(SchemaError) as excinfo:
+            AnnotationMatrix("n", ["a", bad], [[0, 1], [1, 0]])
+        assert str(excinfo.value) == "subjects: expected a list of non-empty strings"
+
+    @pytest.mark.parametrize("bad", CELL_BREAKING_IDS)
+    def test_cell_breaking_id(self, bad):
+        with pytest.raises(SchemaError) as excinfo:
+            AnnotationMatrix("n", ["a", "b", bad], [[0, 1], [1, 0], [1, 1]])
+        assert str(excinfo.value) == "subjects[2]: expected no tab or line break"
+
+    def test_ids_from_any_iterable(self):
+        matrix = AnnotationMatrix("n", iter(["a", "b"]), [[0, 1], [1, 0]])
+        assert matrix.subject_ids == ("a", "b")
+
+
 class TestManifestLoading:
     def test_paths_resolve_against_the_manifest(self, tmp_path):
         absolute = (tmp_path / "elsewhere" / "a.json").resolve()

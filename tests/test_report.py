@@ -68,16 +68,17 @@ def report(batch):
 
 
 def test_report_builds_no_np_trace(batch, monkeypatch):
-    """The report keeps only the np boundaries, so it never builds a trace step."""
+    """The report keeps only the np boundaries; reading a trace is what builds its steps."""
 
     def refuse(*args, **kwargs):
-        raise AssertionError("build_report built an np trace step")
+        raise AssertionError("built an np trace step")
 
     expected = build_report(batch).to_tsv()
     monkeypatch.setattr(segmenters, "TraceStep", refuse)
     assert build_report(batch).to_tsv() == expected
+    segmentation = np_segment(batch[1].coding)
     with pytest.raises(AssertionError, match="trace step"):
-        np_segment(batch[1].coding)
+        segmentation.trace
 
 
 def test_report_builds_no_coding_record(batch, monkeypatch):

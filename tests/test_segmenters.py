@@ -14,7 +14,6 @@ from segtool import (
     Fic,
     FicCoding,
     Narrative,
-    NpSegmentation,
     PhraseId,
     ProsodicPhrase,
     ReferentialNp,
@@ -453,7 +452,7 @@ class TestNpWalkOracle:
         traced = np_segment(coding)
         sites, untraced = segment_by("np", narrative, coding)
         assert traced.boundaries == untraced.boundaries == boundaries
-        assert untraced.trace is None
+        assert (untraced, untraced.trace) == (traced, traced.trace)
         assert sites == normalize_to_sites(traced, coding)
         assert [(step.linked_by, step.segment_referents) for step in traced.trace] == steps
 
@@ -473,18 +472,38 @@ class TestNpWalkOracle:
         assert [(step.linked_by, step.segment_referents) for step in traced.trace] == steps
 
 
+class TestTraceView:
+    def test_steps_hold_each_decision(self, three_link):
+        _, coding = three_link
+        segmentation = np_segment(coding)
+        assert segmentation.coding is coding
+        assert segmentation.steps == tuple(
+            (step.linked_by, step.segment_referents) for step in segmentation.trace
+        )
+
+    def test_a_second_read_builds_no_step(self, three_link, monkeypatch):
+        segmentation = np_segment(three_link[1])
+        built, step = [], segmenters.TraceStep
+
+        def counted(*fields):
+            built.append(fields)
+            return step(*fields)
+
+        monkeypatch.setattr(segmenters, "TraceStep", counted)
+        first = segmentation.trace
+        assert len(built) == len(first) == 3
+        assert segmentation.trace is first
+        assert len(built) == 3
+
+
 class TestSegmentBy:
     def test_each_method_runs_its_segmenter(self, three_link):
         narrative, coding = three_link
         lexicon = CueLexicon(frozenset({"and"}))
         segmentation = np_segment(coding)
-        assert segment_by("np", narrative, coding, trace=True) == (
-            normalize_to_sites(segmentation, coding), segmentation
-        )
-        untraced = NpSegmentation(coding.narrative_id, segmentation.boundaries, None)
-        assert segment_by("np", narrative, coding) == (
-            normalize_to_sites(segmentation, coding), untraced
-        )
+        sites, segmented = segment_by("np", narrative, coding)
+        assert (sites, segmented) == (normalize_to_sites(segmentation, coding), segmentation)
+        assert segmented.trace == segmentation.trace
         assert segment_by("cue", narrative, lexicon=lexicon) == (
             cue_segment(narrative, lexicon), None
         )
