@@ -19,7 +19,8 @@ import sys
 from .agreement import boundary_strengths, percent_agreement
 from .corpus import load_annotations, load_fic_coding, load_manifest, load_narrative
 from .errors import DegenerateDataError, ValidationError
-from .evaluation import METRIC_NAMES, confusion, evaluate_humans, metrics, resolve_target
+from .evaluation import (METRIC_NAMES, ConfusionCounts, aggregate_cells, metrics, score_units,
+                         site_mask, target_boundaries)
 from .render import PVALUE, RATIO, VARIANCE, num, sites_text, to_json, tsv
 from .report import BatchItem, build_report
 from .segmenters import CueLexicon, segment_by
@@ -223,41 +224,33 @@ def _cmd_eval(args) -> str:
     _check_method_flags(args)
     narrative, matrix = _load_pair(args)
     if args.method == "humans":
-        human = evaluate_humans(
-            matrix,
-            threshold=args.threshold,
-            exact=args.exact,
-            leave_one_out=args.leave_one_out,
-        )
-        mode = human.mode
-        scored = [(s.subject_id, s.counts, s.scores) for s in human.per_subject]
-        results = {
-            "subjects": [
-                {"subject": unit, "confusion": counts, "metrics": scores.as_dict()}
-                for unit, counts, scores in scored
-            ],
-            "summary": human.summary,
-        }
-        summary_rows = [
-            [label, "", "", "", "",
-             *[num(getattr(human.summary[name], label), spec) for name in METRIC_NAMES]]
-            for label, spec in (("mean", RATIO), ("variance", VARIANCE))
-        ]
+        units, rows = matrix.subject_ids, matrix.cells
     else:
-        target, mode = resolve_target(boundary_strengths(matrix), args.threshold, args.exact)
-        counts = confusion(_predict(args, narrative)[0], target.nonzero()[0], matrix.sites)
-        scores = metrics(counts)
-        scored = [("algorithm", counts, scores)]
-        results = {"confusion": counts, "metrics": scores.as_dict()}
-        summary_rows = []
+        # A target outside the panel is reported before --coding or --cues is read.
+        target_boundaries(matrix, args.threshold, args.exact)
+        units = ["algorithm"]
+        rows = site_mask(_predict(args, narrative)[0], matrix.sites, "predicted")[None, :]
+    _, mode, cells = score_units(matrix, rows, args.threshold, args.exact, args.leave_one_out)
+    counts = list(map(ConfusionCounts, *cells[:, :, 0].tolist()))
+    scored = [(unit, c, metrics(c).as_dict()) for unit, c in zip(units, counts)]
     lead = [matrix.narrative_id, args.method, mode]
     payload = {"narrative_id": matrix.narrative_id, "method": args.method, "target": mode}
-    return _output(args, {**payload, **results}, [
+    table = [
         ["narrative", "method", "target", "unit", "a", "b", "c", "d", *METRIC_NAMES],
-        *[[*lead, unit, counts.a, counts.b, counts.c, counts.d,
-           *[num(v) for v in scores.as_dict().values()]] for unit, counts, scores in scored],
-        *[[*lead, *row] for row in summary_rows],
-    ])
+        *[[*lead, unit, c.a, c.b, c.c, c.d, *map(num, scores.values())]
+          for unit, c, scores in scored],
+    ]
+    if args.method == "humans":
+        summary = aggregate_cells(cells[:, :, 0])
+        payload["subjects"] = [{"subject": unit, "confusion": c, "metrics": scores}
+                               for unit, c, scores in scored]
+        payload["summary"] = summary
+        table += [[*lead, label, "", "", "", "",
+                   *[num(getattr(summary[name], label), spec) for name in METRIC_NAMES]]
+                  for label, spec in (("mean", RATIO), ("variance", VARIANCE))]
+    else:
+        payload.update(confusion=counts[0], metrics=scored[0][2])
+    return _output(args, payload, table)
 
 
 def _cmd_report(args) -> str:

@@ -11,7 +11,9 @@ Human subjects are scored the same way: each subject's row is treated as a
 prediction against the pooled opinion of the panel. With the pooled target
 at threshold t, the mean per-subject recall equals the boundary-class
 percent agreement identically, which doubles as a cross-check between this
-module and the agreement one.
+module and the agreement one. score_units is the one place that scores
+unit rows, subjects and segmenters alike, for the eval command,
+evaluate_humans and the batch report.
 """
 
 from __future__ import annotations
@@ -130,6 +132,40 @@ def resolve_target(
     return strengths.mask(threshold), f"threshold={threshold}"
 
 
+def score_units(
+    matrix: AnnotationMatrix, rows: np.ndarray, threshold: int | None = None,
+    exact: int | None = None, leave_one_out: bool = False,
+) -> tuple[np.ndarray, str, np.ndarray]:
+    """Score each 0/1 unit row (units x sites) against the panel's pooled opinion.
+
+    Returns the pooled target mask, its mode label and the cells a, b, c
+    and d as one 4 x units x columns integer array. Column 0 scores every
+    unit against the target: sites with at least threshold marks (by
+    default the strict majority) or exactly exact marks. Column t scores it
+    against the sites that exactly t subjects marked, t = 1 .. subjects.
+    With leave_one_out the rows must be the subjects' own, and row r is
+    scored against the opinion of every other subject only; a defaulted
+    threshold then becomes the strict majority of the reduced panel, and
+    the cells hold column 0 only.
+    """
+    target, mode = resolve_target(boundary_strengths(matrix), threshold, exact)
+    if not leave_one_out:
+        levels = np.arange(1, matrix.subjects + 1)
+        targets = np.column_stack([target, matrix.column_totals[:, None] == levels])
+        return target, mode, np.stack(confusion_table(rows, targets))
+    if matrix.subjects < 2:
+        raise ValidationError("leave-one-out needs at least 2 subjects")
+    if not np.array_equal(rows, matrix.cells):
+        raise ValidationError("leave-one-out scores the subjects' own rows")
+    # Row r of the stack is the opinion of every subject but r.
+    others = BoundaryStrengths(
+        matrix.narrative_id, matrix.subjects - 1, matrix.column_totals - rows
+    )
+    pooled, mode = resolve_target(others, threshold, exact)
+    cells = [np.diagonal(cell) for cell in confusion_table(rows, pooled.T)]
+    return target, f"{mode} leave-one-out", np.stack(cells)[:, :, None]
+
+
 def target_boundaries(
     matrix: AnnotationMatrix,
     threshold: int | None = None,
@@ -155,7 +191,9 @@ def evaluate_algorithm(
             f"prediction for {predicted.narrative_id} scored against "
             f"annotations of {matrix.narrative_id}"
         )
-    return metrics(confusion(predicted, target_boundaries(matrix, threshold, exact), matrix.sites))
+    row = site_mask(predicted, matrix.sites, "predicted")[None, :]
+    cells = score_units(matrix, row, threshold, exact)[2]
+    return metrics(ConfusionCounts(*cells[:, 0, 0].tolist()))
 
 
 @dataclass(frozen=True)
@@ -198,6 +236,11 @@ def aggregate_pairs(numerators, denominators) -> MetricAggregate:
         count=n,
         skipped=skipped,
     )
+
+
+def aggregate_cells(cells: np.ndarray, names=METRIC_NAMES) -> dict[str, MetricAggregate]:
+    """Each named ratio of the units' cells (4 x units) summarized over the units."""
+    return {name: aggregate_pairs(*RATIOS[name](*cells)) for name in names}
 
 
 def aggregate_metric(values) -> MetricAggregate:
@@ -246,29 +289,12 @@ def evaluate_humans(
     recall and boundary-class percent agreement, which is why it is off by
     default.
     """
-    strengths = boundary_strengths(matrix)
-    target, mode = resolve_target(strengths, threshold, exact)
-    if leave_one_out:
-        if matrix.subjects < 2:
-            raise ValidationError("leave-one-out needs at least 2 subjects")
-        # Row r of the stack is the opinion of every subject but r.
-        others = BoundaryStrengths(
-            matrix.narrative_id, matrix.subjects - 1, matrix.column_totals - matrix.cells
-        )
-        pooled, mode = resolve_target(others, threshold, exact)
-        cells = [np.diagonal(cell) for cell in confusion_table(matrix.cells, pooled.T)]
-        mode += " leave-one-out"
-    else:
-        cells = [cell[:, 0] for cell in confusion_table(matrix.cells, target[:, None])]
-    counts = map(ConfusionCounts, *(cell.tolist() for cell in cells))
-    per_subject = tuple(
-        SubjectScore(subject_id, c, metrics(c)) for subject_id, c in zip(matrix.subject_ids, counts)
-    )
-    summary = {name: aggregate_pairs(*ratio(*cells)) for name, ratio in RATIOS.items()}
+    target, mode, cells = score_units(matrix, matrix.cells, threshold, exact, leave_one_out)
+    counts = list(map(ConfusionCounts, *cells[:, :, 0].tolist()))
     return HumanEvaluation(
         narrative_id=matrix.narrative_id,
         target=BoundarySet.of(matrix.narrative_id, np.flatnonzero(target)),
         mode=mode,
-        per_subject=per_subject,
-        summary=summary,
+        per_subject=tuple(map(SubjectScore, matrix.subject_ids, counts, map(metrics, counts))),
+        summary=aggregate_cells(cells[:, :, 0]),
     )

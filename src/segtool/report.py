@@ -23,17 +23,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .agreement import AgreementReport, boundary_strengths, percent_agreement
+from .agreement import AgreementReport, percent_agreement
 from .corpus import AnnotationMatrix, FicCoding, Narrative
 from .errors import ValidationError
 from .evaluation import (
     METRIC_NAMES,
-    RATIOS,
     MetricAggregate,
-    aggregate_metric,
+    aggregate_cells,
     aggregate_pairs,
-    confusion_table,
-    resolve_target,
+    score_units,
     site_mask,
 )
 from .render import MEAN_COUNT, VARIANCE, num, to_json, tsv
@@ -205,20 +203,18 @@ def build_report(
             )
         )
 
-        # One product scores every subject and segmenter against the pooled
-        # target (column 0) and the sites of each exact strength t (column t).
-        target, _ = resolve_target(boundary_strengths(matrix), threshold, None)
-        own_levels = np.arange(1, matrix.subjects + 1)
-        targets = np.column_stack([target, matrix.column_totals[:, None] == own_levels])
+        # Every subject and segmenter is scored against the pooled target
+        # (column 0) and the sites of each exact strength t (column t).
         units = {"humans": matrix.cells}
         for method in ("cue", "pause") if item.coding is None else ("np", "cue", "pause"):
             boundaries = segment_by(method, item.narrative, item.coding, lexicon)[0]
             units[method] = site_mask(boundaries, matrix.sites, "predicted")[None, :]
-        table = np.stack(confusion_table(np.vstack(list(units.values())), targets))
+        table = score_units(matrix, np.vstack(list(units.values())), threshold)[2]
         bounds = np.cumsum([len(rows) for rows in units.values()])[:-1]
         for method, block in zip(units, np.split(table, bounds, axis=1)):
             scored[method].append(block)
-        for t, count in zip(own_levels.tolist(), targets[:, 1:].sum(axis=0).tolist()):
+        # Any unit's a + c in column t counts the sites of exact strength t.
+        for t, count in zip(levels, (table[0, 0, 1:] + table[2, 0, 1:]).tolist()):
             site_counts[t].append(count)
 
     def pooled(method: str, column: int, names) -> dict[str, MetricAggregate]:
@@ -226,7 +222,7 @@ def build_report(
         cells = np.concatenate(
             [block[:, :, column] for block in scored[method] if block.shape[2] > column], axis=1
         )
-        return {name: aggregate_pairs(*RATIOS[name](*cells)) for name in names}
+        return aggregate_cells(cells, names)
 
     agreement_summary = {
         "narratives": len(agreement_rows),
@@ -236,8 +232,11 @@ def build_report(
             row.report.non_boundary_site_count for row in agreement_rows
         ),
         **{
-            key: aggregate_metric([getattr(row.report, key) for row in agreement_rows])
-            for key in ("percent", "percent_boundary", "percent_non_boundary")
+            f"percent{part}": aggregate_pairs(
+                *[[getattr(row.report, stat + part) for row in agreement_rows]
+                  for stat in ("observed", "possible")]
+            )
+            for part in ("", "_boundary", "_non_boundary")
         },
     }
 

@@ -13,7 +13,7 @@ presence of any preceding pause.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 from itertools import chain, repeat
@@ -157,7 +157,7 @@ class NpSegmentation:
     narrative_id: str
     boundaries: tuple[tuple[int, int], ...]
     steps: tuple[tuple[str | None, frozenset[int]], ...]
-    coding: FicCoding = field(compare=False)
+    coding: FicCoding
 
     @cached_property
     def trace(self) -> tuple[TraceStep, ...]:

@@ -402,6 +402,20 @@ class TestEval:
         assert (rc, out) == (1, "")
         assert "leave-one-out" in err
 
+    @pytest.mark.parametrize("method, source, target, message", [
+        ("cue", "--cues", ("--threshold", "99"), "strength 99 outside [1, 7]"),
+        ("np", "--coding", ("--exact", "0"), "strength 0 outside [1, 7]"),
+    ])
+    def test_target_is_checked_before_the_method_input_is_read(
+        self, data, tmp_path, method, source, target, message
+    ):
+        """Reading the missing --cues or --coding file would exit 2; the bad target comes first."""
+        rc, out, err = invoke(
+            "eval", "--method", method, source, str(tmp_path / "missing"), *target,
+            *pear_args(data),
+        )
+        assert (rc, out, err) == (1, "", f"error: {message}\n")
+
     def test_threshold_exact_conflict_is_usage_error(self, data):
         rc, out, err = invoke(
             "eval", "--method", "cue", "--threshold", "4", "--exact", "2",

@@ -25,7 +25,7 @@ from segtool import (
     percent_agreement,
     target_boundaries,
 )
-from segtool.evaluation import RATIOS, aggregate_pairs
+from segtool.evaluation import RATIOS, aggregate_pairs, score_units
 
 F = Fraction
 
@@ -280,3 +280,9 @@ class TestHumanScores:
         matrix = make_matrix([[1, 0, 1]])
         with pytest.raises(ValidationError):
             evaluate_humans(matrix, leave_one_out=True)
+
+    def test_leave_one_out_scores_only_the_subjects_rows(self):
+        matrix = make_matrix([[1, 0, 1], [0, 0, 1]])
+        with pytest.raises(ValidationError, match="^leave-one-out scores the subjects' own rows$"):
+            score_units(matrix, matrix.cells[::-1], leave_one_out=True)
+        assert score_units(matrix, matrix.cells.copy(), leave_one_out=True)[2].shape == (4, 2, 1)

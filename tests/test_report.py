@@ -37,6 +37,7 @@ from segtool import (
     segmenters,
     serialize_fic_coding,
 )
+from segtool.evaluation import score_units
 
 F = Fraction
 
@@ -315,13 +316,18 @@ class TestValidation:
 
 @hst.composite
 def panels(draw):
-    """One narrative with a random panel: 1-6 subjects over 2-8 sites."""
+    """One narrative with a random panel: 1-6 subjects over 2-8 sites.
+
+    Panels of 1 or 2 subjects are drawn often, and about one in five has no mark.
+    """
     sites = draw(hst.integers(2, 8))
-    subjects = draw(hst.integers(1, 6))
+    subjects = draw(hst.sampled_from((1, 2)) | hst.integers(1, 6))
     rows = draw(hst.lists(
         hst.lists(hst.integers(0, 1), min_size=sites, max_size=sites),
         min_size=subjects, max_size=subjects,
     ))
+    if draw(hst.integers(0, 4)) == 0:
+        rows = [[0] * sites for _ in rows]
     words = draw(hst.lists(hst.sampled_from(["and", "so", "the", "man"]),
                            min_size=sites + 1, max_size=sites + 1))
     pauses = draw(hst.lists(hst.sampled_from([None, 0.0, 0.4]),
@@ -465,3 +471,61 @@ class TestOracle:
                 else:
                     target = [x == exact for x in totals]
                 assert subject.counts == loop_counts(cells[r], target)
+
+    @settings(max_examples=100, deadline=None)
+    @given(batches, hst.data())
+    def test_score_units_matches_site_loop(self, batch, data):
+        """Each cell of score_units, in every target mode and exact-strength column.
+
+        Each narrative draws a defaulted threshold, an explicit threshold or an
+        exact strength, with or without leave-one-out; without it the rows are
+        the subjects' plus up to two random unit rows.
+        """
+        for item in batch:
+            cells = item.matrix.cells.tolist()
+            subjects, totals = len(cells), loop_totals(cells)
+            leave_one_out = data.draw(hst.booleans())
+            kind = data.draw(hst.sampled_from(("default", "threshold", "exact")))
+            level = data.draw(hst.integers(1, max(subjects - leave_one_out, 1)))
+            threshold = level if kind == "threshold" else None
+            exact = level if kind == "exact" else None
+            rows = cells
+            if not leave_one_out:
+                rows = cells + data.draw(hst.lists(
+                    hst.lists(hst.integers(0, 1), min_size=len(totals), max_size=len(totals)),
+                    max_size=2,
+                ))
+            elif subjects < 2:
+                with pytest.raises(ValidationError, match="^leave-one-out needs at least 2"):
+                    score_units(item.matrix, item.matrix.cells, threshold, exact, True)
+                continue
+
+            def pooled(totals, panel):
+                """The target of a panel of this size with these column totals."""
+                if exact is not None:
+                    return [x == exact for x in totals]
+                return [x >= (threshold or (panel + 2) // 2) for x in totals]
+
+            target, mode, table = score_units(
+                item.matrix, np.array(rows, dtype=np.int64), threshold, exact, leave_one_out
+            )
+            assert target.tolist() == [int(x) for x in pooled(totals, subjects)]
+            panel = subjects - leave_one_out
+            label = (f"exact={exact}" if exact is not None
+                     else f"threshold={threshold or (panel + 2) // 2}")
+            assert mode == label + " leave-one-out" * leave_one_out
+            if leave_one_out:
+                assert table.shape == (4, subjects, 1)
+                for r, row in enumerate(cells):
+                    others = loop_totals(cells[:r] + cells[r + 1:])
+                    assert ConfusionCounts(*table[:, r, 0].tolist()) == loop_counts(
+                        row, pooled(others, panel)
+                    )
+                continue
+            assert table.shape == (4, len(rows), subjects + 1)
+            for u, row in enumerate(rows):
+                assert ConfusionCounts(*table[:, u, 0].tolist()) == loop_counts(row, target)
+                for t in range(1, subjects + 1):
+                    assert ConfusionCounts(*table[:, u, t].tolist()) == loop_counts(
+                        row, [x == t for x in totals]
+                    )

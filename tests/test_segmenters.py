@@ -495,6 +495,22 @@ class TestTraceView:
         assert segmentation.trace is first
         assert len(built) == 3
 
+    def test_segmentations_of_different_codings_differ(self):
+        """A link behind a coreference tie leaves the steps alone but changes the trace."""
+        narrative = Narrative("n", (phrase("1.1", ["the", "man"]), phrase("2.1", ["he", "left"])))
+        first = (1, ("1.1", "1.1"), [(5, False, [])])
+        plain = np_segment(coding_from(narrative, [first, (2, ("2.1", "2.1"), [(5, False, [])])]))
+        linked = np_segment(coding_from(
+            narrative, [first, (2, ("2.1", "2.1"), [(5, False, [(5, "r1", 5)])])]
+        ))
+        assert (plain.boundaries, plain.steps) == (linked.boundaries, linked.steps)
+        assert plain.trace[0].inferable_referents == frozenset()
+        assert linked.trace[0].inferable_referents == frozenset({5})
+        assert plain != linked
+        assert plain == np_segment(
+            coding_from(narrative, [first, (2, ("2.1", "2.1"), [(5, False, [])])])
+        )
+
 
 class TestSegmentBy:
     def test_each_method_runs_its_segmenter(self, three_link):
