@@ -21,10 +21,10 @@ import json
 import math
 import re
 from collections import defaultdict, namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, count, islice, repeat
-from operator import eq, itemgetter, le, lt
+from itertools import chain, compress, count, islice, repeat, starmap
+from operator import eq, is_, itemgetter, le, lt
 from pathlib import Path
 from typing import Any, Iterable, Iterator, NamedTuple
 
@@ -109,37 +109,54 @@ class ProsodicPhrase(_record("id text sentence_final pause_before pause_truncate
         return tuple.__new__(cls, (id, text, sentence_final, pause_before, pause_truncated))
 
 
-@dataclass(frozen=True)
 class Narrative:
-    """An ordered transcript of at least two prosodic phrases."""
+    """An ordered transcript of at least two prosodic phrases, held as columns.
 
-    narrative_id: str
-    phrases: tuple[ProsodicPhrase, ...]
-    _index: dict[str, int] = field(  # by id text, as a coding file's spans give it
-        init=False, repr=False, compare=False, default_factory=dict
-    )
+    Phrase k has id text ids[k], (sentence, phrase) integers id_parts[k],
+    tokens texts[k], sentence-final flag sentence_finals[k], pause pauses[k]
+    and truncation flag truncated[k]. The records of phrases are built on
+    first access.
+    """
 
-    def __post_init__(self):
-        _narrative_id(self.narrative_id)
-        if len(self.phrases) < 2:
+    def __init__(self, narrative_id: str, phrases: Iterable[ProsodicPhrase]):
+        """The narrative that the phrase records give."""
+        phrases = tuple(phrases)
+        pids, *columns = list(zip(*phrases)) or [()] * 5
+        self._hold(narrative_id, tuple(map("%s.%s".__mod__, pids)), pids, *columns)
+        self.phrases = phrases  # fills the cached property
+
+    @classmethod
+    def _of_columns(cls, narrative_id: str, *columns) -> "Narrative":
+        """The narrative of the loader's columns, which keep every rule of its records."""
+        narrative = cls.__new__(cls)
+        narrative._hold(narrative_id, *columns)
+        return narrative
+
+    def _hold(self, narrative_id, ids, id_parts, texts, sentence_finals, pauses, truncated):
+        """Check the rules across phrases and keep the columns."""
+        _narrative_id(narrative_id)
+        if len(ids) < 2:
             raise SchemaError(
-                "phrases",
-                f"narrative {self.narrative_id}: needs at least 2 phrases "
-                f"(got {len(self.phrases)})",
+                "phrases", f"narrative {narrative_id}: needs at least 2 phrases (got {len(ids)})"
             )
-        keys = [p.id for p in self.phrases]
-        for k, in_order in enumerate(map(lt, keys, keys[1:])):
-            if not in_order:
-                raise SchemaError(
-                    "phrases",
-                    f"narrative {self.narrative_id}: phrase ids out of order "
-                    f"({keys[k]} then {keys[k + 1]})"
-                )
-        self._index.update(zip(map("%s.%s".__mod__, keys), count()))
+        in_order = list(map(lt, id_parts, id_parts[1:]))
+        if not all(in_order):
+            k = in_order.index(False)
+            raise SchemaError("phrases", f"narrative {narrative_id}: phrase ids out of order "
+                              f"({ids[k]} then {ids[k + 1]})")
+        self.narrative_id, self.ids, self.id_parts, self.texts = narrative_id, ids, id_parts, texts
+        self.sentence_finals, self.pauses, self.truncated = sentence_finals, pauses, truncated
+        self._index = dict(zip(ids, count()))  # by id text, as a coding file's spans give it
+
+    @cached_property
+    def phrases(self) -> tuple[ProsodicPhrase, ...]:
+        """The phrase records, built through their constructors on first access."""
+        return tuple(map(ProsodicPhrase, starmap(PhraseId, self.id_parts), self.texts,
+                         self.sentence_finals, self.pauses, self.truncated))
 
     @property
     def site_count(self) -> int:
-        return len(self.phrases) - 1
+        return len(self.ids) - 1
 
     def index_of(self, phrase_id: PhraseId) -> int:
         k = self._index.get(str(phrase_id)) if isinstance(phrase_id, PhraseId) else None
@@ -148,16 +165,32 @@ class Narrative:
         return k
 
     def site_pair(self, site: int) -> tuple[PhraseId, PhraseId]:
+        self._check_site(site)
+        return PhraseId(*self.id_parts[site]), PhraseId(*self.id_parts[site + 1])
+
+    def site_label(self, site: int) -> str:
+        self._check_site(site)
+        return f"{self.ids[site]}→{self.ids[site + 1]}"
+
+    def _check_site(self, site: int) -> None:
         if not 0 <= site < self.site_count:
             raise ValidationError(
                 f"narrative {self.narrative_id}: site {site} out of range "
                 f"[0, {self.site_count - 1}]"
             )
-        return self.phrases[site].id, self.phrases[site + 1].id
 
-    def site_label(self, site: int) -> str:
-        left, right = self.site_pair(site)
-        return f"{left}→{right}"
+    def _key(self) -> tuple:
+        return (self.narrative_id, self.id_parts, self.texts, self.sentence_finals, self.pauses,
+                self.truncated)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Narrative) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"Narrative({self.narrative_id!r}, {len(self.ids)} phrases)"
 
 
 class AnnotationMatrix:
@@ -329,13 +362,13 @@ class FicCoding:
     def _hold(self, narrative, indices, starts, ends, sizes, surfaces, referents, pronoun3s,
               inferential):
         """Check the rules across clauses, keep the columns and derive the walk's."""
-        self.narrative_id, phrases = narrative.narrative_id, narrative.phrases
+        self.narrative_id, ids = narrative.narrative_id, narrative.ids
         in_order = list(map(le, ends, starts[1:]))
         if not all(in_order):
             n = in_order.index(False) + 1
             raise SchemaError("fics", f"coding {self.narrative_id}: clause {indices[n]} starts at "
-                              f"{phrases[starts[n]].id}, before clause {indices[n - 1]} ends at "
-                              f"{phrases[ends[n - 1]].id}")
+                              f"{ids[starts[n]]}, before clause {indices[n - 1]} ends at "
+                              f"{ids[ends[n - 1]]}")
         if not indices:
             raise SchemaError("fics", "expected a non-empty list")
         self.indices = range(indices[0], indices[0] + len(indices))
@@ -356,10 +389,11 @@ class FicCoding:
         self.neighbours = dict(neighbours)
         # A junction inside one phrase projects to the site at its end, which
         # does not exist when the shared phrase is the last one.
-        sites = [start - 1 if start > end else start if start < len(phrases) - 1 else None
+        sites = [start - 1 if start > end else start if start < len(ids) - 1 else None
                  for end, start in zip(ends, starts[1:])]
         self.junction_sites = dict(zip(zip(self.indices, self.indices[1:]), sites))
-        self._phrases, self._starts, self._ends, self._sizes = phrases, starts, ends, sizes
+        self._ids, self._id_parts = ids, narrative.id_parts
+        self._starts, self._ends, self._sizes = starts, ends, sizes
         self._nps = surfaces, referents, pronoun3s, inferential
 
     @cached_property
@@ -369,10 +403,10 @@ class FicCoding:
         owners = chain.from_iterable(map(repeat, self.indices, self._sizes))
         links = [frozenset(map(tuple, rels)) for rels in inferential]
         nps = map(ReferentialNp, owners, surfaces, referents, pronoun3s, links)
-        ids = [phrase.id for phrase in self._phrases]
+        parts = self._id_parts
         clauses = zip(self.indices, self._starts, self._ends, self._sizes)
-        return tuple(Fic(index, (ids[start], ids[end]), tuple(islice(nps, size)))
-                     for index, start, end, size in clauses)
+        return tuple(Fic(index, (PhraseId(*parts[start]), PhraseId(*parts[end])),
+                         tuple(islice(nps, size))) for index, start, end, size in clauses)
 
     @cached_property
     def site_map(self) -> dict[tuple[int, int], SiteMapping]:
@@ -383,12 +417,21 @@ class FicCoding:
     def adjacent_pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(self.junction_sites)
 
+    def _key(self) -> tuple:
+        """What fics holds, read off the columns: span ids, NP fields by clause size, and
+        the relation set of each NP that has relations, by its position."""
+        surfaces, referents, pronoun3s, inferential = self._nps
+        spans = tuple(map(self._ids.__getitem__, chain(self._starts, self._ends)))
+        links = tuple((k, frozenset(map(tuple, inferential[k])))
+                      for k in compress(count(), inferential))
+        return (self.narrative_id, self.indices, spans, tuple(self._sizes), tuple(surfaces),
+                tuple(referents), tuple(pronoun3s), links)
+
     def __eq__(self, other) -> bool:
-        return isinstance(other, FicCoding) and (self.narrative_id, self.fics) == (
-            other.narrative_id, other.fics)
+        return isinstance(other, FicCoding) and self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash((self.narrative_id, self.fics))
+        return hash(self._key())
 
     def __repr__(self) -> str:
         return f"FicCoding({self.narrative_id!r}, {len(self.indices)} clauses)"
@@ -489,8 +532,9 @@ def _require(obj: dict, key: str, where: str) -> Any:
     return obj[key]
 
 
-# What a column pass raises at a fault: a missing key, a non-object, a failed check or rule.
-_FAULTS = (KeyError, TypeError, ValueError, ValidationError)
+# What a column pass raises at a fault: a missing key, a non-object, a failed check or
+# rule, or an int past the float range.
+_FAULTS = (KeyError, TypeError, ValueError, ValidationError, OverflowError)
 # An element's fields as (key, default or _REQUIRED, the JSON types allowed, the
 # problem reported, a further test of an allowed value or None), in the order
 # _fields checks them; _columns reads them too. JSON gives exact built-in types.
@@ -590,26 +634,36 @@ def load_narrative(source) -> Narrative:
         ids, finals, pauses, truncated, texts = _columns(raw_phrases, _PHRASE_FIELDS)
         # Canonical ids as [sentence, phrase, sentence, ...]; no ids give int("").
         parts = list(map(int, ".".join(ids).split(".")))
-        pids = map(PhraseId, parts[::2], parts[1::2])
-        phrases = list(map(ProsodicPhrase, pids, map(tuple, texts), finals, pauses, truncated))
+        # The rules of PhraseId and ProsodicPhrase, a column at a time.
+        if not all(texts) or not _nonempty_strings(list(chain.from_iterable(texts))):
+            raise ValueError("text")
+        pauses = [None if pause is None else float(pause) for pause in pauses]
+        timed = [pause for pause in pauses if pause is not None]
+        if (not all(map(math.isfinite, timed)) or min(timed, default=0.0) < 0
+                or any(compress(map(is_, pauses, repeat(None)), truncated))):
+            raise ValueError("pause_before")
     except _FAULTS:
-        phrases = _phrases_by_element(raw_phrases)
-    return Narrative(narrative_id=narrative_id, phrases=tuple(phrases))
+        return Narrative(narrative_id, _phrases_by_element(raw_phrases))
+    return Narrative._of_columns(narrative_id, tuple(ids), tuple(zip(parts[::2], parts[1::2])),
+                                 tuple(map(tuple, texts)), tuple(finals), tuple(pauses),
+                                 tuple(truncated))
 
 
 def serialize_narrative(narrative: Narrative) -> dict:
     """Inverse of load_narrative, as a JSON-ready dict."""
+    columns = (narrative.ids, narrative.sentence_finals, narrative.pauses, narrative.truncated,
+               narrative.texts)
     return {
         "narrative_id": narrative.narrative_id,
         "phrases": [
             {
-                "id": str(p.id),
-                "sentence_final": p.sentence_final,
-                "pause_before": p.pause_before,
-                "pause_truncated": p.pause_truncated,
-                "text": list(p.text),
+                "id": pid,
+                "sentence_final": final,
+                "pause_before": pause,
+                "pause_truncated": truncated,
+                "text": list(text),
             }
-            for p in narrative.phrases
+            for pid, final, pause, truncated, text in zip(*columns)
         ],
     }
 

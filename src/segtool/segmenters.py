@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
-from itertools import chain, repeat
+from itertools import chain, compress, count, repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -43,19 +43,37 @@ def normalize_token(token: str) -> str:
     return _EDGE_PUNCT.sub("", word.replace("-", ""))
 
 
+def _word(token: str) -> str:
+    """The token's normalized word; "" for a bracketed notation or a token with no word."""
+    if token.startswith("[") or not _HAS_ALPHA.search(token):
+        return ""
+    return normalize_token(token)
+
+
 def first_lexical_token(tokens) -> str | None:
     """The first actual word of a phrase, normalized.
 
     Bracketed pause and noise notations and punctuation-only tokens do not
     count as words.
     """
-    for token in tokens:
-        if token.startswith("[") or not _HAS_ALPHA.search(token):
-            continue
-        word = normalize_token(token)
-        if word:
-            return word
-    return None
+    return next(filter(None, map(_word, tokens)), None)
+
+
+def _first_words(texts) -> list[str | None]:
+    """first_lexical_token of each token list, normalizing each distinct token once."""
+    words: dict[str, str] = {}
+    firsts = []
+    for tokens in texts:
+        for token in tokens:
+            word = words.get(token)
+            if word is None:
+                word = words[token] = _word(token)
+            if word:
+                break
+        else:
+            word = None
+        firsts.append(word)
+    return firsts
 
 
 @dataclass(frozen=True)
@@ -105,17 +123,16 @@ def default_cue_lexicon() -> CueLexicon:
     return CueLexicon.from_file(str(path), label="builtin")
 
 
-def _phrase_sites(narrative: Narrative, test) -> BoundarySet:
-    """The site before every phrase after the first that passes test."""
-    sites = [site for site, phrase in enumerate(narrative.phrases[1:]) if test(phrase)]
-    return BoundarySet.of(narrative.narrative_id, sites)
+def _phrase_sites(narrative: Narrative, marks) -> BoundarySet:
+    """The site before every phrase after the first whose mark is true."""
+    return BoundarySet.of(narrative.narrative_id, compress(count(), marks))
 
 
 def cue_segment(narrative: Narrative, lexicon: CueLexicon | None = None) -> BoundarySet:
     """Mark a boundary before every phrase that opens with a cue word."""
     if lexicon is None:
         lexicon = default_cue_lexicon()
-    return _phrase_sites(narrative, lambda phrase: first_lexical_token(phrase.text) in lexicon)
+    return _phrase_sites(narrative, map(lexicon.__contains__, _first_words(narrative.texts[1:])))
 
 
 def pause_segment(narrative: Narrative) -> BoundarySet:
@@ -124,12 +141,9 @@ def pause_segment(narrative: Narrative) -> BoundarySet:
     Presence is all that matters; durations are not thresholded. A
     truncated measurement counts as present whatever its recorded value.
     """
-
-    def paused(phrase) -> bool:
-        pause = phrase.pause_before
-        return pause is not None and (pause > 0 or phrase.pause_truncated)
-
-    return _phrase_sites(narrative, paused)
+    pauses = zip(narrative.pauses[1:], narrative.truncated[1:])
+    return _phrase_sites(narrative, [pause is not None and (pause > 0 or truncated)
+                                     for pause, truncated in pauses])
 
 
 class TraceStep(NamedTuple):
@@ -163,18 +177,20 @@ class NpSegmentation:
     def trace(self) -> tuple[TraceStep, ...]:
         """The per-clause decision trace, built from the steps on first read."""
         coding = self.coding
-        return tuple(TraceStep(coding.indices[n], *[make(coding, n) for _, make in _LINK_TESTS],
+        return tuple(TraceStep(coding.indices[n],
+                               *[frozenset(make(coding, n)) for _, make in _LINK_TESTS],
                                _OUTCOMES[linked_by], linked_by, pool)
                      for n, (linked_by, pool) in enumerate(self.steps, start=1))
 
 
 # The link tests in the order they run, as (name, clause n's referents under
 # test): coreference and inference test them against the previous clause's
-# referents, the pronoun test against the open segment's pool.
+# referents, the pronoun test against the open segment's pool. The inference
+# test's referents are given lazily, so the walk stops at the first one found.
 _LINK_TESTS = (
     (COREFERENCE, lambda coding, n: coding.clause_referents[n]),
-    (INFERENCE, lambda coding, n: frozenset(chain.from_iterable(
-        map(coding.neighbours.get, coding.clause_referents[n], repeat(()))))),
+    (INFERENCE, lambda coding, n: chain.from_iterable(
+        map(coding.neighbours.get, coding.clause_referents[n], repeat(())))),
     (PRONOUN, lambda coding, n: coding.pronoun_referents[n]),
 )
 # A trace step's test outcomes, by the test that held (None: a boundary).
@@ -208,7 +224,7 @@ def np_segment(coding: FicCoding) -> NpSegmentation:
     for n in range(1, len(referents)):
         current = referents[n]
         for name, make in _LINK_TESTS:
-            if not make(coding, n).isdisjoint(segment if name == PRONOUN else previous):
+            if not (segment if name == PRONOUN else previous).isdisjoint(make(coding, n)):
                 linked_by = name
                 segment = segment | current
                 break

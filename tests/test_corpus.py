@@ -19,21 +19,27 @@ from segtool import (
     AnnotationMatrix,
     BoundarySet,
     Fic,
+    FicCoding,
+    Narrative,
     PhraseId,
     ProsodicPhrase,
     ReferentialNp,
     SchemaError,
     SiteMapping,
     ValidationError,
+    cue_segment,
+    default_cue_lexicon,
     fixture_path,
     load_annotations,
     load_fic_coding,
     load_narrative,
+    pause_segment,
     serialize_annotations,
     serialize_fic_coding,
     serialize_narrative,
 )
 from segtool.corpus import load_manifest
+from segtool.segmenters import first_lexical_token
 
 
 def dumps(obj) -> bytes:
@@ -905,6 +911,10 @@ class TestEverySingleFaultIsNamed:
         assert str(excinfo.value) == message
 
 
+# Words, cue words, bracketed notations and punctuation-only tokens.
+TOKENS = ["so", "the", "man", "um", "And", "A-nd", "[.5]", "..", "Oh.", "well"]
+
+
 @hst.composite
 def transcript_and_coding(draw):
     """A valid transcript and a valid coding of it."""
@@ -918,10 +928,9 @@ def transcript_and_coding(draw):
         ids.append(f"{sentence}.{phrase}")
     phrases = []
     for pid in ids:
-        pause = draw(hst.none() | hst.floats(0, 5, allow_nan=False))
+        pause = draw(hst.none() | hst.sampled_from([0, 2]) | hst.floats(0, 5, allow_nan=False))
         raw = {"id": pid, "sentence_final": draw(hst.booleans()), "pause_before": pause,
-               "text": draw(hst.lists(hst.sampled_from(["so", "the", "man", "um"]), min_size=1,
-                                      max_size=3))}
+               "text": draw(hst.lists(hst.sampled_from(TOKENS), min_size=1, max_size=3))}
         if draw(hst.booleans()):
             raw["pause_truncated"] = pause is not None and draw(hst.booleans())
         phrases.append(raw)
@@ -1041,8 +1050,33 @@ COLUMN_RULES = [
 ]
 
 
+# Each rule of PhraseId, ProsodicPhrase and Narrative that the column pass
+# checks, planted alone in the toy transcript, with its located message.
+TRANSCRIPT_RULES = [
+    (("phrases", 2, "pause_before"), value,
+     "phrases[2]: phrase 2.1: pause_before must be finite and non-negative")
+    for value in (float("nan"), float("inf"), -0.5)
+] + [
+    (("phrases", 0, "pause_truncated"), True,
+     "phrases[0]: phrase 1.1: pause_truncated set without a pause_before value"),
+    (("phrases", 3, "pause_before"), 10**400, "phrases[3].pause_before: expected number or null"),
+    (("phrases", 1, "text"), [], f"phrases[1].text: {LISTS}"),
+    (("phrases", 4, "text"), ["a", ""], f"phrases[4].text: {LISTS}"),
+    (("phrases", 4, "text"), ["a", 3], f"phrases[4].text: {LISTS}"),
+    (("phrases",), [toy_transcript()["phrases"][0]],
+     "phrases: narrative toy: needs at least 2 phrases (got 1)"),
+    (("phrases", 3, "id"), "2.1", "phrases: narrative toy: phrase ids out of order (2.1 then 2.1)"),
+]
+
+
 class TestColumnRules:
     """Each rule the column pass checks, planted alone, is named as the walk names it."""
+
+    @pytest.mark.parametrize("path, value, message", TRANSCRIPT_RULES, ids=lambda x: str(x)[:40])
+    def test_planted_alone_in_a_transcript(self, path, value, message):
+        doc = dumps(planted(toy_transcript(), path, value))
+        got = outcome(load_narrative, doc)
+        assert got == walked(load_narrative, doc) == ("SchemaError", message)
 
     @pytest.mark.parametrize("path, value, message", COLUMN_RULES, ids=lambda x: str(x)[:40])
     def test_planted_alone(self, path, value, message):
@@ -1061,3 +1095,126 @@ class TestColumnRules:
             with pytest.raises(AssertionError):
                 coding.fics
         assert (coding, coding.site_map) == walked(load_fic_coding, dumps(toy_coding()), narrative)
+
+
+def record_built(doc) -> Narrative:
+    """The narrative of a valid transcript document, built from its phrase records."""
+    return Narrative(doc["narrative_id"], [
+        ProsodicPhrase(PhraseId.parse(raw["id"]), tuple(raw["text"]), raw["sentence_final"],
+                       raw["pause_before"], raw.get("pause_truncated", False))
+        for raw in doc["phrases"]
+    ])
+
+
+# Single-field changes to the toy transcript and coding that keep them valid.
+TRANSCRIPT_CHANGES = [
+    (("narrative_id",), "other"), (("phrases", 2, "id"), "2.2"),
+    (("phrases", 2, "text"), ["word", "3"]), (("phrases", 2, "sentence_final"), True),
+    (("phrases", 2, "pause_before"), 0.5), (("phrases", 2, "pause_truncated"), True),
+    (("phrases", 0, "pause_before"), 0),
+]
+CODING_CHANGES = [
+    (("fics", 4, "span"), ["3.1", "3.2"]), (("fics", 2, "nps", 0, "form"), "she"),
+    (("fics", 2, "nps", 1, "referent"), 3), (("fics", 2, "nps", 1, "pronoun3"), True),
+    (("fics", 2, "nps", 0, "inferential"), [[1, "r2", 2]]),
+    (("fics", 2, "nps"), [{"form": "he", "referent": 1}]),
+]
+
+
+class TestNarrativeColumns:
+    """A loaded transcript keeps columns; it equals the narrative of its records."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(files=transcript_and_coding())
+    def test_a_loaded_transcript_equals_its_records(self, files):
+        doc = files[0]
+        loaded, built = load_narrative(dumps(doc)), record_built(doc)
+        records = built.phrases
+        assert (loaded, hash(loaded)) == (built, hash(built))
+        assert loaded.phrases == records
+        assert [type(p.pause_before) for p in loaded.phrases] == [
+            type(p.pause_before) for p in records]
+        assert [loaded.site_label(k) for k in range(loaded.site_count)] == [
+            f"{left.id}→{right.id}" for left, right in zip(records, records[1:])]
+        assert [loaded.site_pair(k) for k in range(loaded.site_count)] == [
+            (left.id, right.id) for left, right in zip(records, records[1:])]
+        assert dumps(serialize_narrative(loaded)) == dumps(serialize_narrative(built))
+        lexicon = default_cue_lexicon()
+        assert cue_segment(loaded, lexicon).sites == {
+            k for k, p in enumerate(records[1:]) if first_lexical_token(p.text) in lexicon}
+        assert pause_segment(loaded).sites == {
+            k for k, p in enumerate(records[1:])
+            if p.pause_before is not None and (p.pause_before > 0 or p.pause_truncated)}
+        assert cue_segment(built, lexicon) == cue_segment(loaded, lexicon)
+        assert pause_segment(built) == pause_segment(loaded)
+
+    def test_integer_pauses_are_stored_as_floats(self):
+        doc = planted(planted(toy_transcript(), ("phrases", 1, "pause_before"), 0),
+                      ("phrases", 2, "pause_before"), 2)
+        narrative = load_narrative(dumps(doc))
+        assert narrative.pauses[1:3] == (0.0, 2.0)
+        assert [type(p) for p in narrative.pauses[1:3]] == [float, float]
+        assert serialize_narrative(narrative)["phrases"][1]["pause_before"] == 0.0
+
+    def test_records_are_built_on_first_read(self):
+        with mock.patch.object(corpus, "PhraseId", side_effect=AssertionError), \
+                mock.patch.object(corpus, "ProsodicPhrase", side_effect=AssertionError):
+            narrative = load_narrative(dumps(toy_transcript()))
+            assert narrative.site_label(3) == "3.1→3.2"
+            with pytest.raises(AssertionError):
+                narrative.phrases
+        assert narrative.phrases == record_built(toy_transcript()).phrases
+        assert narrative.site_pair(3) == (PhraseId(3, 1), PhraseId(3, 2))
+
+    def test_comparing_loaded_files_builds_no_record(self):
+        records = ("PhraseId", "ProsodicPhrase", "Fic", "ReferentialNp", "SiteMapping")
+        with mock.patch.multiple(corpus, **dict.fromkeys(records, mock.Mock(
+                side_effect=AssertionError))):
+            narrative, again = (load_narrative(dumps(toy_transcript())) for _ in range(2))
+            coding, twin = (load_fic_coding(dumps(toy_coding()), n) for n in (narrative, again))
+            assert (narrative, hash(narrative)) == (again, hash(again))
+            assert (coding, hash(coding)) == (twin, hash(twin))
+            other = load_narrative(dumps(planted(toy_transcript(), *TRANSCRIPT_CHANGES[1])))
+            assert narrative != other
+            assert coding != load_fic_coding(dumps(planted(toy_coding(), *CODING_CHANGES[0])),
+                                             again)
+
+    @pytest.mark.parametrize("path, value", TRANSCRIPT_CHANGES, ids=lambda x: str(x)[:30])
+    def test_one_transcript_field_changes_equality(self, path, value):
+        base, changed = toy_transcript(), planted(toy_transcript(), path, value)
+        loaded = load_narrative(dumps(changed))
+        assert (loaded, hash(loaded)) == (record_built(changed), hash(record_built(changed)))
+        assert loaded != load_narrative(dumps(base))
+        assert loaded != record_built(base)
+
+    @pytest.mark.parametrize("path, value", CODING_CHANGES, ids=lambda x: str(x)[:30])
+    def test_one_coding_field_changes_equality(self, path, value):
+        narrative = load_narrative(dumps(toy_transcript()))
+        base = load_fic_coding(dumps(toy_coding()), narrative)
+        loaded = load_fic_coding(dumps(planted(toy_coding(), path, value)), narrative)
+        built = FicCoding(narrative, loaded.fics)
+        assert (loaded, hash(loaded)) == (built, hash(built))
+        assert loaded != base
+        assert built != FicCoding(narrative, base.fics)
+
+    def test_codings_differ_in_what_no_single_field_holds(self):
+        """The same NPs in other clauses, the same relations on another NP, the same clauses
+        under other indices or transcript."""
+        narrative = load_narrative(dumps(toy_transcript()))
+        linked = planted(toy_coding(), ("fics", 0, "nps", 1, "referent"), 1)
+        relinked = planted(planted(linked, ("fics", 0, "nps", 0, "inferential"), []),
+                           ("fics", 0, "nps", 1, "inferential"), [[1, "r1", 2]])
+        assert load_fic_coding(dumps(relinked), narrative) != load_fic_coding(dumps(linked),
+                                                                              narrative)
+        base = load_fic_coding(dumps(toy_coding()), narrative)
+        moved = toy_coding()
+        moved["fics"][2]["nps"].insert(0, moved["fics"][1]["nps"].pop())
+        shifted = toy_coding()
+        for fic in shifted["fics"]:
+            fic["index"] += 1
+        other = load_narrative(dumps(planted(toy_transcript(), ("narrative_id",), "other")))
+        for doc, against in ((moved, narrative), (shifted, narrative),
+                             (planted(toy_coding(), ("narrative_id",), "other"), other)):
+            loaded = load_fic_coding(dumps(doc), against)
+            assert loaded == FicCoding(against, loaded.fics)
+            assert loaded != base

@@ -29,13 +29,17 @@ from segtool import (
     corpus,
     cue_segment,
     evaluate_humans,
+    load_annotations,
     load_fic_coding,
+    load_narrative,
     normalize_to_sites,
     np_segment,
     pause_segment,
     render,
     segmenters,
+    serialize_annotations,
     serialize_fic_coding,
+    serialize_narrative,
 )
 from segtool.evaluation import score_units
 
@@ -99,6 +103,29 @@ def test_report_builds_no_coding_record(batch, monkeypatch):
     assert build_report(fresh).to_tsv() == expected
     with pytest.raises(AssertionError, match="coding record"):
         fresh[1].coding.fics
+
+
+def test_report_builds_no_phrase_record(batch, monkeypatch):
+    """A loaded transcript builds its records when they are read; loading, the report and
+    its TSV read none."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a phrase record")
+
+    expected = build_report(batch).to_tsv()
+    files = [[kind and json.dumps(serialize(kind)).encode() for kind, serialize in (
+        (item.narrative, serialize_narrative), (item.matrix, serialize_annotations),
+        (item.coding, serialize_fic_coding))] for item in batch]
+    for name in ("PhraseId", "ProsodicPhrase"):
+        monkeypatch.setattr(corpus, name, refuse)
+    fresh = []
+    for narrative, matrix, coding in files:
+        narrative = load_narrative(narrative)
+        fresh.append(BatchItem(narrative, load_annotations(matrix, narrative),
+                               coding and load_fic_coding(coding, narrative)))
+    assert build_report(fresh).to_tsv() == expected
+    with pytest.raises(AssertionError, match="phrase record"):
+        fresh[0].narrative.phrases
 
 
 class TestAgreementBlock:

@@ -91,6 +91,28 @@ class TestTokenNormalization:
         assert first_lexical_token(["[.35]", "..", "...", "he-"]) == "he"
         assert first_lexical_token(["[.2]", "[1.15]"]) is None
 
+    @settings(max_examples=300, deadline=None)
+    @given(hst.lists(hst.lists(hst.one_of(
+        hst.sampled_from(["[.9]", "[1.15]", "[laughs]", "..", "...", "-", "'", "A-nd", "he-",
+                          "And", "SO", "Oh.", "Über", "éé", "İ", "ß", "\u212a", "don't,", "0"]),
+        hst.text(hst.sampled_from("-'.,[]09aZİßéK\u212a"), min_size=1, max_size=5),
+    ), max_size=5), max_size=8))
+    def test_first_words_are_first_lexical_tokens(self, texts):
+        """The one-call memo of cue_segment gives each list's first word, as the loop does."""
+
+        def first_word(tokens):
+            for token in tokens:
+                if token.startswith("[") or not segmenters._HAS_ALPHA.search(token):
+                    continue
+                word = normalize_token(token)
+                if word:
+                    return word
+            return None
+
+        expected = [first_word(tokens) for tokens in texts]
+        assert [first_lexical_token(tokens) for tokens in texts] == expected
+        assert segmenters._first_words(texts) == expected
+
 
 class TestCueLexicon:
     def test_default_contents(self):
@@ -470,6 +492,27 @@ class TestNpWalkOracle:
         assert traced.boundaries == untraced.boundaries == boundaries
         assert sites == normalize_to_sites(traced, coding)
         assert [(step.linked_by, step.segment_referents) for step in traced.trace] == steps
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=random_codings())
+    def test_each_step_names_the_first_test_whose_set_meets(self, case):
+        """A step's test sets are full sets, and the first that meets its own target decides."""
+        _, coding = case
+        segmentation = np_segment(coding)
+        pool = coding.clause_referents[0]
+        for n, step in enumerate(segmentation.trace, start=1):
+            previous = coding.clause_referents[n - 1]
+            met = [name for name, referents, target in (
+                ("coreference", step.clause_referents, previous),
+                ("inference", step.inferable_referents, previous),
+                ("pronoun", step.pronoun_referents, pool),
+            ) if referents & target]
+            assert step.linked_by == (met[0] if met else None)
+            assert step.inferable_referents == {
+                peer for referent in step.clause_referents
+                for peer in coding.neighbours.get(referent, ())}
+            pool = step.segment_referents
 
 
 class TestTraceView:
