@@ -24,7 +24,7 @@ from collections import defaultdict, namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, count, islice, repeat, starmap
-from operator import eq, is_, itemgetter, le, lt
+from operator import eq, index, is_, itemgetter, le, lt
 from pathlib import Path
 from typing import Any, Iterable, Iterator, NamedTuple
 
@@ -437,6 +437,21 @@ class FicCoding:
         return f"FicCoding({self.narrative_id!r}, {len(self.indices)} clauses)"
 
 
+# The rule for a site index: an int that is not a bool. BoundarySet.of and
+# evaluation.site_mask also take numpy integers, as scalars or an integer array.
+_NUMPY_SITE_TYPES = {int, *(np.dtype(code).type for code in np.typecodes["AllInteger"])}
+
+
+def _site_ints(sites, numpy: bool = True) -> list[int]:
+    """The sites as ints, their types checked at once; only a failure seeks the first offender."""
+    values = sites.tolist() if numpy and isinstance(sites, np.ndarray) else list(sites)
+    types, allowed = set(map(type, values)), _NUMPY_SITE_TYPES if numpy else {int}
+    if not types <= allowed:
+        bad = next(k for k in values if type(k) not in allowed)
+        raise ValidationError(f"bad site index {bad!r}")
+    return values if types <= {int} else list(map(index, values))
+
+
 @dataclass(frozen=True)
 class BoundarySet:
     """A set of boundary-site indices for one narrative."""
@@ -445,13 +460,12 @@ class BoundarySet:
     sites: frozenset[int]
 
     def __post_init__(self):
-        for k in self.sites:
-            if type(k) is not int or k < 0:
-                raise ValidationError(f"bad site index {k!r}")
+        if min(_site_ints(self.sites, numpy=False), default=0) < 0:
+            raise ValidationError(f"bad site index {min(self.sites)!r}")
 
     @classmethod
     def of(cls, narrative_id: str, sites: Iterable[int]) -> "BoundarySet":
-        return cls(narrative_id, frozenset(int(k) for k in sites))
+        return cls(narrative_id, frozenset(_site_ints(sites)))
 
     def labels(self, narrative: Narrative) -> tuple[str, ...]:
         """Ascending "left→right" phrase-pair labels for the sites."""
@@ -608,19 +622,17 @@ def _subject_ids(value: Any) -> tuple[str, ...]:
     return tuple(value)
 
 
-def _phrases_by_element(raw_phrases: list) -> list[ProsodicPhrase]:
-    """The phrases, raising at the first fault with its location."""
-    phrases = []
+def _phrases_by_element(raw_phrases: list) -> None:
+    """Raise at the first faulty phrase, with its location."""
     for k, raw in enumerate(raw_phrases):
         where = f"phrases[{k}]"
         pid, final, pause, truncated, text = _fields(raw, _PHRASE_FIELDS, where)
         try:
-            phrases.append(ProsodicPhrase(PhraseId.parse(pid), tuple(text), final, pause, truncated))
+            ProsodicPhrase(PhraseId.parse(pid), tuple(text), final, pause, truncated)
         except SchemaError as exc:
             raise SchemaError(f"{where}.{exc.location}", exc.problem) from None
         except ValidationError as exc:
             raise SchemaError(where, str(exc)) from None
-    return phrases
 
 
 def load_narrative(source) -> Narrative:
@@ -632,8 +644,8 @@ def load_narrative(source) -> Narrative:
         raise SchemaError("phrases", "expected a list")
     try:
         ids, finals, pauses, truncated, texts = _columns(raw_phrases, _PHRASE_FIELDS)
-        # Canonical ids as [sentence, phrase, sentence, ...]; no ids give int("").
-        parts = list(map(int, ".".join(ids).split(".")))
+        # Canonical ids as [sentence, phrase, sentence, ...].
+        parts = list(map(int, ".".join(ids).split("."))) if ids else []
         # The rules of PhraseId and ProsodicPhrase, a column at a time.
         if not all(texts) or not _nonempty_strings(list(chain.from_iterable(texts))):
             raise ValueError("text")
@@ -643,7 +655,8 @@ def load_narrative(source) -> Narrative:
                 or any(compress(map(is_, pauses, repeat(None)), truncated))):
             raise ValueError("pause_before")
     except _FAULTS:
-        return Narrative(narrative_id, _phrases_by_element(raw_phrases))
+        _phrases_by_element(raw_phrases)  # names the fault the column pass met
+        raise
     return Narrative._of_columns(narrative_id, tuple(ids), tuple(zip(parts[::2], parts[1::2])),
                                  tuple(map(tuple, texts)), tuple(finals), tuple(pauses),
                                  tuple(truncated))
@@ -703,9 +716,8 @@ def serialize_annotations(matrix: AnnotationMatrix) -> dict:
     }
 
 
-def _fics_by_element(raw_fics: list, narrative: Narrative) -> list[Fic]:
-    """The clauses, raising at the first fault."""
-    fics = []
+def _fics_by_element(raw_fics: list, narrative: Narrative) -> None:
+    """Raise at the first faulty clause, with its location."""
     for n, raw in enumerate(raw_fics):
         where = f"fics[{n}]"
         index, span = _fields(raw, _FIC_FIELDS[:2], where)  # the span before the NPs
@@ -715,7 +727,6 @@ def _fics_by_element(raw_fics: list, narrative: Narrative) -> list[Fic]:
         except ValidationError as exc:
             raise SchemaError(f"{where}.span", str(exc)) from None
         (raw_nps,) = _fields(raw, _FIC_FIELDS[2:], where)
-        nps = []
         for m, raw_np in enumerate(raw_nps):
             np_where = f"{where}.nps[{m}]"
             form, referent, pronoun3, rels = _fields(raw_np, _NP_FIELDS, np_where)
@@ -725,14 +736,13 @@ def _fics_by_element(raw_fics: list, narrative: Narrative) -> list[Fic]:
                         f"{np_where}.inferential[{r}]", "expected [source, tag, target]"
                     )
             try:
-                nps.append(ReferentialNp(index, form, referent, pronoun3, frozenset(map(tuple, rels))))
+                ReferentialNp(index, form, referent, pronoun3, frozenset(map(tuple, rels)))
             except ValidationError as exc:
                 raise SchemaError(np_where, str(exc)) from None
         try:
-            fics.append(Fic(index, (start, end), tuple(nps)))
+            Fic(index, (start, end), ())  # each NP above is tagged for this clause
         except ValidationError as exc:
             raise SchemaError(where, str(exc)) from None
-    return fics
 
 
 def load_fic_coding(source, narrative: Narrative) -> FicCoding:
@@ -760,7 +770,8 @@ def load_fic_coding(source, narrative: Narrative) -> FicCoding:
                 or not all(map(le, starts, ends))):
             raise ValueError("rules")
     except _FAULTS:
-        return FicCoding(narrative, _fics_by_element(raw_fics, narrative))
+        _fics_by_element(raw_fics, narrative)  # names the fault the column pass met
+        raise
     return FicCoding._of_columns(narrative, indices, starts, ends, list(map(len, raw_nps)),
                                  forms, referents, pronoun3s, raw_rels)
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .agreement import BoundaryStrengths, boundary_strengths, majority_threshold
-from .corpus import AnnotationMatrix, BoundarySet
+from .corpus import AnnotationMatrix, BoundarySet, _site_ints
 from .errors import ValidationError
 
 # Each ratio as a (numerator, denominator) pair of the cells a, b, c and d.
@@ -71,12 +71,13 @@ class EvalMetrics:
 
 def site_mask(boundaries, sites: int, role: str) -> np.ndarray:
     """A BoundarySet or site iterable as a 0/1 vector over the sites."""
-    values = boundaries.sites if isinstance(boundaries, BoundarySet) else boundaries
+    plain = not isinstance(boundaries, BoundarySet)
+    values = _site_ints(boundaries) if plain else list(boundaries.sites)
+    if values and not 0 <= min(values) <= max(values) < sites:
+        k = next(k for k in values if not 0 <= k < sites)
+        raise ValidationError(f"{role} site {k} outside [0, {sites - 1}]")
     mask = np.zeros(sites, dtype=np.int64)
-    for k in values:
-        if not 0 <= int(k) <= sites - 1:
-            raise ValidationError(f"{role} site {k} outside [0, {sites - 1}]")
-        mask[int(k)] = 1
+    mask[values] = 1
     return mask
 
 

@@ -27,6 +27,7 @@ from .corpus import AnnotationMatrix
 from .errors import DegenerateDataError, ValidationError
 
 _EPS = 1e-14
+_QUANTILE_TOL = 1e-12
 _MAX_ITER = 10**6
 # The simulation keeps one float per trial, so this bounds its memory (8 MB).
 MAX_TRIALS = 10**6
@@ -134,7 +135,7 @@ def chi_square_cdf(x: float, df: int) -> float:
     return _chi_square_tails(x, df)[0]
 
 
-def chi_square_critical(tail: float, df: int, tol: float = 1e-12) -> float:
+def chi_square_critical(tail: float, df: int) -> float:
     """The x with chi_square_sf(x, df) == tail, found by bisection."""
     if not 0.0 < tail < 1.0:
         raise ValidationError(f"tail probability must be in (0, 1), got {tail!r}")
@@ -144,7 +145,7 @@ def chi_square_critical(tail: float, df: int, tol: float = 1e-12) -> float:
         hi *= 2.0
         if hi > 1e12:
             raise ValidationError(f"no chi-square quantile found for tail {tail}")
-    while hi - lo > tol * max(1.0, hi):
+    while hi - lo > _QUANTILE_TOL * max(1.0, hi):
         mid = (lo + hi) / 2.0
         if chi_square_sf(mid, df) > tail:
             lo = mid

@@ -25,7 +25,7 @@ from segtool import (
     percent_agreement,
     target_boundaries,
 )
-from segtool.evaluation import RATIOS, aggregate_pairs, score_units
+from segtool.evaluation import RATIOS, aggregate_pairs, score_units, site_mask
 
 F = Fraction
 
@@ -104,6 +104,90 @@ class TestConfusion:
         assert swapped.recall == scores.precision
         assert swapped.precision == scores.recall
         assert swapped.error == scores.error
+
+
+# Values that are no site index, though int() would make one of each.
+NOT_SITES = [1.7, 1.0, True, False, "1", np.float64(2.0), np.True_]
+
+
+def per_site_mask(boundaries, sites: int, role: str) -> np.ndarray:
+    """The oracle: site_mask as a loop that casts and sets one site at a time."""
+    values = boundaries.sites if isinstance(boundaries, BoundarySet) else boundaries
+    mask = np.zeros(sites, dtype=np.int64)
+    for k in values:
+        if not 0 <= int(k) <= sites - 1:
+            raise ValidationError(f"{role} site {k} outside [0, {sites - 1}]")
+        mask[int(k)] = 1
+    return mask
+
+
+def mask_or_error(mask, *args):
+    try:
+        return mask(*args).tolist()
+    except ValidationError as exc:
+        return str(exc)
+
+
+class TestSiteRule:
+    """BoundarySet.of and confusion hold sites to the constructor's rule."""
+
+    @pytest.mark.parametrize("bad", NOT_SITES, ids=repr)
+    def test_of_refuses_what_is_no_site(self, bad):
+        with pytest.raises(ValidationError) as excinfo:
+            BoundarySet.of("n", [0, bad, 2])
+        assert str(excinfo.value) == f"bad site index {bad!r}"
+
+    @pytest.mark.parametrize("bad", NOT_SITES, ids=repr)
+    def test_confusion_refuses_what_is_no_site(self, bad):
+        for predicted, target in (([bad], [1]), ([1], [0, bad])):
+            with pytest.raises(ValidationError) as excinfo:
+                confusion(predicted, target, sites=3)
+            assert str(excinfo.value) == f"bad site index {bad!r}"
+
+    def test_the_first_value_that_is_no_site_is_named(self):
+        with pytest.raises(ValidationError, match=r"^bad site index '1'$"):
+            BoundarySet.of("n", iter([0, "1", 1.5]))
+        with pytest.raises(ValidationError, match=r"^bad site index 1\.5$"):
+            confusion([7, 1.5, True], [], sites=3)
+
+    @pytest.mark.parametrize("predicted, target, message", [
+        ({5}, set(), "predicted site 5 outside [0, 4]"),
+        ([1, 9, 7], set(), "predicted site 9 outside [0, 4]"),
+        ([np.int64(6)], set(), "predicted site 6 outside [0, 4]"),
+        (set(), {-1}, "target site -1 outside [0, 4]"),
+        (set(), [2, -3, 9], "target site -3 outside [0, 4]"),
+    ])
+    def test_out_of_range_texts(self, predicted, target, message):
+        with pytest.raises(ValidationError) as excinfo:
+            confusion(predicted, target, sites=5)
+        assert str(excinfo.value) == message
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        hst.integers(1, 40).flatmap(lambda n: hst.tuples(
+            hst.just(n),
+            hst.lists(hst.integers(-3, n + 3), max_size=12),
+            hst.sampled_from([np.int64, np.int32, np.int8, np.uint8]),
+        ))
+    )
+    def test_site_mask_equals_the_per_site_loop(self, case):
+        sites, values, dtype = case
+        if np.dtype(dtype).kind == "u":
+            values = [abs(k) for k in values]
+        array = np.array(values, dtype=dtype)
+        given_sites = [values, set(values), array, list(array),
+                       BoundarySet.of("n", [k for k in array if k >= 0])]
+        for boundaries in given_sites:
+            assert mask_or_error(site_mask, boundaries, sites, "target") == mask_or_error(
+                per_site_mask, boundaries, sites, "target")
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(hst.lists(hst.integers(0, 1), min_size=1, max_size=60))
+    def test_a_mask_survives_its_site_set(self, cells):
+        mask = np.array(cells)
+        sites = BoundarySet.of("n", np.flatnonzero(mask))
+        assert all(type(k) is int for k in sites.sites)
+        assert np.array_equal(site_mask(sites, len(mask), "target"), mask)
 
 
 class TestAlgorithmScores:
