@@ -19,8 +19,8 @@ import sys
 from .agreement import boundary_strengths, percent_agreement
 from .corpus import load_annotations, load_fic_coding, load_manifest, load_narrative
 from .errors import DegenerateDataError, ValidationError
-from .evaluation import (METRIC_NAMES, ConfusionCounts, aggregate_cells, metrics, score_units,
-                         site_mask, target_boundaries)
+from .evaluation import (METRIC_NAMES, ConfusionCounts, aggregate_cells, metrics,
+                         resolve_target, score_units, site_mask)
 from .render import PVALUE, RATIO, VARIANCE, num, sites_text, to_json, tsv
 from .report import BatchItem, build_report
 from .segmenters import CueLexicon, segment_by
@@ -223,14 +223,16 @@ def _cmd_segment(args) -> str:
 def _cmd_eval(args) -> str:
     _check_method_flags(args)
     narrative, matrix = _load_pair(args)
+    strengths = boundary_strengths(matrix)
     if args.method == "humans":
         units, rows = matrix.subject_ids, matrix.cells
     else:
         # A target outside the panel is reported before --coding or --cues is read.
-        target_boundaries(matrix, args.threshold, args.exact)
+        resolve_target(strengths, args.threshold, args.exact)
         units = ["algorithm"]
         rows = site_mask(_predict(args, narrative)[0], matrix.sites, "predicted")[None, :]
-    _, mode, cells = score_units(matrix, rows, args.threshold, args.exact, args.leave_one_out)
+    _, mode, cells = score_units(matrix, rows, args.threshold, args.exact, args.leave_one_out,
+                                 strengths)
     counts = list(map(ConfusionCounts, *cells[:, :, 0].tolist()))
     scored = [(unit, c, metrics(c).as_dict()) for unit, c in zip(units, counts)]
     lead = [matrix.narrative_id, args.method, mode]

@@ -31,7 +31,8 @@ from segtool import (
     null_calibration,
     partition_q,
 )
-from segtool.significance import _CHUNK_CELLS, _chunk_columns
+from segtool import significance
+from segtool.significance import _CHUNK_CELLS, _chunk_columns, _FloydDraws
 
 
 def make_matrix(cells, narrative_id="m") -> AnnotationMatrix:
@@ -356,6 +357,86 @@ class TestNullCalibration:
             tracemalloc.stop()
         assert peak < 3 * 2**20, peak
 
+    def test_memory_of_a_narrow_panel(self):
+        # 524288 trials a chunk: one Floyd step's draws are drawn in pieces.
+        tracemalloc.start()
+        try:
+            null_calibration((1,) * 7, 2, 10**6, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30 * 2**20, peak
+
+
+def lemire_draws(bit_generator, runs, n):
+    """integers(0, b, size=n) for each b of each run, in pure Python.
+
+    Each raw 64-bit word gives its low 32 bits, then its high 32 bits. A
+    word w maps to (w * b) >> 32 unless (w * b) mod 2**32 falls below
+    (2**32 - b) % b, when the draw takes the next word. A bound of 1 takes
+    no word.
+    """
+    def words():
+        while True:
+            raw = int(bit_generator.random_raw())
+            yield raw & 0xFFFFFFFF
+            yield raw >> 32
+
+    stream = words()
+    rows = []
+    for b in itertools.chain.from_iterable(runs):
+        row = []
+        for _ in range(n):
+            product = next(stream) * b if b > 1 else 0
+            while product % 2**32 < (2**32 - b) % b:
+                product = next(stream) * b
+            row.append(product >> 32)
+        rows.append(row)
+    return rows
+
+
+class TestFloydDraws:
+    """_FloydDraws against integers() one call per bound, and against
+    Lemire's rule over the raw words in plain Python.
+
+    Bounds just past 2**31 refuse about half their words, 3 * 2**30 a
+    quarter, and 2**32 // 3 = 1431655765 one word in 2**32 (its threshold
+    (2**32 - b) % b is 1, while 2**32 // 3 + 1 refuses a third). 2**32 - 7
+    refuses few, 2**32 none, and a bound of 1 takes no word at all.
+    """
+
+    RUNS = (range(1, 4), range(2**31 + 1, 2**31 + 6), range(7, 9),
+            range(3 * 2**30, 3 * 2**30 + 2), range(2**32 // 3, 2**32 // 3 + 2),
+            range(2**32 - 7, 2**32 + 1), range(1000, 1003), range(2, 3))
+
+    def drawn(self, seed, n):
+        draws = _FloydDraws(np.random.default_rng(seed).bit_generator, n)
+        return [t.tolist() for run in self.RUNS for t in draws.steps(run)]
+
+    @pytest.mark.parametrize("piece", [2**14, 5, 2])
+    @pytest.mark.parametrize("n", [1, 2, 7, 33])
+    def test_equal_to_integers_calls(self, monkeypatch, piece, n):
+        monkeypatch.setattr(significance, "_PIECE_DRAWS", piece)
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            expected = [rng.integers(0, b, size=n).tolist()
+                        for run in self.RUNS for b in run]
+            assert self.drawn(seed, n) == expected, (seed, n)
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_equal_to_lemire_over_raw_words(self, n):
+        for seed in range(4):
+            bit_generator = np.random.default_rng(seed).bit_generator
+            assert self.drawn(seed, n) == lemire_draws(bit_generator, self.RUNS, n)
+
+    def test_bound_one_takes_no_word(self):
+        for n in (1, 3):
+            rng = np.random.default_rng(5)
+            draws = _FloydDraws(np.random.default_rng(5).bit_generator, n)
+            assert [t.tolist() for t in draws.steps(range(1, 2))] == [[0] * n]
+            assert [t.tolist() for t in draws.steps(range(5, 7))] == [
+                rng.integers(0, b, size=n).tolist() for b in (5, 6)]
+
 
 def exact_null(row_totals, sites):
     """Every row-preserving placement, as (integer deviation, matrix) pairs.
@@ -444,6 +525,15 @@ class TestExactNull:
             expected = floyd_columns(rows, sites, n, np.random.default_rng((sites, n)))
             columns = _chunk_columns(rows, sites, n, np.random.default_rng((sites, n)))
             assert columns.tolist() == expected.tolist(), (sites, n)
+
+    @pytest.mark.parametrize("rows, sites, n", [
+        ((45, 50, 7), 50, 999),  # 16 steps a block; 45 and 50 steps span several
+        ((1, 3, 2), 3, 2**14 + 3),  # one step a block, drawn in two pieces
+    ])
+    def test_chunk_matches_per_trial_floyd_across_blocks(self, rows, sites, n):
+        expected = floyd_columns(rows, sites, n, np.random.default_rng((sites, n)))
+        columns = _chunk_columns(rows, sites, n, np.random.default_rng((sites, n)))
+        assert columns.tolist() == expected.tolist()
 
     def test_every_trial_keeps_its_row_totals(self):
         rng = np.random.default_rng(7)
