@@ -223,16 +223,14 @@ def _cmd_segment(args) -> str:
 def _cmd_eval(args) -> str:
     _check_method_flags(args)
     narrative, matrix = _load_pair(args)
-    strengths = boundary_strengths(matrix)
     if args.method == "humans":
         units, rows = matrix.subject_ids, matrix.cells
     else:
         # A target outside the panel is reported before --coding or --cues is read.
-        resolve_target(strengths, args.threshold, args.exact)
+        resolve_target(boundary_strengths(matrix), args.threshold, args.exact)
         units = ["algorithm"]
         rows = site_mask(_predict(args, narrative)[0], matrix.sites, "predicted")[None, :]
-    _, mode, cells = score_units(matrix, rows, args.threshold, args.exact, args.leave_one_out,
-                                 strengths)
+    _, mode, cells = score_units(matrix, rows, args.threshold, args.exact, args.leave_one_out)
     counts = list(map(ConfusionCounts, *cells[:, :, 0].tolist()))
     scored = [(unit, c, metrics(c).as_dict()) for unit, c in zip(units, counts)]
     lead = [matrix.narrative_id, args.method, mode]

@@ -206,18 +206,7 @@ class AnnotationMatrix:
 
     def __init__(self, narrative_id: str, subject_ids: Iterable[str], cells):
         _narrative_id(narrative_id)
-        self._hold(narrative_id, _subject_ids(tuple(subject_ids)), cells)
-
-    @classmethod
-    def _of_checked_ids(cls, narrative_id: str, subject_ids: tuple[str, ...],
-                        cells) -> "AnnotationMatrix":
-        """The matrix of a loader that has already checked both kinds of id."""
-        matrix = cls.__new__(cls)
-        matrix._hold(narrative_id, subject_ids, cells)
-        return matrix
-
-    def _hold(self, narrative_id: str, subject_ids: tuple[str, ...], cells) -> None:
-        """Check the cells against the subjects and keep them."""
+        subject_ids = _subject_ids(tuple(subject_ids))
         if not subject_ids:
             raise SchemaError("subjects", "expected at least one subject")
         rows = cells.tolist() if isinstance(cells, np.ndarray) else cells
@@ -715,7 +704,7 @@ def load_annotations(source, narrative: Narrative) -> AnnotationMatrix:
         not isinstance(rows[0], list) or len(rows[0]) != sites
     ):
         raise SchemaError("matrix[0]", f"expected {sites} cells")
-    return AnnotationMatrix._of_checked_ids(narrative_id, subjects, rows)
+    return AnnotationMatrix(narrative_id, subjects, rows)
 
 
 def serialize_annotations(matrix: AnnotationMatrix) -> dict:

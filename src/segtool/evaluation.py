@@ -136,7 +136,6 @@ def resolve_target(
 def score_units(
     matrix: AnnotationMatrix, rows: np.ndarray, threshold: int | None = None,
     exact: int | None = None, leave_one_out: bool = False,
-    strengths: BoundaryStrengths | None = None,
 ) -> tuple[np.ndarray, str, np.ndarray]:
     """Score each 0/1 unit row (units x sites) against the panel's pooled opinion.
 
@@ -148,12 +147,9 @@ def score_units(
     With leave_one_out the rows must be the subjects' own, and row r is
     scored against the opinion of every other subject only; a defaulted
     threshold then becomes the strict majority of the reduced panel, and
-    the cells hold column 0 only. strengths, when the caller has it, is
-    boundary_strengths(matrix).
+    the cells hold column 0 only.
     """
-    if strengths is None:
-        strengths = boundary_strengths(matrix)
-    target, mode = resolve_target(strengths, threshold, exact)
+    target, mode = resolve_target(boundary_strengths(matrix), threshold, exact)
     if not leave_one_out:
         levels = np.arange(1, matrix.subjects + 1)
         targets = np.column_stack([target, matrix.column_totals[:, None] == levels])

@@ -19,6 +19,7 @@ depend on one. Cochran (1950, Biometrika 37) is the source of the test.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
@@ -35,9 +36,8 @@ MAX_TRIALS = 10**6
 # Cells (trials x sites) simulated at once. A chunk keeps a 0/1 mark byte and
 # a column-total byte (two past 255 subjects) per cell, about 2 MB in all.
 _CHUNK_CELLS = 2**20
-# Floyd draws made at once from the raw words. A chunk keeps them as int64,
-# 128 KB, and makes them with 64 KB of words or low words at a time.
-_PIECE_DRAWS = 2**14
+# Where the low 32 bits of a uint64 lie in its two uint32 halves.
+_LOW_HALF = int(sys.byteorder == "big")
 
 DEGENERATE_MESSAGE = "degenerate: no boundary variance"
 
@@ -320,7 +320,7 @@ def null_calibration(
     of the sites (Floyd's algorithm), independently per subject. Trials are
     simulated in chunks of max(1, _CHUNK_CELLS // sites) trials; chunk c
     draws from default_rng((seed, c)) what one integers() call per Floyd
-    step would, made in blocks from the raw words (_FloydDraws).
+    step would, made from its raw words (_FloydDraws).
     So the same inputs give the same result on every run; a run longer than
     max(1, 2**18 // sites) trials gives other numbers than versions that
     used 2**18-cell chunks. The empirical p for an observed Q uses the
@@ -406,92 +406,85 @@ def _chunk_columns(
     Floyd's algorithm picks a uniform u-subset of range(sites) in u steps:
     at step s it draws t from [0, k] with k = sites - u + s, and takes t, or
     k when t is already taken. Every trial of the chunk runs each step at
-    once on a flat n x sites mark array, taking its t from _FloydDraws.
+    once, taking its t from _FloydDraws, on a sites x n mark array: site k
+    is never taken before step k, so its row becomes the trials whose t was
+    taken, and then every trial's t is marked. The marks and totals are
+    kept sites x n so that the row of k is contiguous; the result is the
+    totals' transposed view. rng must be fresh, or hold no 32-bit half, as
+    its raw words are read directly; it is left with some words read ahead.
     """
-    offsets = np.arange(n, dtype=np.int64) * sites
-    columns = np.zeros((n, sites), dtype=np.min_scalar_type(len(u)))
-    mark = np.zeros(n * sites, dtype=bool)
+    trials = np.arange(n, dtype=np.int64)
+    columns = np.zeros((sites, n), dtype=np.min_scalar_type(len(u)))
+    mark = np.zeros((sites, n), dtype=bool)
+    marks = mark.reshape(-1)
     draws = _FloydDraws(rng.bit_generator, n)
     for u_i in filter(None, u):
-        k = offsets + (sites - u_i)
-        for t in draws.steps(range(sites - u_i + 1, sites + 1)):
-            t += offsets
-            mark[np.where(mark[t], k, t)] = True
-            k += 1
-        columns += mark.reshape(n, sites)
+        steps = draws.steps(range(sites - u_i + 1, sites + 1))
+        for k, t in enumerate(steps, sites - u_i):
+            t *= n
+            t += trials
+            mark[k] = marks[t]
+            marks[t] = True
+        columns += mark
         mark[:] = False
-    return columns
+    return columns.T
 
 
 class _FloydDraws:
     """The n draws of each Floyd step of a chunk, made from a bit generator's
-    raw 64-bit words as Generator.integers makes them from the same stream.
+    raw 64-bit words as Generator.integers makes them from the same stream
+    when the generator is fresh, or has no 32-bit half held back.
 
     integers(0, b, size=n) reads 32-bit words, each raw word giving its low
     half and then its high half, and maps a word w to (w * b) >> 32
     (Lemire's multiply-shift), refusing w, for the next word, when
-    (w * b) mod 2**32 < (2**32 - b) % b. A bound of 1 takes no word, and a
-    half that one call leaves over is the first word of the next.
+    (w * b) mod 2**32 < (2**32 - b) % b. A bound of 1 takes no word. One
+    random_raw call reads the words of about two steps, held as uint64 (16
+    bytes a trial); each step multiplies, tests and shifts its n in place.
     """
 
     def __init__(self, bit_generator: np.random.BitGenerator, n: int) -> None:
         self._random_raw = bit_generator.random_raw
-        self._ahead = np.empty(0, dtype=np.uint32)
-        # The draws of max(1, _PIECE_DRAWS // n) steps, made at once.
-        self._block = np.empty((max(1, _PIECE_DRAWS // n), n), dtype=np.int64)
+        self._n = n
+        # A read fills it to 2n words at least: two steps with no refusal.
+        self._words = np.empty(2 * n + 1, dtype=np.uint64)
+        self._start = self._stop = 0  # the words read but not yet used
 
     def steps(self, bounds: range) -> Iterator[np.ndarray]:
         """Yield, for each b in bounds, what integers(0, b, size=n) would draw.
 
-        bounds is a run of steps, range(low, high) with 1 <= low < high <=
-        2**32 + 1. Each row yielded is a view that a later row overwrites.
+        Each bound is in [1, 2**32]. Each int64 array yielded is a view that
+        the caller may change and a later step overwrites.
         """
-        if bounds[0] == 1:
-            self._block[0] = 0
-            yield self._block[0]
-            bounds = bounds[1:]
-        rows, n = self._block.shape
-        every = np.arange(bounds.start, bounds.stop, dtype=np.uint64)[:, None]
-        refuse_every = ((2**32 - every) % every).astype(np.uint32)
-        for r in range(0, len(every), rows):
-            b, refuse = every[r:r + rows], refuse_every[r:r + rows]
-            draws = self._block[:len(b)]
-            for a in range(0, n, _PIECE_DRAWS):
-                self._lemire(b, refuse, draws[:, a:a + _PIECE_DRAWS].view(np.uint64))
-            yield from draws
-
-    def _lemire(self, bounds: np.ndarray, refuse: np.ndarray, out: np.ndarray) -> None:
-        """Fill out (rows x c, C-contiguous uint64), row r bounded by
-        bounds[r, 0] >= 2 and refusing a word w when (w * b) mod 2**32 <
-        refuse[r, 0]. A refused word moves each later draw on by one."""
-        while True:
-            flat = out.reshape(-1)
-            self._fill(flat)
-            out *= bounds
-            low = out.astype(np.uint32)  # (w * b) mod 2**32
-            clean = bool((low.min(axis=1, keepdims=True) >= refuse).all())
-            if not clean:
+        n = self._n
+        for b in bounds:
+            if b == 1:
+                yield np.zeros(n, dtype=np.int64)
+                continue
+            refuse = 2**32 % b  # equals (2**32 - b) % b
+            while True:
+                if self._stop - self._start < n:
+                    self._read()
+                draws = self._words[self._start:self._start + n]
+                draws *= b
+                low = draws.view(np.uint32)[_LOW_HALF::2]
+                if not refuse or low.min() >= refuse:
+                    break
+                # Drop the first refused word and try the step again.
                 r = int((low < refuse).argmax())
-                each = np.broadcast_to(bounds, out.shape).reshape(-1, 1)
-                # The products divide back into the words after r, which
-                # the draws from r on take again.
-                words = flat[r + 1:] // each[r + 1:, 0]
-                self._ahead = np.concatenate((words.astype(np.uint32), self._ahead))
-                refuse = np.broadcast_to(refuse, out.shape).reshape(-1, 1)[r:]
-            out >>= 32
-            if clean:
-                return
-            bounds, out = each[r:], flat[r:, None]
+                draws //= b
+                self._words[self._start + 1:self._start + r + 1] = draws[:r]
+                self._start += 1
+            self._start += n
+            draws >>= 32
+            yield draws.view(np.int64)
 
-    def _fill(self, out: np.ndarray) -> None:
-        """Copy the next len(out) words into out, a 1-d uint64 array."""
-        held = min(len(self._ahead), len(out))
-        out[:held] = self._ahead[:held]
-        missing = len(out) - held
-        if missing:
-            # Little-endian bytes put each raw word's low half first.
-            fresh = self._random_raw((missing + 1) // 2).astype("<u8", copy=False).view("<u4")
-            out[held:] = fresh[:missing]
-            self._ahead = fresh[missing:].copy()
-        else:
-            self._ahead = self._ahead[held:]
+    def _read(self) -> None:
+        """Move the unused words to the front and fill the rest from the stream."""
+        held = self._stop - self._start
+        self._words[:held] = self._words[self._start:self._stop]
+        pairs = self._random_raw((len(self._words) - held) // 2)
+        # Little-endian bytes put each raw word's low half first.
+        fresh = pairs.astype("<u8", copy=False).view("<u4")
+        self._start, self._stop = 0, held + len(fresh)
+        self._words[held:self._stop] = fresh

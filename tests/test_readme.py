@@ -86,8 +86,6 @@ def test_calibration_chunk_formula_is_the_code():
     text = " ".join(_section("Command line").split())
     assert re.search(r"Trials run in chunks of max\(1, (\d+) // sites\)", text)[1] == str(
         significance._CHUNK_CELLS)
-    assert re.search(r"made in blocks of at most (\d+) draws", text)[1] == str(
-        significance._PIECE_DRAWS)
 
 
 def _cli_examples() -> tuple[dict[str, str], list[tuple[list[str], list[str]]]]:

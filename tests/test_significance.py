@@ -31,7 +31,6 @@ from segtool import (
     null_calibration,
     partition_q,
 )
-from segtool import significance
 from segtool.significance import _CHUNK_CELLS, _chunk_columns, _FloydDraws
 
 
@@ -358,7 +357,7 @@ class TestNullCalibration:
         assert peak < 3 * 2**20, peak
 
     def test_memory_of_a_narrow_panel(self):
-        # 524288 trials a chunk: one Floyd step's draws are drawn in pieces.
+        # 524288 trials a chunk: the per-trial arrays, not the marks, set the peak.
         tracemalloc.start()
         try:
             null_calibration((1,) * 7, 2, 10**6, 0)
@@ -413,10 +412,8 @@ class TestFloydDraws:
         draws = _FloydDraws(np.random.default_rng(seed).bit_generator, n)
         return [t.tolist() for run in self.RUNS for t in draws.steps(run)]
 
-    @pytest.mark.parametrize("piece", [2**14, 5, 2])
     @pytest.mark.parametrize("n", [1, 2, 7, 33])
-    def test_equal_to_integers_calls(self, monkeypatch, piece, n):
-        monkeypatch.setattr(significance, "_PIECE_DRAWS", piece)
+    def test_equal_to_integers_calls(self, n):
         for seed in range(4):
             rng = np.random.default_rng(seed)
             expected = [rng.integers(0, b, size=n).tolist()
@@ -527,10 +524,10 @@ class TestExactNull:
             assert columns.tolist() == expected.tolist(), (sites, n)
 
     @pytest.mark.parametrize("rows, sites, n", [
-        ((45, 50, 7), 50, 999),  # 16 steps a block; 45 and 50 steps span several
-        ((1, 3, 2), 3, 2**14 + 3),  # one step a block, drawn in two pieces
+        ((45, 50, 7), 50, 999),  # a read holds two steps; 45 and 50 span many
+        ((3, 1, 3), 3, 1001),  # a row total of 3 starts with a bound of 1
     ])
-    def test_chunk_matches_per_trial_floyd_across_blocks(self, rows, sites, n):
+    def test_chunk_matches_per_trial_floyd_across_reads(self, rows, sites, n):
         expected = floyd_columns(rows, sites, n, np.random.default_rng((sites, n)))
         columns = _chunk_columns(rows, sites, n, np.random.default_rng((sites, n)))
         assert columns.tolist() == expected.tolist()
