@@ -23,8 +23,8 @@ import re
 from collections import defaultdict, namedtuple
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, count, islice, repeat, starmap
-from operator import eq, index, is_, itemgetter, le, lt
+from itertools import accumulate, chain, compress, count, islice, repeat, starmap
+from operator import eq, index, is_, itemgetter, le, lt, sub
 from pathlib import Path
 from typing import Any, Iterable, Iterator, NamedTuple
 
@@ -110,19 +110,22 @@ class ProsodicPhrase(_record("id text sentence_final pause_before pause_truncate
 
 
 class Narrative:
-    """An ordered transcript of at least two prosodic phrases, held as columns.
+    """An ordered transcript of at least two prosodic phrases, held as flat columns.
 
-    Phrase k has id text ids[k], (sentence, phrase) integers id_parts[k],
-    tokens texts[k], sentence-final flag sentence_finals[k], pause pauses[k]
-    and truncation flag truncated[k]. The records of phrases are built on
-    first access.
+    Phrase k has id text ids[k], sentence and phrase numbers id_ints[2k] and
+    id_ints[2k + 1], tokens tokens[token_offsets[k]:token_offsets[k + 1]],
+    sentence-final flag sentence_finals[k], pause pauses[k] and truncation
+    flag truncated[k]. The per-phrase id_parts, texts and phrase records are
+    built on first access.
     """
 
     def __init__(self, narrative_id: str, phrases: Iterable[ProsodicPhrase]):
         """The narrative that the phrase records give."""
         phrases = tuple(phrases)
-        pids, *columns = list(zip(*phrases)) or [()] * 5
-        self._hold(narrative_id, tuple(map("%s.%s".__mod__, pids)), pids, *columns)
+        pids, texts, *columns = list(zip(*phrases)) or [()] * 5
+        self._hold(narrative_id, tuple(map("%s.%s".__mod__, pids)),
+                   tuple(chain.from_iterable(pids)), tuple(chain.from_iterable(texts)),
+                   tuple(accumulate(map(len, texts), initial=0)), *columns)
         self.phrases = phrases  # fills the cached property
 
     @classmethod
@@ -132,21 +135,35 @@ class Narrative:
         narrative._hold(narrative_id, *columns)
         return narrative
 
-    def _hold(self, narrative_id, ids, id_parts, texts, sentence_finals, pauses, truncated):
+    def _hold(self, narrative_id, ids, id_ints, tokens, token_offsets, sentence_finals, pauses,
+              truncated):
         """Check the rules across phrases and keep the columns."""
         _narrative_id(narrative_id)
         if len(ids) < 2:
             raise SchemaError(
                 "phrases", f"narrative {narrative_id}: needs at least 2 phrases (got {len(ids)})"
             )
-        in_order = list(map(lt, id_parts, id_parts[1:]))
+        parts = list(zip(id_ints[::2], id_ints[1::2]))
+        in_order = list(map(lt, parts, parts[1:]))
         if not all(in_order):
             k = in_order.index(False)
             raise SchemaError("phrases", f"narrative {narrative_id}: phrase ids out of order "
                               f"({ids[k]} then {ids[k + 1]})")
-        self.narrative_id, self.ids, self.id_parts, self.texts = narrative_id, ids, id_parts, texts
+        self.narrative_id, self.ids, self.id_ints = narrative_id, ids, id_ints
+        self.tokens, self.token_offsets = tokens, token_offsets
         self.sentence_finals, self.pauses, self.truncated = sentence_finals, pauses, truncated
         self._index = dict(zip(ids, count()))  # by id text, as a coding file's spans give it
+
+    @cached_property
+    def id_parts(self) -> tuple[tuple[int, int], ...]:
+        """Each phrase's (sentence, phrase) integers, built on first access."""
+        return tuple(zip(self.id_ints[::2], self.id_ints[1::2]))
+
+    @cached_property
+    def texts(self) -> tuple[tuple[str, ...], ...]:
+        """Each phrase's token tuple, built on first access."""
+        tokens, offsets = self.tokens, self.token_offsets
+        return tuple(tokens[a:b] for a, b in zip(offsets, offsets[1:]))
 
     @cached_property
     def phrases(self) -> tuple[ProsodicPhrase, ...]:
@@ -166,7 +183,8 @@ class Narrative:
 
     def site_pair(self, site: int) -> tuple[PhraseId, PhraseId]:
         self._check_site(site)
-        return PhraseId(*self.id_parts[site]), PhraseId(*self.id_parts[site + 1])
+        ints = self.id_ints[2 * site : 2 * site + 4]
+        return PhraseId(*ints[:2]), PhraseId(*ints[2:])
 
     def site_label(self, site: int) -> str:
         self._check_site(site)
@@ -180,8 +198,8 @@ class Narrative:
             )
 
     def _key(self) -> tuple:
-        return (self.narrative_id, self.id_parts, self.texts, self.sentence_finals, self.pauses,
-                self.truncated)
+        return (self.narrative_id, self.id_ints, self.tokens, self.token_offsets,
+                self.sentence_finals, self.pauses, self.truncated)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Narrative) and self._key() == other._key()
@@ -331,25 +349,33 @@ class SiteMapping(NamedTuple):
 
 
 class FicCoding:
-    """The clause coding of one narrative, held as columns.
+    """The clause coding of one narrative, held as flat columns.
 
-    Clause n has index indices[n]; clause_referents[n] holds its referents
-    and pronoun_referents[n] those of its third-person definite pronouns.
-    neighbours maps a referent to those one inferential link away, either
-    direction. junction_sites maps each adjacent clause pair (by index) to
-    the site of its SiteMapping: pairs whose junction coincides with a
-    phrase boundary map injectively onto sites; intra-phrase junctions
-    share the site at the end of their phrase. The records of fics and
-    site_map are built on first access.
+    Clause n has index indices[n], and its NPs are positions np_offsets[n]
+    up to np_offsets[n + 1] of the NP columns surfaces, referents and
+    pronoun3s. NP k's relation_counts[k] (source, tag, target) relations
+    follow NP by NP in the columns sources, tags and targets.
+
+    Built on first access: peers maps a referent to those one inferential
+    link away, either direction, and neighbours is the same as sets;
+    clause_referents[n] holds clause n's referents and pronoun_referents[n]
+    those of its third-person definite pronouns; junction_sites maps each
+    adjacent clause pair (by index) to the site of its SiteMapping: pairs
+    whose junction coincides with a phrase boundary map injectively onto
+    sites; intra-phrase junctions share the site at the end of their phrase.
+    The records of fics and site_map are built on first access too.
     """
 
     def __init__(self, narrative: Narrative, fics: Iterable[Fic]):
         """The coding of narrative that the clause records give."""
         fics = tuple(fics)
         nps = [np_ for fic in fics for np_ in fic.nps]
+        relations = [rel for np_ in nps for rel in np_.inferential]
         ends = [narrative.index_of(pid) for fic in fics for pid in fic.phrase_span]
         self._hold(narrative, [fic.index for fic in fics], ends[::2], ends[1::2],
-                   [len(fic.nps) for fic in fics], *(list(zip(*nps))[1:] or [()] * 4))
+                   list(accumulate((len(fic.nps) for fic in fics), initial=0)),
+                   *(list(zip(*nps))[1:4] or [()] * 3), [len(np_.inferential) for np_ in nps],
+                   *(list(zip(*relations)) or [()] * 3))
         self.fics = fics  # fills the cached property
 
     @classmethod
@@ -359,9 +385,9 @@ class FicCoding:
         coding._hold(narrative, *columns)
         return coding
 
-    def _hold(self, narrative, indices, starts, ends, sizes, surfaces, referents, pronoun3s,
-              inferential):
-        """Check the rules across clauses, keep the columns and derive the walk's."""
+    def _hold(self, narrative, indices, starts, ends, np_offsets, surfaces, referents, pronoun3s,
+              relation_counts, sources, tags, targets):
+        """Check the rules across clauses and keep the columns."""
         self.narrative_id, ids = narrative.narrative_id, narrative.ids
         in_order = list(map(le, ends, starts[1:]))
         if not all(in_order):
@@ -376,37 +402,64 @@ class FicCoding:
             n = next(n for n in count(1) if indices[n] != indices[n - 1] + 1)
             raise SchemaError("fics", f"coding {self.narrative_id}: clause indices must be "
                               f"consecutive ({indices[n - 1]} then {indices[n]})")
-        refs = iter(referents)
-        self.clause_referents = [frozenset(islice(refs, size)) for size in sizes]
-        self.pronoun_referents = [frozenset()] * len(sizes)
-        owners = compress(chain.from_iterable(map(repeat, count(), sizes)), pronoun3s)
-        for n, referent in zip(owners, compress(referents, pronoun3s)):
-            self.pronoun_referents[n] |= {referent}
-        neighbours = defaultdict(set)
-        for src, _tag, tgt in chain.from_iterable(inferential):
-            neighbours[src].add(tgt)
-            neighbours[tgt].add(src)
-        self.neighbours = dict(neighbours)
+        self._ids, self._starts, self._ends = ids, starts, ends
+        self.np_offsets, self.surfaces, self.referents = np_offsets, surfaces, referents
+        self.pronoun3s, self.relation_counts = pronoun3s, relation_counts
+        self.sources, self.tags, self.targets = sources, tags, targets
+
+    @cached_property
+    def clause_referents(self) -> list[frozenset[int]]:
+        """Each clause's referents, built on first access."""
+        offsets = self.np_offsets
+        return [frozenset(self.referents[a:b]) for a, b in zip(offsets, offsets[1:])]
+
+    @cached_property
+    def pronoun_referents(self) -> list[frozenset[int]]:
+        """Each clause's third-person definite pronoun referents, built on first access."""
+        referents, pronoun3s, offsets = self.referents, self.pronoun3s, self.np_offsets
+        return [frozenset(compress(referents[a:b], pronoun3s[a:b]))
+                for a, b in zip(offsets, offsets[1:])]
+
+    @cached_property
+    def peers(self) -> dict[int, tuple[int, ...]]:
+        """Each linked referent's referents one inferential link away, built on first access."""
+        found = defaultdict(list)
+        for referent, peer in zip(chain(self.sources, self.targets),
+                                  chain(self.targets, self.sources)):
+            found[referent].append(peer)
+        return {referent: tuple(peers) for referent, peers in found.items()}
+
+    @cached_property
+    def neighbours(self) -> dict[int, set[int]]:
+        """peers as sets, built on first access."""
+        return {referent: set(peers) for referent, peers in self.peers.items()}
+
+    @cached_property
+    def junction_sites(self) -> dict[tuple[int, int], int | None]:
+        """Each adjacent clause pair's site, built on first access."""
         # A junction inside one phrase projects to the site at its end, which
         # does not exist when the shared phrase is the last one.
-        sites = [start - 1 if start > end else start if start < len(ids) - 1 else None
-                 for end, start in zip(ends, starts[1:])]
-        self.junction_sites = dict(zip(zip(self.indices, self.indices[1:]), sites))
-        self._ids, self._id_parts = ids, narrative.id_parts
-        self._starts, self._ends, self._sizes = starts, ends, sizes
-        self._nps = surfaces, referents, pronoun3s, inferential
+        last = len(self._ids) - 1
+        sites = [start - 1 if start > end else start if start < last else None
+                 for end, start in zip(self._ends, self._starts[1:])]
+        return dict(zip(zip(self.indices, self.indices[1:]), sites))
+
+    def _relations(self) -> Iterator[frozenset[tuple[int, str, int]]]:
+        """Each NP's relation set."""
+        triples = zip(self.sources, self.tags, self.targets)
+        return (frozenset(islice(triples, size)) for size in self.relation_counts)
 
     @cached_property
     def fics(self) -> tuple[Fic, ...]:
         """The clause records, built through their constructors on first access."""
-        surfaces, referents, pronoun3s, inferential = self._nps
-        owners = chain.from_iterable(map(repeat, self.indices, self._sizes))
-        links = [frozenset(map(tuple, rels)) for rels in inferential]
-        nps = map(ReferentialNp, owners, surfaces, referents, pronoun3s, links)
-        parts = self._id_parts
-        clauses = zip(self.indices, self._starts, self._ends, self._sizes)
-        return tuple(Fic(index, (PhraseId(*parts[start]), PhraseId(*parts[end])),
-                         tuple(islice(nps, size))) for index, start, end, size in clauses)
+        sizes = list(map(sub, self.np_offsets[1:], self.np_offsets))
+        owners = chain.from_iterable(map(repeat, self.indices, sizes))
+        nps = map(ReferentialNp, owners, self.surfaces, self.referents, self.pronoun3s,
+                  self._relations())
+        ids = self._ids
+        spans = zip(map(ids.__getitem__, self._starts), map(ids.__getitem__, self._ends))
+        return tuple(Fic(index, tuple(map(PhraseId.parse, span)), tuple(islice(nps, size)))
+                     for index, span, size in zip(self.indices, spans, sizes))
 
     @cached_property
     def site_map(self) -> dict[tuple[int, int], SiteMapping]:
@@ -418,14 +471,12 @@ class FicCoding:
         return tuple(self.junction_sites)
 
     def _key(self) -> tuple:
-        """What fics holds, read off the columns: span ids, NP fields by clause size, and
-        the relation set of each NP that has relations, by its position."""
-        surfaces, referents, pronoun3s, inferential = self._nps
+        """What fics holds, read off the columns: span ids, NP fields by clause, and the
+        relation set of each NP that has relations, by its position."""
         spans = tuple(map(self._ids.__getitem__, chain(self._starts, self._ends)))
-        links = tuple((k, frozenset(map(tuple, inferential[k])))
-                      for k in compress(count(), inferential))
-        return (self.narrative_id, self.indices, spans, tuple(self._sizes), tuple(surfaces),
-                tuple(referents), tuple(pronoun3s), links)
+        links = tuple(compress(enumerate(self._relations()), self.relation_counts))
+        return (self.narrative_id, self.indices, spans, tuple(self.np_offsets),
+                tuple(self.surfaces), tuple(self.referents), tuple(self.pronoun3s), links)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FicCoding) and self._key() == other._key()
@@ -550,23 +601,25 @@ def _require(obj: dict, key: str, where: str) -> Any:
 # rule, or an int past the float range.
 _FAULTS = (KeyError, TypeError, ValueError, ValidationError, OverflowError)
 # An element's fields as (key, default or _REQUIRED, the JSON types allowed, the
-# problem reported, a further test of an allowed value or None), in the order
-# _fields checks them; _columns reads them too. JSON gives exact built-in types.
+# problem reported, a further test of a column of allowed values or None), in the
+# order _fields checks them; _columns reads them too. JSON gives exact built-in types.
 _REQUIRED = object()
 _PHRASE_FIELDS = (
-    ("id", _REQUIRED, {str}, _ID_PROBLEM, _PHRASE_ID.fullmatch),
+    ("id", _REQUIRED, {str}, _ID_PROBLEM, lambda ids: all(map(_PHRASE_ID.fullmatch, ids))),
     ("sentence_final", _REQUIRED, {bool}, "expected true or false", None),
     ("pause_before", _REQUIRED, {int, float, type(None)}, "expected number or null", None),
     ("pause_truncated", False, {bool}, "expected true or false", None),
     ("text", _REQUIRED, {list}, "expected a non-empty list of non-empty strings", None),
 )
 _FIC_FIELDS = (
-    ("index", _REQUIRED, {int}, "expected a positive integer", (0).__lt__),
-    ("span", _REQUIRED, {list}, "expected a [start, end] pair", lambda span: len(span) == 2),
+    ("index", _REQUIRED, {int}, "expected a positive integer",
+     lambda indices: min(indices, default=1) > 0),
+    ("span", _REQUIRED, {list}, "expected a [start, end] pair",
+     lambda spans: set(map(len, spans)) <= {2}),
     ("nps", _REQUIRED, {list}, "expected a list", None),
 )
 _NP_FIELDS = (
-    ("form", _REQUIRED, {str}, "expected a non-empty string", bool),
+    ("form", _REQUIRED, {str}, "expected a non-empty string", all),
     ("referent", _REQUIRED, {int}, "expected an integer", None),
     ("pronoun3", False, {bool}, "expected true or false", None),
     ("inferential", [], {list}, "expected a list", None),
@@ -577,7 +630,7 @@ def _fields(raw: Any, table: tuple, where: str) -> Iterator[Any]:
     """One element's fields; the first fault raises, located under where."""
     for key, default, types, problem, test in table:
         value = _require(raw, key, where) if default is _REQUIRED else raw.get(key, default)
-        if type(value) not in types or test and not test(value):
+        if type(value) not in types or test and not test([value]):
             raise SchemaError(f"{where}.{key}", problem.format(value))
         yield value
 
@@ -589,14 +642,20 @@ def _columns(items: list, table: tuple) -> Iterator[list]:
             map(itemgetter(key), items) if default is _REQUIRED
             else map(dict.get, items, repeat(key), repeat(default))
         )
-        if not set(map(type, column)) <= types or test and not all(map(test, column)):
+        if not set(map(type, column)) <= types or test and not test(column):
             raise ValueError(key)
         yield column
 
 
-def _is_relation(rel: Any) -> bool:
-    """[source, tag, target] with integer ends and a string tag."""
-    return type(rel) is list and list(map(type, rel)) == [int, str, int]
+def _relation_columns(rels: list) -> list[tuple]:
+    """The source, tag and target columns of [source, tag, target] lists with integer ends
+    and a string tag, each test a column at a time; ValueError at a fault."""
+    if not set(map(type, rels)) <= {list} or not set(map(len, rels)) <= {3}:
+        raise ValueError("inferential")
+    sources, tags, targets = columns = list(zip(*rels)) or [()] * 3
+    if not set(map(type, chain(sources, targets))) <= {int} or not set(map(type, tags)) <= {str}:
+        raise ValueError("inferential")
+    return columns
 
 
 def _narrative_id(value: Any, narrative: Narrative | None = None, kind: str = "") -> str:
@@ -645,9 +704,10 @@ def load_narrative(source) -> Narrative:
     try:
         ids, finals, pauses, truncated, texts = _columns(raw_phrases, _PHRASE_FIELDS)
         # Canonical ids as [sentence, phrase, sentence, ...].
-        parts = list(map(int, ".".join(ids).split("."))) if ids else []
+        id_ints = list(map(int, ".".join(ids).split("."))) if ids else []
         # The rules of PhraseId and ProsodicPhrase, a column at a time.
-        if not all(texts) or not _nonempty_strings(list(chain.from_iterable(texts))):
+        tokens = list(chain.from_iterable(texts))
+        if not all(texts) or not _nonempty_strings(tokens):
             raise ValueError("text")
         pauses = [None if pause is None else float(pause) for pause in pauses]
         timed = [pause for pause in pauses if pause is not None]
@@ -657,9 +717,9 @@ def load_narrative(source) -> Narrative:
     except _FAULTS:
         _phrases_by_element(raw_phrases)  # names the fault the column pass met
         raise
-    return Narrative._of_columns(narrative_id, tuple(ids), tuple(zip(parts[::2], parts[1::2])),
-                                 tuple(map(tuple, texts)), tuple(finals), tuple(pauses),
-                                 tuple(truncated))
+    return Narrative._of_columns(narrative_id, tuple(ids), tuple(id_ints), tuple(tokens),
+                                 tuple(accumulate(map(len, texts), initial=0)), tuple(finals),
+                                 tuple(pauses), tuple(truncated))
 
 
 def serialize_narrative(narrative: Narrative) -> dict:
@@ -731,10 +791,12 @@ def _fics_by_element(raw_fics: list, narrative: Narrative) -> None:
             np_where = f"{where}.nps[{m}]"
             form, referent, pronoun3, rels = _fields(raw_np, _NP_FIELDS, np_where)
             for r, rel in enumerate(rels):
-                if not _is_relation(rel):
+                try:
+                    _relation_columns([rel])
+                except ValueError:
                     raise SchemaError(
                         f"{np_where}.inferential[{r}]", "expected [source, tag, target]"
-                    )
+                    ) from None
             try:
                 ReferentialNp(index, form, referent, pronoun3, frozenset(map(tuple, rels)))
             except ValidationError as exc:
@@ -756,15 +818,13 @@ def load_fic_coding(source, narrative: Narrative) -> FicCoding:
         indices, raw_spans, raw_nps = _columns(raw_fics, _FIC_FIELDS)
         all_nps = list(chain.from_iterable(raw_nps))
         forms, referents, pronoun3s, raw_rels = _columns(all_nps, _NP_FIELDS)
-        rels = list(chain.from_iterable(raw_rels))
-        if not all(map(_is_relation, rels)):
-            raise ValueError("inferential")
+        sources, tags, targets = _relation_columns(list(chain.from_iterable(raw_rels)))
         # Span ids are looked up by their text, so a non-canonical one is no key.
         ends = list(map(narrative._index.__getitem__, chain.from_iterable(raw_spans)))
         starts, ends = ends[::2], ends[1::2]
         # The rules of ReferentialNp and Fic, a column at a time.
-        sources, tags, targets = zip(*rels) if rels else ((), (), ())
-        owners = chain.from_iterable(map(repeat, referents, map(len, raw_rels)))
+        counts = list(map(len, raw_rels))
+        owners = chain.from_iterable(map(repeat, referents, counts))
         if (min(referents, default=1) < 1 or not RELATION_TAGS.issuperset(tags)
                 or not all(map(eq, sources, owners)) or min(targets, default=1) < 1
                 or not all(map(le, starts, ends))):
@@ -772,8 +832,9 @@ def load_fic_coding(source, narrative: Narrative) -> FicCoding:
     except _FAULTS:
         _fics_by_element(raw_fics, narrative)  # names the fault the column pass met
         raise
-    return FicCoding._of_columns(narrative, indices, starts, ends, list(map(len, raw_nps)),
-                                 forms, referents, pronoun3s, raw_rels)
+    return FicCoding._of_columns(narrative, indices, starts, ends,
+                                 list(accumulate(map(len, raw_nps), initial=0)), forms,
+                                 referents, pronoun3s, counts, sources, tags, targets)
 
 
 def serialize_fic_coding(coding: FicCoding) -> dict:

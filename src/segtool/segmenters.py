@@ -59,17 +59,20 @@ def first_lexical_token(tokens) -> str | None:
     return next(filter(None, map(_word, tokens)), None)
 
 
-def _first_words(texts) -> list[str | None]:
-    """first_lexical_token of each token list, normalizing each distinct token once."""
+def _first_words(tokens, offsets) -> list[str | None]:
+    """first_lexical_token of each phrase, tokens[offsets[k]:offsets[k + 1]] of a flat
+    token column, read in place; each distinct token is normalized once."""
     words: dict[str, str] = {}
     firsts = []
-    for tokens in texts:
-        for token in tokens:
+    for start, stop in zip(offsets, offsets[1:]):
+        while start < stop:
+            token = tokens[start]
             word = words.get(token)
             if word is None:
                 word = words[token] = _word(token)
             if word:
                 break
+            start += 1
         else:
             word = None
         firsts.append(word)
@@ -132,7 +135,8 @@ def cue_segment(narrative: Narrative, lexicon: CueLexicon | None = None) -> Boun
     """Mark a boundary before every phrase that opens with a cue word."""
     if lexicon is None:
         lexicon = default_cue_lexicon()
-    return _phrase_sites(narrative, map(lexicon.__contains__, _first_words(narrative.texts[1:])))
+    firsts = _first_words(narrative.tokens, narrative.token_offsets[1:])
+    return _phrase_sites(narrative, map(lexicon.__contains__, firsts))
 
 
 def pause_segment(narrative: Narrative) -> BoundarySet:
@@ -175,28 +179,28 @@ class NpSegmentation:
 
     @cached_property
     def trace(self) -> tuple[TraceStep, ...]:
-        """The per-clause decision trace, built from the steps on first read."""
+        """The per-clause decision trace, built from the steps on first read.
+
+        Each clause's three test sets are built once, from its slice of the NP columns.
+        """
         coding = self.coding
-        return tuple(TraceStep(coding.indices[n],
-                               *[frozenset(make(coding, n)) for _, make in _LINK_TESTS],
-                               _OUTCOMES[linked_by], linked_by, pool)
-                     for n, (linked_by, pool) in enumerate(self.steps, start=1))
+        offsets, referents, pronoun3s = coding.np_offsets, coding.referents, coding.pronoun3s
+        peers, steps = coding.peers.get, []
+        for n, (linked_by, pool) in enumerate(self.steps, start=1):
+            a, b = offsets[n], offsets[n + 1]
+            clause = referents[a:b]
+            steps.append(TraceStep(
+                coding.indices[n], frozenset(clause),
+                frozenset(chain.from_iterable(map(peers, clause, repeat(())))),
+                frozenset(compress(clause, pronoun3s[a:b])), _OUTCOMES[linked_by], linked_by, pool,
+            ))
+        return tuple(steps)
 
 
-# The link tests in the order they run, as (name, clause n's referents under
-# test): coreference and inference test them against the previous clause's
-# referents, the pronoun test against the open segment's pool. The inference
-# test's referents are given lazily, so the walk stops at the first one found.
-_LINK_TESTS = (
-    (COREFERENCE, lambda coding, n: coding.clause_referents[n]),
-    (INFERENCE, lambda coding, n: chain.from_iterable(
-        map(coding.neighbours.get, coding.clause_referents[n], repeat(())))),
-    (PRONOUN, lambda coding, n: coding.pronoun_referents[n]),
-)
 # A trace step's test outcomes, by the test that held (None: a boundary).
 _OUTCOMES = {
-    linked_by: tuple((name, name == linked_by) for name, _ in _LINK_TESTS[:stop])
-    for stop, linked_by in ((1, COREFERENCE), (2, INFERENCE), (3, PRONOUN), (3, None))
+    linked_by: tuple((name, name == linked_by) for name in (COREFERENCE, INFERENCE, PRONOUN)[:run])
+    for run, linked_by in ((1, COREFERENCE), (2, INFERENCE), (3, PRONOUN), (3, None))
 }
 
 
@@ -216,22 +220,29 @@ def np_segment(coding: FicCoding) -> NpSegmentation:
     this one and the segment pool restarts from this clause. Every decision
     is kept, so the trace can audit the walk step by step.
     """
-    indices, referents = coding.indices, coding.clause_referents
+    indices, offsets = coding.indices, coding.np_offsets
+    referents, pronoun3s, peers = coding.referents, coding.pronoun3s, coding.peers.get
     boundaries: list[tuple[int, int]] = []
     steps: list[tuple[str | None, frozenset[int]]] = []
     # Steps share the segment pool, so it is replaced, never updated in place.
-    previous = segment = referents[0]
-    for n in range(1, len(referents)):
-        current = referents[n]
-        for name, make in _LINK_TESTS:
-            if not (segment if name == PRONOUN else previous).isdisjoint(make(coding, n)):
-                linked_by = name
-                segment = segment | current
-                break
+    # A clause's referent set is built once, when the walk reaches the clause,
+    # and the inference test's referents are given lazily, so it stops at the
+    # first one found.
+    previous = segment = frozenset(referents[: offsets[1]])
+    for n in range(1, len(indices)):
+        a, b = offsets[n], offsets[n + 1]
+        clause = referents[a:b]
+        current = frozenset(clause)
+        if not previous.isdisjoint(current):
+            linked_by = COREFERENCE
+        elif not previous.isdisjoint(chain.from_iterable(map(peers, clause, repeat(())))):
+            linked_by = INFERENCE
+        elif not segment.isdisjoint(compress(clause, pronoun3s[a:b])):
+            linked_by = PRONOUN
         else:
             linked_by = None
             boundaries.append((indices[n - 1], indices[n]))
-            segment = current
+        segment = segment | current if linked_by else current
         steps.append((linked_by, segment))
         previous = current
     return NpSegmentation(coding.narrative_id, tuple(boundaries), tuple(steps), coding)

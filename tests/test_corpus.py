@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import gc
 import io
 import json
 import sys
@@ -39,7 +40,8 @@ from segtool import (
     serialize_narrative,
 )
 from segtool.corpus import load_manifest
-from segtool.segmenters import first_lexical_token
+from segtool.segmenters import TraceStep, first_lexical_token, np_segment
+from test_segmenters import np_oracle
 
 
 def dumps(obj) -> bytes:
@@ -1267,3 +1269,118 @@ class TestNarrativeColumns:
             loaded = load_fic_coding(dumps(doc), against)
             assert loaded == FicCoding(against, loaded.fics)
             assert loaded != base
+
+
+def record_oracles(transcript, coding) -> dict:
+    """The per-element views of a valid transcript and coding document, derived from
+    the documents clause by clause, as the per-element columns once held them."""
+    phrases, fics = transcript["phrases"], coding["fics"]
+    position = {raw["id"]: k for k, raw in enumerate(phrases)}
+    neighbours: dict[int, set[int]] = {}
+    for fic in fics:
+        for np_ in fic["nps"]:
+            for src, _tag, tgt in np_.get("inferential", []):
+                neighbours.setdefault(src, set()).add(tgt)
+                neighbours.setdefault(tgt, set()).add(src)
+    starts = [position[fic["span"][0]] for fic in fics]
+    ends = [position[fic["span"][1]] for fic in fics]
+    last = len(phrases) - 1
+    junctions = {}
+    for n in range(1, len(fics)):
+        # A junction inside one phrase projects to the site at its end, if there is one.
+        start = starts[n]
+        site = start - 1 if start > ends[n - 1] else start if start < last else None
+        junctions[fics[n - 1]["index"], fics[n]["index"]] = site
+    return {
+        "texts": tuple(tuple(raw["text"]) for raw in phrases),
+        "id_parts": tuple(tuple(map(int, raw["id"].split("."))) for raw in phrases),
+        "clause_referents": [frozenset(np_["referent"] for np_ in fic["nps"]) for fic in fics],
+        "pronoun_referents": [frozenset(np_["referent"] for np_ in fic["nps"]
+                                        if np_.get("pronoun3")) for fic in fics],
+        "neighbours": neighbours,
+        "junction_sites": junctions,
+    }
+
+
+# A trace step's test outcomes, by the test that held (None: a boundary).
+TEST_OUTCOMES = {
+    "coreference": (("coreference", True),),
+    "inference": (("coreference", False), ("inference", True)),
+    "pronoun": (("coreference", False), ("inference", False), ("pronoun", True)),
+    None: (("coreference", False), ("inference", False), ("pronoun", False)),
+}
+
+
+class TestColumnViews:
+    """Loaded and record-built transcripts and codings give the per-element views that
+    the documents give, and the np walk over their columns gives the reference walk."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(files=transcript_and_coding())
+    def test_views_and_walk(self, files):
+        transcript, coding_doc = files
+        oracles = record_oracles(transcript, coding_doc)
+        loaded = load_narrative(dumps(transcript))
+        built = record_built(transcript)
+        for narrative in (loaded, built):
+            assert narrative.texts == oracles["texts"]
+            assert narrative.id_parts == oracles["id_parts"]
+        for coding in (load_fic_coding(dumps(coding_doc), loaded),
+                       coding_record_built(coding_doc, built)):
+            for name in ("clause_referents", "pronoun_referents", "neighbours",
+                         "junction_sites"):
+                assert getattr(coding, name) == oracles[name], name
+            segmentation = np_segment(coding)
+            boundaries, steps = np_oracle(coding)
+            assert segmentation.boundaries == boundaries
+            assert [(linked_by, set(pool)) for linked_by, pool in segmentation.steps] == steps
+            referents, pronouns = oracles["clause_referents"], oracles["pronoun_referents"]
+            assert segmentation.trace == tuple(
+                TraceStep(coding_doc["fics"][n]["index"], referents[n], frozenset(
+                    peer for referent in referents[n]
+                    for peer in oracles["neighbours"].get(referent, ())),
+                          pronouns[n], TEST_OUTCOMES[linked_by], linked_by, pool)
+                for n, (linked_by, pool) in enumerate(steps, start=1))
+
+
+def long_files(clauses: int = 60) -> tuple[dict, dict]:
+    """A transcript of one phrase a clause, and a coding whose every clause has a
+    pronoun, two linked NPs and three relations."""
+    ids = [f"{k}.1" for k in range(1, clauses + 1)]
+    transcript = {"narrative_id": "long", "phrases": [
+        {"id": pid, "sentence_final": True, "pause_before": 0.5,
+         "text": ["[.5]", "and", "then", "he", "left"]}
+        for pid in ids
+    ]}
+    coding = {"narrative_id": "long", "fics": [
+        {"index": k + 1, "span": [pid, pid], "nps": [
+            {"form": "he", "referent": 1, "pronoun3": True, "inferential": [[1, "r1", k + 2]]},
+            {"form": "a pear", "referent": k + 2,
+             "inferential": [[k + 2, "r2", 1], [k + 2, "r3", k + 3]]},
+            {"form": "the tree", "referent": k + 3},
+        ]}
+        for k, pid in enumerate(ids)
+    ]}
+    return transcript, coding
+
+
+class TestLoadedFilesKeepFlatColumns:
+    """A loaded file keeps no container per phrase, clause, NP or relation."""
+
+    def test_tracked_objects_kept_after_a_collection(self):
+        transcript, coding = map(dumps, long_files())
+        load_fic_coding(coding, load_narrative(transcript))  # first-call caches, if any
+        kept = []
+
+        def tracked() -> int:
+            gc.collect()
+            return len(gc.get_objects())
+
+        before = tracked()
+        kept.append(load_narrative(transcript))
+        after_narrative = tracked()
+        kept.append(load_fic_coding(coding, kept[0]))
+        after_coding = tracked()
+        assert len(kept[1].indices) >= 50
+        assert after_narrative - before < 20
+        assert after_coding - after_narrative < 20

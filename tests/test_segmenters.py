@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from importlib import resources
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -98,7 +99,8 @@ class TestTokenNormalization:
         hst.text(hst.sampled_from("-'.,[]09aZİßéK\u212a"), min_size=1, max_size=5),
     ), max_size=5), max_size=8))
     def test_first_words_are_first_lexical_tokens(self, texts):
-        """The one-call memo of cue_segment gives each list's first word, as the loop does."""
+        """The one-call memo of cue_segment, over the lists as a flat token column with
+        offsets, gives each list's first word, as the loop does."""
 
         def first_word(tokens):
             for token in tokens:
@@ -111,7 +113,9 @@ class TestTokenNormalization:
 
         expected = [first_word(tokens) for tokens in texts]
         assert [first_lexical_token(tokens) for tokens in texts] == expected
-        assert segmenters._first_words(texts) == expected
+        tokens = [token for tokens in texts for token in tokens]
+        offsets = list(accumulate(map(len, texts), initial=0))
+        assert segmenters._first_words(tokens, offsets) == expected
 
 
 class TestCueLexicon:

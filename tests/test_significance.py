@@ -354,7 +354,8 @@ class TestNullCalibration:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 * 2**20, peak
+        # About 2.05 MiB with numpy 2.4; draws held in blocks of 2**14 read 2.22 MiB.
+        assert peak < 2.2 * 2**20, peak
 
     def test_memory_of_a_narrow_panel(self):
         # 524288 trials a chunk: the per-trial arrays, not the marks, set the peak.
