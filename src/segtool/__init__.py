@@ -23,7 +23,6 @@ from .corpus import (
     PhraseId,
     ProsodicPhrase,
     ReferentialNp,
-    SiteMapping,
     load_annotations,
     load_fic_coding,
     load_narrative,
@@ -38,12 +37,9 @@ from .evaluation import (
     HumanEvaluation,
     MetricAggregate,
     SubjectScore,
-    aggregate_metric,
     confusion,
-    evaluate_algorithm,
     evaluate_humans,
     metrics,
-    target_boundaries,
 )
 from .fixture_data import FIXTURE_NAMES, fixture_path
 from .report import BatchItem, Report, build_report

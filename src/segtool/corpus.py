@@ -1,7 +1,11 @@
 """Data model and loaders for segmentation corpora.
 
-Four JSON file kinds are handled; the constructors check the invariants,
-and the loaders the JSON shape and the location of nested objects:
+Four JSON file kinds are handled. Each record rule is stated once, in a
+function over columns that a loader applies to a file's whole columns and a
+record's constructor to one-element columns; a broken rule raises a
+ValidationError naming the record or file (a SchemaError for a phrase's text
+or pause of the wrong type). The loaders also check the JSON shape, and at a
+fault walk the file element by element to name the first one with its location:
 
 * transcripts: ordered prosodic phrases with pause and contour annotations
 * annotation matrices: one 0/1 row per subject over a transcript's
@@ -26,7 +30,7 @@ from functools import cached_property
 from itertools import accumulate, chain, compress, count, islice, repeat, starmap
 from operator import eq, index, is_, itemgetter, le, lt, sub
 from pathlib import Path
-from typing import Any, Iterable, Iterator, NamedTuple
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
@@ -39,6 +43,7 @@ _SURROGATE_ESCAPE = re.compile(rb"\\u[dD][89a-fA-F]")
 # part has at most 4300 digits, the most int() reads by default.
 _PHRASE_ID = re.compile(r"[1-9][0-9]{0,4299}\.[1-9][0-9]{0,4299}")
 _ID_PROBLEM = "phrase id must look like 's.p', e.g. '3.1': {!r}"
+_PAUSE_TYPES = {int, float, type(None)}
 
 
 def _record(fields: str):
@@ -52,6 +57,61 @@ def _record(fields: str):
     return base
 
 
+def _canonical_ids(ids: list) -> bool:
+    """The phrase-id rule: each id is the canonical "sentence.phrase" text of two positive
+    integers, the only text str(PhraseId) gives."""
+    return all(map(_PHRASE_ID.fullmatch, ids))
+
+
+def _phrase_rules(name: str, texts: list, pauses: list, truncated: list) -> tuple[list, list]:
+    """A text is a non-empty list or tuple of non-empty strings; a pause is None or a number,
+    finite and non-negative as a float; a truncated phrase has a pause. Gives the flat tokens
+    and the pauses as floats."""
+    sequences = set(map(type, texts)) <= {list, tuple}
+    tokens = list(chain.from_iterable(texts)) if sequences else []
+    if not sequences or not all(texts) or not _nonempty_strings(tokens):
+        raise SchemaError("text", "expected a non-empty list of non-empty strings")
+    try:
+        if not set(map(type, pauses)) <= _PAUSE_TYPES:  # float() takes str, bytes and bool too
+            raise TypeError
+        pauses = [None if pause is None else float(pause) for pause in pauses]
+    except (TypeError, OverflowError):  # OverflowError: an int past the float range
+        raise SchemaError("pause_before", "expected number or null") from None
+    timed = [pause for pause in pauses if pause is not None]
+    if not all(map(math.isfinite, timed)) or min(timed, default=0.0) < 0:
+        raise ValidationError(f"{name}: pause_before must be finite and non-negative")
+    if any(compress(map(is_, pauses, repeat(None)), truncated)):
+        raise ValidationError(f"{name}: pause_truncated set without a pause_before value")
+    return tokens, pauses
+
+
+def _clause_rules(name: str, starts: list, ends: list, referents=(), counts=(), sources=(),
+                  tags=(), targets=()) -> None:
+    """A span ends no earlier than it starts. An NP's referent is a positive integer, and each
+    of its relations has that referent as source, a tag in RELATION_TAGS and a positive
+    integer target; NP k's counts[k] relations follow those of the NPs before it."""
+    in_order = list(map(le, starts, ends))
+    if not all(in_order):
+        k = in_order.index(False)
+        raise ValidationError(f"{name}: span end {ends[k]} precedes start {starts[k]}")
+    if not set(map(type, chain(referents, sources, targets))) <= {int}:
+        raise ValidationError(f"{name}: referents and relation ends must be integers")
+    if min(referents, default=1) < 1:
+        raise ValidationError(f"{name}: referent must be positive")
+    known = list(map(RELATION_TAGS.__contains__, tags))
+    if not all(known):
+        raise ValidationError(f"{name}: unknown relation tag {tags[known.index(False)]!r}")
+    owners = list(chain.from_iterable(  # only the NPs with relations repeat their referent
+        map(repeat, compress(referents, counts), compress(counts, counts))))
+    agree = list(map(eq, sources, owners))
+    if not all(agree):
+        r = agree.index(False)
+        raise ValidationError(f"{name}: relation source {sources[r]} differs from the NP's "
+                              f"referent {owners[r]}")
+    if min(targets, default=1) < 1:
+        raise ValidationError(f"{name}: relation target must be positive")
+
+
 class PhraseId(_record("sentence phrase")):
     """Position of a prosodic phrase, rendered "sentence.phrase" (e.g. "3.3").
 
@@ -61,11 +121,11 @@ class PhraseId(_record("sentence phrase")):
     __slots__ = ()
 
     def __new__(cls, sentence: int, phrase: int):
-        if type(sentence) is not int or type(phrase) is not int or sentence < 1 or phrase < 1:
-            raise ValidationError(
-                f"phrase id parts must be positive integers: {sentence!r}.{phrase!r}"
-            )
-        return tuple.__new__(cls, (sentence, phrase))
+        if {type(sentence), type(phrase)} == {int} and _canonical_ids([f"{sentence}.{phrase}"]):
+            return tuple.__new__(cls, (sentence, phrase))
+        raise ValidationError(
+            f"phrase id parts must be positive integers: {sentence!r}.{phrase!r}"
+        )
 
     def __str__(self) -> str:
         return "%s.%s" % self
@@ -73,11 +133,11 @@ class PhraseId(_record("sentence phrase")):
     @classmethod
     def parse(cls, text: str) -> "PhraseId":
         """Read the canonical form only, so str() gives back the same text."""
-        if isinstance(text, str) and _PHRASE_ID.fullmatch(text):
-            try:
-                return cls(*map(int, text.split(".")))
-            except ValueError:  # a part past a lowered int() digit limit
-                pass
+        try:
+            if _canonical_ids([text]):
+                return tuple.__new__(cls, map(int, text.split(".")))
+        except (TypeError, ValueError):  # no string, or a part past a lowered int() digit limit
+            pass
         raise ValidationError(_ID_PROBLEM.format(text))
 
 
@@ -95,17 +155,8 @@ class ProsodicPhrase(_record("id text sentence_final pause_before pause_truncate
 
     def __new__(cls, id: PhraseId, text: tuple[str, ...], sentence_final: bool,
                 pause_before: float | None = None, pause_truncated: bool = False):
-        if not text or not _nonempty_strings(text):
-            raise SchemaError("text", "expected a non-empty list of non-empty strings")
-        if pause_before is not None:
-            try:
-                pause_before = float(pause_before)
-            except OverflowError:  # an int past the float range
-                raise SchemaError("pause_before", "expected number or null") from None
-            if not math.isfinite(pause_before) or pause_before < 0:
-                raise ValidationError(f"phrase {id}: pause_before must be finite and non-negative")
-        elif pause_truncated:
-            raise ValidationError(f"phrase {id}: pause_truncated set without a pause_before value")
+        _, (pause_before,) = _phrase_rules(f"phrase {id}", [text], [pause_before],
+                                           [pause_truncated])
         return tuple.__new__(cls, (id, text, sentence_final, pause_before, pause_truncated))
 
 
@@ -300,20 +351,8 @@ class ReferentialNp(_record("fic surface referent pronoun3 inferential")):
 
     def __new__(cls, fic: int, surface: str, referent: int, pronoun3: bool = False,
                 inferential: frozenset[tuple[int, str, int]] = frozenset()):
-        if referent < 1:
-            raise ValidationError(f"fic {fic} NP {surface!r}: referent must be positive")
-        for src, tag, tgt in inferential:
-            if tag not in RELATION_TAGS:
-                raise ValidationError(f"fic {fic} NP {surface!r}: unknown relation tag {tag!r}")
-            if src != referent:
-                raise ValidationError(
-                    f"fic {fic} NP {surface!r}: relation source {src} "
-                    f"differs from the NP's referent {referent}"
-                )
-            if tgt < 1:
-                raise ValidationError(
-                    f"fic {fic} NP {surface!r}: relation target must be positive"
-                )
+        _clause_rules(f"fic {fic} NP {surface!r}", [], [], [referent], [len(inferential)],
+                      *(list(zip(*inferential)) or [()] * 3))
         return tuple.__new__(cls, (fic, surface, referent, pronoun3, inferential))
 
 
@@ -325,27 +364,13 @@ class Fic(_record("index phrase_span nps")):
     def __new__(cls, index: int, phrase_span: tuple[PhraseId, PhraseId],
                 nps: tuple[ReferentialNp, ...]):
         start, end = phrase_span
-        if end < start:
-            raise ValidationError(f"fic {index}: span end {end} precedes start {start}")
+        _clause_rules(f"fic {index}", [start], [end])
         for np_ in nps:
             if np_.fic != index:
                 raise ValidationError(
                     f"fic {index}: NP {np_.surface!r} tagged for fic {np_.fic}"
                 )
         return tuple.__new__(cls, (index, phrase_span, nps))
-
-
-class SiteMapping(NamedTuple):
-    """Where the junction between two adjacent FICs falls.
-
-    site is the boundary-site index the junction projects to, or None when
-    the junction sits inside the narrative's final phrase and so has no
-    following site. intra_phrase marks junctions inside a single phrase;
-    those project to the site at the end of the shared phrase.
-    """
-
-    site: int | None
-    intra_phrase: bool
 
 
 class FicCoding:
@@ -357,13 +382,13 @@ class FicCoding:
     follow NP by NP in the columns sources, tags and targets.
 
     Built on first access: peers maps a referent to those one inferential
-    link away, either direction, and neighbours is the same as sets;
-    clause_referents[n] holds clause n's referents and pronoun_referents[n]
-    those of its third-person definite pronouns; junction_sites maps each
-    adjacent clause pair (by index) to the site of its SiteMapping: pairs
-    whose junction coincides with a phrase boundary map injectively onto
-    sites; intra-phrase junctions share the site at the end of their phrase.
-    The records of fics and site_map are built on first access too.
+    link away, either direction; clause_referents[n] holds clause n's
+    referents and pronoun_referents[n] those of its third-person definite
+    pronouns; junction_sites maps each adjacent clause pair (by index) to
+    the site its junction projects to. Junctions at a phrase boundary map
+    injectively onto sites; a junction inside one phrase maps to the site at
+    the end of that phrase, or to None when it is the last phrase. The fics
+    records are built on first access too.
     """
 
     def __init__(self, narrative: Narrative, fics: Iterable[Fic]):
@@ -430,11 +455,6 @@ class FicCoding:
         return {referent: tuple(peers) for referent, peers in found.items()}
 
     @cached_property
-    def neighbours(self) -> dict[int, set[int]]:
-        """peers as sets, built on first access."""
-        return {referent: set(peers) for referent, peers in self.peers.items()}
-
-    @cached_property
     def junction_sites(self) -> dict[tuple[int, int], int | None]:
         """Each adjacent clause pair's site, built on first access."""
         # A junction inside one phrase projects to the site at its end, which
@@ -460,15 +480,6 @@ class FicCoding:
         spans = zip(map(ids.__getitem__, self._starts), map(ids.__getitem__, self._ends))
         return tuple(Fic(index, tuple(map(PhraseId.parse, span)), tuple(islice(nps, size)))
                      for index, span, size in zip(self.indices, spans, sizes))
-
-    @cached_property
-    def site_map(self) -> dict[tuple[int, int], SiteMapping]:
-        """Each adjacent clause pair's SiteMapping, built on first access."""
-        sites, intra = self.junction_sites, map(eq, self._ends, self._starts[1:])
-        return dict(zip(sites, map(SiteMapping, sites.values(), intra)))
-
-    def adjacent_pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(self.junction_sites)
 
     def _key(self) -> tuple:
         """What fics holds, read off the columns: span ids, NP fields by clause, and the
@@ -597,17 +608,16 @@ def _require(obj: dict, key: str, where: str) -> Any:
     return obj[key]
 
 
-# What a column pass raises at a fault: a missing key, a non-object, a failed check or
-# rule, or an int past the float range.
-_FAULTS = (KeyError, TypeError, ValueError, ValidationError, OverflowError)
+# What a column pass raises at a fault: a missing key, a non-object, or a failed check or rule.
+_FAULTS = (KeyError, TypeError, ValueError, ValidationError)
 # An element's fields as (key, default or _REQUIRED, the JSON types allowed, the
 # problem reported, a further test of a column of allowed values or None), in the
 # order _fields checks them; _columns reads them too. JSON gives exact built-in types.
 _REQUIRED = object()
 _PHRASE_FIELDS = (
-    ("id", _REQUIRED, {str}, _ID_PROBLEM, lambda ids: all(map(_PHRASE_ID.fullmatch, ids))),
+    ("id", _REQUIRED, {str}, _ID_PROBLEM, _canonical_ids),
     ("sentence_final", _REQUIRED, {bool}, "expected true or false", None),
-    ("pause_before", _REQUIRED, {int, float, type(None)}, "expected number or null", None),
+    ("pause_before", _REQUIRED, _PAUSE_TYPES, "expected number or null", None),
     ("pause_truncated", False, {bool}, "expected true or false", None),
     ("text", _REQUIRED, {list}, "expected a non-empty list of non-empty strings", None),
 )
@@ -649,12 +659,12 @@ def _columns(items: list, table: tuple) -> Iterator[list]:
 
 def _relation_columns(rels: list) -> list[tuple]:
     """The source, tag and target columns of [source, tag, target] lists with integer ends
-    and a string tag, each test a column at a time; ValueError at a fault."""
+    and a string tag, each test a column at a time."""
     if not set(map(type, rels)) <= {list} or not set(map(len, rels)) <= {3}:
-        raise ValueError("inferential")
+        raise ValidationError("expected [source, tag, target]")
     sources, tags, targets = columns = list(zip(*rels)) or [()] * 3
     if not set(map(type, chain(sources, targets))) <= {int} or not set(map(type, tags)) <= {str}:
-        raise ValueError("inferential")
+        raise ValidationError("expected [source, tag, target]")
     return columns
 
 
@@ -681,17 +691,23 @@ def _subject_ids(value: Any) -> tuple[str, ...]:
     return tuple(value)
 
 
+def _located(where: str, build, *args):
+    """build(*args), its fault located under where."""
+    try:
+        return build(*args)
+    except SchemaError as exc:
+        raise SchemaError(f"{where}.{exc.location}", exc.problem) from None
+    except ValidationError as exc:
+        raise SchemaError(where, str(exc)) from None
+
+
 def _phrases_by_element(raw_phrases: list) -> None:
     """Raise at the first faulty phrase, with its location."""
     for k, raw in enumerate(raw_phrases):
         where = f"phrases[{k}]"
         pid, final, pause, truncated, text = _fields(raw, _PHRASE_FIELDS, where)
-        try:
-            ProsodicPhrase(PhraseId.parse(pid), tuple(text), final, pause, truncated)
-        except SchemaError as exc:
-            raise SchemaError(f"{where}.{exc.location}", exc.problem) from None
-        except ValidationError as exc:
-            raise SchemaError(where, str(exc)) from None
+        _located(where, ProsodicPhrase, _located(where, PhraseId.parse, pid), tuple(text), final,
+                 pause, truncated)
 
 
 def load_narrative(source) -> Narrative:
@@ -703,17 +719,8 @@ def load_narrative(source) -> Narrative:
         raise SchemaError("phrases", "expected a list")
     try:
         ids, finals, pauses, truncated, texts = _columns(raw_phrases, _PHRASE_FIELDS)
-        # Canonical ids as [sentence, phrase, sentence, ...].
         id_ints = list(map(int, ".".join(ids).split("."))) if ids else []
-        # The rules of PhraseId and ProsodicPhrase, a column at a time.
-        tokens = list(chain.from_iterable(texts))
-        if not all(texts) or not _nonempty_strings(tokens):
-            raise ValueError("text")
-        pauses = [None if pause is None else float(pause) for pause in pauses]
-        timed = [pause for pause in pauses if pause is not None]
-        if (not all(map(math.isfinite, timed)) or min(timed, default=0.0) < 0
-                or any(compress(map(is_, pauses, repeat(None)), truncated))):
-            raise ValueError("pause_before")
+        tokens, pauses = _phrase_rules(f"narrative {narrative_id}", texts, pauses, truncated)
     except _FAULTS:
         _phrases_by_element(raw_phrases)  # names the fault the column pass met
         raise
@@ -781,30 +788,19 @@ def _fics_by_element(raw_fics: list, narrative: Narrative) -> None:
     for n, raw in enumerate(raw_fics):
         where = f"fics[{n}]"
         index, span = _fields(raw, _FIC_FIELDS[:2], where)  # the span before the NPs
-        try:
-            start, end = PhraseId.parse(span[0]), PhraseId.parse(span[1])
-            narrative.index_of(start), narrative.index_of(end)  # an id not in the transcript
-        except ValidationError as exc:
-            raise SchemaError(f"{where}.span", str(exc)) from None
+        start, end = (_located(f"{where}.span", PhraseId.parse, pid) for pid in span)
+        for pid in (start, end):  # an id not in the transcript
+            _located(f"{where}.span", narrative.index_of, pid)
         (raw_nps,) = _fields(raw, _FIC_FIELDS[2:], where)
         for m, raw_np in enumerate(raw_nps):
             np_where = f"{where}.nps[{m}]"
             form, referent, pronoun3, rels = _fields(raw_np, _NP_FIELDS, np_where)
             for r, rel in enumerate(rels):
-                try:
-                    _relation_columns([rel])
-                except ValueError:
-                    raise SchemaError(
-                        f"{np_where}.inferential[{r}]", "expected [source, tag, target]"
-                    ) from None
-            try:
-                ReferentialNp(index, form, referent, pronoun3, frozenset(map(tuple, rels)))
-            except ValidationError as exc:
-                raise SchemaError(np_where, str(exc)) from None
-        try:
-            Fic(index, (start, end), ())  # each NP above is tagged for this clause
-        except ValidationError as exc:
-            raise SchemaError(where, str(exc)) from None
+                _located(f"{np_where}.inferential[{r}]", _relation_columns, [rel])
+            # The relations one at a time, so the first faulty one in the file is named.
+            for links in (frozenset(), *(frozenset([tuple(rel)]) for rel in rels)):
+                _located(np_where, ReferentialNp, index, form, referent, pronoun3, links)
+        _located(where, Fic, index, (start, end), ())  # each NP above is tagged for this clause
 
 
 def load_fic_coding(source, narrative: Narrative) -> FicCoding:
@@ -822,13 +818,9 @@ def load_fic_coding(source, narrative: Narrative) -> FicCoding:
         # Span ids are looked up by their text, so a non-canonical one is no key.
         ends = list(map(narrative._index.__getitem__, chain.from_iterable(raw_spans)))
         starts, ends = ends[::2], ends[1::2]
-        # The rules of ReferentialNp and Fic, a column at a time.
         counts = list(map(len, raw_rels))
-        owners = chain.from_iterable(map(repeat, referents, counts))
-        if (min(referents, default=1) < 1 or not RELATION_TAGS.issuperset(tags)
-                or not all(map(eq, sources, owners)) or min(targets, default=1) < 1
-                or not all(map(le, starts, ends))):
-            raise ValueError("rules")
+        _clause_rules(f"coding {narrative.narrative_id}", starts, ends, referents, counts,
+                      sources, tags, targets)
     except _FAULTS:
         _fics_by_element(raw_fics, narrative)  # names the fault the column pass met
         raise

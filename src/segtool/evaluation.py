@@ -167,36 +167,6 @@ def score_units(
     return target, f"{mode} leave-one-out", np.stack(cells)[:, :, None]
 
 
-def target_boundaries(
-    matrix: AnnotationMatrix,
-    threshold: int | None = None,
-    exact: int | None = None,
-) -> BoundarySet:
-    """The pooled reference set: sites with at least (or exactly) t marks.
-
-    Defaults to the strict-majority threshold.
-    """
-    target, _ = resolve_target(boundary_strengths(matrix), threshold, exact)
-    return BoundarySet.of(matrix.narrative_id, np.flatnonzero(target))
-
-
-def evaluate_algorithm(
-    predicted: BoundarySet,
-    matrix: AnnotationMatrix,
-    threshold: int | None = None,
-    exact: int | None = None,
-) -> EvalMetrics:
-    """Score one algorithm's boundary set against the pooled opinion."""
-    if predicted.narrative_id != matrix.narrative_id:
-        raise ValidationError(
-            f"prediction for {predicted.narrative_id} scored against "
-            f"annotations of {matrix.narrative_id}"
-        )
-    row = site_mask(predicted, matrix.sites, "predicted")[None, :]
-    cells = score_units(matrix, row, threshold, exact)[2]
-    return metrics(ConfusionCounts(*cells[:, 0, 0].tolist()))
-
-
 @dataclass(frozen=True)
 class MetricAggregate:
     """Mean and population variance over defined observations.
@@ -242,19 +212,6 @@ def aggregate_pairs(numerators, denominators) -> MetricAggregate:
 def aggregate_cells(cells: np.ndarray, names=METRIC_NAMES) -> dict[str, MetricAggregate]:
     """Each named ratio of the units' cells (4 x units) summarized over the units."""
     return {name: aggregate_pairs(*RATIOS[name](*cells)) for name in names}
-
-
-def aggregate_metric(values) -> MetricAggregate:
-    """Summarize an iterable of Fraction-or-None observations.
-
-    Each value becomes its (numerator, denominator) pair, None becoming
-    (0, 0), and aggregate_pairs does the rest.
-    """
-    values = list(values)
-    return aggregate_pairs(
-        np.array([0 if v is None else v.numerator for v in values], dtype=object),
-        np.array([0 if v is None else v.denominator for v in values], dtype=object),
-    )
 
 
 @dataclass(frozen=True)

@@ -20,13 +20,13 @@ import scipy.stats
 from segtool import (
     AnnotationMatrix,
     BatchItem,
+    ConfusionCounts,
     boundary_strengths,
     build_report,
     chi_square_sf,
     cochran_q,
     confusion,
     cue_segment,
-    evaluate_algorithm,
     evaluate_humans,
     fixture_path,
     metrics,
@@ -36,9 +36,9 @@ from segtool import (
     partition_q,
     pause_segment,
     percent_agreement,
-    target_boundaries,
 )
 from segtool.cli import run
+from segtool.evaluation import resolve_target, score_units, site_mask
 
 F = Fraction
 
@@ -84,7 +84,8 @@ def test_criterion_02_majority_boundaries(pear9):
     validated = boundary_strengths(matrix).validated()
     assert validated.sites == frozenset({0, 10})
     assert validated.labels(narrative) == ("3.3→4.1", "8.4→9.1")
-    assert target_boundaries(matrix).sites == validated.sites
+    target, mode = resolve_target(boundary_strengths(matrix), None, None)
+    assert (set(np.flatnonzero(target).tolist()), mode) == (validated.sites, "threshold=4")
 
 
 def test_criterion_03_cue_and_pause_marks(pear9):
@@ -102,8 +103,10 @@ def test_criterion_03_cue_and_pause_marks(pear9):
         "8.3→8.4",
         "8.4→9.1",
     )
-    assert evaluate_algorithm(pause, matrix, threshold=4).recall == F(1)
-    assert evaluate_algorithm(cue, matrix, threshold=4).recall == F(1, 2)
+    rows = np.vstack([site_mask(pause, matrix.sites, "predicted"),
+                      site_mask(cue, matrix.sites, "predicted")])
+    cells = score_units(matrix, rows, threshold=4)[2][:, :, 0].tolist()
+    assert [metrics(ConfusionCounts(*unit)).recall for unit in zip(*cells)] == [F(1), F(1, 2)]
 
 
 def test_criterion_04_cochran_q():

@@ -26,7 +26,6 @@ from segtool import (
     ProsodicPhrase,
     ReferentialNp,
     SchemaError,
-    SiteMapping,
     ValidationError,
     cue_segment,
     default_cue_lexicon,
@@ -505,26 +504,29 @@ class TestFicCodingLoading:
         wheels = fic.nps[1]
         assert wheels.referent == 13
         assert wheels.inferential == frozenset({(13, "r1", 12)})
-        assert coding.site_map == {}
+        assert coding.junction_sites == {}
 
     def test_round_trip(self, three_link):
         narrative, coding = three_link
         again = load_fic_coding(dumps(serialize_fic_coding(coding)), narrative)
         assert again == coding
-        assert again.site_map == coding.site_map
+        assert again.junction_sites == coding.junction_sites
 
-    def test_site_map_total_over_adjacent_pairs(self, three_link):
+    def test_junction_sites_total_over_adjacent_pairs(self, three_link):
         _, coding = three_link
-        assert set(coding.site_map) == set(coding.adjacent_pairs())
-        assert [m.site for m in coding.site_map.values()] == [0, 1, 2]
-        assert not any(m.intra_phrase for m in coding.site_map.values())
+        fics = coding.fics
+        assert list(coding.junction_sites) == [(1, 2), (2, 3), (3, 4)]
+        assert list(coding.junction_sites.values()) == [0, 1, 2]
+        assert all(fics[n].phrase_span[1] != fics[n + 1].phrase_span[0] for n in range(3))
 
     def test_intra_phrase_junction_flagged(self, shared_phrase):
         _, coding = shared_phrase
-        assert coding.site_map[(6, 7)].intra_phrase
-        assert coding.site_map[(6, 7)].site == 0
-        assert not coding.site_map[(7, 8)].intra_phrase
-        assert coding.site_map[(7, 8)].site == 0
+        fics = coding.fics
+        # Clauses 6 and 7 share phrase 3.1; clause 8 starts the next phrase.
+        assert fics[0].phrase_span[1] == fics[1].phrase_span[0]
+        assert coding.junction_sites[(6, 7)] == 0
+        assert fics[1].phrase_span[1] != fics[2].phrase_span[0]
+        assert coding.junction_sites[(7, 8)] == 0
 
     def test_intra_phrase_in_final_phrase_has_no_site(self, shared_phrase):
         narrative, _ = shared_phrase
@@ -540,8 +542,8 @@ class TestFicCodingLoading:
             ],
         }
         coding = load_fic_coding(dumps(doc), narrative)
-        assert coding.site_map[(2, 3)].intra_phrase
-        assert coding.site_map[(2, 3)].site is None
+        assert coding.fics[1].phrase_span[1] == coding.fics[2].phrase_span[0]
+        assert coding.junction_sites[(2, 3)] is None
 
     def test_gap_in_indices(self, three_link):
         narrative, coding = three_link
@@ -575,6 +577,17 @@ class TestFicCodingLoading:
         assert str(excinfo.value) == (
             "fics[2].nps[0].inferential[1]: expected [source, tag, target]"
         )
+
+    def test_first_faulty_relation_in_the_file_is_named(self):
+        narrative = load_narrative(dumps(toy_transcript()))
+        for rels, problem in (([[1, "r1", 0], [1, "r9", 2]], "relation target must be positive"),
+                              ([[1, "r9", 2], [1, "r1", 0]], "unknown relation tag 'r9'"),
+                              ([[1, "r1", 2], [3, "r1", 2], [2, "r1", 2]],
+                               "relation source 3 differs from the NP's referent 1")):
+            doc = planted(toy_coding(), ("fics", 1, "nps", 0, "inferential"), rels)
+            with pytest.raises(SchemaError) as excinfo:
+                load_fic_coding(dumps(doc), narrative)
+            assert str(excinfo.value) == f"fics[1].nps[0]: fic 2 NP 'he': {problem}"
 
     def test_relation_source_must_be_own_referent(self, three_link):
         narrative, coding = three_link
@@ -627,6 +640,11 @@ _REFUSED = [
     (Fic(1, (_PID, PhraseId(1, 2)), (_NP,)), {"nps": (_NP._replace(fic=2),)}, "tagged for fic 2"),
     (Fic(1, (_PID, PhraseId(1, 2)), (_NP,)), {"phrase_span": (PhraseId(1, 2), _PID)},
      "span end 1.1 precedes start 1.2"),
+    # What a loader refuses by its type, a constructor refuses too.
+    *((ProsodicPhrase(_PID, ("a",), True, 0.5), {"pause_before": pause}, "expected number or null")
+      for pause in ("0.5", True, b"1", "abc")),
+    *((_NP, {"referent": referent}, "must be integers") for referent in (1.5, True, "2")),
+    (_NP, {"inferential": frozenset({(2, "r1", "x")})}, "must be integers"),
 ]
 
 
@@ -653,7 +671,7 @@ class TestElementRecords:
         assert type(ProsodicPhrase._make(phrase)) is ProsodicPhrase
         assert str(_PID._replace(phrase=7)) == "1.7"
 
-    @pytest.mark.parametrize("record", [*(r for r, _, _ in _REFUSED[::2]), SiteMapping(3, True)],
+    @pytest.mark.parametrize("record", list({type(r): r for r, _, _ in _REFUSED}.values()),
                              ids=lambda r: type(r).__name__)
     def test_records_are_immutable_tuples(self, record):
         assert record == tuple(record)
@@ -1000,7 +1018,7 @@ def outcome(load, *args):
         loaded = load(*args)
     except ValidationError as exc:
         return type(exc).__name__, str(exc)
-    return loaded, getattr(loaded, "site_map", None)
+    return loaded, getattr(loaded, "junction_sites", None)
 
 
 def walked(load, *args):
@@ -1057,7 +1075,7 @@ class TestColumnPassAgreesWithTheWalk:
                     mock.patch.object(corpus, "_fics_by_element", side_effect=AssertionError):
                 assert outcome(load, *args) == got
             built = record_built(doc) if target == "phrase" else coding_record_built(doc, narrative)
-            assert got == (built, getattr(built, "site_map", None))
+            assert got == (built, getattr(built, "junction_sites", None))
         elif len(chosen) == 2 and places[chosen[0]][:2] != places[chosen[1]][:2]:
             # Two faults in different elements: the first in document order is named.
             assert got == outcome(load, *first_alone)
@@ -1127,14 +1145,13 @@ class TestColumnRules:
     def test_records_are_built_on_first_read(self):
         narrative = load_narrative(dumps(toy_transcript()))
         with mock.patch.object(corpus, "Fic", side_effect=AssertionError), \
-                mock.patch.object(corpus, "ReferentialNp", side_effect=AssertionError), \
-                mock.patch.object(corpus, "SiteMapping", side_effect=AssertionError):
+                mock.patch.object(corpus, "ReferentialNp", side_effect=AssertionError):
             coding = load_fic_coding(dumps(toy_coding()), narrative)
             assert coding.clause_referents == [{1, 2}] * 5
             with pytest.raises(AssertionError):
                 coding.fics
         built = FicCoding(narrative, coding.fics)
-        assert (coding, coding.site_map) == (built, built.site_map)
+        assert (coding, coding.junction_sites) == (built, built.junction_sites)
 
 
 def record_built(doc) -> Narrative:
@@ -1218,7 +1235,7 @@ class TestNarrativeColumns:
         assert narrative.site_pair(3) == (PhraseId(3, 1), PhraseId(3, 2))
 
     def test_comparing_loaded_files_builds_no_record(self):
-        records = ("PhraseId", "ProsodicPhrase", "Fic", "ReferentialNp", "SiteMapping")
+        records = ("PhraseId", "ProsodicPhrase", "Fic", "ReferentialNp")
         with mock.patch.multiple(corpus, **dict.fromkeys(records, mock.Mock(
                 side_effect=AssertionError))):
             narrative, again = (load_narrative(dumps(toy_transcript())) for _ in range(2))
@@ -1327,9 +1344,10 @@ class TestColumnViews:
             assert narrative.id_parts == oracles["id_parts"]
         for coding in (load_fic_coding(dumps(coding_doc), loaded),
                        coding_record_built(coding_doc, built)):
-            for name in ("clause_referents", "pronoun_referents", "neighbours",
-                         "junction_sites"):
+            for name in ("clause_referents", "pronoun_referents", "junction_sites"):
                 assert getattr(coding, name) == oracles[name], name
+            assert {referent: set(peers) for referent, peers in coding.peers.items()} == (
+                oracles["neighbours"])
             segmentation = np_segment(coding)
             boundaries, steps = np_oracle(coding)
             assert segmentation.boundaries == boundaries

@@ -15,17 +15,15 @@ from segtool import (
     ConfusionCounts,
     MetricAggregate,
     ValidationError,
-    aggregate_metric,
+    boundary_strengths,
     confusion,
     cue_segment,
-    evaluate_algorithm,
     evaluate_humans,
     metrics,
     pause_segment,
     percent_agreement,
-    target_boundaries,
 )
-from segtool.evaluation import RATIOS, aggregate_pairs, score_units, site_mask
+from segtool.evaluation import RATIOS, aggregate_pairs, resolve_target, score_units, site_mask
 
 F = Fraction
 
@@ -33,6 +31,19 @@ F = Fraction
 def make_matrix(rows, narrative_id="n"):
     ids = [f"s{k + 1}" for k in range(len(rows))]
     return AnnotationMatrix(narrative_id, ids, np.array(rows, dtype=np.int64))
+
+
+def target_set(matrix, threshold=None, exact=None) -> BoundarySet:
+    """The pooled target of resolve_target as a BoundarySet."""
+    mask, _ = resolve_target(boundary_strengths(matrix), threshold, exact)
+    return BoundarySet.of(matrix.narrative_id, np.flatnonzero(mask))
+
+
+def algorithm_scores(boundaries, matrix, threshold=None, exact=None):
+    """One boundary set scored against the pooled target through score_units, as eval does."""
+    row = site_mask(boundaries, matrix.sites, "predicted")[None, :]
+    cells = score_units(matrix, row, threshold, exact)[2]
+    return metrics(ConfusionCounts(*cells[:, 0, 0].tolist()))
 
 
 class TestConfusion:
@@ -48,7 +59,7 @@ class TestConfusion:
     def test_accepts_boundary_sets(self, pear9):
         narrative, matrix = pear9
         counts = confusion(
-            cue_segment(narrative), target_boundaries(matrix), matrix.sites
+            cue_segment(narrative), target_set(matrix), matrix.sites
         )
         assert (counts.a, counts.b, counts.c, counts.d) == (1, 1, 1, 8)
 
@@ -193,7 +204,7 @@ class TestSiteRule:
 class TestAlgorithmScores:
     def test_cue_against_majority(self, pear9):
         narrative, matrix = pear9
-        scores = evaluate_algorithm(cue_segment(narrative), matrix)
+        scores = algorithm_scores(cue_segment(narrative), matrix)
         assert scores.as_dict() == {
             "recall": F(1, 2),
             "precision": F(1, 2),
@@ -203,7 +214,7 @@ class TestAlgorithmScores:
 
     def test_pause_against_majority(self, pear9):
         narrative, matrix = pear9
-        scores = evaluate_algorithm(pause_segment(narrative), matrix)
+        scores = algorithm_scores(pause_segment(narrative), matrix)
         assert scores.as_dict() == {
             "recall": F(1),
             "precision": F(2, 7),
@@ -214,39 +225,47 @@ class TestAlgorithmScores:
     def test_exact_strength_target(self, pear9):
         narrative, matrix = pear9
         # Exactly-one-subject sites are {3, 4, 8}; the pause set hits 3.
-        scores = evaluate_algorithm(pause_segment(narrative), matrix, exact=1)
+        scores = algorithm_scores(pause_segment(narrative), matrix, exact=1)
         assert scores.recall == F(1, 3)
 
     def test_threshold_and_exact_conflict(self, pear9):
         narrative, matrix = pear9
-        with pytest.raises(ValidationError):
-            evaluate_algorithm(cue_segment(narrative), matrix, threshold=4, exact=2)
-        with pytest.raises(ValidationError):
-            target_boundaries(matrix, threshold=4, exact=2)
+        with pytest.raises(ValidationError, match="either threshold or exact"):
+            algorithm_scores(cue_segment(narrative), matrix, threshold=4, exact=2)
+        with pytest.raises(ValidationError, match="either threshold or exact"):
+            target_set(matrix, threshold=4, exact=2)
 
     def test_wrong_narrative_rejected(self, pear9):
         _, matrix = pear9
-        with pytest.raises(ValidationError):
-            evaluate_algorithm(BoundarySet("other", frozenset({0})), matrix)
+        with pytest.raises(ValidationError, match="cannot score other against pear"):
+            confusion(BoundarySet("other", frozenset({0})), target_set(matrix), matrix.sites)
+
+
+def fraction_pairs(values):
+    """Each Fraction's numerator and denominator, None as 0 / 0, as two object arrays."""
+    pairs = [(0, 0) if v is None else (v.numerator, v.denominator) for v in values]
+    return tuple(np.array([pair[k] for pair in pairs], dtype=object) for k in (0, 1))
 
 
 class TestAggregate:
+    """aggregate_pairs on object arrays of Python ints, here the parts of Fractions."""
+
     def test_exact_mean_and_variance(self):
-        agg = aggregate_metric([F(1, 2), F(1), None, F(3, 4)])
+        agg = aggregate_pairs(*fraction_pairs([F(1, 2), F(1), None, F(3, 4)]))
         assert agg.count == 3
         assert agg.skipped == 1
         assert agg.mean == F(3, 4)
         assert agg.variance == F(1, 24)
 
-    def test_generator_input_counts_skipped(self):
-        agg = aggregate_metric(v for v in [F(1), None])
+    def test_zero_denominator_counts_skipped(self):
+        agg = aggregate_pairs(np.array([1, 0], dtype=object), np.array([1, 0], dtype=object))
         assert (agg.mean, agg.count, agg.skipped) == (F(1), 1, 1)
 
     @settings(max_examples=300, deadline=None)
     @given(hst.lists(hst.one_of(hst.none(), hst.fractions(max_denominator=1000)), max_size=30))
     def test_matches_fraction_sums(self, values):
         kept = [v for v in values if v is not None]
-        agg = aggregate_metric(values)
+        agg = aggregate_pairs(*fraction_pairs(values))
         assert (agg.count, agg.skipped) == (len(kept), len(values) - len(kept))
         if kept:
             mean = sum(kept, F(0)) / len(kept)
@@ -254,7 +273,7 @@ class TestAggregate:
             assert (agg.mean, agg.variance) == (mean, variance)
 
     def test_all_none(self):
-        agg = aggregate_metric([None, None])
+        agg = aggregate_pairs(*fraction_pairs([None, None]))
         assert agg.mean is None
         assert agg.variance is None
         assert agg.count == 0

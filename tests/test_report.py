@@ -95,7 +95,7 @@ def test_report_builds_no_coding_record(batch, monkeypatch):
     expected = build_report(batch).to_tsv()
     files = [item.coding and json.dumps(serialize_fic_coding(item.coding)).encode()
              for item in batch]
-    for name in ("Fic", "ReferentialNp", "SiteMapping"):
+    for name in ("Fic", "ReferentialNp"):
         monkeypatch.setattr(corpus, name, refuse)
     fresh = [BatchItem(item.narrative, item.matrix,
                        None if raw is None else load_fic_coding(raw, item.narrative))

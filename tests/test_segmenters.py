@@ -491,7 +491,7 @@ class TestNpWalkOracle:
         traced = np_segment(loaded)
         sites, untraced = segment_by("np", narrative, loaded)
         assert loaded.fics == coding.fics
-        assert loaded.site_map == coding.site_map
+        assert loaded.junction_sites == coding.junction_sites
         boundaries, steps = np_oracle(loaded)
         assert traced.boundaries == untraced.boundaries == boundaries
         assert sites == normalize_to_sites(traced, coding)
@@ -515,7 +515,7 @@ class TestNpWalkOracle:
             assert step.linked_by == (met[0] if met else None)
             assert step.inferable_referents == {
                 peer for referent in step.clause_referents
-                for peer in coding.neighbours.get(referent, ())}
+                for peer in coding.peers.get(referent, ())}
             pool = step.segment_referents
 
 
