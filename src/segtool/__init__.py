@@ -17,12 +17,8 @@ from .agreement import (
 from .corpus import (
     AnnotationMatrix,
     BoundarySet,
-    Fic,
     FicCoding,
     Narrative,
-    PhraseId,
-    ProsodicPhrase,
-    ReferentialNp,
     load_annotations,
     load_fic_coding,
     load_narrative,

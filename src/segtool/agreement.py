@@ -134,10 +134,6 @@ class BoundaryStrengths:
     def cumulative(self, strength: int) -> BoundarySet:
         return BoundarySet.of(self.narrative_id, np.flatnonzero(self.mask(strength)))
 
-    def validated(self) -> BoundarySet:
-        """Sites marked by a strict majority of the panel."""
-        return self.cumulative(majority_threshold(self.subjects))
-
 
 def boundary_strengths(matrix: AnnotationMatrix) -> BoundaryStrengths:
     return BoundaryStrengths(matrix.narrative_id, matrix.subjects, matrix.column_totals)

@@ -1,11 +1,12 @@
 """Data model and loaders for segmentation corpora.
 
-Four JSON file kinds are handled. Each record rule is stated once, in a
-function over columns that a loader applies to a file's whole columns and a
-record's constructor to one-element columns; a broken rule raises a
-ValidationError naming the record or file (a SchemaError for a phrase's text
-or pause of the wrong type). The loaders also check the JSON shape, and at a
-fault walk the file element by element to name the first one with its location:
+Four JSON file kinds are handled, and each loader is the only way to build its
+kind. Each element rule is stated once, in a function over columns: a loader
+applies it to a file's whole columns, and a broken rule raises a
+ValidationError (a SchemaError for a JSON shape fault). The loaders also check
+the JSON shape, and at a fault walk the file element by element, applying the
+same functions to one-element columns, to name the first faulty element with
+its location:
 
 * transcripts: ordered prosodic phrases with pause and contour annotations
 * annotation matrices: one 0/1 row per subject over a transcript's
@@ -24,11 +25,11 @@ from __future__ import annotations
 import json
 import math
 import re
-from collections import defaultdict, namedtuple
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, compress, count, islice, repeat, starmap
-from operator import eq, index, is_, itemgetter, le, lt, sub
+from itertools import accumulate, chain, compress, count, islice, repeat
+from operator import eq, index, is_, itemgetter, le, lt
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
@@ -39,43 +40,38 @@ from .errors import SchemaError, ValidationError
 RELATION_TAGS = frozenset({"r1", "r2", "r3", "r4", "r5"})
 # A \uD800-\uDFFF escape, which may leave a lone surrogate in a string.
 _SURROGATE_ESCAPE = re.compile(rb"\\u[dD][89a-fA-F]")
-# The canonical "sentence.phrase" text, the only one str(PhraseId) gives; each
-# part has at most 4300 digits, the most int() reads by default.
+# The canonical "sentence.phrase" text of two positive integers; each part has
+# at most 4300 digits, the most int() reads by default.
 _PHRASE_ID = re.compile(r"[1-9][0-9]{0,4299}\.[1-9][0-9]{0,4299}")
 _ID_PROBLEM = "phrase id must look like 's.p', e.g. '3.1': {!r}"
-_PAUSE_TYPES = {int, float, type(None)}
-
-
-def _record(fields: str):
-    """A namedtuple base for an element record whose __new__ checks its rules.
-
-    namedtuple's _make, which _replace calls, would build the tuple directly;
-    this one goes through the record's constructor, so no public path skips a rule.
-    """
-    base = namedtuple("_Record", fields)
-    base._make = classmethod(lambda cls, values: cls(*values))
-    return base
 
 
 def _canonical_ids(ids: list) -> bool:
     """The phrase-id rule: each id is the canonical "sentence.phrase" text of two positive
-    integers, the only text str(PhraseId) gives."""
+    integers."""
     return all(map(_PHRASE_ID.fullmatch, ids))
 
 
+def _id_rule(text: Any) -> None:
+    """The phrase-id rule for one id of any type, whose parts int() must also read."""
+    try:
+        if _canonical_ids([text]) and all(map(int, text.split("."))):
+            return
+    except (TypeError, ValueError):  # no string, or a part past a lowered int() digit limit
+        pass
+    raise ValidationError(_ID_PROBLEM.format(text))
+
+
 def _phrase_rules(name: str, texts: list, pauses: list, truncated: list) -> tuple[list, list]:
-    """A text is a non-empty list or tuple of non-empty strings; a pause is None or a number,
-    finite and non-negative as a float; a truncated phrase has a pause. Gives the flat tokens
-    and the pauses as floats."""
-    sequences = set(map(type, texts)) <= {list, tuple}
-    tokens = list(chain.from_iterable(texts)) if sequences else []
-    if not sequences or not all(texts) or not _nonempty_strings(tokens):
+    """A text is a non-empty list of non-empty strings; a pause, None or a number, is finite
+    and non-negative as a float; a truncated phrase has a pause. The texts are lists and the
+    pauses None, ints or floats. Gives the flat tokens and the pauses as floats."""
+    tokens = list(chain.from_iterable(texts))
+    if not all(texts) or not _nonempty_strings(tokens):
         raise SchemaError("text", "expected a non-empty list of non-empty strings")
     try:
-        if not set(map(type, pauses)) <= _PAUSE_TYPES:  # float() takes str, bytes and bool too
-            raise TypeError
         pauses = [None if pause is None else float(pause) for pause in pauses]
-    except (TypeError, OverflowError):  # OverflowError: an int past the float range
+    except OverflowError:  # an int past the float range
         raise SchemaError("pause_before", "expected number or null") from None
     timed = [pause for pause in pauses if pause is not None]
     if not all(map(math.isfinite, timed)) or min(timed, default=0.0) < 0:
@@ -85,17 +81,16 @@ def _phrase_rules(name: str, texts: list, pauses: list, truncated: list) -> tupl
     return tokens, pauses
 
 
-def _clause_rules(name: str, starts: list, ends: list, referents=(), counts=(), sources=(),
+def _clause_rules(name: str, ids, starts: list, ends: list, referents=(), counts=(), sources=(),
                   tags=(), targets=()) -> None:
-    """A span ends no earlier than it starts. An NP's referent is a positive integer, and each
-    of its relations has that referent as source, a tag in RELATION_TAGS and a positive
-    integer target; NP k's counts[k] relations follow those of the NPs before it."""
+    """A span, given as the positions of its ends in ids, ends no earlier than it starts. An
+    NP's referent is positive, and each of its relations has that referent as source, a tag
+    in RELATION_TAGS and a positive target; NP k's counts[k] relations follow those of the
+    NPs before it. Referents and relation ends are integers."""
     in_order = list(map(le, starts, ends))
     if not all(in_order):
         k = in_order.index(False)
-        raise ValidationError(f"{name}: span end {ends[k]} precedes start {starts[k]}")
-    if not set(map(type, chain(referents, sources, targets))) <= {int}:
-        raise ValidationError(f"{name}: referents and relation ends must be integers")
+        raise ValidationError(f"{name}: span end {ids[ends[k]]} precedes start {ids[starts[k]]}")
     if min(referents, default=1) < 1:
         raise ValidationError(f"{name}: referent must be positive")
     known = list(map(RELATION_TAGS.__contains__, tags))
@@ -112,84 +107,27 @@ def _clause_rules(name: str, starts: list, ends: list, referents=(), counts=(), 
         raise ValidationError(f"{name}: relation target must be positive")
 
 
-class PhraseId(_record("sentence phrase")):
-    """Position of a prosodic phrase, rendered "sentence.phrase" (e.g. "3.3").
-
-    The (sentence, phrase) tuple's order is transcript order.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, sentence: int, phrase: int):
-        if {type(sentence), type(phrase)} == {int} and _canonical_ids([f"{sentence}.{phrase}"]):
-            return tuple.__new__(cls, (sentence, phrase))
-        raise ValidationError(
-            f"phrase id parts must be positive integers: {sentence!r}.{phrase!r}"
-        )
-
-    def __str__(self) -> str:
-        return "%s.%s" % self
-
-    @classmethod
-    def parse(cls, text: str) -> "PhraseId":
-        """Read the canonical form only, so str() gives back the same text."""
-        try:
-            if _canonical_ids([text]):
-                return tuple.__new__(cls, map(int, text.split(".")))
-        except (TypeError, ValueError):  # no string, or a part past a lowered int() digit limit
-            pass
-        raise ValidationError(_ID_PROBLEM.format(text))
-
-
-class ProsodicPhrase(_record("id text sentence_final pause_before pause_truncated")):
-    """One intonation unit of a transcript.
-
-    pause_before is the silence separating this phrase from its predecessor,
-    in seconds, stored as a float; None means no pause was transcribed.
-    pause_truncated marks a measurement cut short, so the true duration is at
-    least the given value. Tokens keep their transcript surface form (case,
-    lengthening hyphens, bracketed in-phrase pauses) untouched.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, id: PhraseId, text: tuple[str, ...], sentence_final: bool,
-                pause_before: float | None = None, pause_truncated: bool = False):
-        _, (pause_before,) = _phrase_rules(f"phrase {id}", [text], [pause_before],
-                                           [pause_truncated])
-        return tuple.__new__(cls, (id, text, sentence_final, pause_before, pause_truncated))
-
-
 class Narrative:
     """An ordered transcript of at least two prosodic phrases, held as flat columns.
 
     Phrase k has id text ids[k], sentence and phrase numbers id_ints[2k] and
-    id_ints[2k + 1], tokens tokens[token_offsets[k]:token_offsets[k + 1]],
-    sentence-final flag sentence_finals[k], pause pauses[k] and truncation
-    flag truncated[k]. The per-phrase id_parts, texts and phrase records are
-    built on first access.
+    id_ints[2k + 1], tokens tokens[token_offsets[k]:token_offsets[k + 1]] in
+    their transcript surface form, sentence-final flag sentence_finals[k],
+    pause pauses[k] and truncation flag truncated[k]. A pause is the silence
+    before the phrase in seconds, as a float, or None when none was
+    transcribed; a truncated one was cut short, so the true duration is at
+    least its value. Each phrase's token tuple, texts, is built on first
+    access. Only load_narrative builds a narrative.
     """
 
-    def __init__(self, narrative_id: str, phrases: Iterable[ProsodicPhrase]):
-        """The narrative that the phrase records give."""
-        phrases = tuple(phrases)
-        pids, texts, *columns = list(zip(*phrases)) or [()] * 5
-        self._hold(narrative_id, tuple(map("%s.%s".__mod__, pids)),
-                   tuple(chain.from_iterable(pids)), tuple(chain.from_iterable(texts)),
-                   tuple(accumulate(map(len, texts), initial=0)), *columns)
-        self.phrases = phrases  # fills the cached property
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a Narrative is built by load_narrative")
 
     @classmethod
-    def _of_columns(cls, narrative_id: str, *columns) -> "Narrative":
-        """The narrative of the loader's columns, which keep every rule of its records."""
-        narrative = cls.__new__(cls)
-        narrative._hold(narrative_id, *columns)
-        return narrative
-
-    def _hold(self, narrative_id, ids, id_ints, tokens, token_offsets, sentence_finals, pauses,
-              truncated):
-        """Check the rules across phrases and keep the columns."""
-        _narrative_id(narrative_id)
+    def _of_columns(cls, narrative_id, ids, id_ints, tokens, token_offsets, sentence_finals,
+                    pauses, truncated) -> "Narrative":
+        """The narrative of the loader's columns, which keep every rule of one phrase; checks
+        the rules across phrases."""
         if len(ids) < 2:
             raise SchemaError(
                 "phrases", f"narrative {narrative_id}: needs at least 2 phrases (got {len(ids)})"
@@ -200,15 +138,13 @@ class Narrative:
             k = in_order.index(False)
             raise SchemaError("phrases", f"narrative {narrative_id}: phrase ids out of order "
                               f"({ids[k]} then {ids[k + 1]})")
-        self.narrative_id, self.ids, self.id_ints = narrative_id, ids, id_ints
-        self.tokens, self.token_offsets = tokens, token_offsets
-        self.sentence_finals, self.pauses, self.truncated = sentence_finals, pauses, truncated
-        self._index = dict(zip(ids, count()))  # by id text, as a coding file's spans give it
-
-    @cached_property
-    def id_parts(self) -> tuple[tuple[int, int], ...]:
-        """Each phrase's (sentence, phrase) integers, built on first access."""
-        return tuple(zip(self.id_ints[::2], self.id_ints[1::2]))
+        narrative = cls.__new__(cls)
+        narrative.narrative_id, narrative.ids, narrative.id_ints = narrative_id, ids, id_ints
+        narrative.tokens, narrative.token_offsets = tokens, token_offsets
+        narrative.sentence_finals, narrative.pauses = sentence_finals, pauses
+        narrative.truncated = truncated
+        narrative._index = dict(zip(ids, count()))  # by id text, as a coding file's spans give it
+        return narrative
 
     @cached_property
     def texts(self) -> tuple[tuple[str, ...], ...]:
@@ -216,26 +152,16 @@ class Narrative:
         tokens, offsets = self.tokens, self.token_offsets
         return tuple(tokens[a:b] for a, b in zip(offsets, offsets[1:]))
 
-    @cached_property
-    def phrases(self) -> tuple[ProsodicPhrase, ...]:
-        """The phrase records, built through their constructors on first access."""
-        return tuple(map(ProsodicPhrase, starmap(PhraseId, self.id_parts), self.texts,
-                         self.sentence_finals, self.pauses, self.truncated))
-
     @property
     def site_count(self) -> int:
         return len(self.ids) - 1
 
-    def index_of(self, phrase_id: PhraseId) -> int:
-        k = self._index.get(str(phrase_id)) if isinstance(phrase_id, PhraseId) else None
+    def index_of(self, phrase_id: str) -> int:
+        """The position of the phrase with id text phrase_id."""
+        k = self._index.get(phrase_id) if isinstance(phrase_id, str) else None
         if k is None:
             raise ValidationError(f"narrative {self.narrative_id}: no phrase {phrase_id}")
         return k
-
-    def site_pair(self, site: int) -> tuple[PhraseId, PhraseId]:
-        self._check_site(site)
-        ints = self.id_ints[2 * site : 2 * site + 4]
-        return PhraseId(*ints[:2]), PhraseId(*ints[2:])
 
     def site_label(self, site: int) -> str:
         self._check_site(site)
@@ -339,111 +265,52 @@ class AnnotationMatrix:
         )
 
 
-class ReferentialNp(_record("fic surface referent pronoun3 inferential")):
-    """A referential noun phrase inside one coded clause.
-
-    inferential holds (source, tag, target) referent links; the source is
-    always this NP's own referent and tags come from a fixed closed set.
-    pronoun3 marks third-person definite pronouns.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, fic: int, surface: str, referent: int, pronoun3: bool = False,
-                inferential: frozenset[tuple[int, str, int]] = frozenset()):
-        _clause_rules(f"fic {fic} NP {surface!r}", [], [], [referent], [len(inferential)],
-                      *(list(zip(*inferential)) or [()] * 3))
-        return tuple.__new__(cls, (fic, surface, referent, pronoun3, inferential))
-
-
-class Fic(_record("index phrase_span nps")):
-    """A functionally independent clause spanning one or more phrases."""
-
-    __slots__ = ()
-
-    def __new__(cls, index: int, phrase_span: tuple[PhraseId, PhraseId],
-                nps: tuple[ReferentialNp, ...]):
-        start, end = phrase_span
-        _clause_rules(f"fic {index}", [start], [end])
-        for np_ in nps:
-            if np_.fic != index:
-                raise ValidationError(
-                    f"fic {index}: NP {np_.surface!r} tagged for fic {np_.fic}"
-                )
-        return tuple.__new__(cls, (index, phrase_span, nps))
-
-
 class FicCoding:
     """The clause coding of one narrative, held as flat columns.
 
     Clause n has index indices[n], and its NPs are positions np_offsets[n]
     up to np_offsets[n + 1] of the NP columns surfaces, referents and
-    pronoun3s. NP k's relation_counts[k] (source, tag, target) relations
-    follow NP by NP in the columns sources, tags and targets.
+    pronoun3s (third-person definite pronouns). NP k's relation_counts[k]
+    (source, tag, target) inferential relations follow NP by NP in the
+    columns sources, tags and targets.
 
     Built on first access: peers maps a referent to those one inferential
-    link away, either direction; clause_referents[n] holds clause n's
-    referents and pronoun_referents[n] those of its third-person definite
-    pronouns; junction_sites maps each adjacent clause pair (by index) to
-    the site its junction projects to. Junctions at a phrase boundary map
-    injectively onto sites; a junction inside one phrase maps to the site at
-    the end of that phrase, or to None when it is the last phrase. The fics
-    records are built on first access too.
+    link away, either direction; junction_sites maps each adjacent clause
+    pair (by index) to the site its junction projects to. Junctions at a
+    phrase boundary map injectively onto sites; a junction inside one phrase
+    maps to the site at the end of that phrase, or to None when it is the
+    last phrase. Only load_fic_coding builds a coding.
     """
 
-    def __init__(self, narrative: Narrative, fics: Iterable[Fic]):
-        """The coding of narrative that the clause records give."""
-        fics = tuple(fics)
-        nps = [np_ for fic in fics for np_ in fic.nps]
-        relations = [rel for np_ in nps for rel in np_.inferential]
-        ends = [narrative.index_of(pid) for fic in fics for pid in fic.phrase_span]
-        self._hold(narrative, [fic.index for fic in fics], ends[::2], ends[1::2],
-                   list(accumulate((len(fic.nps) for fic in fics), initial=0)),
-                   *(list(zip(*nps))[1:4] or [()] * 3), [len(np_.inferential) for np_ in nps],
-                   *(list(zip(*relations)) or [()] * 3))
-        self.fics = fics  # fills the cached property
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a FicCoding is built by load_fic_coding")
 
     @classmethod
-    def _of_columns(cls, narrative: Narrative, *columns) -> "FicCoding":
-        """The coding of the loader's columns, which keep the rules of ReferentialNp and Fic."""
-        coding = cls.__new__(cls)
-        coding._hold(narrative, *columns)
-        return coding
-
-    def _hold(self, narrative, indices, starts, ends, np_offsets, surfaces, referents, pronoun3s,
-              relation_counts, sources, tags, targets):
-        """Check the rules across clauses and keep the columns."""
-        self.narrative_id, ids = narrative.narrative_id, narrative.ids
+    def _of_columns(cls, narrative, indices, starts, ends, np_offsets, surfaces, referents,
+                    pronoun3s, relation_counts, sources, tags, targets) -> "FicCoding":
+        """The coding of the loader's columns, which keep every rule of one clause and NP;
+        checks the rules across clauses."""
+        narrative_id, ids = narrative.narrative_id, narrative.ids
         in_order = list(map(le, ends, starts[1:]))
         if not all(in_order):
             n = in_order.index(False) + 1
-            raise SchemaError("fics", f"coding {self.narrative_id}: clause {indices[n]} starts at "
+            raise SchemaError("fics", f"coding {narrative_id}: clause {indices[n]} starts at "
                               f"{ids[starts[n]]}, before clause {indices[n - 1]} ends at "
                               f"{ids[ends[n - 1]]}")
         if not indices:
             raise SchemaError("fics", "expected a non-empty list")
-        self.indices = range(indices[0], indices[0] + len(indices))
-        if list(indices) != list(self.indices):
+        consecutive = range(indices[0], indices[0] + len(indices))
+        if list(indices) != list(consecutive):
             n = next(n for n in count(1) if indices[n] != indices[n - 1] + 1)
-            raise SchemaError("fics", f"coding {self.narrative_id}: clause indices must be "
+            raise SchemaError("fics", f"coding {narrative_id}: clause indices must be "
                               f"consecutive ({indices[n - 1]} then {indices[n]})")
-        self._ids, self._starts, self._ends = ids, starts, ends
-        self.np_offsets, self.surfaces, self.referents = np_offsets, surfaces, referents
-        self.pronoun3s, self.relation_counts = pronoun3s, relation_counts
-        self.sources, self.tags, self.targets = sources, tags, targets
-
-    @cached_property
-    def clause_referents(self) -> list[frozenset[int]]:
-        """Each clause's referents, built on first access."""
-        offsets = self.np_offsets
-        return [frozenset(self.referents[a:b]) for a, b in zip(offsets, offsets[1:])]
-
-    @cached_property
-    def pronoun_referents(self) -> list[frozenset[int]]:
-        """Each clause's third-person definite pronoun referents, built on first access."""
-        referents, pronoun3s, offsets = self.referents, self.pronoun3s, self.np_offsets
-        return [frozenset(compress(referents[a:b], pronoun3s[a:b]))
-                for a, b in zip(offsets, offsets[1:])]
+        coding = cls.__new__(cls)
+        coding.narrative_id, coding.indices = narrative_id, consecutive
+        coding._ids, coding._starts, coding._ends = ids, starts, ends
+        coding.np_offsets, coding.surfaces, coding.referents = np_offsets, surfaces, referents
+        coding.pronoun3s, coding.relation_counts = pronoun3s, relation_counts
+        coding.sources, coding.tags, coding.targets = sources, tags, targets
+        return coding
 
     @cached_property
     def peers(self) -> dict[int, tuple[int, ...]]:
@@ -469,21 +336,9 @@ class FicCoding:
         triples = zip(self.sources, self.tags, self.targets)
         return (frozenset(islice(triples, size)) for size in self.relation_counts)
 
-    @cached_property
-    def fics(self) -> tuple[Fic, ...]:
-        """The clause records, built through their constructors on first access."""
-        sizes = list(map(sub, self.np_offsets[1:], self.np_offsets))
-        owners = chain.from_iterable(map(repeat, self.indices, sizes))
-        nps = map(ReferentialNp, owners, self.surfaces, self.referents, self.pronoun3s,
-                  self._relations())
-        ids = self._ids
-        spans = zip(map(ids.__getitem__, self._starts), map(ids.__getitem__, self._ends))
-        return tuple(Fic(index, tuple(map(PhraseId.parse, span)), tuple(islice(nps, size)))
-                     for index, span, size in zip(self.indices, spans, sizes))
-
     def _key(self) -> tuple:
-        """What fics holds, read off the columns: span ids, NP fields by clause, and the
-        relation set of each NP that has relations, by its position."""
+        """The coding read off the columns: span ids, NP fields by clause, and the relation
+        set of each NP that has relations, by its position."""
         spans = tuple(map(self._ids.__getitem__, chain(self._starts, self._ends)))
         links = tuple(compress(enumerate(self._relations()), self.relation_counts))
         return (self.narrative_id, self.indices, spans, tuple(self.np_offsets),
@@ -617,7 +472,7 @@ _REQUIRED = object()
 _PHRASE_FIELDS = (
     ("id", _REQUIRED, {str}, _ID_PROBLEM, _canonical_ids),
     ("sentence_final", _REQUIRED, {bool}, "expected true or false", None),
-    ("pause_before", _REQUIRED, _PAUSE_TYPES, "expected number or null", None),
+    ("pause_before", _REQUIRED, {int, float, type(None)}, "expected number or null", None),
     ("pause_truncated", False, {bool}, "expected true or false", None),
     ("text", _REQUIRED, {list}, "expected a non-empty list of non-empty strings", None),
 )
@@ -705,9 +560,9 @@ def _phrases_by_element(raw_phrases: list) -> None:
     """Raise at the first faulty phrase, with its location."""
     for k, raw in enumerate(raw_phrases):
         where = f"phrases[{k}]"
-        pid, final, pause, truncated, text = _fields(raw, _PHRASE_FIELDS, where)
-        _located(where, ProsodicPhrase, _located(where, PhraseId.parse, pid), tuple(text), final,
-                 pause, truncated)
+        pid, _, pause, truncated, text = _fields(raw, _PHRASE_FIELDS, where)
+        _located(where, _id_rule, pid)
+        _located(where, _phrase_rules, f"phrase {pid}", [text], [pause], [truncated])
 
 
 def load_narrative(source) -> Narrative:
@@ -788,23 +643,25 @@ def _fics_by_element(raw_fics: list, narrative: Narrative) -> None:
     for n, raw in enumerate(raw_fics):
         where = f"fics[{n}]"
         index, span = _fields(raw, _FIC_FIELDS[:2], where)  # the span before the NPs
-        start, end = (_located(f"{where}.span", PhraseId.parse, pid) for pid in span)
-        for pid in (start, end):  # an id not in the transcript
-            _located(f"{where}.span", narrative.index_of, pid)
+        for pid in span:
+            _located(f"{where}.span", _id_rule, pid)
+        start, end = [_located(f"{where}.span", narrative.index_of, pid) for pid in span]
         (raw_nps,) = _fields(raw, _FIC_FIELDS[2:], where)
         for m, raw_np in enumerate(raw_nps):
             np_where = f"{where}.nps[{m}]"
-            form, referent, pronoun3, rels = _fields(raw_np, _NP_FIELDS, np_where)
+            form, referent, _, rels = _fields(raw_np, _NP_FIELDS, np_where)
             for r, rel in enumerate(rels):
                 _located(f"{np_where}.inferential[{r}]", _relation_columns, [rel])
-            # The relations one at a time, so the first faulty one in the file is named.
-            for links in (frozenset(), *(frozenset([tuple(rel)]) for rel in rels)):
-                _located(np_where, ReferentialNp, index, form, referent, pronoun3, links)
-        _located(where, Fic, index, (start, end), ())  # each NP above is tagged for this clause
+            name = f"fic {index} NP {form!r}"
+            _located(np_where, _clause_rules, name, (), [], [], [referent])
+            for source, tag, target in rels:  # one at a time, so the first faulty one is named
+                _located(np_where, _clause_rules, name, (), [], [], [referent], [1], [source],
+                         [tag], [target])
+        _located(where, _clause_rules, f"fic {index}", narrative.ids, [start], [end])
 
 
 def load_fic_coding(source, narrative: Narrative) -> FicCoding:
-    """Load a clause coding; its records are built when first read."""
+    """Load and validate a clause coding of a transcript."""
     data = _read_object(source)
     _narrative_id(_require(data, "narrative_id", ""), narrative, "coding is")
     raw_fics = _require(data, "fics", "")
@@ -819,8 +676,8 @@ def load_fic_coding(source, narrative: Narrative) -> FicCoding:
         ends = list(map(narrative._index.__getitem__, chain.from_iterable(raw_spans)))
         starts, ends = ends[::2], ends[1::2]
         counts = list(map(len, raw_rels))
-        _clause_rules(f"coding {narrative.narrative_id}", starts, ends, referents, counts,
-                      sources, tags, targets)
+        _clause_rules(f"coding {narrative.narrative_id}", narrative.ids, starts, ends, referents,
+                      counts, sources, tags, targets)
     except _FAULTS:
         _fics_by_element(raw_fics, narrative)  # names the fault the column pass met
         raise
@@ -830,25 +687,24 @@ def load_fic_coding(source, narrative: Narrative) -> FicCoding:
 
 
 def serialize_fic_coding(coding: FicCoding) -> dict:
+    """Inverse of load_fic_coding, as a JSON-ready dict; each NP's relations are sorted."""
+    nps = [
+        {
+            "form": form,
+            "referent": referent,
+            "pronoun3": pronoun3,
+            "inferential": sorted(map(list, relations)),
+        }
+        for form, referent, pronoun3, relations in zip(
+            coding.surfaces, coding.referents, coding.pronoun3s, coding._relations())
+    ]
+    ids, offsets = coding._ids, coding.np_offsets
     return {
         "narrative_id": coding.narrative_id,
         "fics": [
-            {
-                "index": fic.index,
-                "span": [str(fic.phrase_span[0]), str(fic.phrase_span[1])],
-                "nps": [
-                    {
-                        "form": np_.surface,
-                        "referent": np_.referent,
-                        "pronoun3": np_.pronoun3,
-                        "inferential": sorted(
-                            [src, tag, tgt] for src, tag, tgt in np_.inferential
-                        ),
-                    }
-                    for np_ in fic.nps
-                ],
-            }
-            for fic in coding.fics
+            {"index": index, "span": [ids[start], ids[end]], "nps": nps[a:b]}
+            for index, start, end, a, b in zip(coding.indices, coding._starts, coding._ends,
+                                               offsets, offsets[1:])
         ],
     }
 

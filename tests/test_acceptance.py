@@ -29,6 +29,7 @@ from segtool import (
     cue_segment,
     evaluate_humans,
     fixture_path,
+    majority_threshold,
     metrics,
     normalize_to_sites,
     np_segment,
@@ -81,11 +82,11 @@ def test_criterion_01_agreement_reconstruction(pear9):
 def test_criterion_02_majority_boundaries(pear9):
     """The panel majority validates exactly two of the eleven sites."""
     narrative, matrix = pear9
-    validated = boundary_strengths(matrix).validated()
-    assert validated.sites == frozenset({0, 10})
-    assert validated.labels(narrative) == ("3.3→4.1", "8.4→9.1")
+    majority = boundary_strengths(matrix).cumulative(majority_threshold(matrix.subjects))
+    assert majority.sites == frozenset({0, 10})
+    assert majority.labels(narrative) == ("3.3→4.1", "8.4→9.1")
     target, mode = resolve_target(boundary_strengths(matrix), None, None)
-    assert (set(np.flatnonzero(target).tolist()), mode) == (validated.sites, "threshold=4")
+    assert (set(np.flatnonzero(target).tolist()), mode) == (majority.sites, "threshold=4")
 
 
 def test_criterion_03_cue_and_pause_marks(pear9):

@@ -167,7 +167,8 @@ class TestBoundaryStrengths:
         assert strengths.exact(7).sites == frozenset({10})
         assert strengths.cumulative(1).sites == frozenset({0, 3, 4, 5, 8, 10})
         assert strengths.cumulative(4).sites == frozenset({0, 10})
-        assert strengths.validated().sites == frozenset({0, 10})
+        majority = strengths.cumulative(majority_threshold(matrix.subjects))
+        assert majority.sites == frozenset({0, 10})
 
     def test_strength_bounds(self, pear9):
         _, matrix = pear9

@@ -19,12 +19,8 @@ from segtool import corpus
 from segtool import (
     AnnotationMatrix,
     BoundarySet,
-    Fic,
     FicCoding,
     Narrative,
-    PhraseId,
-    ProsodicPhrase,
-    ReferentialNp,
     SchemaError,
     ValidationError,
     cue_segment,
@@ -65,12 +61,29 @@ def narrative_doc(n_phrases=3, narrative_id="toy"):
 
 class TestPhraseId:
     def test_parse_and_render(self):
-        pid = PhraseId.parse("3.3")
-        assert (pid.sentence, pid.phrase) == (3, 3)
-        assert str(pid) == "3.3"
+        narrative = load_narrative(dumps(planted(toy_transcript(), ("phrases", 4, "id"), "3.3")))
+        assert narrative.id_ints[-2:] == (3, 3)
+        assert narrative.ids[-1] == "3.3"
+        assert serialize_narrative(narrative)["phrases"][-1]["id"] == "3.3"
 
     def test_ordering_is_transcript_order(self):
-        assert PhraseId(3, 3) < PhraseId(4, 1) < PhraseId(4, 2) < PhraseId(10, 1)
+        ids = ["3.3", "4.1", "4.2", "10.1"]  # "10.1" sorts before "4.2" as text
+        doc = {"narrative_id": "n", "phrases": [{**narrative_doc(1)["phrases"][0], "id": pid}
+                                                for pid in ids]}
+        assert load_narrative(dumps(doc)).ids == tuple(ids)
+
+    @staticmethod
+    def refused(bad):
+        """A transcript's phrase id and a coding's span id of bad are refused as such."""
+        transcript = planted(toy_transcript(), ("phrases", 0, "id"), bad)
+        with pytest.raises(SchemaError) as excinfo:
+            load_narrative(dumps(transcript))
+        assert str(excinfo.value) == f"phrases[0].id: {ID_TEXT}{bad!r}"
+        narrative = load_narrative(dumps(toy_transcript()))
+        coding = planted(toy_coding(), ("fics", 0, "span", 1), bad)
+        with pytest.raises(SchemaError) as excinfo:
+            load_fic_coding(dumps(coding), narrative)
+        assert str(excinfo.value) == f"fics[0].span: {ID_TEXT}{bad!r}"
 
     @pytest.mark.parametrize(
         "bad",
@@ -78,38 +91,32 @@ class TestPhraseId:
          "1.1\n", ""],
     )
     def test_rejects_malformed(self, bad):
-        with pytest.raises(ValidationError):
-            PhraseId.parse(bad)
+        self.refused(bad)
 
     @pytest.mark.parametrize("bad", [None, 3, 1.1, True, ["1.1"], {"1": 1}])
     def test_rejects_non_strings(self, bad):
-        with pytest.raises(ValidationError, match="phrase id must look like"):
-            PhraseId.parse(bad)
-
-    def test_parts_must_be_positive(self):
-        with pytest.raises(ValidationError, match="must be positive"):
-            PhraseId(0, 1)
-
-    @pytest.mark.parametrize("parts", [(1.5, 2), (True, 1), (1, False), (1, "2"), (np.int64(1), 1)])
-    def test_parts_must_be_integers(self, parts):
-        # Such an id would print as text that parse refuses, e.g. "1.5.2" or "True.1".
-        with pytest.raises(ValidationError, match="must be positive integers"):
-            PhraseId(*parts)
+        self.refused(bad)
 
     @given(hst.tuples(hst.integers(1, 10**30), hst.integers(1, 10**30)),
            hst.tuples(hst.integers(1, 10**30), hst.integers(1, 10**30)))
-    def test_orders_compares_and_hashes_as_its_tuple(self, a, b):
-        pa, pb = PhraseId(*a), PhraseId(*b)
-        assert pa == a and (pa.sentence, pa.phrase) == a
-        assert (pa < pb, pa <= pb, pa == pb, pa > pb) == (a < b, a <= b, a == b, a > b)
-        assert hash(pa) == hash(a)
-        assert str(pa) == "%s.%s" % a and PhraseId.parse(str(pa)) == pa
+    def test_ids_order_as_their_integer_pairs(self, a, b):
+        doc = narrative_doc(2)
+        doc["phrases"][0]["id"], doc["phrases"][1]["id"] = "%s.%s" % a, "%s.%s" % b
+        if a < b:
+            narrative = load_narrative(dumps(doc))
+            assert narrative.id_ints == (*a, *b)
+            assert narrative.ids == ("%s.%s" % a, "%s.%s" % b)
+        else:
+            with pytest.raises(SchemaError, match="^phrases: narrative toy: phrase ids out of"):
+                load_narrative(dumps(doc))
 
     def test_parts_have_at_most_the_digits_int_reads_by_default(self):
-        assert str(PhraseId.parse("9" * 4300 + ".1")) == "9" * 4300 + ".1"
+        widest = "9" * 4300 + ".1"
+        narrative = load_narrative(dumps(planted(toy_transcript(), ("phrases", 4, "id"), widest)))
+        assert narrative.ids[-1] == widest and narrative.id_ints[-2] == int("9" * 4300)
         for bad in ("1" * 4301 + ".1", "1." + "1" * 4301):
-            with pytest.raises(ValidationError, match="phrase id must look like"):
-                PhraseId.parse(bad)
+            with pytest.raises(SchemaError, match=r"^phrases\[4\]\.id: phrase id must look like"):
+                load_narrative(dumps(planted(toy_transcript(), ("phrases", 4, "id"), bad)))
 
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit")
     def test_an_id_past_a_lowered_int_digit_limit_is_a_schema_error(self):
@@ -121,10 +128,9 @@ class TestPhraseId:
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(640)
         try:
-            with pytest.raises(ValidationError, match="phrase id must look like"):
-                PhraseId.parse(long_id)
-            with pytest.raises(SchemaError, match=r"^phrases\[0\]"):
+            with pytest.raises(SchemaError) as excinfo:
                 load_narrative(dumps(transcript))
+            assert str(excinfo.value) == f"phrases[0]: {ID_TEXT}{long_id!r}"
             narrative = load_narrative(dumps(toy_transcript()))
             with pytest.raises(SchemaError, match=r"^fics\[0\]\.span: phrase id must look"):
                 load_fic_coding(dumps(coding), narrative)
@@ -136,7 +142,7 @@ class TestNarrativeLoading:
     def test_fixture_loads(self, pear9):
         narrative, _ = pear9
         assert narrative.narrative_id == "pear-09-excerpt"
-        assert len(narrative.phrases) == 12
+        assert len(narrative.ids) == 12
         assert narrative.site_count == 11
         assert narrative.site_label(0) == "3.3→4.1"
         assert narrative.site_label(10) == "8.4→9.1"
@@ -148,10 +154,9 @@ class TestNarrativeLoading:
 
     def test_pause_fields_survive(self, pear9):
         narrative, _ = pear9
-        first = narrative.phrases[0]
-        assert first.pause_before == 0.35
-        assert first.pause_truncated
-        assert narrative.phrases[3].pause_before is None
+        assert narrative.pauses[0] == 0.35
+        assert narrative.truncated[0]
+        assert narrative.pauses[3] is None
 
     def test_too_few_phrases(self):
         with pytest.raises(SchemaError):
@@ -202,15 +207,6 @@ class TestNarrativeLoading:
         doc["phrases"][0]["text"] = []
         with pytest.raises(SchemaError):
             load_narrative(dumps(doc))
-
-    @pytest.mark.parametrize("text", [(), ("word", ""), ("word", 3)])
-    def test_phrase_tokens_are_non_empty_strings(self, text):
-        with pytest.raises(ValidationError, match="^text: expected a non-empty list"):
-            ProsodicPhrase(PhraseId(1, 1), text, True)
-
-    def test_phrase_pause_past_float_range_rejected(self):
-        with pytest.raises(ValidationError, match="^pause_before: expected number or null$"):
-            ProsodicPhrase(PhraseId(1, 1), ("word",), True, 10**400)
 
     def test_streams_read_like_bytes(self):
         raw = dumps(narrative_doc())
@@ -493,17 +489,20 @@ class TestManifestLoading:
             manifest.format
 
 
+def spans_of(coding: FicCoding) -> list[list[str]]:
+    """Each clause's [start, end] phrase ids."""
+    return [fic["span"] for fic in serialize_fic_coding(coding)["fics"]]
+
+
 class TestFicCodingLoading:
     def test_single_clause_fixture(self, bicycle):
         _, coding = bicycle
-        assert len(coding.fics) == 1
-        fic = coding.fics[0]
-        assert fic.index == 25
-        assert str(fic.phrase_span[0]) == "16.1"
-        assert str(fic.phrase_span[1]) == "16.2"
-        wheels = fic.nps[1]
-        assert wheels.referent == 13
-        assert wheels.inferential == frozenset({(13, "r1", 12)})
+        assert coding.indices == range(25, 26)
+        (fic,) = serialize_fic_coding(coding)["fics"]
+        assert fic["span"] == ["16.1", "16.2"]
+        wheels = fic["nps"][1]
+        assert wheels["referent"] == coding.referents[1] == 13
+        assert wheels["inferential"] == [[13, "r1", 12]]
         assert coding.junction_sites == {}
 
     def test_round_trip(self, three_link):
@@ -514,18 +513,18 @@ class TestFicCodingLoading:
 
     def test_junction_sites_total_over_adjacent_pairs(self, three_link):
         _, coding = three_link
-        fics = coding.fics
+        spans = spans_of(coding)
         assert list(coding.junction_sites) == [(1, 2), (2, 3), (3, 4)]
         assert list(coding.junction_sites.values()) == [0, 1, 2]
-        assert all(fics[n].phrase_span[1] != fics[n + 1].phrase_span[0] for n in range(3))
+        assert all(spans[n][1] != spans[n + 1][0] for n in range(3))
 
     def test_intra_phrase_junction_flagged(self, shared_phrase):
         _, coding = shared_phrase
-        fics = coding.fics
+        spans = spans_of(coding)
         # Clauses 6 and 7 share phrase 3.1; clause 8 starts the next phrase.
-        assert fics[0].phrase_span[1] == fics[1].phrase_span[0]
+        assert spans[0][1] == spans[1][0]
         assert coding.junction_sites[(6, 7)] == 0
-        assert fics[1].phrase_span[1] != fics[2].phrase_span[0]
+        assert spans[1][1] != spans[2][0]
         assert coding.junction_sites[(7, 8)] == 0
 
     def test_intra_phrase_in_final_phrase_has_no_site(self, shared_phrase):
@@ -542,7 +541,8 @@ class TestFicCodingLoading:
             ],
         }
         coding = load_fic_coding(dumps(doc), narrative)
-        assert coding.fics[1].phrase_span[1] == coding.fics[2].phrase_span[0]
+        spans = spans_of(coding)
+        assert spans[1][1] == spans[2][0]
         assert coding.junction_sites[(2, 3)] is None
 
     def test_gap_in_indices(self, three_link):
@@ -610,75 +610,12 @@ class TestFicCodingLoading:
         with pytest.raises(SchemaError):
             load_fic_coding(dumps(doc), narrative)
 
-    def test_np_tagged_for_another_fic(self, three_link):
-        _, coding = three_link
-        fic = coding.fics[0]
-        np_ = fic.nps[0]
-        other = ReferentialNp(fic.index + 1, np_.surface, np_.referent, np_.pronoun3, np_.inferential)
-        with pytest.raises(ValidationError) as excinfo:
-            Fic(fic.index, fic.phrase_span, (other,))
-        assert str(excinfo.value) == "fic 1: NP 'a truck' tagged for fic 2"
-
     def test_id_mismatch(self, three_link):
         narrative, coding = three_link
         doc = serialize_fic_coding(coding)
         doc["narrative_id"] = "other"
         with pytest.raises(ValidationError):
             load_fic_coding(dumps(doc), narrative)
-
-
-_PID = PhraseId(1, 1)
-_NP = ReferentialNp(1, "a truck", 2, False, frozenset({(2, "r1", 3)}))
-# Per record kind: a valid record, then fields that its constructor refuses.
-_REFUSED = [
-    (PhraseId(1, 2), {"sentence": -1}, "must be positive"),
-    (PhraseId(1, 2), {"phrase": 1.0}, "must be positive integers"),
-    (ProsodicPhrase(_PID, ("a",), True, 0.5), {"pause_before": -1}, "finite and non-negative"),
-    (ProsodicPhrase(_PID, ("a",), True, 0.5), {"text": ()}, "non-empty list"),
-    (_NP, {"referent": -2}, "referent must be positive"),
-    (_NP, {"inferential": frozenset({(2, "r9", 3)})}, "unknown relation tag"),
-    (Fic(1, (_PID, PhraseId(1, 2)), (_NP,)), {"nps": (_NP._replace(fic=2),)}, "tagged for fic 2"),
-    (Fic(1, (_PID, PhraseId(1, 2)), (_NP,)), {"phrase_span": (PhraseId(1, 2), _PID)},
-     "span end 1.1 precedes start 1.2"),
-    # What a loader refuses by its type, a constructor refuses too.
-    *((ProsodicPhrase(_PID, ("a",), True, 0.5), {"pause_before": pause}, "expected number or null")
-      for pause in ("0.5", True, b"1", "abc")),
-    *((_NP, {"referent": referent}, "must be integers") for referent in (1.5, True, "2")),
-    (_NP, {"inferential": frozenset({(2, "r1", "x")})}, "must be integers"),
-]
-
-
-class TestElementRecords:
-    """Immutable tuples that check their rules on every path that builds them."""
-
-    @pytest.mark.parametrize("record, bad, message", _REFUSED)
-    def test_every_public_construction_path_checks_the_rules(self, record, bad, message):
-        cls = type(record)
-        fields = {**record._asdict(), **bad}
-        for build in (
-            lambda: cls(**fields),
-            lambda: cls(*fields.values()),
-            lambda: cls._make(fields.values()),
-            lambda: record._replace(**bad),
-        ):
-            with pytest.raises((ValidationError, SchemaError), match=message):
-                build()
-
-    def test_replace_and_make_give_the_constructors_record(self):
-        phrase = ProsodicPhrase(_PID, ("a",), True, 0.5)
-        assert type(phrase._replace(pause_before=1).pause_before) is float
-        assert ProsodicPhrase._make(phrase) == phrase
-        assert type(ProsodicPhrase._make(phrase)) is ProsodicPhrase
-        assert str(_PID._replace(phrase=7)) == "1.7"
-
-    @pytest.mark.parametrize("record", list({type(r): r for r, _, _ in _REFUSED}.values()),
-                             ids=lambda r: type(r).__name__)
-    def test_records_are_immutable_tuples(self, record):
-        assert record == tuple(record)
-        assert not hasattr(record, "__dict__")
-        for name in (*record._fields, "other"):
-            with pytest.raises(AttributeError):
-                setattr(record, name, getattr(record, record._fields[0]))
 
 
 class TestBoundarySet:
@@ -908,26 +845,24 @@ def _case_id(case):
     return message if len(message) < 200 else message[:80] + "..."
 
 
-@pytest.fixture
-def no_record_constructors():
-    """Narrative.__init__ and FicCoding.__init__, the constructors from records, refuse."""
-    with mock.patch.object(Narrative, "__init__", side_effect=AssertionError("Narrative")), \
-            mock.patch.object(FicCoding, "__init__", side_effect=AssertionError("FicCoding")):
-        yield
-
-
-@pytest.mark.usefixtures("no_record_constructors")
 class TestEverySingleFaultIsNamed:
     """The exact text of each fault, at the first, a middle and the last element.
 
-    A loaded file, valid or not, is built or refused from its columns alone:
-    no loader calls the constructors from records.
+    The loaders are the one way to build a transcript or a coding, so none is
+    built that skipped a rule.
     """
 
     def test_toy_files_load(self):
         narrative = load_narrative(dumps(toy_transcript()))
         coding = load_fic_coding(dumps(toy_coding()), narrative)
-        assert len(narrative.phrases) == len(coding.fics) == 5
+        assert len(narrative.ids) == len(coding.indices) == 5
+
+    def test_only_the_loaders_build(self):
+        narrative = load_narrative(dumps(toy_transcript()))
+        for cls, loader in ((Narrative, "load_narrative"), (FicCoding, "load_fic_coding")):
+            for args in ((), ("toy", ()), (narrative, ())):
+                with pytest.raises(TypeError, match=f"^a {cls.__name__} is built by {loader}$"):
+                    cls(*args)
 
     @pytest.mark.parametrize(
         "name", ["pear9_excerpt", "bicycle_wheels", "shared_phrase", "three_link_tests"])
@@ -1070,19 +1005,22 @@ class TestColumnPassAgreesWithTheWalk:
         got = outcome(load, *args)
         assert walked(load, *args) == (got if chosen else None)
         if not chosen:
-            # A valid file is built by the column pass alone, equal to the one its records give.
+            # A valid file is built by the column pass alone, holding what its document gives.
             with mock.patch.object(corpus, "_phrases_by_element", side_effect=AssertionError), \
                     mock.patch.object(corpus, "_fics_by_element", side_effect=AssertionError):
                 assert outcome(load, *args) == got
-            built = record_built(doc) if target == "phrase" else coding_record_built(doc, narrative)
-            assert got == (built, getattr(built, "junction_sites", None))
+            if target == "phrase":
+                assert columns(got[0]) == transcript_columns(doc)
+            else:
+                assert serialize_fic_coding(got[0]) == coding_document(doc)
+                assert got[1] == record_oracles(transcript, doc)["junction_sites"]
         elif len(chosen) == 2 and places[chosen[0]][:2] != places[chosen[1]][:2]:
             # Two faults in different elements: the first in document order is named.
             assert got == outcome(load, *first_alone)
 
 
-# Each rule of ReferentialNp, Fic and FicCoding that the column pass checks,
-# planted alone in the toy coding, with its located message.
+# Each clause, NP and coding rule that the column pass checks, planted alone
+# in the toy coding, with its located message.
 COLUMN_RULES = [
     (("fics", 2, "nps", 1, "referent"), 0,
      "fics[2].nps[1]: fic 3 NP 'the pears': referent must be positive"),
@@ -1100,8 +1038,8 @@ COLUMN_RULES = [
 ]
 
 
-# Each rule of PhraseId, ProsodicPhrase and Narrative that the column pass
-# checks, planted alone in the toy transcript, with its located message.
+# Each phrase id, phrase and transcript rule that the column pass checks,
+# planted alone in the toy transcript, with its located message.
 TRANSCRIPT_RULES = [
     (("phrases", 2, "pause_before"), value,
      "phrases[2]: phrase 2.1: pause_before must be finite and non-negative")
@@ -1142,36 +1080,46 @@ class TestColumnRules:
         assert walked(load_fic_coding, doc, narrative) == (
             got if message.startswith("fics[") else None)
 
-    def test_records_are_built_on_first_read(self):
-        narrative = load_narrative(dumps(toy_transcript()))
-        with mock.patch.object(corpus, "Fic", side_effect=AssertionError), \
-                mock.patch.object(corpus, "ReferentialNp", side_effect=AssertionError):
-            coding = load_fic_coding(dumps(toy_coding()), narrative)
-            assert coding.clause_referents == [{1, 2}] * 5
-            with pytest.raises(AssertionError):
-                coding.fics
-        built = FicCoding(narrative, coding.fics)
-        assert (coding, coding.junction_sites) == (built, built.junction_sites)
+
+TRANSCRIPT_COLUMNS = ("narrative_id", "ids", "id_ints", "tokens", "token_offsets",
+                      "sentence_finals", "pauses", "truncated")
 
 
-def record_built(doc) -> Narrative:
-    """The narrative of a valid transcript document, built from its phrase records."""
-    return Narrative(doc["narrative_id"], [
-        ProsodicPhrase(PhraseId.parse(raw["id"]), tuple(raw["text"]), raw["sentence_final"],
-                       raw["pause_before"], raw.get("pause_truncated", False))
-        for raw in doc["phrases"]
-    ])
+def columns(narrative: Narrative) -> dict:
+    return {name: getattr(narrative, name) for name in TRANSCRIPT_COLUMNS}
 
 
-def coding_record_built(doc, narrative: Narrative) -> FicCoding:
-    """The coding of a valid coding document, built from its clause and NP records."""
-    return FicCoding(narrative, [
-        Fic(raw["index"], tuple(map(PhraseId.parse, raw["span"])), tuple(
-            ReferentialNp(raw["index"], np_["form"], np_["referent"], np_.get("pronoun3", False),
-                          frozenset(map(tuple, np_.get("inferential", []))))
-            for np_ in raw["nps"]))
-        for raw in doc["fics"]
-    ])
+def transcript_columns(doc) -> dict:
+    """The columns of a valid transcript document, read phrase by phrase."""
+    phrases = doc["phrases"]
+    offsets = [0]
+    for raw in phrases:
+        offsets.append(offsets[-1] + len(raw["text"]))
+    return {
+        "narrative_id": doc["narrative_id"],
+        "ids": tuple(raw["id"] for raw in phrases),
+        "id_ints": tuple(int(part) for raw in phrases for part in raw["id"].split(".")),
+        "tokens": tuple(token for raw in phrases for token in raw["text"]),
+        "token_offsets": tuple(offsets),
+        "sentence_finals": tuple(raw["sentence_final"] for raw in phrases),
+        "pauses": tuple(None if raw["pause_before"] is None else float(raw["pause_before"])
+                        for raw in phrases),
+        "truncated": tuple(raw.get("pause_truncated", False) for raw in phrases),
+    }
+
+
+def coding_document(doc) -> dict:
+    """A valid coding document with each NP's optional fields filled with their defaults and
+    its relations, a set, as a sorted list without repeats."""
+    return {"narrative_id": doc["narrative_id"], "fics": [
+        {"index": fic["index"], "span": list(fic["span"]), "nps": [
+            {"form": np_["form"], "referent": np_["referent"],
+             "pronoun3": np_.get("pronoun3", False),
+             "inferential": sorted(map(list, set(map(tuple, np_.get("inferential", [])))))}
+            for np_ in fic["nps"]
+        ]}
+        for fic in doc["fics"]
+    ]}
 
 
 # Single-field changes to the toy transcript and coding that keep them valid.
@@ -1190,31 +1138,28 @@ CODING_CHANGES = [
 
 
 class TestNarrativeColumns:
-    """A loaded transcript keeps columns; it equals the narrative of its records."""
+    """A loaded transcript or coding holds what its document gives, and compares and hashes
+    by it."""
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(files=transcript_and_coding())
-    def test_a_loaded_transcript_equals_its_records(self, files):
+    def test_a_loaded_transcript_holds_its_documents_columns(self, files):
         doc = files[0]
-        loaded, built = load_narrative(dumps(doc)), record_built(doc)
-        records = built.phrases
-        assert (loaded, hash(loaded)) == (built, hash(built))
-        assert loaded.phrases == records
-        assert [type(p.pause_before) for p in loaded.phrases] == [
-            type(p.pause_before) for p in records]
+        phrases, expected = doc["phrases"], transcript_columns(doc)
+        loaded, again = load_narrative(dumps(doc)), load_narrative(dumps(doc))
+        assert columns(loaded) == expected
+        assert list(map(type, loaded.pauses)) == list(map(type, expected["pauses"]))
+        assert (loaded, hash(loaded)) == (again, hash(again))
         assert [loaded.site_label(k) for k in range(loaded.site_count)] == [
-            f"{left.id}→{right.id}" for left, right in zip(records, records[1:])]
-        assert [loaded.site_pair(k) for k in range(loaded.site_count)] == [
-            (left.id, right.id) for left, right in zip(records, records[1:])]
-        assert dumps(serialize_narrative(loaded)) == dumps(serialize_narrative(built))
+            f"{left['id']}→{right['id']}" for left, right in zip(phrases, phrases[1:])]
+        assert serialize_narrative(loaded) == {**doc, "phrases": [
+            {"pause_truncated": False, **raw} for raw in phrases]}
         lexicon = default_cue_lexicon()
         assert cue_segment(loaded, lexicon).sites == {
-            k for k, p in enumerate(records[1:]) if first_lexical_token(p.text) in lexicon}
+            k for k, raw in enumerate(phrases[1:]) if first_lexical_token(raw["text"]) in lexicon}
         assert pause_segment(loaded).sites == {
-            k for k, p in enumerate(records[1:])
-            if p.pause_before is not None and (p.pause_before > 0 or p.pause_truncated)}
-        assert cue_segment(built, lexicon) == cue_segment(loaded, lexicon)
-        assert pause_segment(built) == pause_segment(loaded)
+            k for k, raw in enumerate(phrases[1:]) if raw["pause_before"] is not None
+            and (raw["pause_before"] > 0 or raw.get("pause_truncated", False))}
 
     def test_integer_pauses_are_stored_as_floats(self):
         doc = planted(planted(toy_transcript(), ("phrases", 1, "pause_before"), 0),
@@ -1224,46 +1169,23 @@ class TestNarrativeColumns:
         assert [type(p) for p in narrative.pauses[1:3]] == [float, float]
         assert serialize_narrative(narrative)["phrases"][1]["pause_before"] == 0.0
 
-    def test_records_are_built_on_first_read(self):
-        with mock.patch.object(corpus, "PhraseId", side_effect=AssertionError), \
-                mock.patch.object(corpus, "ProsodicPhrase", side_effect=AssertionError):
-            narrative = load_narrative(dumps(toy_transcript()))
-            assert narrative.site_label(3) == "3.1→3.2"
-            with pytest.raises(AssertionError):
-                narrative.phrases
-        assert narrative.phrases == record_built(toy_transcript()).phrases
-        assert narrative.site_pair(3) == (PhraseId(3, 1), PhraseId(3, 2))
-
-    def test_comparing_loaded_files_builds_no_record(self):
-        records = ("PhraseId", "ProsodicPhrase", "Fic", "ReferentialNp")
-        with mock.patch.multiple(corpus, **dict.fromkeys(records, mock.Mock(
-                side_effect=AssertionError))):
-            narrative, again = (load_narrative(dumps(toy_transcript())) for _ in range(2))
-            coding, twin = (load_fic_coding(dumps(toy_coding()), n) for n in (narrative, again))
-            assert (narrative, hash(narrative)) == (again, hash(again))
-            assert (coding, hash(coding)) == (twin, hash(twin))
-            other = load_narrative(dumps(planted(toy_transcript(), *TRANSCRIPT_CHANGES[1])))
-            assert narrative != other
-            assert coding != load_fic_coding(dumps(planted(toy_coding(), *CODING_CHANGES[0])),
-                                             again)
-
     @pytest.mark.parametrize("path, value", TRANSCRIPT_CHANGES, ids=lambda x: str(x)[:30])
     def test_one_transcript_field_changes_equality(self, path, value):
         base, changed = toy_transcript(), planted(toy_transcript(), path, value)
-        loaded = load_narrative(dumps(changed))
-        assert (loaded, hash(loaded)) == (record_built(changed), hash(record_built(changed)))
+        loaded, again = (load_narrative(dumps(changed)) for _ in range(2))
+        assert columns(loaded) == transcript_columns(changed)
+        assert (loaded, hash(loaded)) == (again, hash(again))
         assert loaded != load_narrative(dumps(base))
-        assert loaded != record_built(base)
 
     @pytest.mark.parametrize("path, value", CODING_CHANGES, ids=lambda x: str(x)[:30])
     def test_one_coding_field_changes_equality(self, path, value):
-        narrative = load_narrative(dumps(toy_transcript()))
+        narrative, twin = (load_narrative(dumps(toy_transcript())) for _ in range(2))
         base = load_fic_coding(dumps(toy_coding()), narrative)
-        loaded = load_fic_coding(dumps(planted(toy_coding(), path, value)), narrative)
-        built = FicCoding(narrative, loaded.fics)
-        assert (loaded, hash(loaded)) == (built, hash(built))
+        changed = planted(toy_coding(), path, value)
+        loaded, again = (load_fic_coding(dumps(changed), n) for n in (narrative, twin))
+        assert serialize_fic_coding(loaded) == coding_document(changed)
+        assert (loaded, hash(loaded)) == (again, hash(again))
         assert loaded != base
-        assert built != FicCoding(narrative, base.fics)
 
     def test_codings_differ_in_what_no_single_field_holds(self):
         """The same NPs in other clauses, the same relations on another NP, the same clauses
@@ -1284,7 +1206,7 @@ class TestNarrativeColumns:
         for doc, against in ((moved, narrative), (shifted, narrative),
                              (planted(toy_coding(), ("narrative_id",), "other"), other)):
             loaded = load_fic_coding(dumps(doc), against)
-            assert loaded == FicCoding(against, loaded.fics)
+            assert serialize_fic_coding(loaded) == coding_document(doc)
             assert loaded != base
 
 
@@ -1310,7 +1232,6 @@ def record_oracles(transcript, coding) -> dict:
         junctions[fics[n - 1]["index"], fics[n]["index"]] = site
     return {
         "texts": tuple(tuple(raw["text"]) for raw in phrases),
-        "id_parts": tuple(tuple(map(int, raw["id"].split("."))) for raw in phrases),
         "clause_referents": [frozenset(np_["referent"] for np_ in fic["nps"]) for fic in fics],
         "pronoun_referents": [frozenset(np_["referent"] for np_ in fic["nps"]
                                         if np_.get("pronoun3")) for fic in fics],
@@ -1329,36 +1250,40 @@ TEST_OUTCOMES = {
 
 
 class TestColumnViews:
-    """Loaded and record-built transcripts and codings give the per-element views that
-    the documents give, and the np walk over their columns gives the reference walk."""
+    """A loaded transcript and coding give the per-element views that the documents give,
+    the np walk over their columns gives the reference walk, and the coding serializes as
+    its document."""
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(files=transcript_and_coding())
     def test_views_and_walk(self, files):
         transcript, coding_doc = files
         oracles = record_oracles(transcript, coding_doc)
-        loaded = load_narrative(dumps(transcript))
-        built = record_built(transcript)
-        for narrative in (loaded, built):
-            assert narrative.texts == oracles["texts"]
-            assert narrative.id_parts == oracles["id_parts"]
-        for coding in (load_fic_coding(dumps(coding_doc), loaded),
-                       coding_record_built(coding_doc, built)):
-            for name in ("clause_referents", "pronoun_referents", "junction_sites"):
-                assert getattr(coding, name) == oracles[name], name
-            assert {referent: set(peers) for referent, peers in coding.peers.items()} == (
-                oracles["neighbours"])
-            segmentation = np_segment(coding)
-            boundaries, steps = np_oracle(coding)
-            assert segmentation.boundaries == boundaries
-            assert [(linked_by, set(pool)) for linked_by, pool in segmentation.steps] == steps
-            referents, pronouns = oracles["clause_referents"], oracles["pronoun_referents"]
-            assert segmentation.trace == tuple(
-                TraceStep(coding_doc["fics"][n]["index"], referents[n], frozenset(
-                    peer for referent in referents[n]
-                    for peer in oracles["neighbours"].get(referent, ())),
-                          pronouns[n], TEST_OUTCOMES[linked_by], linked_by, pool)
-                for n, (linked_by, pool) in enumerate(steps, start=1))
+        narrative = load_narrative(dumps(transcript))
+        assert narrative.texts == oracles["texts"]
+        coding = load_fic_coding(dumps(coding_doc), narrative)
+        assert coding.junction_sites == oracles["junction_sites"]
+        assert {referent: set(peers) for referent, peers in coding.peers.items()} == (
+            oracles["neighbours"])
+        segmentation = np_segment(coding)
+        boundaries, steps = np_oracle(coding_doc)
+        assert segmentation.boundaries == boundaries
+        assert [(linked_by, set(pool)) for linked_by, pool in segmentation.steps] == steps
+        referents, pronouns = oracles["clause_referents"], oracles["pronoun_referents"]
+        assert segmentation.trace == tuple(
+            TraceStep(coding_doc["fics"][n]["index"], referents[n], frozenset(
+                peer for referent in referents[n]
+                for peer in oracles["neighbours"].get(referent, ())),
+                      pronouns[n], TEST_OUTCOMES[linked_by], linked_by, pool)
+            for n, (linked_by, pool) in enumerate(steps, start=1))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(files=transcript_and_coding())
+    def test_a_coding_serializes_as_its_document(self, files):
+        transcript, coding_doc = files
+        narrative = load_narrative(dumps(transcript))
+        coding = load_fic_coding(dumps(coding_doc), narrative)
+        assert serialize_fic_coding(coding) == coding_document(coding_doc)
 
 
 def long_files(clauses: int = 60) -> tuple[dict, dict]:

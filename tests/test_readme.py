@@ -10,7 +10,7 @@ import shlex
 from fractions import Fraction
 from pathlib import Path
 
-from segtool import PhraseId, fixture_path, load_annotations, load_fic_coding, load_narrative
+from segtool import fixture_path, load_annotations, load_fic_coding, load_narrative
 from segtool import significance
 from segtool.cli import run
 from segtool.corpus import load_manifest
@@ -35,11 +35,11 @@ def _format_examples() -> dict[str, dict]:
 
 
 def _narrative(narrative_id: str, phrase_ids):
-    """A transcript with one plain phrase per id, in transcript order."""
+    """A transcript with one plain phrase per (sentence, phrase) pair, in transcript order."""
     return load_narrative(json.dumps({
         "narrative_id": narrative_id,
         "phrases": [
-            {"id": str(pid), "text": ["word"], "sentence_final": True, "pause_before": None}
+            {"id": "%s.%s" % pid, "text": ["word"], "sentence_final": True, "pause_before": None}
             for pid in sorted(phrase_ids)
         ],
     }).encode())
@@ -57,7 +57,7 @@ def test_narrative_example_loads():
 
 def test_annotations_example_loads():
     doc = _format_examples()["annotations"]
-    ids = [PhraseId(k, 1) for k in range(1, doc["sites"] + 2)]
+    ids = [(k, 1) for k in range(1, doc["sites"] + 2)]
     narrative = _narrative(doc["narrative_id"], ids)
     matrix = load_annotations(json.dumps(doc).encode(), narrative)
     assert matrix.cells.tolist() == doc["matrix"]
@@ -65,11 +65,10 @@ def test_annotations_example_loads():
 
 def test_coding_example_loads():
     doc = _format_examples()["coding"]
-    ids = {PhraseId.parse(pid) for fic in doc["fics"] for pid in fic["span"]}
-    last = max(ids)
-    ids.add(PhraseId(last.sentence + 1, 1))
+    ids = {tuple(map(int, pid.split("."))) for fic in doc["fics"] for pid in fic["span"]}
+    ids.add((max(ids)[0] + 1, 1))
     coding = load_fic_coding(json.dumps(doc).encode(), _narrative(doc["narrative_id"], ids))
-    assert [fic.index for fic in coding.fics] == [fic["index"] for fic in doc["fics"]]
+    assert list(coding.indices) == [fic["index"] for fic in doc["fics"]]
 
 
 def test_manifest_example_loads():

@@ -21,12 +21,8 @@ from segtool import (
     BatchItem,
     ConfusionCounts,
     MetricAggregate,
-    Narrative,
-    PhraseId,
-    ProsodicPhrase,
     ValidationError,
     build_report,
-    corpus,
     cue_segment,
     evaluate_humans,
     load_annotations,
@@ -86,46 +82,20 @@ def test_report_builds_no_np_trace(batch, monkeypatch):
         segmentation.trace
 
 
-def test_report_builds_no_coding_record(batch, monkeypatch):
-    """A loaded coding builds its records when they are read, and the report reads none."""
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("built a coding record")
-
-    expected = build_report(batch).to_tsv()
-    files = [item.coding and json.dumps(serialize_fic_coding(item.coding)).encode()
-             for item in batch]
-    for name in ("Fic", "ReferentialNp"):
-        monkeypatch.setattr(corpus, name, refuse)
-    fresh = [BatchItem(item.narrative, item.matrix,
-                       None if raw is None else load_fic_coding(raw, item.narrative))
-             for item, raw in zip(batch, files)]
-    assert build_report(fresh).to_tsv() == expected
-    with pytest.raises(AssertionError, match="coding record"):
-        fresh[1].coding.fics
-
-
-def test_report_builds_no_phrase_record(batch, monkeypatch):
-    """A loaded transcript builds its records when they are read; loading, the report and
-    its TSV read none."""
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("built a phrase record")
-
+def test_report_of_reloaded_files_is_unchanged(batch):
+    """A batch reloaded from its serialized files gives the same report."""
     expected = build_report(batch).to_tsv()
     files = [[kind and json.dumps(serialize(kind)).encode() for kind, serialize in (
         (item.narrative, serialize_narrative), (item.matrix, serialize_annotations),
         (item.coding, serialize_fic_coding))] for item in batch]
-    for name in ("PhraseId", "ProsodicPhrase"):
-        monkeypatch.setattr(corpus, name, refuse)
     fresh = []
     for narrative, matrix, coding in files:
         narrative = load_narrative(narrative)
         fresh.append(BatchItem(narrative, load_annotations(matrix, narrative),
                                coding and load_fic_coding(coding, narrative)))
+    assert [(item.narrative, item.coding) for item in fresh] == [
+        (item.narrative, item.coding) for item in batch]
     assert build_report(fresh).to_tsv() == expected
-    with pytest.raises(AssertionError, match="phrase record"):
-        fresh[0].narrative.phrases
 
 
 class TestAgreementBlock:
@@ -360,10 +330,10 @@ def panels(draw):
     pauses = draw(hst.lists(hst.sampled_from([None, 0.0, 0.4]),
                             min_size=sites + 1, max_size=sites + 1))
     nid = f"n{draw(hst.integers(0, 10**6))}"
-    narrative = Narrative(nid, tuple(
-        ProsodicPhrase(PhraseId(k + 1, 1), (word, "rest"), True, pause)
+    narrative = load_narrative(json.dumps({"narrative_id": nid, "phrases": [
+        {"id": f"{k + 1}.1", "text": [word, "rest"], "sentence_final": True, "pause_before": pause}
         for k, (word, pause) in enumerate(zip(words, pauses))
-    ))
+    ]}).encode())
     return BatchItem(narrative, make_matrix(nid, rows))
 
 

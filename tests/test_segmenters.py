@@ -12,56 +12,48 @@ from hypothesis import strategies as hst
 
 from segtool import (
     CueLexicon,
-    Fic,
-    FicCoding,
-    Narrative,
-    PhraseId,
-    ProsodicPhrase,
-    ReferentialNp,
     ValidationError,
     cue_segment,
     default_cue_lexicon,
     load_fic_coding,
+    load_narrative,
     normalize_to_sites,
     np_segment,
     pause_segment,
-    serialize_fic_coding,
+    serialize_narrative,
 )
 from segtool import segmenters
 from segtool.segmenters import first_lexical_token, normalize_token, segment_by
 
 
 def phrase(pid, tokens, pause=None, truncated=False, final=True):
-    return ProsodicPhrase(
-        id=PhraseId.parse(pid),
-        text=tuple(tokens),
-        sentence_final=final,
-        pause_before=pause,
-        pause_truncated=truncated,
-    )
+    """One phrase of a transcript document."""
+    return {"id": pid, "text": list(tokens), "sentence_final": final, "pause_before": pause,
+            "pause_truncated": truncated}
+
+
+def narrative_of(narrative_id, phrases):
+    """The loaded transcript of phrase documents."""
+    doc = {"narrative_id": narrative_id, "phrases": list(phrases)}
+    return load_narrative(json.dumps(doc).encode())
+
+
+def coding_doc(narrative_id, clauses):
+    """clauses: list of (index, span_pair, [(referent, pronoun3, relations)])."""
+    return {"narrative_id": narrative_id, "fics": [
+        {"index": index, "span": list(span), "nps": [
+            {"form": f"np{referent}", "referent": referent, "pronoun3": pronoun3,
+             "inferential": [list(rel) for rel in relations]}
+            for referent, pronoun3, relations in nps
+        ]}
+        for index, span, nps in clauses
+    ]}
 
 
 def coding_from(narrative, clauses):
-    """clauses: list of (index, span_pair, [(referent, pronoun3, relations)])."""
-    fics = []
-    for index, span, nps in clauses:
-        fics.append(
-            Fic(
-                index=index,
-                phrase_span=(PhraseId.parse(span[0]), PhraseId.parse(span[1])),
-                nps=tuple(
-                    ReferentialNp(
-                        fic=index,
-                        surface=f"np{referent}",
-                        referent=referent,
-                        pronoun3=pronoun3,
-                        inferential=frozenset(relations),
-                    )
-                    for referent, pronoun3, relations in nps
-                ),
-            )
-        )
-    return FicCoding(narrative, fics)
+    """The loaded coding of narrative that the clauses give."""
+    doc = coding_doc(narrative.narrative_id, clauses)
+    return load_fic_coding(json.dumps(doc).encode(), narrative)
 
 
 class TestTokenNormalization:
@@ -200,7 +192,7 @@ class TestCueSegmenter:
         assert cue_segment(narrative, maybe_only).sites == frozenset({9})
 
     def test_first_phrase_never_yields_a_site(self):
-        narrative = Narrative(
+        narrative = narrative_of(
             "n",
             (
                 phrase("1.1", ["and", "so", "on"]),
@@ -220,7 +212,7 @@ class TestCueSegmenter:
         hst.sets(hst.sampled_from(["the", "cat", "ran"]), min_size=0),
     )
     def test_larger_lexicon_only_adds_sites(self, openers, base, extra):
-        narrative = Narrative(
+        narrative = narrative_of(
             "n",
             tuple(
                 phrase(f"{k}.1", [word, "rest"]) for k, word in enumerate(openers, 1)
@@ -238,23 +230,19 @@ class TestPauseSegmenter:
 
     def test_duration_is_ignored_beyond_presence(self, pear9):
         narrative, _ = pear9
-        flattened = Narrative(
+        doc = serialize_narrative(narrative)
+        flattened = narrative_of(
             narrative.narrative_id,
-            tuple(
-                ProsodicPhrase(
-                    p.id,
-                    p.text,
-                    p.sentence_final,
-                    None if p.pause_before is None else 1.0,
-                    False,
-                )
-                for p in narrative.phrases
+            (
+                {**p, "pause_before": None if p["pause_before"] is None else 1.0,
+                 "pause_truncated": False}
+                for p in doc["phrases"]
             ),
         )
         assert pause_segment(flattened).sites == pause_segment(narrative).sites
 
     def test_zero_pause_counts_only_when_truncated(self):
-        narrative = Narrative(
+        narrative = narrative_of(
             "n",
             (
                 phrase("1.1", ["a"]),
@@ -300,7 +288,7 @@ class TestNpSegmenter:
         assert result.trace == ()
 
     def test_pronoun_link_reaches_back_past_previous_clause(self):
-        narrative = Narrative(
+        narrative = narrative_of(
             "n",
             (
                 phrase("1.1", ["a", "farmer", "stood", "by", "a", "tree"]),
@@ -322,7 +310,7 @@ class TestNpSegmenter:
         assert result.trace[1].tests[-1] == ("pronoun", True)
 
     def test_pronoun_outside_segment_does_not_link(self):
-        narrative = Narrative(
+        narrative = narrative_of(
             "n",
             (
                 phrase("1.1", ["a", "farmer"]),
@@ -344,7 +332,7 @@ class TestNpSegmenter:
         assert result.boundaries == ((1, 2), (2, 3))
 
     def test_inferential_link_works_in_either_direction(self):
-        narrative = Narrative(
+        narrative = narrative_of(
             "n",
             (
                 phrase("1.1", ["wheels"]),
@@ -370,7 +358,7 @@ class TestNpSegmenter:
         rng = np.random.default_rng(53)
         for _ in range(50):
             n = int(rng.integers(2, 9))
-            narrative = Narrative(
+            narrative = narrative_of(
                 "n", tuple(phrase(f"{k}.1", ["w"]) for k in range(1, n + 1))
             )
             clauses = []
@@ -389,7 +377,8 @@ class TestNpSegmenter:
 
             # Re-derive the running pool from the clause referent sets and
             # the emitted boundaries alone.
-            referents = {fic.index: {np_.referent for np_ in fic.nps} for fic in coding.fics}
+            referents = {index: {referent for referent, _, _ in nps}
+                         for index, _, nps in clauses}
             cuts = {right for _left, right in result.boundaries}
             pool = set(referents[1])
             for step in result.trace:
@@ -418,22 +407,23 @@ class TestNpSegmenter:
         assert len(payloads) == 1
 
 
-def np_oracle(coding):
-    """The np walk by the letter of its rule, as (boundaries, per-clause steps).
+def np_oracle(doc):
+    """The np walk by the letter of its rule over a coding document, as (boundaries,
+    per-clause steps).
 
     Nothing is carried from one clause to the next but the position of the
     open segment's first clause: the pool and the inferential links are
     rebuilt from the clauses at every step. A step is (linked_by, pool).
     """
-    fics = coding.fics
+    fics = doc["fics"]
+    referents = [{np_["referent"] for np_ in fic["nps"]} for fic in fics]
     boundaries, steps, start = [], [], 0
     for n in range(1, len(fics)):
-        current = {np_.referent for np_ in fics[n].nps}
-        previous = {np_.referent for np_ in fics[n - 1].nps}
-        links = {frozenset((src, tgt)) for fic in fics for np_ in fic.nps
-                 for src, _tag, tgt in np_.inferential}
-        pool = {np_.referent for fic in fics[start:n] for np_ in fic.nps}
-        pronouns = {np_.referent for np_ in fics[n].nps if np_.pronoun3}
+        current, previous = referents[n], referents[n - 1]
+        links = {frozenset((src, tgt)) for fic in fics for np_ in fic["nps"]
+                 for src, _tag, tgt in np_.get("inferential", [])}
+        pool = set().union(*referents[start:n])
+        pronouns = {np_["referent"] for np_ in fics[n]["nps"] if np_.get("pronoun3")}
         if current & previous:
             linked_by = "coreference"
         elif any(frozenset((r, p)) in links for r in current for p in previous):
@@ -442,23 +432,23 @@ def np_oracle(coding):
             linked_by = "pronoun"
         else:
             linked_by = None
-            boundaries.append((fics[n - 1].index, fics[n].index))
+            boundaries.append((fics[n - 1]["index"], fics[n]["index"]))
             start = n
-        steps.append((linked_by, {np_.referent for fic in fics[start:n + 1] for np_ in fic.nps}))
+        steps.append((linked_by, set().union(*referents[start:n + 1])))
     return tuple(boundaries), steps
 
 
 @hst.composite
 def random_codings(draw):
     """A one-phrase-per-clause coding, plus a final uncoded phrase, with random
-    referents, pronouns and inferential links.
+    referents, pronouns and inferential links, as (narrative, coding, coding document).
 
     Each NP may carry an inferential link to any referent, so links run both
     forward and backward in the narrative.
     """
     referent = hst.integers(1, 8)
     size = draw(hst.integers(1, 12))
-    narrative = Narrative("n", tuple(phrase(f"{k}.1", ["w"]) for k in range(1, size + 2)))
+    narrative = narrative_of("n", tuple(phrase(f"{k}.1", ["w"]) for k in range(1, size + 2)))
     clauses = []
     for index in range(1, size + 1):
         nps = []
@@ -466,15 +456,15 @@ def random_codings(draw):
             targets = draw(hst.lists(referent, max_size=2))
             nps.append((ref, draw(hst.booleans()), [(ref, "r1", t) for t in targets]))
         clauses.append((index, (f"{index}.1", f"{index}.1"), nps))
-    return narrative, coding_from(narrative, clauses)
+    return narrative, coding_from(narrative, clauses), coding_doc("n", clauses)
 
 
 class TestNpWalkOracle:
     @settings(max_examples=300, deadline=None)
     @given(case=random_codings())
     def test_both_walks_match_the_oracle(self, case):
-        narrative, coding = case
-        boundaries, steps = np_oracle(coding)
+        narrative, coding, doc = case
+        boundaries, steps = np_oracle(doc)
         traced = np_segment(coding)
         sites, untraced = segment_by("np", narrative, coding)
         assert traced.boundaries == untraced.boundaries == boundaries
@@ -484,29 +474,14 @@ class TestNpWalkOracle:
 
     @settings(max_examples=200, deadline=None)
     @given(case=random_codings())
-    def test_a_loaded_coding_walks_its_columns(self, case):
-        """The loader keeps columns; the walks read them, the oracle the records built from them."""
-        narrative, coding = case
-        loaded = load_fic_coding(json.dumps(serialize_fic_coding(coding)).encode(), narrative)
-        traced = np_segment(loaded)
-        sites, untraced = segment_by("np", narrative, loaded)
-        assert loaded.fics == coding.fics
-        assert loaded.junction_sites == coding.junction_sites
-        boundaries, steps = np_oracle(loaded)
-        assert traced.boundaries == untraced.boundaries == boundaries
-        assert sites == normalize_to_sites(traced, coding)
-        assert [(step.linked_by, step.segment_referents) for step in traced.trace] == steps
-
-
-    @settings(max_examples=200, deadline=None)
-    @given(case=random_codings())
     def test_each_step_names_the_first_test_whose_set_meets(self, case):
         """A step's test sets are full sets, and the first that meets its own target decides."""
-        _, coding = case
+        _, coding, doc = case
         segmentation = np_segment(coding)
-        pool = coding.clause_referents[0]
+        clause_sets = [{np_["referent"] for np_ in fic["nps"]} for fic in doc["fics"]]
+        pool = clause_sets[0]
         for n, step in enumerate(segmentation.trace, start=1):
-            previous = coding.clause_referents[n - 1]
+            previous = clause_sets[n - 1]
             met = [name for name, referents, target in (
                 ("coreference", step.clause_referents, previous),
                 ("inference", step.inferable_referents, previous),
@@ -544,7 +519,7 @@ class TestTraceView:
 
     def test_segmentations_of_different_codings_differ(self):
         """A link behind a coreference tie leaves the steps alone but changes the trace."""
-        narrative = Narrative("n", (phrase("1.1", ["the", "man"]), phrase("2.1", ["he", "left"])))
+        narrative = narrative_of("n", (phrase("1.1", ["the", "man"]), phrase("2.1", ["he", "left"])))
         first = (1, ("1.1", "1.1"), [(5, False, [])])
         plain = np_segment(coding_from(narrative, [first, (2, ("2.1", "2.1"), [(5, False, [])])]))
         linked = np_segment(coding_from(
@@ -608,7 +583,7 @@ class TestNormalizeToSites:
             normalize_to_sites(np_segment(link_coding), shared_coding)
 
     def test_final_phrase_junction_dropped(self):
-        narrative = Narrative(
+        narrative = narrative_of(
             "n",
             (
                 phrase("1.1", ["a"]),
