@@ -592,6 +592,29 @@ class TestExitCodes:
         rc, out, err = invoke(*argv, "--narrative", files["--narrative"])
         assert (rc, out, err) == (1, "", f"error: {path}: expected an object, got list\n")
 
+    @pytest.mark.parametrize("command", ["segment", "eval", "report"])
+    def test_coding_fault_is_named(self, data, tmp_path, command):
+        """Each command that reads a coding refuses one that breaks a clause rule, with the
+        fault's located message."""
+        doc = json.loads((data / "three_link_tests_coding.json").read_text())
+        doc["fics"][2]["nps"][0]["inferential"][0][1] = "r6"
+        bad = tmp_path / "unknown-tag.json"
+        bad.write_text(json.dumps(doc))
+        narrative = str(data / "three_link_tests_narrative.json")
+        annotations = str(data / "three_link_tests_annotations.json")
+        if command == "report":
+            manifest = tmp_path / "batch.json"
+            manifest.write_text(json.dumps({"items": [
+                {"narrative": narrative, "annotations": annotations, "coding": str(bad)}]}))
+            argv = ["report", "--batch", str(manifest)]
+        else:
+            argv = [command, "--method", "np", "--narrative", narrative, "--coding", str(bad)]
+            if command == "eval":
+                argv += ["--annotations", annotations]
+        rc, out, err = invoke(*argv)
+        assert (rc, out, err) == (
+            1, "", "error: fics[2].nps[0]: fic 3 NP 'the engine': unknown relation tag 'r6'\n")
+
     def test_negative_calibration_seed(self, data):
         rc, out, err = invoke_process(
             "cochran", "--calibrate", "1000", "--seed", "-1", *pear_args(data)

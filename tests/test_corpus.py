@@ -618,6 +618,22 @@ class TestFicCodingLoading:
             load_fic_coding(dumps(doc), narrative)
 
 
+class TestIndexOf:
+    """A phrase's position by its id text, as a coding file's span gives it."""
+
+    def test_each_id_text_gives_its_position(self):
+        narrative = load_narrative(dumps(toy_transcript()))
+        assert [narrative.index_of(pid) for pid in TOY_IDS] == list(range(len(TOY_IDS)))
+
+    @pytest.mark.parametrize(
+        "bad", ["9.9", "01.1", "1.1 ", "1.1.1", "", "1,1", (1, 1), ["1.1"], 1, None], ids=repr)
+    def test_only_an_id_text_of_the_narrative_is_found(self, bad):
+        narrative = load_narrative(dumps(toy_transcript()))
+        with pytest.raises(ValidationError) as excinfo:
+            narrative.index_of(bad)
+        assert str(excinfo.value) == f"narrative toy: no phrase {bad}"
+
+
 class TestBoundarySet:
     def test_labels_render_phrase_pairs(self, pear9):
         narrative, _ = pear9
@@ -1080,6 +1096,22 @@ class TestColumnRules:
         assert walked(load_fic_coding, doc, narrative) == (
             got if message.startswith("fics[") else None)
 
+    @pytest.mark.parametrize("path, value, message", TRANSCRIPT_RULES + COLUMN_RULES,
+                             ids=lambda x: str(x)[:40])
+    def test_every_public_construction_path_checks_the_rules(self, tmp_path, path, value,
+                                                             message):
+        """A path, its text, the bytes and a byte or text stream of a file give one message."""
+        if message.startswith("phrases"):
+            load, args, doc = load_narrative, (), planted(toy_transcript(), path, value)
+        else:
+            load, args = load_fic_coding, (load_narrative(dumps(toy_transcript())),)
+            doc = planted(toy_coding(), path, value)
+        raw = dumps(doc)
+        file = tmp_path / "planted.json"
+        file.write_bytes(raw)
+        for source in (file, str(file), raw, io.BytesIO(raw), io.StringIO(raw.decode())):
+            assert outcome(load, source, *args) == ("SchemaError", message)
+
 
 TRANSCRIPT_COLUMNS = ("narrative_id", "ids", "id_ints", "tokens", "token_offsets",
                       "sentence_finals", "pauses", "truncated")
@@ -1284,6 +1316,20 @@ class TestColumnViews:
         narrative = load_narrative(dumps(transcript))
         coding = load_fic_coding(dumps(coding_doc), narrative)
         assert serialize_fic_coding(coding) == coding_document(coding_doc)
+
+    @pytest.mark.parametrize(
+        "name", ["pear9_excerpt", "bicycle_wheels", "shared_phrase", "three_link_tests"])
+    def test_shipped_files_serialize_as_their_documents(self, name):
+        path = fixture_path(f"{name}_narrative.json")
+        transcript = json.loads(path.read_text(encoding="utf-8"))
+        narrative = load_narrative(path)
+        assert serialize_narrative(narrative) == {**transcript, "phrases": [
+            {"pause_truncated": False, **raw} for raw in transcript["phrases"]]}
+        if name != "pear9_excerpt":  # the one transcript shipped without a coding
+            path = fixture_path(f"{name}_coding.json")
+            coding = load_fic_coding(path, narrative)
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            assert serialize_fic_coding(coding) == coding_document(doc)
 
 
 def long_files(clauses: int = 60) -> tuple[dict, dict]:

@@ -20,6 +20,7 @@ from segtool import (
     normalize_to_sites,
     np_segment,
     pause_segment,
+    serialize_fic_coding,
     serialize_narrative,
 )
 from segtool import segmenters
@@ -469,6 +470,24 @@ class TestNpWalkOracle:
         sites, untraced = segment_by("np", narrative, coding)
         assert traced.boundaries == untraced.boundaries == boundaries
         assert (untraced, untraced.trace) == (traced, traced.trace)
+        assert sites == normalize_to_sites(traced, coding)
+        assert [(step.linked_by, step.segment_referents) for step in traced.trace] == steps
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=random_codings())
+    def test_a_loaded_coding_walks_its_columns(self, case):
+        """A coding reloaded from its serialized document equals the coding, and the walks
+        over its columns give the oracle's walk over that document."""
+        narrative, coding, doc = case
+        written = serialize_fic_coding(coding)
+        loaded = load_fic_coding(json.dumps(written).encode(), narrative)
+        assert (loaded, hash(loaded)) == (coding, hash(coding))
+        assert loaded.junction_sites == coding.junction_sites
+        boundaries, steps = np_oracle(written)
+        assert (boundaries, steps) == np_oracle(doc)
+        traced = np_segment(loaded)
+        sites, untraced = segment_by("np", narrative, loaded)
+        assert traced.boundaries == untraced.boundaries == boundaries
         assert sites == normalize_to_sites(traced, coding)
         assert [(step.linked_by, step.segment_referents) for step in traced.trace] == steps
 
