@@ -16,7 +16,6 @@ from .agreement import (
 )
 from .corpus import (
     AnnotationMatrix,
-    BoundarySet,
     FicCoding,
     Narrative,
     load_annotations,
@@ -30,11 +29,7 @@ from .errors import DegenerateDataError, SchemaError, SegtoolError, ValidationEr
 from .evaluation import (
     ConfusionCounts,
     EvalMetrics,
-    HumanEvaluation,
     MetricAggregate,
-    SubjectScore,
-    confusion,
-    evaluate_humans,
     metrics,
 )
 from .fixture_data import FIXTURE_NAMES, fixture_path
@@ -58,7 +53,6 @@ from .significance import (
     chi_square_sf,
     cochran_q,
     null_calibration,
-    partition_q,
 )
 
 __version__ = "0.1.0"

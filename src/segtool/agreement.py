@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .corpus import AnnotationMatrix, BoundarySet
+from .corpus import AnnotationMatrix
 from .errors import ValidationError
 
 
@@ -109,14 +109,12 @@ class BoundaryStrengths:
     """Sites grouped by how many subjects marked them, read off column totals.
 
     mask(t) is the 0/1 vector of the sites marked by at least t subjects,
-    mask(t, exact=True) of those marked by exactly t; cumulative(t) and
-    exact(t) are the same pools as BoundarySets. cumulative at the majority
+    mask(t, exact=True) of those marked by exactly t. mask at the majority
     threshold is the conventional reference pool for evaluation.
     column_totals may also stack one row of totals per panel (the
     leave-one-out panels); mask then returns one row per panel.
     """
 
-    narrative_id: str
     subjects: int
     column_totals: np.ndarray
 
@@ -128,12 +126,6 @@ class BoundaryStrengths:
         totals = self.column_totals
         return (totals == strength if exact else totals >= strength).astype(np.int64)
 
-    def exact(self, strength: int) -> BoundarySet:
-        return BoundarySet.of(self.narrative_id, np.flatnonzero(self.mask(strength, exact=True)))
-
-    def cumulative(self, strength: int) -> BoundarySet:
-        return BoundarySet.of(self.narrative_id, np.flatnonzero(self.mask(strength)))
-
 
 def boundary_strengths(matrix: AnnotationMatrix) -> BoundaryStrengths:
-    return BoundaryStrengths(matrix.narrative_id, matrix.subjects, matrix.column_totals)
+    return BoundaryStrengths(matrix.subjects, matrix.column_totals)

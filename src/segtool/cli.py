@@ -16,11 +16,13 @@ import io
 import os
 import sys
 
+import numpy as np
+
 from .agreement import boundary_strengths, percent_agreement
 from .corpus import load_annotations, load_fic_coding, load_manifest, load_narrative
 from .errors import DegenerateDataError, ValidationError
 from .evaluation import (METRIC_NAMES, ConfusionCounts, aggregate_cells, metrics,
-                         resolve_target, score_units, site_mask)
+                         resolve_target, score_units)
 from .render import PVALUE, RATIO, VARIANCE, num, sites_text, to_json, tsv
 from .report import BatchItem, build_report
 from .segmenters import CueLexicon, segment_by
@@ -73,7 +75,7 @@ def _check_method_flags(args) -> None:
 
 
 def _predict(args, narrative):
-    """The --method's boundary set, plus the clause segmentation for np."""
+    """The --method's site mask, plus the clause segmentation for np."""
     coding = None if args.coding is None else load_fic_coding(args.coding, narrative)
     lexicon = None if args.cues is None else CueLexicon.from_file(args.cues)
     return segment_by(args.method, narrative, coding, lexicon)
@@ -117,8 +119,8 @@ def _cmd_strengths(args) -> str:
     rows = [["strength", "kind", "count", "sites"]]
     for t in range(1, matrix.subjects + 1):
         level = {"strength": t}
-        for kind in ("exact", "cumulative"):
-            sites = getattr(strengths, kind)(t).labels(narrative)
+        for kind, exact in (("exact", True), ("cumulative", False)):
+            sites = narrative.site_labels(strengths.mask(t, exact))
             level[kind] = {"count": len(sites), "sites": sites}
             rows.append([t, kind, len(sites), sites_text(sites)])
         levels.append(level)
@@ -187,9 +189,9 @@ def _cmd_cochran(args) -> str:
 def _cmd_segment(args) -> str:
     _check_method_flags(args)
     narrative = load_narrative(args.narrative)
-    boundaries, segmentation = _predict(args, narrative)
-    sites = sorted(boundaries.sites)
-    labels = boundaries.labels(narrative)
+    mask, segmentation = _predict(args, narrative)
+    sites = np.flatnonzero(mask).tolist()
+    labels = narrative.site_labels(mask)
     payload = {
         "narrative_id": narrative.narrative_id,
         "method": args.method,
@@ -229,7 +231,7 @@ def _cmd_eval(args) -> str:
         # A target outside the panel is reported before --coding or --cues is read.
         resolve_target(boundary_strengths(matrix), args.threshold, args.exact)
         units = ["algorithm"]
-        rows = site_mask(_predict(args, narrative)[0], matrix.sites, "predicted")[None, :]
+        rows = _predict(args, narrative)[0][None, :]
     _, mode, cells = score_units(matrix, rows, args.threshold, args.exact, args.leave_one_out)
     counts = list(map(ConfusionCounts, *cells[:, :, 0].tolist()))
     scored = [(unit, c, metrics(c).as_dict()) for unit, c in zip(units, counts)]

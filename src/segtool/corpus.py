@@ -29,7 +29,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import eq, index, is_, itemgetter, le, lt
+from operator import eq, is_, itemgetter, le, lt
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
@@ -163,16 +163,13 @@ class Narrative:
             raise ValidationError(f"narrative {self.narrative_id}: no phrase {phrase_id}")
         return k
 
-    def site_label(self, site: int) -> str:
-        self._check_site(site)
-        return f"{self.ids[site]}→{self.ids[site + 1]}"
-
-    def _check_site(self, site: int) -> None:
-        if not 0 <= site < self.site_count:
-            raise ValidationError(
-                f"narrative {self.narrative_id}: site {site} out of range "
-                f"[0, {self.site_count - 1}]"
-            )
+    def site_labels(self, mask) -> tuple[str, ...]:
+        """Ascending "left→right" phrase-pair labels of the sites a 0/1 site mask marks."""
+        if np.shape(mask) != (self.site_count,):
+            raise ValidationError(f"narrative {self.narrative_id}: a site mask of shape "
+                                  f"{np.shape(mask)}, not ({self.site_count},)")
+        ids = self.ids
+        return tuple(f"{ids[k]}→{ids[k + 1]}" for k in np.flatnonzero(mask).tolist())
 
     def _key(self) -> tuple:
         return (self.narrative_id, self.id_ints, self.tokens, self.token_offsets,
@@ -321,12 +318,17 @@ class FicCoding:
             found[referent].append(peer)
         return {referent: tuple(peers) for referent, peers in found.items()}
 
+    @property
+    def site_count(self) -> int:
+        """The site count of the coded transcript."""
+        return len(self._ids) - 1
+
     @cached_property
     def junction_sites(self) -> dict[tuple[int, int], int | None]:
         """Each adjacent clause pair's site, built on first access."""
         # A junction inside one phrase projects to the site at its end, which
         # does not exist when the shared phrase is the last one.
-        last = len(self._ids) - 1
+        last = self.site_count
         sites = [start - 1 if start > end else start if start < last else None
                  for end, start in zip(self._ends, self._starts[1:])]
         return dict(zip(zip(self.indices, self.indices[1:]), sites))
@@ -352,46 +354,6 @@ class FicCoding:
 
     def __repr__(self) -> str:
         return f"FicCoding({self.narrative_id!r}, {len(self.indices)} clauses)"
-
-
-# The rule for a site index: an int that is not a bool. BoundarySet.of and
-# evaluation.site_mask also take numpy integers, as scalars or an integer array.
-_NUMPY_SITE_TYPES = {int, *(np.dtype(code).type for code in np.typecodes["AllInteger"])}
-
-
-def _site_ints(sites, numpy: bool = True) -> list[int]:
-    """The sites as ints, their types checked at once; only a failure seeks the first offender."""
-    values = sites.tolist() if numpy and isinstance(sites, np.ndarray) else list(sites)
-    types, allowed = set(map(type, values)), _NUMPY_SITE_TYPES if numpy else {int}
-    if not types <= allowed:
-        bad = next(k for k in values if type(k) not in allowed)
-        raise ValidationError(f"bad site index {bad!r}")
-    return values if types <= {int} else list(map(index, values))
-
-
-@dataclass(frozen=True)
-class BoundarySet:
-    """A set of boundary-site indices for one narrative."""
-
-    narrative_id: str
-    sites: frozenset[int]
-
-    def __post_init__(self):
-        if min(_site_ints(self.sites, numpy=False), default=0) < 0:
-            raise ValidationError(f"bad site index {min(self.sites)!r}")
-
-    @classmethod
-    def of(cls, narrative_id: str, sites: Iterable[int]) -> "BoundarySet":
-        return cls(narrative_id, frozenset(_site_ints(sites)))
-
-    def labels(self, narrative: Narrative) -> tuple[str, ...]:
-        """Ascending "left→right" phrase-pair labels for the sites."""
-        if narrative.narrative_id != self.narrative_id:
-            raise ValidationError(
-                f"boundary set for {self.narrative_id} rendered against "
-                f"narrative {narrative.narrative_id}"
-            )
-        return tuple(narrative.site_label(k) for k in sorted(self.sites))
 
 
 # ---------------------------------------------------------------------------

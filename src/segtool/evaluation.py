@@ -1,4 +1,4 @@
-"""Confusion counting and retrieval-style scores for boundary sets.
+"""Confusion counting and retrieval-style scores for boundary-site masks.
 
 Every site of a narrative falls into one confusion cell: predicted and
 marked (a), predicted only (b), marked only (c), neither (d). Recall,
@@ -12,8 +12,8 @@ prediction against the pooled opinion of the panel. With the pooled target
 at threshold t, the mean per-subject recall equals the boundary-class
 percent agreement identically, which doubles as a cross-check between this
 module and the agreement one. score_units is the one place that scores
-unit rows, subjects and segmenters alike, for the eval command,
-evaluate_humans and the batch report.
+unit rows, subjects and segmenters alike, for the eval command and the
+batch report.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .agreement import BoundaryStrengths, boundary_strengths, majority_threshold
-from .corpus import AnnotationMatrix, BoundarySet, _site_ints
+from .corpus import AnnotationMatrix
 from .errors import ValidationError
 
 # Each ratio as a (numerator, denominator) pair of the cells a, b, c and d.
@@ -69,18 +69,6 @@ class EvalMetrics:
         return {name: getattr(self, name) for name in METRIC_NAMES}
 
 
-def site_mask(boundaries, sites: int, role: str) -> np.ndarray:
-    """A BoundarySet or site iterable as a 0/1 vector over the sites."""
-    plain = not isinstance(boundaries, BoundarySet)
-    values = _site_ints(boundaries) if plain else list(boundaries.sites)
-    if values and not 0 <= min(values) <= max(values) < sites:
-        k = next(k for k in values if not 0 <= k < sites)
-        raise ValidationError(f"{role} site {k} outside [0, {sites - 1}]")
-    mask = np.zeros(sites, dtype=np.int64)
-    mask[values] = 1
-    return mask
-
-
 def confusion_table(rows: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, ...]:
     """The cells a, b, c and d of every 0/1 row (m x J) against every 0/1 target column (J x k).
 
@@ -94,24 +82,6 @@ def confusion_table(rows: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, 
     b = rows.sum(axis=1, keepdims=True) - a
     c = targets.sum(axis=0, keepdims=True) - a
     return a, b, c, rows.shape[1] - a - b - c
-
-
-def confusion(predicted, target, sites: int) -> ConfusionCounts:
-    """Classify all sites of one narrative's universe.
-
-    predicted and target may be BoundarySet objects or plain site
-    iterables; BoundarySet arguments must agree on the narrative.
-    """
-    if sites < 1:
-        raise ValidationError("site universe must be non-empty")
-    if isinstance(predicted, BoundarySet) and isinstance(target, BoundarySet):
-        if predicted.narrative_id != target.narrative_id:
-            raise ValidationError(
-                f"cannot score {predicted.narrative_id} against {target.narrative_id}"
-            )
-    rows = site_mask(predicted, sites, "predicted")[None, :]
-    cells = confusion_table(rows, site_mask(target, sites, "target")[:, None])
-    return ConfusionCounts(*(int(cell[0, 0]) for cell in cells))
 
 
 def metrics(counts: ConfusionCounts) -> EvalMetrics:
@@ -159,9 +129,7 @@ def score_units(
     if not np.array_equal(rows, matrix.cells):
         raise ValidationError("leave-one-out scores the subjects' own rows")
     # Row r of the stack is the opinion of every subject but r.
-    others = BoundaryStrengths(
-        matrix.narrative_id, matrix.subjects - 1, matrix.column_totals - rows
-    )
+    others = BoundaryStrengths(matrix.subjects - 1, matrix.column_totals - rows)
     pooled, mode = resolve_target(others, threshold, exact)
     cells = [np.diagonal(cell) for cell in confusion_table(rows, pooled.T)]
     return target, f"{mode} leave-one-out", np.stack(cells)[:, :, None]
@@ -212,47 +180,3 @@ def aggregate_pairs(numerators, denominators) -> MetricAggregate:
 def aggregate_cells(cells: np.ndarray, names=METRIC_NAMES) -> dict[str, MetricAggregate]:
     """Each named ratio of the units' cells (4 x units) summarized over the units."""
     return {name: aggregate_pairs(*RATIOS[name](*cells)) for name in names}
-
-
-@dataclass(frozen=True)
-class SubjectScore:
-    subject_id: str
-    counts: ConfusionCounts
-    scores: EvalMetrics
-
-
-@dataclass(frozen=True)
-class HumanEvaluation:
-    """Per-subject scores against the pooled opinion, with summaries."""
-
-    narrative_id: str
-    target: BoundarySet
-    mode: str
-    per_subject: tuple[SubjectScore, ...]
-    summary: dict[str, MetricAggregate]
-
-
-def evaluate_humans(
-    matrix: AnnotationMatrix,
-    threshold: int | None = None,
-    exact: int | None = None,
-    leave_one_out: bool = False,
-) -> HumanEvaluation:
-    """Score every subject as if their row were an algorithm's output.
-
-    By default the pooled target includes the subject being scored. With
-    leave_one_out each subject is scored against the opinion of the other
-    subjects only; a defaulted threshold then becomes the strict majority
-    of the reduced panel. That mode breaks the exact identity between mean
-    recall and boundary-class percent agreement, which is why it is off by
-    default.
-    """
-    target, mode, cells = score_units(matrix, matrix.cells, threshold, exact, leave_one_out)
-    counts = list(map(ConfusionCounts, *cells[:, :, 0].tolist()))
-    return HumanEvaluation(
-        narrative_id=matrix.narrative_id,
-        target=BoundarySet.of(matrix.narrative_id, np.flatnonzero(target)),
-        mode=mode,
-        per_subject=tuple(map(SubjectScore, matrix.subject_ids, counts, map(metrics, counts))),
-        summary=aggregate_cells(cells[:, :, 0]),
-    )

@@ -32,7 +32,6 @@ from .evaluation import (
     aggregate_cells,
     aggregate_pairs,
     score_units,
-    site_mask,
 )
 from .render import MEAN_COUNT, VARIANCE, num, to_json, tsv
 from .segmenters import CueLexicon, default_cue_lexicon, segment_by
@@ -58,6 +57,13 @@ class BatchItem:
             raise ValidationError(
                 f"coding of {self.coding.narrative_id} paired with narrative {nid}"
             )
+        # The subjects' rows and each segmenter's site mask are stacked site by site.
+        sites = self.narrative.site_count
+        for kind, count in (("matrix", self.matrix.sites),
+                            ("coding", sites if self.coding is None else self.coding.site_count)):
+            if count != sites:
+                raise ValidationError(f"{kind} of {count} sites paired with narrative {nid} "
+                                      f"of {sites}")
 
 
 @dataclass(frozen=True)
@@ -207,8 +213,7 @@ def build_report(
         # (column 0) and the sites of each exact strength t (column t).
         units = {"humans": matrix.cells}
         for method in ("cue", "pause") if item.coding is None else ("np", "cue", "pause"):
-            boundaries = segment_by(method, item.narrative, item.coding, lexicon)[0]
-            units[method] = site_mask(boundaries, matrix.sites, "predicted")[None, :]
+            units[method] = segment_by(method, item.narrative, item.coding, lexicon)[0][None, :]
         table = score_units(matrix, np.vstack(list(units.values())), threshold)[2]
         bounds = np.cumsum([len(rows) for rows in units.values()])[:-1]
         for method, block in zip(units, np.split(table, bounds, axis=1)):

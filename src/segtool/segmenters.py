@@ -7,7 +7,8 @@ previous clause, by an inferential link to it, or by a third-person pronoun
 whose referent is already in the segment; when all three ties fail it emits
 a boundary between the two clauses. The cue-word and pause segmenters are
 phrase-level baselines keyed on the first word of a phrase and on the
-presence of any preceding pause.
+presence of any preceding pause. Each segmenter gives its boundaries as an
+int64 0/1 mask over the narrative's sites.
 """
 
 from __future__ import annotations
@@ -16,11 +17,13 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
-from itertools import chain, compress, count, repeat
+from itertools import chain, compress, repeat
 from pathlib import Path
 from typing import NamedTuple
 
-from .corpus import BoundarySet, FicCoding, Narrative
+import numpy as np
+
+from .corpus import FicCoding, Narrative
 from .errors import ValidationError
 
 COREFERENCE = "coreference"
@@ -126,28 +129,23 @@ def default_cue_lexicon() -> CueLexicon:
     return CueLexicon.from_file(str(path), label="builtin")
 
 
-def _phrase_sites(narrative: Narrative, marks) -> BoundarySet:
-    """The site before every phrase after the first whose mark is true."""
-    return BoundarySet.of(narrative.narrative_id, compress(count(), marks))
-
-
-def cue_segment(narrative: Narrative, lexicon: CueLexicon | None = None) -> BoundarySet:
+def cue_segment(narrative: Narrative, lexicon: CueLexicon | None = None) -> np.ndarray:
     """Mark a boundary before every phrase that opens with a cue word."""
     if lexicon is None:
         lexicon = default_cue_lexicon()
     firsts = _first_words(narrative.tokens, narrative.token_offsets[1:])
-    return _phrase_sites(narrative, map(lexicon.__contains__, firsts))
+    return np.fromiter(map(lexicon.__contains__, firsts), np.int64, narrative.site_count)
 
 
-def pause_segment(narrative: Narrative) -> BoundarySet:
+def pause_segment(narrative: Narrative) -> np.ndarray:
     """Mark a boundary wherever adjacent phrases are separated by a pause.
 
     Presence is all that matters; durations are not thresholded. A
     truncated measurement counts as present whatever its recorded value.
     """
     pauses = zip(narrative.pauses[1:], narrative.truncated[1:])
-    return _phrase_sites(narrative, [pause is not None and (pause > 0 or truncated)
-                                     for pause, truncated in pauses])
+    return np.fromiter((pause is not None and (pause > 0 or truncated)
+                        for pause, truncated in pauses), np.int64, narrative.site_count)
 
 
 class TraceStep(NamedTuple):
@@ -248,10 +246,7 @@ def np_segment(coding: FicCoding) -> NpSegmentation:
     return NpSegmentation(coding.narrative_id, tuple(boundaries), tuple(steps), coding)
 
 
-def normalize_to_sites(
-    segmentation: NpSegmentation | tuple[tuple[int, int], ...],
-    coding: FicCoding,
-) -> BoundarySet:
+def normalize_to_sites(segmentation: NpSegmentation, coding: FicCoding) -> np.ndarray:
     """Project clause-level boundaries onto the transcript's boundary sites.
 
     Junctions that coincide with a phrase boundary map straight to its
@@ -260,21 +255,15 @@ def normalize_to_sites(
     junction inside the narrative's final phrase has no following site and
     is dropped.
     """
-    if isinstance(segmentation, NpSegmentation):
-        if segmentation.narrative_id != coding.narrative_id:
-            raise ValidationError(
-                f"segmentation of {segmentation.narrative_id} normalized against "
-                f"coding of {coding.narrative_id}"
-            )
-        pairs = segmentation.boundaries
-    else:
-        pairs = tuple(segmentation)
-    sites = set()
-    for pair in pairs:
-        if tuple(pair) not in coding.junction_sites:
-            raise ValidationError(f"no adjacent clause pair {pair} in the coding")
-        sites.add(coding.junction_sites[tuple(pair)])
-    return BoundarySet.of(coding.narrative_id, sites - {None})
+    if segmentation.narrative_id != coding.narrative_id:
+        raise ValidationError(
+            f"segmentation of {segmentation.narrative_id} normalized against "
+            f"coding of {coding.narrative_id}"
+        )
+    sites = map(coding.junction_sites.__getitem__, segmentation.boundaries)
+    mask = np.zeros(coding.site_count, dtype=np.int64)
+    mask[[k for k in sites if k is not None]] = 1
+    return mask
 
 
 def segment_by(
@@ -282,8 +271,8 @@ def segment_by(
     narrative: Narrative,
     coding: FicCoding | None = None,
     lexicon: CueLexicon | None = None,
-) -> tuple[BoundarySet, NpSegmentation | None]:
-    """The boundary set of method np, cue or pause, plus the clause segmentation for np.
+) -> tuple[np.ndarray, NpSegmentation | None]:
+    """The site mask of method np, cue or pause, plus the clause segmentation for np.
 
     np reads only the coding, cue the narrative and the lexicon (the
     builtin one when None), pause the narrative.

@@ -196,24 +196,6 @@ def _q_from_square_sum(sites: int, total: int, denom: int, square_sum):
     return (sites - 1) * (sites * square_sum - total * total) / denom
 
 
-def partition_q(
-    matrix: AnnotationMatrix, component_df: str = "count"
-) -> dict[int, QComponent]:
-    """Split Q into per-strength components.
-
-    Columns marked by exactly t subjects (t = 0 included) share the squared
-    deviation (t - mean(T))^2, so strength t contributes
-
-        q_t = j * (j - 1) * n_t * (t - mean(T))^2 / denominator
-
-    and sum_t q_t = Q exactly. Each component is referred to chi-square with
-    df equal to the number of such columns (component_df="count", the
-    default) or that number minus one (component_df="count-1"); components
-    left with zero degrees of freedom get p = None.
-    """
-    return cochran_q(matrix, component_df).components
-
-
 def cochran_q(
     matrix: AnnotationMatrix, component_df: str = "count"
 ) -> CochranResult:
@@ -224,14 +206,23 @@ def cochran_q(
     matrix : AnnotationMatrix
         Binary subjects x sites judgements, at least 2 sites.
     component_df : str
-        Degrees-of-freedom rule for the per-strength components, see
-        partition_q.
+        Degrees-of-freedom rule for the per-strength components: each
+        component is referred to chi-square with df equal to the number of
+        its columns ("count", the default) or that number minus one
+        ("count-1"); components left with zero degrees of freedom get
+        p = None.
 
     Returns
     -------
     CochranResult
         Statistic, j - 1 degrees of freedom, upper-tail p, and the
-        per-strength partition.
+        per-strength partition. Columns marked by exactly t subjects
+        (t = 0 included) share the squared deviation (t - mean(T))^2, so
+        strength t contributes
+
+            q_t = j * (j - 1) * n_t * (t - mean(T))^2 / denominator
+
+        and sum_t q_t = Q exactly.
 
     Raises
     ------

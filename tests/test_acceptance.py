@@ -25,21 +25,18 @@ from segtool import (
     build_report,
     chi_square_sf,
     cochran_q,
-    confusion,
     cue_segment,
-    evaluate_humans,
     fixture_path,
     majority_threshold,
     metrics,
     normalize_to_sites,
     np_segment,
     null_calibration,
-    partition_q,
     pause_segment,
     percent_agreement,
 )
 from segtool.cli import run
-from segtool.evaluation import resolve_target, score_units, site_mask
+from segtool.evaluation import aggregate_cells, confusion_table, resolve_target, score_units
 
 F = Fraction
 
@@ -82,20 +79,20 @@ def test_criterion_01_agreement_reconstruction(pear9):
 def test_criterion_02_majority_boundaries(pear9):
     """The panel majority validates exactly two of the eleven sites."""
     narrative, matrix = pear9
-    majority = boundary_strengths(matrix).cumulative(majority_threshold(matrix.subjects))
-    assert majority.sites == frozenset({0, 10})
-    assert majority.labels(narrative) == ("3.3→4.1", "8.4→9.1")
+    majority = boundary_strengths(matrix).mask(majority_threshold(matrix.subjects))
+    assert np.flatnonzero(majority).tolist() == [0, 10]
+    assert narrative.site_labels(majority) == ("3.3→4.1", "8.4→9.1")
     target, mode = resolve_target(boundary_strengths(matrix), None, None)
-    assert (set(np.flatnonzero(target).tolist()), mode) == (majority.sites, "threshold=4")
+    assert (target.tolist(), mode) == (majority.tolist(), "threshold=4")
 
 
 def test_criterion_03_cue_and_pause_marks(pear9):
     """Cue and pause segmenters reproduce the transcript's marks exactly."""
     narrative, matrix = pear9
     cue = cue_segment(narrative)
-    assert cue.labels(narrative) == ("4.1→4.2", "8.4→9.1")
+    assert narrative.site_labels(cue) == ("4.1→4.2", "8.4→9.1")
     pause = pause_segment(narrative)
-    assert pause.labels(narrative) == (
+    assert narrative.site_labels(pause) == (
         "3.3→4.1",
         "4.1→4.2",
         "4.3→5.1",
@@ -104,8 +101,7 @@ def test_criterion_03_cue_and_pause_marks(pear9):
         "8.3→8.4",
         "8.4→9.1",
     )
-    rows = np.vstack([site_mask(pause, matrix.sites, "predicted"),
-                      site_mask(cue, matrix.sites, "predicted")])
+    rows = np.vstack([pause, cue])
     cells = score_units(matrix, rows, threshold=4)[2][:, :, 0].tolist()
     assert [metrics(ConfusionCounts(*unit)).recall for unit in zip(*cells)] == [F(1), F(1, 2)]
 
@@ -130,7 +126,7 @@ def test_criterion_04_cochran_q():
             cells[0, 0] ^= 1  # keep every row non-constant
         matrix = make_matrix(cells.tolist())
         result = cochran_q(matrix)
-        components = partition_q(matrix)
+        components = result.components
         total = sum(comp.q for comp in components.values())
         assert abs(total - result.q) <= 1e-12 * max(1.0, abs(result.q))
 
@@ -155,13 +151,14 @@ def test_criterion_06_null_calibration():
 
 
 def test_criterion_07_recall_agreement_identity():
-    """Mean subject recall against cumulative(4) is the boundary agreement."""
+    """Mean subject recall against the >= 4 pool is the boundary agreement."""
     rng = np.random.default_rng(23)
     checked = 0
     for _ in range(500):
         cells = (rng.random((7, 100)) < rng.uniform(0.05, 0.5)).astype(np.int64)
         matrix = make_matrix(cells.tolist())
-        mean_recall = evaluate_humans(matrix, threshold=4).summary["recall"].mean
+        cells = score_units(matrix, matrix.cells, threshold=4)[2][:, :, 0]
+        mean_recall = aggregate_cells(cells, ("recall",))["recall"].mean
         boundary_agreement = percent_agreement(matrix, threshold=4).percent_boundary
         assert mean_recall == boundary_agreement
         if mean_recall is not None:
@@ -188,9 +185,11 @@ def test_criterion_08_np_algorithm(three_link, shared_phrase):
     )
 
     shared_narrative, shared_coding = shared_phrase
-    merged = normalize_to_sites(((6, 7), (7, 8)), shared_coding)
-    assert merged.sites == frozenset({0})
-    assert merged.labels(shared_narrative) == ("3.1→3.2",)
+    shared = np_segment(shared_coding)
+    assert shared.boundaries == ((6, 7), (7, 8))
+    merged = normalize_to_sites(shared, shared_coding)
+    assert merged.tolist() == [1]
+    assert shared_narrative.site_labels(merged) == ("3.1→3.2",)
 
     argv = [
         "segment", "--method", "np", "--trace", "--json",
@@ -208,19 +207,22 @@ def test_criterion_08_np_algorithm(three_link, shared_phrase):
 def test_criterion_09_metric_identities():
     """Confusion-cell identities over 10,000 random site triples."""
     rng = np.random.default_rng(31)
+
+    def counts_of(predicted, target):
+        cells = confusion_table(predicted[None, :], target[:, None])
+        return ConfusionCounts(*(int(cell[0, 0]) for cell in cells))
+
     for _ in range(10_000):
         sites = int(rng.integers(1, 61))
-        predicted = frozenset(
-            int(k) for k in np.flatnonzero(rng.random(sites) < 0.3)
-        )
-        target = frozenset(int(k) for k in np.flatnonzero(rng.random(sites) < 0.3))
-        counts = confusion(predicted, target, sites)
-        assert counts.a + counts.b == len(predicted)
-        assert counts.a + counts.c == len(target)
+        predicted = (rng.random(sites) < 0.3).astype(np.int64)
+        target = (rng.random(sites) < 0.3).astype(np.int64)
+        counts = counts_of(predicted, target)
+        assert counts.a + counts.b == predicted.sum()
+        assert counts.a + counts.c == target.sum()
         assert counts.total == sites
         scored = metrics(counts)
         assert scored.error == F(counts.b + counts.c, sites)
-        swapped = metrics(confusion(target, predicted, sites))
+        swapped = metrics(counts_of(target, predicted))
         assert swapped.recall == scored.precision
         assert swapped.precision == scored.recall
 

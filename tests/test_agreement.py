@@ -156,27 +156,32 @@ class TestPercentAgreement:
         assert report.non_boundary_site_count == 9
 
 
+def pool(strengths, strength, exact=False) -> frozenset[int]:
+    """The sites of one strength pool's 0/1 mask."""
+    return frozenset(np.flatnonzero(strengths.mask(strength, exact)).tolist())
+
+
 class TestBoundaryStrengths:
     def test_fixture_pools(self, pear9):
         _, matrix = pear9
         strengths = boundary_strengths(matrix)
-        assert strengths.exact(1).sites == frozenset({3, 4, 8})
-        assert strengths.exact(2).sites == frozenset({5})
-        assert strengths.exact(3).sites == frozenset()
-        assert strengths.exact(6).sites == frozenset({0})
-        assert strengths.exact(7).sites == frozenset({10})
-        assert strengths.cumulative(1).sites == frozenset({0, 3, 4, 5, 8, 10})
-        assert strengths.cumulative(4).sites == frozenset({0, 10})
-        majority = strengths.cumulative(majority_threshold(matrix.subjects))
-        assert majority.sites == frozenset({0, 10})
+        assert pool(strengths, 1, exact=True) == frozenset({3, 4, 8})
+        assert pool(strengths, 2, exact=True) == frozenset({5})
+        assert pool(strengths, 3, exact=True) == frozenset()
+        assert pool(strengths, 6, exact=True) == frozenset({0})
+        assert pool(strengths, 7, exact=True) == frozenset({10})
+        assert pool(strengths, 1) == frozenset({0, 3, 4, 5, 8, 10})
+        assert pool(strengths, 4) == frozenset({0, 10})
+        majority = pool(strengths, majority_threshold(matrix.subjects))
+        assert majority == frozenset({0, 10})
 
     def test_strength_bounds(self, pear9):
         _, matrix = pear9
         strengths = boundary_strengths(matrix)
-        with pytest.raises(ValidationError):
-            strengths.exact(0)
-        with pytest.raises(ValidationError):
-            strengths.cumulative(8)
+        with pytest.raises(ValidationError, match=r"^strength 0 outside \[1, 7\]$"):
+            strengths.mask(0, exact=True)
+        with pytest.raises(ValidationError, match=r"^strength 8 outside \[1, 7\]$"):
+            strengths.mask(8)
 
     @settings(max_examples=60, deadline=None)
     @given(binary_matrices)
@@ -184,10 +189,14 @@ class TestBoundaryStrengths:
         matrix = make_matrix(cells)
         strengths = boundary_strengths(matrix)
         i = matrix.subjects
-        for t in range(1, i):
-            assert strengths.cumulative(t + 1).sites <= strengths.cumulative(t).sites
         for t in range(1, i + 1):
-            union = frozenset().union(
-                *(strengths.exact(s).sites for s in range(t, i + 1))
-            )
-            assert union == strengths.cumulative(t).sites
+            for exact in (False, True):
+                mask = strengths.mask(t, exact)
+                assert (mask.dtype, mask.shape) == (np.int64, (matrix.sites,))
+                assert set(mask.tolist()) <= {0, 1}
+        for t in range(1, i):
+            assert pool(strengths, t + 1) <= pool(strengths, t)
+        for t in range(1, i + 1):
+            # The exact pools at t and above are disjoint and make up the cumulative pool.
+            exact_pools = sum(strengths.mask(s, exact=True) for s in range(t, i + 1))
+            assert exact_pools.tolist() == strengths.mask(t).tolist()

@@ -7,6 +7,7 @@ import gc
 import io
 import json
 import sys
+from itertools import compress
 from pathlib import Path
 from unittest import mock
 
@@ -18,7 +19,6 @@ from hypothesis import strategies as hst
 from segtool import corpus
 from segtool import (
     AnnotationMatrix,
-    BoundarySet,
     FicCoding,
     Narrative,
     SchemaError,
@@ -144,8 +144,8 @@ class TestNarrativeLoading:
         assert narrative.narrative_id == "pear-09-excerpt"
         assert len(narrative.ids) == 12
         assert narrative.site_count == 11
-        assert narrative.site_label(0) == "3.3→4.1"
-        assert narrative.site_label(10) == "8.4→9.1"
+        assert narrative.site_labels(np.eye(11, dtype=np.int64)[0]) == ("3.3→4.1",)
+        assert narrative.site_labels(np.eye(11, dtype=np.int64)[10]) == ("8.4→9.1",)
 
     def test_round_trip(self, pear9):
         narrative, _ = pear9
@@ -634,32 +634,22 @@ class TestIndexOf:
         assert str(excinfo.value) == f"narrative toy: no phrase {bad}"
 
 
-class TestBoundarySet:
+class TestSiteLabels:
     def test_labels_render_phrase_pairs(self, pear9):
         narrative, _ = pear9
-        bs = BoundarySet.of("pear-09-excerpt", {10, 0})
-        assert bs.labels(narrative) == ("3.3→4.1", "8.4→9.1")
+        mask = np.zeros(11, dtype=np.int64)
+        mask[[10, 0]] = 1
+        assert narrative.site_labels(mask) == ("3.3→4.1", "8.4→9.1")
+        assert narrative.site_labels(mask.tolist()) == ("3.3→4.1", "8.4→9.1")
+        assert narrative.site_labels(np.zeros(11, dtype=np.int64)) == ()
 
-    def test_labels_reject_other_narrative(self, pear9):
+    @pytest.mark.parametrize("shape", [(0,), (1,), (10,), (12,), (11, 11), (1, 11), ()])
+    def test_a_mask_of_another_shape_is_refused(self, pear9, shape):
         narrative, _ = pear9
-        with pytest.raises(ValidationError):
-            BoundarySet.of("elsewhere", {0}).labels(narrative)
-
-    @pytest.mark.parametrize("site", [-1, 1.0, "1", True, False, np.int64(2)])
-    def test_bad_site_index(self, site):
         with pytest.raises(ValidationError) as excinfo:
-            BoundarySet("n", frozenset({site}))
-        assert str(excinfo.value) == f"bad site index {site!r}"
-
-    def test_of_casts_numpy_integers(self):
-        sites = BoundarySet.of("n", [np.int64(3), np.uint8(1), 0]).sites
-        assert sites == {0, 1, 3}
-        assert all(type(k) is int for k in sites)
-
-    def test_site_bounds_checked(self, pear9):
-        narrative, _ = pear9
-        with pytest.raises(ValidationError):
-            BoundarySet.of("pear-09-excerpt", {11}).labels(narrative)
+            narrative.site_labels(np.ones(shape, dtype=np.int64))
+        assert str(excinfo.value) == (
+            f"narrative pear-09-excerpt: a site mask of shape {shape}, not (11,)")
 
 
 class TestTopLevelShape:
@@ -1182,16 +1172,24 @@ class TestNarrativeColumns:
         assert columns(loaded) == expected
         assert list(map(type, loaded.pauses)) == list(map(type, expected["pauses"]))
         assert (loaded, hash(loaded)) == (again, hash(again))
-        assert [loaded.site_label(k) for k in range(loaded.site_count)] == [
-            f"{left['id']}→{right['id']}" for left, right in zip(phrases, phrases[1:])]
+        pairs = [f"{left['id']}→{right['id']}" for left, right in zip(phrases, phrases[1:])]
+        assert loaded.site_labels(np.ones(loaded.site_count, dtype=np.int64)) == tuple(pairs)
         assert serialize_narrative(loaded) == {**doc, "phrases": [
             {"pause_truncated": False, **raw} for raw in phrases]}
         lexicon = default_cue_lexicon()
-        assert cue_segment(loaded, lexicon).sites == {
-            k for k, raw in enumerate(phrases[1:]) if first_lexical_token(raw["text"]) in lexicon}
-        assert pause_segment(loaded).sites == {
-            k for k, raw in enumerate(phrases[1:]) if raw["pause_before"] is not None
-            and (raw["pause_before"] > 0 or raw.get("pause_truncated", False))}
+        cues = [first_lexical_token(raw["text"]) in lexicon for raw in phrases[1:]]
+        pauses = [raw["pause_before"] is not None
+                  and (raw["pause_before"] > 0 or raw.get("pause_truncated", False))
+                  for raw in phrases[1:]]
+        # Each segmenter's mask is the per-site loop's marks, and its labels those sites'
+        # phrase pairs.
+        for mask, marks in ((cue_segment(loaded, lexicon), cues), (pause_segment(loaded), pauses)):
+            assert (type(mask), mask.dtype) == (np.ndarray, np.int64)
+            assert mask.tolist() == list(map(int, marks))
+            assert loaded.site_labels(mask) == tuple(compress(pairs, marks))
+            with pytest.raises(ValidationError, match=r"^narrative .*: a site mask of shape "
+                               rf"\(\d+,\), not \({loaded.site_count},\)$"):
+                loaded.site_labels(mask[1:])
 
     def test_integer_pauses_are_stored_as_floats(self):
         doc = planted(planted(toy_transcript(), ("phrases", 1, "pause_before"), 0),

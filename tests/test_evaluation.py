@@ -1,4 +1,4 @@
-"""Retrieval-style scoring of boundary sets against pooled judgements."""
+"""Retrieval-style scoring of boundary-site masks against pooled judgements."""
 
 from __future__ import annotations
 
@@ -11,19 +11,17 @@ from hypothesis import strategies as hst
 
 from segtool import (
     AnnotationMatrix,
-    BoundarySet,
     ConfusionCounts,
     MetricAggregate,
     ValidationError,
     boundary_strengths,
-    confusion,
     cue_segment,
-    evaluate_humans,
     metrics,
     pause_segment,
     percent_agreement,
 )
-from segtool.evaluation import RATIOS, aggregate_pairs, resolve_target, score_units, site_mask
+from segtool.evaluation import (RATIOS, aggregate_cells, aggregate_pairs, confusion_table,
+                                resolve_target, score_units)
 
 F = Fraction
 
@@ -33,22 +31,26 @@ def make_matrix(rows, narrative_id="n"):
     return AnnotationMatrix(narrative_id, ids, np.array(rows, dtype=np.int64))
 
 
-def target_set(matrix, threshold=None, exact=None) -> BoundarySet:
-    """The pooled target of resolve_target as a BoundarySet."""
-    mask, _ = resolve_target(boundary_strengths(matrix), threshold, exact)
-    return BoundarySet.of(matrix.narrative_id, np.flatnonzero(mask))
+def site_mask(sites, universe: int) -> np.ndarray:
+    """The 0/1 mask over universe sites of a set of site indices."""
+    return np.array([int(k in sites) for k in range(universe)], dtype=np.int64)
 
 
-def algorithm_scores(boundaries, matrix, threshold=None, exact=None):
-    """One boundary set scored against the pooled target through score_units, as eval does."""
-    row = site_mask(boundaries, matrix.sites, "predicted")[None, :]
-    cells = score_units(matrix, row, threshold, exact)[2]
+def counts_of(predicted, target) -> ConfusionCounts:
+    """The cells of one 0/1 prediction mask against one 0/1 target mask."""
+    cells = confusion_table(np.asarray(predicted)[None, :], np.asarray(target)[:, None])
+    return ConfusionCounts(*(int(cell[0, 0]) for cell in cells))
+
+
+def algorithm_scores(mask, matrix, threshold=None, exact=None):
+    """One site mask scored against the pooled target through score_units, as eval does."""
+    cells = score_units(matrix, mask[None, :], threshold, exact)[2]
     return metrics(ConfusionCounts(*cells[:, 0, 0].tolist()))
 
 
 class TestConfusion:
     def test_worked_example(self):
-        counts = confusion({1, 10}, {0, 10}, sites=11)
+        counts = counts_of(site_mask({1, 10}, 11), site_mask({0, 10}, 11))
         assert counts == ConfusionCounts(a=1, b=1, c=1, d=8)
         scores = metrics(counts)
         assert scores.recall == F(1, 2)
@@ -56,39 +58,26 @@ class TestConfusion:
         assert scores.fallout == F(1, 9)
         assert scores.error == F(2, 11)
 
-    def test_accepts_boundary_sets(self, pear9):
+    def test_segmenter_mask_against_the_target(self, pear9):
         narrative, matrix = pear9
-        counts = confusion(
-            cue_segment(narrative), target_set(matrix), matrix.sites
-        )
+        target, _ = resolve_target(boundary_strengths(matrix), None, None)
+        counts = counts_of(cue_segment(narrative), target)
         assert (counts.a, counts.b, counts.c, counts.d) == (1, 1, 1, 8)
 
-    def test_narrative_mismatch_rejected(self):
-        left = BoundarySet("a", frozenset({0}))
-        right = BoundarySet("b", frozenset({0}))
-        with pytest.raises(ValidationError):
-            confusion(left, right, sites=3)
-
-    def test_out_of_range_site_rejected(self):
-        with pytest.raises(ValidationError):
-            confusion({5}, set(), sites=5)
-        with pytest.raises(ValidationError):
-            confusion(set(), {-1}, sites=5)
-
-    def test_empty_universe_rejected(self):
-        with pytest.raises(ValidationError):
-            confusion(set(), set(), sites=0)
-
     def test_undefined_ratios_are_none(self):
-        scores = metrics(confusion(set(), set(), sites=4))
+        scores = metrics(counts_of(site_mask(set(), 4), site_mask(set(), 4)))
         assert scores.recall is None
         assert scores.precision is None
         assert scores.fallout == F(0)
         assert scores.error == F(0)
 
-        scores = metrics(confusion({0, 1, 2, 3}, {0, 1, 2, 3}, sites=4))
+        scores = metrics(counts_of(site_mask({0, 1, 2, 3}, 4), site_mask({0, 1, 2, 3}, 4)))
         assert scores.fallout is None
         assert scores.recall == F(1)
+
+        # With no site at all every ratio is undefined.
+        empty = np.zeros(0, dtype=np.int64)
+        assert metrics(counts_of(empty, empty)).as_dict() == dict.fromkeys(RATIOS)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -102,7 +91,9 @@ class TestConfusion:
     )
     def test_cell_identities(self, case):
         sites, predicted, target = case
-        counts = confusion(predicted, target, sites)
+        predicted_mask, target_mask = site_mask(predicted, sites), site_mask(target, sites)
+        counts = counts_of(predicted_mask, target_mask)
+        assert counts.a == len(predicted & target)
         assert counts.a + counts.b == len(predicted)
         assert counts.a + counts.c == len(target)
         assert counts.total == sites
@@ -111,94 +102,10 @@ class TestConfusion:
             assert scores.error == F(counts.b + counts.c, sites)
 
         # Swapping roles swaps recall with precision and leaves error fixed.
-        swapped = metrics(confusion(target, predicted, sites))
+        swapped = metrics(counts_of(target_mask, predicted_mask))
         assert swapped.recall == scores.precision
         assert swapped.precision == scores.recall
         assert swapped.error == scores.error
-
-
-# Values that are no site index, though int() would make one of each.
-NOT_SITES = [1.7, 1.0, True, False, "1", np.float64(2.0), np.True_]
-
-
-def per_site_mask(boundaries, sites: int, role: str) -> np.ndarray:
-    """The oracle: site_mask as a loop that casts and sets one site at a time."""
-    values = boundaries.sites if isinstance(boundaries, BoundarySet) else boundaries
-    mask = np.zeros(sites, dtype=np.int64)
-    for k in values:
-        if not 0 <= int(k) <= sites - 1:
-            raise ValidationError(f"{role} site {k} outside [0, {sites - 1}]")
-        mask[int(k)] = 1
-    return mask
-
-
-def mask_or_error(mask, *args):
-    try:
-        return mask(*args).tolist()
-    except ValidationError as exc:
-        return str(exc)
-
-
-class TestSiteRule:
-    """BoundarySet.of and confusion hold sites to the constructor's rule."""
-
-    @pytest.mark.parametrize("bad", NOT_SITES, ids=repr)
-    def test_of_refuses_what_is_no_site(self, bad):
-        with pytest.raises(ValidationError) as excinfo:
-            BoundarySet.of("n", [0, bad, 2])
-        assert str(excinfo.value) == f"bad site index {bad!r}"
-
-    @pytest.mark.parametrize("bad", NOT_SITES, ids=repr)
-    def test_confusion_refuses_what_is_no_site(self, bad):
-        for predicted, target in (([bad], [1]), ([1], [0, bad])):
-            with pytest.raises(ValidationError) as excinfo:
-                confusion(predicted, target, sites=3)
-            assert str(excinfo.value) == f"bad site index {bad!r}"
-
-    def test_the_first_value_that_is_no_site_is_named(self):
-        with pytest.raises(ValidationError, match=r"^bad site index '1'$"):
-            BoundarySet.of("n", iter([0, "1", 1.5]))
-        with pytest.raises(ValidationError, match=r"^bad site index 1\.5$"):
-            confusion([7, 1.5, True], [], sites=3)
-
-    @pytest.mark.parametrize("predicted, target, message", [
-        ({5}, set(), "predicted site 5 outside [0, 4]"),
-        ([1, 9, 7], set(), "predicted site 9 outside [0, 4]"),
-        ([np.int64(6)], set(), "predicted site 6 outside [0, 4]"),
-        (set(), {-1}, "target site -1 outside [0, 4]"),
-        (set(), [2, -3, 9], "target site -3 outside [0, 4]"),
-    ])
-    def test_out_of_range_texts(self, predicted, target, message):
-        with pytest.raises(ValidationError) as excinfo:
-            confusion(predicted, target, sites=5)
-        assert str(excinfo.value) == message
-
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(
-        hst.integers(1, 40).flatmap(lambda n: hst.tuples(
-            hst.just(n),
-            hst.lists(hst.integers(-3, n + 3), max_size=12),
-            hst.sampled_from([np.int64, np.int32, np.int8, np.uint8]),
-        ))
-    )
-    def test_site_mask_equals_the_per_site_loop(self, case):
-        sites, values, dtype = case
-        if np.dtype(dtype).kind == "u":
-            values = [abs(k) for k in values]
-        array = np.array(values, dtype=dtype)
-        given_sites = [values, set(values), array, list(array),
-                       BoundarySet.of("n", [k for k in array if k >= 0])]
-        for boundaries in given_sites:
-            assert mask_or_error(site_mask, boundaries, sites, "target") == mask_or_error(
-                per_site_mask, boundaries, sites, "target")
-
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(hst.lists(hst.integers(0, 1), min_size=1, max_size=60))
-    def test_a_mask_survives_its_site_set(self, cells):
-        mask = np.array(cells)
-        sites = BoundarySet.of("n", np.flatnonzero(mask))
-        assert all(type(k) is int for k in sites.sites)
-        assert np.array_equal(site_mask(sites, len(mask), "target"), mask)
 
 
 class TestAlgorithmScores:
@@ -233,12 +140,7 @@ class TestAlgorithmScores:
         with pytest.raises(ValidationError, match="either threshold or exact"):
             algorithm_scores(cue_segment(narrative), matrix, threshold=4, exact=2)
         with pytest.raises(ValidationError, match="either threshold or exact"):
-            target_set(matrix, threshold=4, exact=2)
-
-    def test_wrong_narrative_rejected(self, pear9):
-        _, matrix = pear9
-        with pytest.raises(ValidationError, match="cannot score other against pear"):
-            confusion(BoundarySet("other", frozenset({0})), target_set(matrix), matrix.sites)
+            resolve_target(boundary_strengths(matrix), 4, 2)
 
 
 def fraction_pairs(values):
@@ -326,25 +228,32 @@ class TestIntegerCore:
         )
 
 
+def human_scores(matrix, threshold=None, exact=None, leave_one_out=False):
+    """Each subject's row scored as if it were an algorithm's output, as eval --method humans
+    does: the target, its mode, each subject's cells and the summary over the subjects."""
+    target, mode, cells = score_units(matrix, matrix.cells, threshold, exact, leave_one_out)
+    counts = list(map(ConfusionCounts, *cells[:, :, 0].tolist()))
+    return target, mode, counts, aggregate_cells(cells[:, :, 0])
+
+
 class TestHumanScores:
     def test_fixture_per_subject(self, pear9):
         _, matrix = pear9
-        result = evaluate_humans(matrix)
-        assert result.target.sites == frozenset({0, 10})
-        assert result.mode == "threshold=4"
-        by_id = {s.subject_id: s for s in result.per_subject}
-        assert by_id["s1"].scores.recall == F(1)
-        assert by_id["s1"].scores.error == F(0)
-        assert by_id["s4"].scores.precision == F(2, 3)
-        assert by_id["s7"].counts == ConfusionCounts(a=1, b=2, c=1, d=7)
-        assert result.summary["recall"].mean == F(13, 14)
-        assert result.summary["recall"].count == 7
+        target, mode, counts, summary = human_scores(matrix)
+        assert np.flatnonzero(target).tolist() == [0, 10]
+        assert mode == "threshold=4"
+        by_id = dict(zip(matrix.subject_ids, counts))
+        assert metrics(by_id["s1"]).recall == F(1)
+        assert metrics(by_id["s1"]).error == F(0)
+        assert metrics(by_id["s4"]).precision == F(2, 3)
+        assert by_id["s7"] == ConfusionCounts(a=1, b=2, c=1, d=7)
+        assert summary["recall"].mean == F(13, 14)
+        assert summary["recall"].count == 7
 
     def test_mean_recall_matches_boundary_agreement(self, pear9):
         _, matrix = pear9
         report = percent_agreement(matrix)
-        result = evaluate_humans(matrix)
-        assert result.summary["recall"].mean == report.percent_boundary
+        assert human_scores(matrix)[3]["recall"].mean == report.percent_boundary
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -363,26 +272,26 @@ class TestHumanScores:
     def test_identity_holds_at_every_threshold(self, case):
         _j, rows, threshold = case
         matrix = make_matrix(rows)
-        result = evaluate_humans(matrix, threshold=threshold)
+        summary = human_scores(matrix, threshold=threshold)[3]
         report = percent_agreement(matrix, threshold=threshold)
-        assert result.summary["recall"].mean == report.percent_boundary
+        assert summary["recall"].mean == report.percent_boundary
 
     def test_leave_one_out_smoke(self, pear9):
         _, matrix = pear9
-        result = evaluate_humans(matrix, leave_one_out=True)
-        assert result.mode.endswith("leave-one-out")
+        _, mode, counts, _ = human_scores(matrix, leave_one_out=True)
+        assert mode.endswith("leave-one-out")
         # With s1 removed the remaining 6 subjects still put 5 marks on
         # site 0 and 6 on site 10, majority of 6 is 4, so the target for
         # s1 stays {0, 10} and the score is unchanged.
-        assert result.per_subject[0].scores.recall == F(1)
+        assert metrics(counts[0]).recall == F(1)
         # s7 is scored against the other six, whose extra marks all fall
         # below the reduced threshold.
-        assert result.per_subject[6].scores.recall == F(1, 2)
+        assert metrics(counts[6]).recall == F(1, 2)
 
     def test_leave_one_out_needs_panel(self):
         matrix = make_matrix([[1, 0, 1]])
-        with pytest.raises(ValidationError):
-            evaluate_humans(matrix, leave_one_out=True)
+        with pytest.raises(ValidationError, match="^leave-one-out needs at least 2 subjects$"):
+            human_scores(matrix, leave_one_out=True)
 
     def test_leave_one_out_scores_only_the_subjects_rows(self):
         matrix = make_matrix([[1, 0, 1], [0, 0, 1]])

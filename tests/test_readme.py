@@ -140,10 +140,14 @@ def test_library_example_values():
     exec(imports, namespace)
     checks = {
         "the >= 4 pool as a 0/1 vector over sites": lambda value: (
-            value.tolist() == [int(k in namespace["strengths"].cumulative(4).sites)
-                               for k in range(namespace["matrix"].sites)]
+            value.tolist() == [int(t >= 4) for t in namespace["matrix"].column_totals.tolist()]
         ),
         "float survival probability": lambda value: isinstance(value, float) and 0 < value < 1,
+        "the per-strength partition of Q": lambda value: (
+            sum(c.site_count for c in value.values()) == namespace["matrix"].sites
+            and abs(sum(c.q for c in value.values()) - namespace["cochran_q"](
+                namespace["matrix"]).q) <= 1e-12
+        ),
     }
     checked = []
     for line in statements.splitlines():
@@ -152,7 +156,7 @@ def test_library_example_values():
             exec(code, namespace)
         elif code:
             value = eval(code, namespace)
-            literal = re.search(r"(Fraction\(\d+, \d+\)|\{[\d, ]*\})$", comment)
+            literal = re.search(r"(Fraction\(\d+, \d+\)|\[[\d, ]*\]|\('.*'\))$", comment)
             if literal:
                 assert value == eval(literal[1], {"Fraction": Fraction}), (code, value)
                 checked.append(code)
@@ -161,8 +165,12 @@ def test_library_example_values():
                 checked.append(code)
     assert checked == [
         "percent_agreement(matrix).percent",
-        "strengths.cumulative(4).sites",
-        "strengths.exact(2).sites",
         "strengths.mask(4)",
+        "narrative.site_labels(strengths.mask(4))",
+        "np.flatnonzero(strengths.mask(2, exact=True)).tolist()",
         "cochran_q(matrix).p",
+        "cochran_q(matrix).components",
+        "narrative.site_labels(cue)",
+        'aggregate_cells(cells[:, :, 0])["recall"].mean',
+        "score_units(matrix, cue[None, :])[2][:, 0, 0].tolist()",
     ]

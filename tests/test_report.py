@@ -24,10 +24,10 @@ from segtool import (
     ValidationError,
     build_report,
     cue_segment,
-    evaluate_humans,
     load_annotations,
     load_fic_coding,
     load_narrative,
+    metrics,
     normalize_to_sites,
     np_segment,
     pause_segment,
@@ -37,7 +37,7 @@ from segtool import (
     serialize_fic_coding,
     serialize_narrative,
 )
-from segtool.evaluation import score_units
+from segtool.evaluation import aggregate_cells, score_units
 
 F = Fraction
 
@@ -153,11 +153,11 @@ class TestMethodBlock:
         humans_row = report.method_table["humans"]
         assert humans_row["recall"].count == 13
         assert humans_row["recall"].mean == F(23, 26)
-        # Straight-line recomputation from the per-narrative evaluator.
-        recalls = []
-        for item in batch:
-            for s in evaluate_humans(item.matrix).per_subject:
-                recalls.append(s.scores.recall)
+        # Each narrative's subjects scored on their own, pooled, and recomputed straight-line.
+        cells = np.concatenate(
+            [score_units(item.matrix, item.matrix.cells)[2][:, :, 0] for item in batch], axis=1)
+        recalls = [metrics(ConfusionCounts(*unit)).recall for unit in zip(*cells.tolist())]
+        assert humans_row == aggregate_cells(cells)
         assert humans_row["recall"].mean == sum(recalls, F(0)) / len(recalls)
 
 
@@ -296,6 +296,21 @@ class TestValidation:
         with pytest.raises(ValidationError):
             BatchItem(narrative, matrix, coding)
 
+    def test_site_counts_checked(self, pear9, three_link):
+        """The subjects' rows and the segmenters' masks are stacked site by site."""
+        narrative, _ = pear9
+        with pytest.raises(ValidationError, match="^matrix of 3 sites paired with narrative "
+                                                  "pear-09-excerpt of 11$"):
+            BatchItem(narrative, make_matrix(narrative.narrative_id, [[0, 1, 0]]))
+        link_narrative, coding = three_link
+        doc = serialize_narrative(link_narrative)
+        doc["phrases"].append({**doc["phrases"][-1], "id": "99.1"})
+        longer = load_narrative(json.dumps(doc).encode())
+        rows = [[0] * longer.site_count]
+        with pytest.raises(ValidationError, match="^coding of 3 sites paired with narrative "
+                                                  "synthetic-links of 4$"):
+            BatchItem(longer, make_matrix(longer.narrative_id, rows), coding)
+
     def test_uncoded_batch_leaves_np_empty(self, pear9):
         narrative, matrix = pear9
         report = build_report([BatchItem(narrative, matrix)])
@@ -392,11 +407,10 @@ class TestOracle:
             cells = item.matrix.cells.tolist()
             totals = loop_totals(cells)
             pooled = threshold or (len(cells) + 2) // 2
-            cue, pause = cue_segment(item.narrative).sites, pause_segment(item.narrative).sites
             scored = {
                 "humans": cells,
-                "cue": [[int(k in cue) for k in range(len(totals))]],
-                "pause": [[int(k in pause) for k in range(len(totals))]],
+                "cue": [cue_segment(item.narrative).tolist()],
+                "pause": [pause_segment(item.narrative).tolist()],
             }
             for method, rows in scored.items():
                 for row in rows:
@@ -435,8 +449,8 @@ class TestOracle:
             cells = item.matrix.cells.tolist()
             totals = loop_totals(cells)
             pooled = threshold or (len(cells) + 2) // 2
-            predicted = normalize_to_sites(np_segment(item.coding), item.coding).sites
-            row = [int(k in predicted) for k in range(len(totals))]
+            row = normalize_to_sites(np_segment(item.coding), item.coding).tolist()
+            assert len(row) == len(totals)
             for name, v in loop_scores(row, [x >= pooled for x in totals]).items():
                 methods.setdefault(name, []).append(v)
             for t in range(1, len(cells) + 1):
@@ -459,15 +473,15 @@ class TestOracle:
             if len(cells) < 2:
                 continue
             exact = data.draw(hst.none() | hst.integers(1, len(cells) - 1))
-            result = evaluate_humans(item.matrix, exact=exact, leave_one_out=True)
-            for r, subject in enumerate(result.per_subject):
+            scored = score_units(item.matrix, item.matrix.cells, exact=exact, leave_one_out=True)[2]
+            for r, counts in enumerate(map(ConfusionCounts, *scored[:, :, 0].tolist())):
                 reduced = cells[:r] + cells[r + 1:]
                 totals = loop_totals(reduced)
                 if exact is None:
                     target = [x >= (len(reduced) + 2) // 2 for x in totals]
                 else:
                     target = [x == exact for x in totals]
-                assert subject.counts == loop_counts(cells[r], target)
+                assert counts == loop_counts(cells[r], target)
 
     @settings(max_examples=100, deadline=None)
     @given(batches, hst.data())

@@ -6,6 +6,7 @@ import json
 from importlib import resources
 from itertools import accumulate
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
@@ -31,6 +32,18 @@ def phrase(pid, tokens, pause=None, truncated=False, final=True):
     """One phrase of a transcript document."""
     return {"id": pid, "text": list(tokens), "sentence_final": final, "pause_before": pause,
             "pause_truncated": truncated}
+
+
+def marked(mask) -> frozenset[int]:
+    """The sites a 0/1 site mask marks."""
+    return frozenset(np.flatnonzero(mask).tolist())
+
+
+def assert_site_mask(mask, narrative) -> None:
+    """A boundary set's one form: an int64 0/1 vector over the narrative's sites."""
+    assert isinstance(mask, np.ndarray)
+    assert (mask.dtype, mask.shape) == (np.int64, (narrative.site_count,))
+    assert set(mask.tolist()) <= {0, 1}
 
 
 def narrative_of(narrative_id, phrases):
@@ -179,18 +192,18 @@ class TestCueLexicon:
 class TestCueSegmenter:
     def test_fixture_marks(self, pear9):
         narrative, _ = pear9
-        assert cue_segment(narrative).sites == frozenset({1, 10})
+        assert marked(cue_segment(narrative)) == frozenset({1, 10})
 
     def test_oh_phrase_not_marked(self, pear9):
         narrative, _ = pear9
         # Site 3 precedes the bare "Oh." phrase; the default lexicon must
         # not fire there.
-        assert 3 not in cue_segment(narrative).sites
+        assert 3 not in marked(cue_segment(narrative))
 
     def test_custom_lexicon(self, pear9):
         narrative, _ = pear9
         maybe_only = CueLexicon(frozenset({"maybe"}))
-        assert cue_segment(narrative, maybe_only).sites == frozenset({9})
+        assert marked(cue_segment(narrative, maybe_only)) == frozenset({9})
 
     def test_first_phrase_never_yields_a_site(self):
         narrative = narrative_of(
@@ -200,7 +213,7 @@ class TestCueSegmenter:
                 phrase("1.2", ["more"]),
             ),
         )
-        assert cue_segment(narrative).sites == frozenset()
+        assert marked(cue_segment(narrative)) == frozenset()
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -221,13 +234,13 @@ class TestCueSegmenter:
         )
         small = cue_segment(narrative, CueLexicon(frozenset(base)))
         large = cue_segment(narrative, CueLexicon(frozenset(base | extra)))
-        assert small.sites <= large.sites
+        assert (small <= large).all()
 
 
 class TestPauseSegmenter:
     def test_fixture_marks(self, pear9):
         narrative, _ = pear9
-        assert pause_segment(narrative).sites == frozenset({0, 1, 3, 5, 6, 9, 10})
+        assert marked(pause_segment(narrative)) == frozenset({0, 1, 3, 5, 6, 9, 10})
 
     def test_duration_is_ignored_beyond_presence(self, pear9):
         narrative, _ = pear9
@@ -240,7 +253,7 @@ class TestPauseSegmenter:
                 for p in doc["phrases"]
             ),
         )
-        assert pause_segment(flattened).sites == pause_segment(narrative).sites
+        assert pause_segment(flattened).tolist() == pause_segment(narrative).tolist()
 
     def test_zero_pause_counts_only_when_truncated(self):
         narrative = narrative_of(
@@ -251,7 +264,7 @@ class TestPauseSegmenter:
                 phrase("1.3", ["c"], pause=0.0, truncated=True),
             ),
         )
-        assert pause_segment(narrative).sites == frozenset({1})
+        assert pause_segment(narrative).tolist() == [0, 1]
 
 
 class TestNpSegmenter:
@@ -470,7 +483,10 @@ class TestNpWalkOracle:
         sites, untraced = segment_by("np", narrative, coding)
         assert traced.boundaries == untraced.boundaries == boundaries
         assert (untraced, untraced.trace) == (traced, traced.trace)
-        assert sites == normalize_to_sites(traced, coding)
+        # Clause n spans phrase n.1 alone, so the junction after it is site n - 1.
+        assert_site_mask(sites, narrative)
+        assert marked(sites) == {left - 1 for left, _ in boundaries}
+        assert np.array_equal(sites, normalize_to_sites(traced, coding))
         assert [(step.linked_by, step.segment_referents) for step in traced.trace] == steps
 
     @settings(max_examples=200, deadline=None)
@@ -488,7 +504,7 @@ class TestNpWalkOracle:
         traced = np_segment(loaded)
         sites, untraced = segment_by("np", narrative, loaded)
         assert traced.boundaries == untraced.boundaries == boundaries
-        assert sites == normalize_to_sites(traced, coding)
+        assert np.array_equal(sites, normalize_to_sites(traced, coding))
         assert [(step.linked_by, step.segment_referents) for step in traced.trace] == steps
 
     @settings(max_examples=200, deadline=None)
@@ -559,13 +575,25 @@ class TestSegmentBy:
         lexicon = CueLexicon(frozenset({"and"}))
         segmentation = np_segment(coding)
         sites, segmented = segment_by("np", narrative, coding)
-        assert (sites, segmented) == (normalize_to_sites(segmentation, coding), segmentation)
+        assert np.array_equal(sites, normalize_to_sites(segmentation, coding))
+        assert segmented == segmentation
         assert segmented.trace == segmentation.trace
-        assert segment_by("cue", narrative, lexicon=lexicon) == (
-            cue_segment(narrative, lexicon), None
-        )
-        assert segment_by("cue", narrative) == (cue_segment(narrative), None)
-        assert segment_by("pause", narrative) == (pause_segment(narrative), None)
+        for (mask, none), want in (
+            (segment_by("cue", narrative, lexicon=lexicon), cue_segment(narrative, lexicon)),
+            (segment_by("cue", narrative), cue_segment(narrative)),
+            (segment_by("pause", narrative), pause_segment(narrative)),
+        ):
+            assert none is None
+            assert np.array_equal(mask, want)
+
+    def test_every_method_gives_a_site_mask(self, pear9, three_link, shared_phrase, bicycle):
+        for narrative, coding in (three_link, shared_phrase, bicycle):
+            for method in ("np", "cue", "pause"):
+                assert_site_mask(segment_by(method, narrative, coding)[0], narrative)
+        narrative = pear9[0]
+        for mask in (cue_segment(narrative), pause_segment(narrative),
+                     segment_by("cue", narrative)[0], segment_by("pause", narrative)[0]):
+            assert_site_mask(mask, narrative)
 
     def test_unknown_method(self, pear9):
         with pytest.raises(ValidationError, match="^unknown segmentation method 'humans'$"):
@@ -578,22 +606,18 @@ class TestSegmentBy:
 
 class TestNormalizeToSites:
     def test_merges_shared_phrase_boundaries(self, shared_phrase):
-        _, coding = shared_phrase
+        narrative, coding = shared_phrase
         result = np_segment(coding)
-        assert normalize_to_sites(result, coding).sites == frozenset({0})
+        # Both clause junctions lie inside phrase 3.1, so both project to the site at its end.
+        assert result.boundaries == ((6, 7), (7, 8))
+        assert coding.junction_sites == {(6, 7): 0, (7, 8): 0}
+        sites = normalize_to_sites(result, coding)
+        assert sites.tolist() == [1]
+        assert narrative.site_labels(sites) == ("3.1→3.2",)
 
     def test_three_link_projection(self, three_link):
         _, coding = three_link
-        assert normalize_to_sites(np_segment(coding), coding).sites == frozenset({2})
-
-    def test_accepts_raw_pairs(self, shared_phrase):
-        _, coding = shared_phrase
-        assert normalize_to_sites(((6, 7), (7, 8)), coding).sites == frozenset({0})
-
-    def test_unknown_pair_rejected(self, shared_phrase):
-        _, coding = shared_phrase
-        with pytest.raises(ValidationError):
-            normalize_to_sites(((6, 8),), coding)
+        assert marked(normalize_to_sites(np_segment(coding), coding)) == frozenset({2})
 
     def test_narrative_mismatch_rejected(self, shared_phrase, three_link):
         _, shared_coding = shared_phrase
@@ -621,13 +645,14 @@ class TestNormalizeToSites:
         assert result.boundaries == ((1, 2), (2, 3))
         # (1,2) lands on site 0; (2,3) sits inside the final phrase and has
         # no site to land on.
-        assert normalize_to_sites(result, coding).sites == frozenset({0})
+        assert coding.junction_sites == {(1, 2): 0, (2, 3): None}
+        assert normalize_to_sites(result, coding).tolist() == [1]
 
     def test_cardinality_never_grows(self, shared_phrase, three_link):
         for _, coding in (shared_phrase, three_link):
             result = np_segment(coding)
             sites = normalize_to_sites(result, coding)
-            assert len(sites.sites) <= len(result.boundaries)
+            assert sites.sum() <= len(result.boundaries)
         _, link_coding = three_link
         no_intra = normalize_to_sites(np_segment(link_coding), link_coding)
-        assert len(no_intra.sites) == len(np_segment(link_coding).boundaries)
+        assert no_intra.sum() == len(np_segment(link_coding).boundaries)

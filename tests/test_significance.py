@@ -29,7 +29,6 @@ from segtool import (
     chi_square_sf,
     cochran_q,
     null_calibration,
-    partition_q,
 )
 from segtool.significance import _CHUNK_CELLS, _chunk_columns, _FloydDraws
 
@@ -214,12 +213,12 @@ class TestCochranQ:
             cochran_q(make_matrix([[1], [0]]))
 
     def test_component_df_flag(self):
-        components = partition_q(make_matrix(WORKED_3x4), component_df="count-1")
+        components = cochran_q(make_matrix(WORKED_3x4), component_df="count-1").components
         assert components[0].df == 1
         assert components[3].df == 0
         assert components[3].p is None
         with pytest.raises(ValidationError):
-            partition_q(make_matrix(WORKED_3x4), component_df="bogus")
+            cochran_q(make_matrix(WORKED_3x4), component_df="bogus")
 
     def test_fixture_scale_p_order_of_magnitude(self, pear9):
         _, matrix = pear9
