@@ -117,8 +117,15 @@ def score_units(
     With leave_one_out the rows must be the subjects' own, and row r is
     scored against the opinion of every other subject only; a defaulted
     threshold then becomes the strict majority of the reduced panel, and
-    the cells hold column 0 only.
+    the cells hold column 0 only. Rows that do not span the matrix's sites,
+    or hold a value other than 0 or 1, are refused.
     """
+    if np.ndim(rows) != 2 or np.shape(rows)[1] != matrix.sites:
+        raise ValidationError(f"narrative {matrix.narrative_id}: unit rows of shape "
+                              f"{np.shape(rows)}, not (units, {matrix.sites})")
+    if not ((rows == 0) | (rows == 1)).all():
+        raise ValidationError(f"narrative {matrix.narrative_id}: unit rows hold a value "
+                              "other than 0 or 1")
     target, mode = resolve_target(boundary_strengths(matrix), threshold, exact)
     if not leave_one_out:
         levels = np.arange(1, matrix.subjects + 1)

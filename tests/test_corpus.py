@@ -651,6 +651,45 @@ class TestSiteLabels:
         assert str(excinfo.value) == (
             f"narrative pear-09-excerpt: a site mask of shape {shape}, not (11,)")
 
+    @pytest.mark.parametrize("form", [
+        lambda mask: mask, list, tuple, lambda mask: mask.astype(bool),
+        lambda mask: mask.astype(np.int8), lambda mask: mask.astype(np.uint8),
+    ], ids=["int64", "list", "tuple", "bool", "int8", "uint8"])
+    def test_every_mask_form_gives_the_same_labels(self, pear9, form):
+        narrative, _ = pear9
+        mask = np.zeros(11, dtype=np.int64)
+        mask[[0, 3, 10]] = 1
+        assert narrative.site_labels(form(mask)) == ("3.3→4.1", "4.3→5.1", "8.4→9.1")
+
+    @pytest.mark.parametrize("name", ["pear9_excerpt", "shared_phrase", "three_link_tests",
+                                      "bicycle_wheels"])
+    def test_each_site_of_a_shipped_narrative(self, name):
+        narrative = load_narrative(fixture_path(f"{name}_narrative.json"))
+        ids, sites = narrative.ids, narrative.site_count
+        assert sites == len(ids) - 1
+        units = np.eye(sites, dtype=np.int64)
+        labels = [f"{ids[k]}→{ids[k + 1]}" for k in range(sites)]
+        assert [narrative.site_labels(unit) for unit in units] == [(label,) for label in labels]
+        assert narrative.site_labels(np.ones(sites, dtype=np.int64)) == tuple(labels)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(hst.one_of(hst.lists(hst.integers(0, 1), min_size=11, max_size=11),
+                      hst.lists(hst.integers(0, 1), max_size=14)))
+    def test_labels_equal_the_per_site_loop(self, pear9, cells):
+        narrative, _ = pear9
+        mask = np.array(cells, dtype=np.int64)
+        if len(cells) != narrative.site_count:
+            with pytest.raises(ValidationError, match=rf"^narrative pear-09-excerpt: a site mask "
+                               rf"of shape \({len(cells)},\), not \(11,\)$"):
+                narrative.site_labels(mask)
+            return
+        ids = narrative.ids
+        labels = []
+        for k, cell in enumerate(cells):
+            if cell:
+                labels.append(f"{ids[k]}→{ids[k + 1]}")
+        assert narrative.site_labels(mask) == tuple(labels)
+
 
 class TestTopLevelShape:
     """A file whose top level is no object is named by its path, or <file>."""

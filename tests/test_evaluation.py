@@ -142,6 +142,77 @@ class TestAlgorithmScores:
         with pytest.raises(ValidationError, match="either threshold or exact"):
             resolve_target(boundary_strengths(matrix), 4, 2)
 
+    @pytest.mark.parametrize("method", [cue_segment, pause_segment], ids=["cue", "pause"])
+    @pytest.mark.parametrize("threshold, exact", [(1, None), (4, None), (7, None),
+                                                  (None, 1), (None, 2)])
+    def test_cells_equal_the_site_set_counts(self, pear9, method, threshold, exact):
+        """Column 0 of score_units counts the sites the mask and the pooled target share."""
+        narrative, matrix = pear9
+        mask = method(narrative)
+        totals = matrix.column_totals.tolist()
+        target = {k for k, n in enumerate(totals)
+                  if (n == exact if exact is not None else n >= threshold)}
+        predicted = set(np.flatnonzero(mask).tolist())
+        cells = score_units(matrix, mask[None, :], threshold, exact)[2][:, 0, 0].tolist()
+        assert cells == [len(predicted & target), len(predicted - target),
+                         len(target - predicted), matrix.sites - len(predicted | target)]
+
+    @pytest.mark.parametrize("shape", [(1, 0), (1, 10), (1, 12), (11,), (2, 1, 11)])
+    def test_rows_of_another_width_are_refused(self, pear9, shape):
+        _, matrix = pear9
+        with pytest.raises(ValidationError) as excinfo:
+            score_units(matrix, np.zeros(shape, dtype=np.int64))
+        assert str(excinfo.value) == (
+            f"narrative pear-09-excerpt: unit rows of shape {shape}, not (units, 11)")
+
+    @pytest.mark.parametrize("value", [2, -1, 0.5])
+    def test_rows_of_other_values_are_refused(self, pear9, value):
+        narrative, matrix = pear9
+        rows = np.stack([cue_segment(narrative), pause_segment(narrative)]).astype(type(value))
+        rows[1, 4] = value
+        with pytest.raises(ValidationError, match="^narrative pear-09-excerpt: unit rows hold "
+                                                  "a value other than 0 or 1$"):
+            score_units(matrix, rows)
+        # A boolean mask is a 0/1 row.
+        cells = score_units(matrix, rows[:1] != 0)[2]
+        assert np.array_equal(cells, score_units(matrix, rows[:1].astype(np.int64))[2])
+
+
+def per_cell_table(rows, targets):
+    """The oracle: confusion_table as a loop over every row, target column and site."""
+    m, sites = rows.shape
+    cells = np.zeros((4, m, targets.shape[1]), dtype=np.int64)
+    for r in range(m):
+        for k in range(targets.shape[1]):
+            for j in range(sites):
+                predicted, marked = rows[r, j], targets[j, k]
+                cells[0 if predicted and marked else 1 if predicted else 2 if marked else 3,
+                      r, k] += 1
+    return cells
+
+
+class TestConfusionTable:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        hst.tuples(hst.integers(1, 5), hst.integers(0, 12), hst.integers(1, 4)).flatmap(
+            lambda shape: hst.tuples(
+                hst.lists(hst.lists(hst.integers(0, 1), min_size=shape[1], max_size=shape[1]),
+                          min_size=shape[0], max_size=shape[0]),
+                hst.lists(hst.lists(hst.integers(0, 1), min_size=shape[2], max_size=shape[2]),
+                          min_size=shape[1], max_size=shape[1]),
+                hst.just(shape),
+            )
+        )
+    )
+    def test_equals_the_per_cell_loop(self, case):
+        rows, targets, (m, sites, k) = case
+        rows = np.array(rows, dtype=np.int64).reshape(m, sites)
+        targets = np.array(targets, dtype=np.int64).reshape(sites, k)
+        cells = np.stack(confusion_table(rows, targets))
+        assert cells.dtype == np.int64
+        assert np.array_equal(cells, per_cell_table(rows, targets))
+        assert (cells.sum(axis=0) == sites).all()
+
 
 def fraction_pairs(values):
     """Each Fraction's numerator and denominator, None as 0 / 0, as two object arrays."""

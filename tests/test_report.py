@@ -311,6 +311,14 @@ class TestValidation:
                                                   "synthetic-links of 4$"):
             BatchItem(longer, make_matrix(longer.narrative_id, rows), coding)
 
+    @pytest.mark.parametrize("sites", [1, 10, 12, 30])
+    def test_a_matrix_of_any_other_site_count_is_refused(self, pear9, sites):
+        narrative, _ = pear9
+        with pytest.raises(ValidationError) as excinfo:
+            BatchItem(narrative, make_matrix(narrative.narrative_id, [[0] * sites, [1] * sites]))
+        assert str(excinfo.value) == (
+            f"matrix of {sites} sites paired with narrative pear-09-excerpt of 11")
+
     def test_uncoded_batch_leaves_np_empty(self, pear9):
         narrative, matrix = pear9
         report = build_report([BatchItem(narrative, matrix)])

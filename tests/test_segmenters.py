@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from importlib import resources
 from itertools import accumulate
@@ -586,14 +587,21 @@ class TestSegmentBy:
             assert none is None
             assert np.array_equal(mask, want)
 
-    def test_every_method_gives_a_site_mask(self, pear9, three_link, shared_phrase, bicycle):
-        for narrative, coding in (three_link, shared_phrase, bicycle):
-            for method in ("np", "cue", "pause"):
-                assert_site_mask(segment_by(method, narrative, coding)[0], narrative)
-        narrative = pear9[0]
-        for mask in (cue_segment(narrative), pause_segment(narrative),
-                     segment_by("cue", narrative)[0], segment_by("pause", narrative)[0]):
-            assert_site_mask(mask, narrative)
+    @pytest.mark.parametrize("fixture, method", [
+        *((name, method) for name in ("three_link", "shared_phrase", "bicycle")
+          for method in ("np", "cue", "pause")),
+        ("pear9", "cue"), ("pear9", "pause"),
+    ])
+    def test_every_method_gives_a_site_mask(self, request, fixture, method):
+        narrative, coding = request.getfixturevalue(fixture)
+        coding = None if fixture == "pear9" else coding
+        mask, segmentation = segment_by(method, narrative, coding)
+        assert_site_mask(mask, narrative)
+        direct = {"cue": lambda: cue_segment(narrative), "pause": lambda: pause_segment(narrative),
+                  "np": lambda: normalize_to_sites(np_segment(coding), coding)}[method]()
+        assert_site_mask(direct, narrative)
+        assert np.array_equal(mask, direct)
+        assert (segmentation is None) == (method != "np")
 
     def test_unknown_method(self, pear9):
         with pytest.raises(ValidationError, match="^unknown segmentation method 'humans'$"):
@@ -647,6 +655,25 @@ class TestNormalizeToSites:
         # no site to land on.
         assert coding.junction_sites == {(1, 2): 0, (2, 3): None}
         assert normalize_to_sites(result, coding).tolist() == [1]
+
+    @pytest.mark.parametrize("fixture", ["shared_phrase", "three_link", "bicycle"])
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=hst.data())
+    def test_mask_equals_the_per_junction_loop(self, request, fixture, data):
+        """Any subset of the clause junctions lands on the sites junction_sites gives them."""
+        narrative, coding = request.getfixturevalue(fixture)
+        junctions = list(coding.junction_sites)
+        chosen = data.draw(hst.lists(hst.sampled_from(junctions), unique=True)
+                           if junctions else hst.just([]))
+        segmentation = dataclasses.replace(np_segment(coding), boundaries=tuple(sorted(chosen)))
+        expected = [0] * narrative.site_count
+        for junction in chosen:
+            site = coding.junction_sites[junction]
+            if site is not None:
+                expected[site] = 1
+        mask = normalize_to_sites(segmentation, coding)
+        assert_site_mask(mask, narrative)
+        assert mask.tolist() == expected
 
     def test_cardinality_never_grows(self, shared_phrase, three_link):
         for _, coding in (shared_phrase, three_link):
