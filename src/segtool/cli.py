@@ -134,6 +134,8 @@ def _cmd_strengths(args) -> str:
 
 
 def _cmd_cochran(args) -> str:
+    if args.seed is not None and args.calibrate is None:
+        raise ValidationError("--seed only applies with --calibrate")
     matrix = _load_pair(args)[1]
     result = cochran_q(matrix, component_df=args.component_df)
     components = result.components.values()  # built in ascending strength
@@ -160,7 +162,7 @@ def _cmd_cochran(args) -> str:
             [int(x) for x in matrix.row_totals],
             matrix.sites,
             trials=args.calibrate,
-            seed=args.seed,
+            seed=0 if args.seed is None else args.seed,
             observed_q=result.q,
         )
         payload["calibration"] = {
@@ -323,7 +325,8 @@ def _build_parser() -> _Parser:
                          help="degrees of freedom rule for partition components")
     cochran.add_argument("--calibrate", type=int, default=None, metavar="TRIALS",
                          help=f"also simulate the null with this many trials (1000 to {MAX_TRIALS})")
-    cochran.add_argument("--seed", type=int, default=0, help="simulation seed")
+    cochran.add_argument("--seed", type=int, default=None,
+                         help="simulation seed (with --calibrate; default 0)")
     formats(cochran)
     cochran.set_defaults(handler=_cmd_cochran)
 

@@ -19,6 +19,7 @@ depend on one. Cochran (1950, Biometrika 37) is the source of the test.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
@@ -36,6 +37,9 @@ MAX_TRIALS = 10**6
 # Cells (trials x sites) simulated at once. A chunk keeps a 0/1 mark byte and
 # a column-total byte (two past 255 subjects) per cell, about 2 MB in all.
 _CHUNK_CELLS = 2**20
+# Raw draws mapped at once by one numpy pass (64 KiB of uint64), and never
+# fewer than one Floyd step's.
+_BLOCK_WORDS = 2**13
 # Where the low 32 bits of a uint64 lie in its two uint32 halves.
 _LOW_HALF = int(sys.byteorder == "big")
 
@@ -311,11 +315,12 @@ def null_calibration(
     of the sites (Floyd's algorithm), independently per subject. Trials are
     simulated in chunks of max(1, _CHUNK_CELLS // sites) trials; chunk c
     draws from default_rng((seed, c)) what one integers() call per Floyd
-    step would, made from its raw words (_FloydDraws).
-    So the same inputs give the same result on every run; a run longer than
-    max(1, 2**18 // sites) trials gives other numbers than versions that
-    used 2**18-cell chunks. The empirical p for an observed Q uses the
-    add-one rule (1 + exceedances) / (trials + 1).
+    step would, made from its raw words a block of steps at a time
+    (_FloydDraws). So the same inputs give the same result on every run; a
+    run longer than max(1, 2**18 // sites) trials gives other numbers than
+    versions that used 2**18-cell chunks. observed_q, when given, is a real
+    number (not a bool) that is finite and non-negative; its empirical p
+    uses the add-one rule (1 + exceedances) / (trials + 1).
     """
     u = tuple(row_totals)
     if not u:
@@ -335,8 +340,15 @@ def null_calibration(
         raise ValidationError(f"at most {MAX_TRIALS} trials are allowed")
     if seed < 0:
         raise ValidationError("seed must be non-negative")
-    if observed_q is not None and (not math.isfinite(observed_q) or observed_q < 0):
-        raise ValidationError("observed_q must be finite and non-negative")
+    if observed_q is not None:
+        # A bool or a string is no statistic; an int past the float range has no float.
+        real = isinstance(observed_q, numbers.Real) and not isinstance(observed_q, (bool, np.bool_))
+        try:
+            observed_q = float(observed_q) if real else math.nan
+        except OverflowError:
+            observed_q = math.nan
+        if not 0 <= observed_q < math.inf:
+            raise ValidationError("observed_q must be finite and non-negative")
 
     j = sites
     df = j - 1
@@ -397,25 +409,25 @@ def _chunk_columns(
     Floyd's algorithm picks a uniform u-subset of range(sites) in u steps:
     at step s it draws t from [0, k] with k = sites - u + s, and takes t, or
     k when t is already taken. Every trial of the chunk runs each step at
-    once, taking its t from _FloydDraws, on a sites x n mark array: site k
-    is never taken before step k, so its row becomes the trials whose t was
-    taken, and then every trial's t is marked. The marks and totals are
-    kept sites x n so that the row of k is contiguous; the result is the
-    totals' transposed view. rng must be fresh, or hold no 32-bit half, as
-    its raw words are read directly; it is left with some words read ahead.
+    once on a sites x n mark array, taking from _FloydDraws the positions
+    t * n + trial of a block of steps at a time: site k is never taken
+    before step k, so its row becomes the trials whose t was taken, and
+    then every trial's t is marked. The marks and totals are kept sites x n
+    so that the row of k is contiguous; the result is the totals'
+    transposed view. rng must be fresh, or hold no 32-bit half, as its raw
+    words are read directly; it is left with some words read ahead.
     """
-    trials = np.arange(n, dtype=np.int64)
     columns = np.zeros((sites, n), dtype=np.min_scalar_type(len(u)))
     mark = np.zeros((sites, n), dtype=bool)
-    marks = mark.reshape(-1)
+    marks, true = mark.reshape(-1), np.array(True)  # 0-d: numpy's scalar path
     draws = _FloydDraws(rng.bit_generator, n)
     for u_i in filter(None, u):
-        steps = draws.steps(range(sites - u_i + 1, sites + 1))
-        for k, t in enumerate(steps, sites - u_i):
-            t *= n
-            t += trials
-            mark[k] = marks[t]
-            marks[t] = True
+        k = sites - u_i
+        for block in draws.blocks(range(k + 1, sites + 1)):
+            for t in block:
+                mark[k] = marks[t]
+                marks[t] = true
+                k += 1
         columns += mark
         mark[:] = False
     return columns.T
@@ -429,46 +441,71 @@ class _FloydDraws:
     integers(0, b, size=n) reads 32-bit words, each raw word giving its low
     half and then its high half, and maps a word w to (w * b) >> 32
     (Lemire's multiply-shift), refusing w, for the next word, when
-    (w * b) mod 2**32 < (2**32 - b) % b. A bound of 1 takes no word. One
-    random_raw call reads the words of about two steps, held as uint64 (16
-    bytes a trial); each step multiplies, tests and shifts its n in place.
+    (w * b) mod 2**32 < (2**32 - b) % b. A bound of 1 takes no word. The
+    words are held as uint64 rows of n, one row a step, and mapped in
+    blocks of max(1, _BLOCK_WORDS // n) rows: one multiply by the block's
+    column of bounds, one minimum of the low halves (tested word by word
+    only when it falls below the largest threshold of the run), one shift,
+    and one pass that turns each draw t into its mark position t * n + trial.
     """
 
     def __init__(self, bit_generator: np.random.BitGenerator, n: int) -> None:
         self._random_raw = bit_generator.random_raw
-        self._n = n
-        # A read fills it to 2n words at least: two steps with no refusal.
-        self._words = np.empty(2 * n + 1, dtype=np.uint64)
-        self._start = self._stop = 0  # the words read but not yet used
+        self._n = n = int(n)  # a numpy uint64 would turn the int64 passes float
+        self._rows = max(1, _BLOCK_WORDS // n)
+        self._trials = np.arange(n, dtype=np.int64)[None]
+        # A read fills it to a block, and to two steps at least. The grid and
+        # its views are its whole rows.
+        self._words = np.empty(max(2, self._rows) * n + 1, dtype=np.uint64)
+        self._grid = self._words[:len(self._words) // n * n].reshape(-1, n)
+        self._low = self._grid.view(np.uint32)[:, _LOW_HALF::2]
+        self._positions = self._grid.view(np.int64)
+        # 0-d operands take numpy's scalar loop, unlike an int or a 1 x 1 column.
+        self._n_0d, self._shift_0d = np.array(n), np.array(32, dtype=np.uint64)
+        self._start = self._stop = 0  # the words read but not yet used; start begins a row
 
-    def steps(self, bounds: range) -> Iterator[np.ndarray]:
-        """Yield, for each b in bounds, what integers(0, b, size=n) would draw.
+    def blocks(self, bounds: range) -> Iterator[np.ndarray]:
+        """Yield the steps of bounds in blocks of rows, in order: the row of b
+        holds t * n + trial for the draws t of integers(0, b, size=n).
 
-        Each bound is in [1, 2**32]. Each int64 array yielded is a view that
-        the caller may change and a later step overwrites.
+        Each bound is in [1, 2**32]. Each int64 block yielded is a view that
+        the caller must not change and a later block may overwrite. A block
+        whose rows hold a refused word is cut before the row of the first
+        one: the rows from there on are divided back to their words, that
+        word is dropped, and the next block starts at that row.
         """
-        n = self._n
-        for b in bounds:
-            if b == 1:
-                yield np.zeros(n, dtype=np.int64)
-                continue
-            refuse = 2**32 % b  # equals (2**32 - b) % b
-            while True:
-                if self._stop - self._start < n:
-                    self._read()
-                draws = self._words[self._start:self._start + n]
-                draws *= b
-                low = draws.view(np.uint32)[_LOW_HALF::2]
-                if not refuse or low.min() >= refuse:
-                    break
-                # Drop the first refused word and try the step again.
-                r = int((low < refuse).argmax())
-                draws //= b
-                self._words[self._start + 1:self._start + r + 1] = draws[:r]
-                self._start += 1
-            self._start += n
-            draws >>= 32
-            yield draws.view(np.int64)
+        n, trials = self._n, self._trials
+        if bounds and bounds[0] == 1:
+            yield trials
+            bounds = bounds[1:]
+        column = np.arange(bounds.start, bounds.stop, bounds.step, dtype=np.uint64)
+        refuse = 2**32 % column  # equals (2**32 - b) % b
+        highest = int(refuse.max(initial=0))  # no bound refuses a low half at or above it
+        i = 0
+        while i < len(column):
+            m = min(self._rows, len(column) - i)
+            if self._stop - self._start < m * n:
+                self._read()
+            j = self._start // n
+            block = self._grid[j:j + m]
+            block *= column[i, ...] if m == 1 else column[i:i + m, None]
+            low = self._low[j:j + m]
+            if low.min() < highest:
+                refused = low < refuse[i:i + m, None]
+                first = int(refused.argmax())
+                if refused.flat[first]:
+                    block[first // n:] //= column[i + first // n:i + m, None]
+                    m, first = first // n, self._start + first
+                    self._words[first:self._stop - 1] = self._words[first + 1:self._stop]
+                    self._stop -= 1
+                    block = block[:m]
+            self._start += m * n
+            block >>= self._shift_0d
+            positions = self._positions[j:j + m]
+            positions *= self._n_0d
+            positions += trials
+            i += m
+            yield positions
 
     def _read(self) -> None:
         """Move the unused words to the front and fill the rest from the stream."""

@@ -186,6 +186,14 @@ class TestCochran:
         assert "rejection_rate_05_se\t" in out
         assert "empirical_p_se\t" in out
 
+    def test_seed_without_calibrate_refused(self, data):
+        for seed in ("0", "5"):
+            assert invoke("cochran", "--seed", seed, *pear_args(data)) == (
+                1, "", "error: --seed only applies with --calibrate\n")
+        default, seeded = (invoke("cochran", "--calibrate", "1000", *seed, *pear_args(data))
+                           for seed in ((), ("--seed", "0")))
+        assert default == seeded and default[0] == 0
+
     def test_degenerate_exit_code(self, data):
         rc, out, err = invoke(
             "cochran",

@@ -85,6 +85,8 @@ def test_calibration_chunk_formula_is_the_code():
     text = " ".join(_section("Command line").split())
     assert re.search(r"Trials run in chunks of max\(1, (\d+) // sites\)", text)[1] == str(
         significance._CHUNK_CELLS)
+    assert re.search(r"a block of steps at a time, up to (\d+) 32-bit words", text)[1] == str(
+        significance._BLOCK_WORDS)
 
 
 def _cli_examples() -> tuple[dict[str, str], list[tuple[list[str], list[str]]]]:

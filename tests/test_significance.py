@@ -288,9 +288,17 @@ class TestNullCalibration:
         with pytest.raises(ValidationError):
             null_calibration((2,), 1, trials=1000, seed=0)
         message = "^observed_q must be finite and non-negative$"
-        for observed in (-1.0, float("inf"), float("nan")):
+        for observed in (-1.0, float("inf"), float("nan"), True, np.bool_(False), "3", 10**400,
+                         -(10**400), Fraction(10**400), [1.0], np.float64("nan")):
             with pytest.raises(ValidationError, match=message):
                 null_calibration((2, 3), 8, trials=1000, seed=0, observed_q=observed)
+
+    def test_observed_q_of_any_real_type(self):
+        result = null_calibration((2, 3), 8, trials=1000, seed=0, observed_q=3.0)
+        for observed in (3, np.int64(3), np.float32(3), Fraction(3)):
+            again = null_calibration((2, 3), 8, trials=1000, seed=0, observed_q=observed)
+            assert again == result and type(again.observed_q) is float
+        assert null_calibration((2, 3), 8, 1000, 0, observed_q=10**300).empirical_p == 1 / 1001
 
     @pytest.mark.parametrize("rows, trials, seed, message", [
         ((2, 2.5), 1000, 0, "row total must be an integer, got 2.5"),
@@ -345,6 +353,27 @@ class TestNullCalibration:
         result = null_calibration((2,) * 299 + (1,), 2, 1000, 0)
         assert result.quantiles == dict.fromkeys((0.5, 0.9, 0.95, 0.99), 1.0)
 
+    STRESS_ROWS = tuple(np.random.default_rng(3).integers(100, 200, size=40).tolist())
+
+    @pytest.mark.parametrize("rows, sites, trials, seed, observed, quantiles, rate, p", [
+        (STRESS_ROWS, 1000, 2000, 0, 1050.0,
+         (999.1037749776211, 1056.5791471985372, 1071.7462593123898, 1106.075820178508),
+         0.0455, 0.13193403298350825),
+        (STRESS_ROWS, 1000, 2000, 1, 1050.0,
+         (997.7068041250293, 1054.2242534755967, 1070.1896346480735, 1100.092793584122),
+         0.043, 0.12243878060969515),
+        ((15, 12, 11, 13, 15, 12, 21), 100, 10_000, 0, 120.0,
+         (97.4500059304946, 116.23781283359033, 120.93476455936425, 132.67714387379908),
+         0.0456, 0.058994100589941006),
+    ])
+    def test_wide_panels_keep_their_values(self, rows, sites, trials, seed, observed,
+                                           quantiles, rate, p):
+        # Printed by the reader that drew one Floyd step per call; the
+        # 40 x 1000 runs take two chunks of 1048 and 952 trials.
+        result = null_calibration(rows, sites, trials, seed, observed_q=observed)
+        assert result.quantiles == dict(zip((0.5, 0.9, 0.95, 0.99), quantiles))
+        assert (result.rejection_rate_05, result.empirical_p) == (rate, p)
+
     def test_memory_of_a_stress_panel(self):
         rows = np.random.default_rng(3).integers(100, 200, size=40).tolist()
         tracemalloc.start()
@@ -353,7 +382,8 @@ class TestNullCalibration:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # About 2.05 MiB with numpy 2.4; draws held in blocks of 2**14 read 2.22 MiB.
+        # 2,248,383 B with numpy 2.4.6 and blocks of 2**13 words; blocks of
+        # 2**14 words read 2,317,285 B, past the bound.
         assert peak < 2.2 * 2**20, peak
 
     def test_memory_of_a_narrow_panel(self):
@@ -367,13 +397,13 @@ class TestNullCalibration:
         assert peak < 30 * 2**20, peak
 
 
-def lemire_draws(bit_generator, runs, n):
+def lemire_draws(bit_generator, runs, n, refusals=None):
     """integers(0, b, size=n) for each b of each run, in pure Python.
 
     Each raw 64-bit word gives its low 32 bits, then its high 32 bits. A
     word w maps to (w * b) >> 32 unless (w * b) mod 2**32 falls below
     (2**32 - b) % b, when the draw takes the next word. A bound of 1 takes
-    no word.
+    no word. A refusals list gets the number of words each bound refused.
     """
     def words():
         while True:
@@ -384,13 +414,16 @@ def lemire_draws(bit_generator, runs, n):
     stream = words()
     rows = []
     for b in itertools.chain.from_iterable(runs):
-        row = []
+        row, refused = [], 0
         for _ in range(n):
             product = next(stream) * b if b > 1 else 0
             while product % 2**32 < (2**32 - b) % b:
                 product = next(stream) * b
+                refused += 1
             row.append(product >> 32)
         rows.append(row)
+        if refusals is not None:
+            refusals.append(refused)
     return rows
 
 
@@ -407,31 +440,71 @@ class TestFloydDraws:
     RUNS = (range(1, 4), range(2**31 + 1, 2**31 + 6), range(7, 9),
             range(3 * 2**30, 3 * 2**30 + 2), range(2**32 // 3, 2**32 // 3 + 2),
             range(2**32 - 7, 2**32 + 1), range(1000, 1003), range(2, 3))
+    # 2**22 + 1 and 2**22 + 2 refuse about one word in 1000, several in each
+    # of their steps of 2**13 + 1 draws, where a block holds one step.
+    WIDE = (range(1, 4), range(2**22, 2**22 + 3), range(2**32 - 7, 2**32 + 1))
+    # Rows 0-2 (thresholds 4, 2 and 0) refuse almost never, and row 3 of the
+    # five-row block about half its words, so a block is cut in its middle.
+    MIDDLE = (range(2**31 - 2, 2**31 + 3),)
+    # 3000 steps of 7 draws: blocks of 1170 steps, each read anew.
+    LONG = (range(2, 3002),)
+    # One draw a step: the 2**13-step read ends on the buffer's last word,
+    # and the next step's row starts there.
+    LAST_WORD = (range(2, 3), range(2, 2**13 + 2), range(2, 3))
+    SHAPES = [pytest.param(WIDE, 2**13 + 1, id="wide-8193"),
+              pytest.param(MIDDLE, 5, id="middle-5"), pytest.param(LONG, 7, id="long-7"),
+              pytest.param(LAST_WORD, 1, id="last-word-1")]
 
-    def drawn(self, seed, n):
+    @staticmethod
+    def drawn(seed, n, runs):
+        """The draws t of each step, and how many reads the stream took."""
         draws = _FloydDraws(np.random.default_rng(seed).bit_generator, n)
-        return [t.tolist() for run in self.RUNS for t in draws.steps(run)]
+        read, reads = draws._random_raw, []
+        draws._random_raw = lambda size: reads.append(size) or read(size)
+        rows = []
+        for run in runs:
+            for block in draws.blocks(run):
+                assert block.dtype == np.int64
+                assert (block % n == np.arange(n)).all()
+                rows += (block // n).tolist()
+        return rows, len(reads)
 
-    @pytest.mark.parametrize("n", [1, 2, 7, 33])
-    def test_equal_to_integers_calls(self, n):
+    @pytest.mark.parametrize("runs, n", [
+        pytest.param(RUNS, 1, id="1"), pytest.param(RUNS, 2, id="2"),
+        pytest.param(RUNS, 7, id="7"), pytest.param(RUNS, 33, id="33"), *SHAPES])
+    def test_equal_to_integers_calls(self, runs, n):
         for seed in range(4):
             rng = np.random.default_rng(seed)
-            expected = [rng.integers(0, b, size=n).tolist()
-                        for run in self.RUNS for b in run]
-            assert self.drawn(seed, n) == expected, (seed, n)
+            expected = [rng.integers(0, b, size=n).tolist() for run in runs for b in run]
+            assert self.drawn(seed, n, runs)[0] == expected, (seed, n)
 
-    @pytest.mark.parametrize("n", [1, 3, 8])
-    def test_equal_to_lemire_over_raw_words(self, n):
+    @pytest.mark.parametrize("runs, n", [
+        pytest.param(RUNS, 1, id="1"), pytest.param(RUNS, 3, id="3"),
+        pytest.param(RUNS, 8, id="8"), *SHAPES])
+    def test_equal_to_lemire_over_raw_words(self, runs, n):
         for seed in range(4):
             bit_generator = np.random.default_rng(seed).bit_generator
-            assert self.drawn(seed, n) == lemire_draws(bit_generator, self.RUNS, n)
+            assert self.drawn(seed, n, runs)[0] == lemire_draws(bit_generator, runs, n)
+
+    def test_the_cases_reach_their_shapes(self):
+        def refusals(seed, n, runs):
+            counts = []
+            lemire_draws(np.random.default_rng(seed).bit_generator, runs, n, counts)
+            return counts
+
+        assert _FloydDraws(np.random.default_rng(0).bit_generator, 2**13 + 1)._rows == 1
+        assert _FloydDraws(np.random.default_rng(0).bit_generator, 5)._rows >= 5
+        for seed in range(4):
+            assert min(refusals(seed, 2**13 + 1, self.WIDE)[4:6]) > 0
+            middle = refusals(seed, 5, self.MIDDLE)
+            assert middle[:3] == [0, 0, 0] and middle[3] > 0
+            assert self.drawn(seed, 7, self.LONG)[1] >= 3
 
     def test_bound_one_takes_no_word(self):
         for n in (1, 3):
             rng = np.random.default_rng(5)
-            draws = _FloydDraws(np.random.default_rng(5).bit_generator, n)
-            assert [t.tolist() for t in draws.steps(range(1, 2))] == [[0] * n]
-            assert [t.tolist() for t in draws.steps(range(5, 7))] == [
+            assert self.drawn(5, n, (range(1, 2),)) == ([[0] * n], 0)
+            assert self.drawn(5, n, (range(1, 2), range(5, 7)))[0] == [[0] * n] + [
                 rng.integers(0, b, size=n).tolist() for b in (5, 6)]
 
 
@@ -524,7 +597,7 @@ class TestExactNull:
             assert columns.tolist() == expected.tolist(), (sites, n)
 
     @pytest.mark.parametrize("rows, sites, n", [
-        ((45, 50, 7), 50, 999),  # a read holds two steps; 45 and 50 span many
+        ((45, 50, 7), 50, 999),  # a block holds 8 steps; 45 and 50 span 6 and 7
         ((3, 1, 3), 3, 1001),  # a row total of 3 starts with a bound of 1
     ])
     def test_chunk_matches_per_trial_floyd_across_reads(self, rows, sites, n):
