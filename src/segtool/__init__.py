@@ -26,12 +26,7 @@ from .corpus import (
     serialize_narrative,
 )
 from .errors import DegenerateDataError, SchemaError, SegtoolError, ValidationError
-from .evaluation import (
-    ConfusionCounts,
-    EvalMetrics,
-    MetricAggregate,
-    metrics,
-)
+from .evaluation import MetricAggregate, metrics
 from .fixture_data import FIXTURE_NAMES, fixture_path
 from .report import BatchItem, Report, build_report
 from .segmenters import (
@@ -48,7 +43,6 @@ from .significance import (
     CalibrationResult,
     CochranResult,
     QComponent,
-    chi_square_cdf,
     chi_square_critical,
     chi_square_sf,
     cochran_q,

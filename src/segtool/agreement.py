@@ -30,12 +30,13 @@ class AgreementReport:
     """Observed vs possible agreements with the majority, per site class.
 
     Class percents are None when the class is empty (no boundary sites, or
-    none left over), never 0.
+    none left over), never 0. marks counts the panel's 1-cells.
     """
 
     narrative_id: str
     subjects: int
     sites: int
+    marks: int
     threshold: int
     observed: int
     possible: int
@@ -94,6 +95,7 @@ def percent_agreement(
         narrative_id=matrix.narrative_id,
         subjects=i,
         sites=j,
+        marks=int(totals.sum()),
         threshold=threshold,
         observed=observed_b + observed_nb,
         possible=possible_b + possible_nb,

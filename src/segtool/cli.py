@@ -21,8 +21,7 @@ import numpy as np
 from .agreement import boundary_strengths, percent_agreement
 from .corpus import load_annotations, load_fic_coding, load_manifest, load_narrative
 from .errors import DegenerateDataError, ValidationError
-from .evaluation import (METRIC_NAMES, ConfusionCounts, aggregate_cells, metrics,
-                         resolve_target, score_units)
+from .evaluation import METRIC_NAMES, aggregate_cells, metrics, resolve_target, score_units
 from .render import PVALUE, RATIO, VARIANCE, num, sites_text, to_json, tsv
 from .report import BatchItem, build_report
 from .segmenters import CueLexicon, segment_by
@@ -208,17 +207,18 @@ def _cmd_segment(args) -> str:
         steps = payload["trace"] = []
         rows = [["# trace"], ["fic", "tests", "linked_by", *_TRACE_SETS.values()]]
         for step in segmentation.trace:
+            sets = {key: sorted(getattr(step, key)) for key in _TRACE_SETS}
             steps.append({
                 "fic": step.fic,
                 "tests": step.tests,
                 "linked_by": step.linked_by,
-                **{key: getattr(step, key) for key in _TRACE_SETS},
+                **sets,
             })
             rows.append([
                 step.fic,
                 ",".join(f"{name}:{'pass' if ok else 'fail'}" for name, ok in step.tests),
                 step.linked_by or "boundary",
-                *[sites_text(sorted(getattr(step, key))) for key in _TRACE_SETS],
+                *map(sites_text, sets.values()),
             ])
         blocks.append(rows)
     return _output(args, payload, *blocks)
@@ -235,25 +235,24 @@ def _cmd_eval(args) -> str:
         units = ["algorithm"]
         rows = _predict(args, narrative)[0][None, :]
     _, mode, cells = score_units(matrix, rows, args.threshold, args.exact, args.leave_one_out)
-    counts = list(map(ConfusionCounts, *cells[:, :, 0].tolist()))
-    scored = [(unit, c, metrics(c).as_dict()) for unit, c in zip(units, counts)]
+    scored = [(unit, c, metrics(*c)) for unit, c in zip(units, cells[:, :, 0].T.tolist())]
     lead = [matrix.narrative_id, args.method, mode]
     payload = {"narrative_id": matrix.narrative_id, "method": args.method, "target": mode}
     table = [
         ["narrative", "method", "target", "unit", "a", "b", "c", "d", *METRIC_NAMES],
-        *[[*lead, unit, c.a, c.b, c.c, c.d, *map(num, scores.values())]
-          for unit, c, scores in scored],
+        *[[*lead, unit, *c, *map(num, scores.values())] for unit, c, scores in scored],
     ]
     if args.method == "humans":
         summary = aggregate_cells(cells[:, :, 0])
-        payload["subjects"] = [{"subject": unit, "confusion": c, "metrics": scores}
-                               for unit, c, scores in scored]
+        payload["subjects"] = [{"subject": unit, "confusion": dict(zip("abcd", c)),
+                                "metrics": scores} for unit, c, scores in scored]
         payload["summary"] = summary
         table += [[*lead, label, "", "", "", "",
                    *[num(getattr(summary[name], label), spec) for name in METRIC_NAMES]]
                   for label, spec in (("mean", RATIO), ("variance", VARIANCE))]
     else:
-        payload.update(confusion=counts[0], metrics=scored[0][2])
+        _, c, scores = scored[0]
+        payload.update(confusion=dict(zip("abcd", c)), metrics=scores)
     return _output(args, payload, table)
 
 

@@ -3,9 +3,10 @@
 Every site of a narrative falls into one confusion cell: predicted and
 marked (a), predicted only (b), marked only (c), neither (d). Recall,
 precision, fallout, and error rate follow from one table of integer
-(numerator, denominator) pairs; a zero denominator means undefined. Per-item
-scores are exact fractions, None when undefined; aggregates stay integer
-until their mean and variance.
+(numerator, denominator) pairs; a zero denominator means undefined. The
+cells live in score_units' integer arrays; metrics(a, b, c, d) gives one
+unit's scores as a dict of exact fractions by name, None when undefined;
+aggregates stay integer until their mean and variance.
 
 Human subjects are scored the same way: each subject's row is treated as a
 prediction against the pooled opinion of the panel. With the pooled target
@@ -39,36 +40,6 @@ RATIOS = {
 METRIC_NAMES = tuple(RATIOS)
 
 
-@dataclass(frozen=True)
-class ConfusionCounts:
-    """The four site-classification cells.
-
-    a: predicted and target, b: predicted only, c: target only, d: neither.
-    """
-
-    a: int
-    b: int
-    c: int
-    d: int
-
-    @property
-    def total(self) -> int:
-        return self.a + self.b + self.c + self.d
-
-
-@dataclass(frozen=True)
-class EvalMetrics:
-    """Retrieval-style ratios over confusion cells; None when undefined."""
-
-    recall: Fraction | None
-    precision: Fraction | None
-    fallout: Fraction | None
-    error: Fraction | None
-
-    def as_dict(self) -> dict[str, Fraction | None]:
-        return {name: getattr(self, name) for name in METRIC_NAMES}
-
-
 def confusion_table(rows: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, ...]:
     """The cells a, b, c and d of every 0/1 row (m x J) against every 0/1 target column (J x k).
 
@@ -84,10 +55,10 @@ def confusion_table(rows: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, 
     return a, b, c, rows.shape[1] - a - b - c
 
 
-def metrics(counts: ConfusionCounts) -> EvalMetrics:
-    """Recall a/(a+c), precision a/(a+b), fallout b/(b+d), error (b+c)/n."""
-    pairs = {name: ratio(counts.a, counts.b, counts.c, counts.d) for name, ratio in RATIOS.items()}
-    return EvalMetrics(**{name: Fraction(n, d) if d else None for name, (n, d) in pairs.items()})
+def metrics(a: int, b: int, c: int, d: int) -> dict[str, Fraction | None]:
+    """Recall a/(a+c), precision a/(a+b), fallout b/(b+d), error (b+c)/n; None when undefined."""
+    pairs = {name: ratio(a, b, c, d) for name, ratio in RATIOS.items()}
+    return {name: Fraction(num, den) if den else None for name, (num, den) in pairs.items()}
 
 
 def resolve_target(

@@ -2,7 +2,9 @@
 
 Everything upstream keeps exact Fractions, ints and None. TSV rounds each
 cell by a named rule and writes an undefined value as NA; JSON keeps full
-float precision and writes an undefined value as null.
+float precision and writes an undefined value as null. A JSON payload holds
+plain values, Fractions and dataclasses only: a caller sorts a set into a
+list itself, and any other value is refused.
 """
 
 from __future__ import annotations
@@ -38,13 +40,11 @@ def tsv(*blocks) -> str:
 def _plain(value):
     if isinstance(value, Fraction):
         return float(value)
-    if isinstance(value, (set, frozenset)):
-        return sorted(value)
     if is_dataclass(value):
         return asdict(value)
     raise TypeError(f"cannot render {type(value).__name__} as JSON")
 
 
 def to_json(payload) -> str:
-    """Indented JSON; Fractions as floats, sets sorted, dataclasses as objects."""
+    """Indented JSON; Fractions as floats, dataclasses as objects."""
     return json.dumps(payload, indent=2, default=_plain) + "\n"

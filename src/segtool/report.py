@@ -66,33 +66,25 @@ class BatchItem:
                                       f"of {sites}")
 
 
-@dataclass(frozen=True)
-class AgreementRow:
-    narrative_id: str
-    subjects: int
-    sites: int
-    marks: int
-    report: AgreementReport
-
-    def as_dict(self) -> dict:
-        """The row as the report's JSON object; the TSV reads the same values."""
-        return {
-            "narrative_id": self.narrative_id,
-            "subjects": self.subjects,
-            "sites": self.sites,
-            "opinions": self.marks,
-            "boundary_sites": self.report.boundary_site_count,
-            "non_boundary_sites": self.report.non_boundary_site_count,
-            "percent": self.report.percent,
-            "percent_boundary": self.report.percent_boundary,
-            "percent_non_boundary": self.report.percent_non_boundary,
-        }
+def _agreement_row(report: AgreementReport) -> dict:
+    """One narrative's agreement as the report's JSON object; the TSV reads the same values."""
+    return {
+        "narrative_id": report.narrative_id,
+        "subjects": report.subjects,
+        "sites": report.sites,
+        "opinions": report.marks,
+        "boundary_sites": report.boundary_site_count,
+        "non_boundary_sites": report.non_boundary_site_count,
+        "percent": report.percent,
+        "percent_boundary": report.percent_boundary,
+        "percent_non_boundary": report.percent_non_boundary,
+    }
 
 
 @dataclass(frozen=True)
 class Report:
     threshold: int | None
-    agreement_rows: tuple[AgreementRow, ...]
+    agreement_rows: tuple[AgreementReport, ...]
     agreement_summary: dict[str, object]
     method_table: dict[str, dict[str, MetricAggregate]]
     strength_levels: tuple[int, ...]
@@ -107,7 +99,7 @@ class Report:
         return to_json({
             "threshold": self._threshold_label,
             "agreement": {
-                "narratives": [row.as_dict() for row in self.agreement_rows],
+                "narratives": [_agreement_row(row) for row in self.agreement_rows],
                 "summary": self.agreement_summary,
             },
             "methods": self.method_table,
@@ -119,7 +111,7 @@ class Report:
         })
 
     def to_tsv(self) -> str:
-        rows = [row.as_dict() for row in self.agreement_rows]
+        rows = [_agreement_row(row) for row in self.agreement_rows]
         agreement = [
             ["# agreement"],
             ["row", *[row["narrative_id"] for row in rows], "all", "variance"],
@@ -196,18 +188,9 @@ def build_report(
     for item in items:
         matrix = item.matrix
         try:
-            agreement = percent_agreement(matrix, threshold)
+            agreement_rows.append(percent_agreement(matrix, threshold))
         except ValidationError as exc:  # a threshold beyond this narrative's panel
             raise ValidationError(f"{matrix.narrative_id}: {exc}") from exc
-        agreement_rows.append(
-            AgreementRow(
-                narrative_id=matrix.narrative_id,
-                subjects=matrix.subjects,
-                sites=matrix.sites,
-                marks=int(matrix.row_totals.sum()),
-                report=agreement,
-            )
-        )
 
         # Every subject and segmenter is scored against the pooled target
         # (column 0) and the sites of each exact strength t (column t).
@@ -232,13 +215,11 @@ def build_report(
     agreement_summary = {
         "narratives": len(agreement_rows),
         "opinions": sum(row.marks for row in agreement_rows),
-        "boundary_sites": sum(row.report.boundary_site_count for row in agreement_rows),
-        "non_boundary_sites": sum(
-            row.report.non_boundary_site_count for row in agreement_rows
-        ),
+        "boundary_sites": sum(row.boundary_site_count for row in agreement_rows),
+        "non_boundary_sites": sum(row.non_boundary_site_count for row in agreement_rows),
         **{
             f"percent{part}": aggregate_pairs(
-                *[[getattr(row.report, stat + part) for row in agreement_rows]
+                *[[getattr(row, stat + part) for row in agreement_rows]
                   for stat in ("observed", "possible")]
             )
             for part in ("", "_boundary", "_non_boundary")

@@ -170,7 +170,6 @@ class TraceStep(NamedTuple):
 class NpSegmentation:
     """Clause-level boundaries, with each later clause's (test that held or None, pool) step."""
 
-    narrative_id: str
     boundaries: tuple[tuple[int, int], ...]
     steps: tuple[tuple[str | None, frozenset[int]], ...]
     coding: FicCoding
@@ -243,11 +242,11 @@ def np_segment(coding: FicCoding) -> NpSegmentation:
         segment = segment | current if linked_by else current
         steps.append((linked_by, segment))
         previous = current
-    return NpSegmentation(coding.narrative_id, tuple(boundaries), tuple(steps), coding)
+    return NpSegmentation(tuple(boundaries), tuple(steps), coding)
 
 
-def normalize_to_sites(segmentation: NpSegmentation, coding: FicCoding) -> np.ndarray:
-    """Project clause-level boundaries onto the transcript's boundary sites.
+def normalize_to_sites(segmentation: NpSegmentation) -> np.ndarray:
+    """Project clause-level boundaries onto the boundary sites of the segmentation's coding.
 
     Junctions that coincide with a phrase boundary map straight to its
     site. Junctions inside a single phrase all project to the site at that
@@ -255,11 +254,7 @@ def normalize_to_sites(segmentation: NpSegmentation, coding: FicCoding) -> np.nd
     junction inside the narrative's final phrase has no following site and
     is dropped.
     """
-    if segmentation.narrative_id != coding.narrative_id:
-        raise ValidationError(
-            f"segmentation of {segmentation.narrative_id} normalized against "
-            f"coding of {coding.narrative_id}"
-        )
+    coding = segmentation.coding
     sites = map(coding.junction_sites.__getitem__, segmentation.boundaries)
     mask = np.zeros(coding.site_count, dtype=np.int64)
     mask[[k for k in sites if k is not None]] = 1
@@ -281,7 +276,7 @@ def segment_by(
         if coding is None:
             raise ValidationError("method np needs a clause coding")
         segmentation = np_segment(coding)
-        return normalize_to_sites(segmentation, coding), segmentation
+        return normalize_to_sites(segmentation), segmentation
     if method == "cue":
         return cue_segment(narrative, lexicon), None
     if method == "pause":

@@ -102,23 +102,6 @@ def _check_chi_args(x: float, df: int) -> None:
         raise ValidationError(f"chi-square statistic must be finite and non-negative, got {x!r}")
 
 
-def _chi_square_tails(x: float, df: int) -> tuple[float, float]:
-    """Lower and upper tail of chi-square(df) at x, each clamped to [0, 1]."""
-    x = float(x)
-    _check_chi_args(x, df)
-    if x == 0.0:
-        return 0.0, 1.0
-    a = df / 2.0
-    half = x / 2.0
-    if half < a + 1.0:
-        lower = _lower_gamma_series(a, half)
-        upper = 1.0 - lower
-    else:
-        upper = _upper_gamma_cf(a, half)
-        lower = 1.0 - upper
-    return min(1.0, max(0.0, lower)), min(1.0, max(0.0, upper))
-
-
 def chi_square_sf(x: float, df: int) -> float:
     """Upper-tail probability P(X >= x) for chi-square with df degrees of freedom.
 
@@ -135,12 +118,17 @@ def chi_square_sf(x: float, df: int) -> float:
         The survival function value, in [0, 1]. chi_square_sf(0, df) is
         exactly 1.
     """
-    return _chi_square_tails(x, df)[1]
-
-
-def chi_square_cdf(x: float, df: int) -> float:
-    """Lower-tail companion of chi_square_sf."""
-    return _chi_square_tails(x, df)[0]
+    x = float(x)
+    _check_chi_args(x, df)
+    if x == 0.0:
+        return 1.0
+    a = df / 2.0
+    half = x / 2.0
+    if half < a + 1.0:
+        upper = 1.0 - _lower_gamma_series(a, half)
+    else:
+        upper = _upper_gamma_cf(a, half)
+    return min(1.0, max(0.0, upper))
 
 
 def chi_square_critical(tail: float, df: int) -> float:
@@ -428,7 +416,7 @@ def _chunk_columns(
                 mark[k] = marks[t]
                 marks[t] = true
                 k += 1
-        columns += mark
+        columns += mark.view(np.uint8)  # its 0/1 bytes as they are, with no cast from bool
         mark[:] = False
     return columns.T
 

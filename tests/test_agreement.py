@@ -134,6 +134,7 @@ class TestPercentAgreement:
             assert (report.observed_non_boundary, report.possible_non_boundary) == (onb, pnb)
             assert report.observed == ob + onb
             assert report.possible == i * j
+            assert report.marks == cells.sum()
 
     @settings(max_examples=60, deadline=None)
     @given(binary_matrices, hst.randoms(use_true_random=False))

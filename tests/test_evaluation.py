@@ -11,7 +11,6 @@ from hypothesis import strategies as hst
 
 from segtool import (
     AnnotationMatrix,
-    ConfusionCounts,
     MetricAggregate,
     ValidationError,
     boundary_strengths,
@@ -36,48 +35,47 @@ def site_mask(sites, universe: int) -> np.ndarray:
     return np.array([int(k in sites) for k in range(universe)], dtype=np.int64)
 
 
-def counts_of(predicted, target) -> ConfusionCounts:
-    """The cells of one 0/1 prediction mask against one 0/1 target mask."""
+def counts_of(predicted, target) -> tuple[int, int, int, int]:
+    """The cells a, b, c, d of one 0/1 prediction mask against one 0/1 target mask."""
     cells = confusion_table(np.asarray(predicted)[None, :], np.asarray(target)[:, None])
-    return ConfusionCounts(*(int(cell[0, 0]) for cell in cells))
+    return tuple(int(cell[0, 0]) for cell in cells)
 
 
 def algorithm_scores(mask, matrix, threshold=None, exact=None):
     """One site mask scored against the pooled target through score_units, as eval does."""
     cells = score_units(matrix, mask[None, :], threshold, exact)[2]
-    return metrics(ConfusionCounts(*cells[:, 0, 0].tolist()))
+    return metrics(*cells[:, 0, 0].tolist())
 
 
 class TestConfusion:
     def test_worked_example(self):
         counts = counts_of(site_mask({1, 10}, 11), site_mask({0, 10}, 11))
-        assert counts == ConfusionCounts(a=1, b=1, c=1, d=8)
-        scores = metrics(counts)
-        assert scores.recall == F(1, 2)
-        assert scores.precision == F(1, 2)
-        assert scores.fallout == F(1, 9)
-        assert scores.error == F(2, 11)
+        assert counts == (1, 1, 1, 8)
+        scores = metrics(*counts)
+        assert scores["recall"] == F(1, 2)
+        assert scores["precision"] == F(1, 2)
+        assert scores["fallout"] == F(1, 9)
+        assert scores["error"] == F(2, 11)
 
     def test_segmenter_mask_against_the_target(self, pear9):
         narrative, matrix = pear9
         target, _ = resolve_target(boundary_strengths(matrix), None, None)
-        counts = counts_of(cue_segment(narrative), target)
-        assert (counts.a, counts.b, counts.c, counts.d) == (1, 1, 1, 8)
+        assert counts_of(cue_segment(narrative), target) == (1, 1, 1, 8)
 
     def test_undefined_ratios_are_none(self):
-        scores = metrics(counts_of(site_mask(set(), 4), site_mask(set(), 4)))
-        assert scores.recall is None
-        assert scores.precision is None
-        assert scores.fallout == F(0)
-        assert scores.error == F(0)
+        scores = metrics(*counts_of(site_mask(set(), 4), site_mask(set(), 4)))
+        assert scores["recall"] is None
+        assert scores["precision"] is None
+        assert scores["fallout"] == F(0)
+        assert scores["error"] == F(0)
 
-        scores = metrics(counts_of(site_mask({0, 1, 2, 3}, 4), site_mask({0, 1, 2, 3}, 4)))
-        assert scores.fallout is None
-        assert scores.recall == F(1)
+        scores = metrics(*counts_of(site_mask({0, 1, 2, 3}, 4), site_mask({0, 1, 2, 3}, 4)))
+        assert scores["fallout"] is None
+        assert scores["recall"] == F(1)
 
         # With no site at all every ratio is undefined.
         empty = np.zeros(0, dtype=np.int64)
-        assert metrics(counts_of(empty, empty)).as_dict() == dict.fromkeys(RATIOS)
+        assert metrics(*counts_of(empty, empty)) == dict.fromkeys(RATIOS)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -92,27 +90,27 @@ class TestConfusion:
     def test_cell_identities(self, case):
         sites, predicted, target = case
         predicted_mask, target_mask = site_mask(predicted, sites), site_mask(target, sites)
-        counts = counts_of(predicted_mask, target_mask)
-        assert counts.a == len(predicted & target)
-        assert counts.a + counts.b == len(predicted)
-        assert counts.a + counts.c == len(target)
-        assert counts.total == sites
-        scores = metrics(counts)
-        if scores.error is not None:
-            assert scores.error == F(counts.b + counts.c, sites)
+        a, b, c, d = counts = counts_of(predicted_mask, target_mask)
+        assert a == len(predicted & target)
+        assert a + b == len(predicted)
+        assert a + c == len(target)
+        assert a + b + c + d == sites
+        scores = metrics(*counts)
+        if scores["error"] is not None:
+            assert scores["error"] == F(b + c, sites)
 
         # Swapping roles swaps recall with precision and leaves error fixed.
-        swapped = metrics(counts_of(target_mask, predicted_mask))
-        assert swapped.recall == scores.precision
-        assert swapped.precision == scores.recall
-        assert swapped.error == scores.error
+        swapped = metrics(*counts_of(target_mask, predicted_mask))
+        assert swapped["recall"] == scores["precision"]
+        assert swapped["precision"] == scores["recall"]
+        assert swapped["error"] == scores["error"]
 
 
 class TestAlgorithmScores:
     def test_cue_against_majority(self, pear9):
         narrative, matrix = pear9
         scores = algorithm_scores(cue_segment(narrative), matrix)
-        assert scores.as_dict() == {
+        assert scores == {
             "recall": F(1, 2),
             "precision": F(1, 2),
             "fallout": F(1, 9),
@@ -122,7 +120,7 @@ class TestAlgorithmScores:
     def test_pause_against_majority(self, pear9):
         narrative, matrix = pear9
         scores = algorithm_scores(pause_segment(narrative), matrix)
-        assert scores.as_dict() == {
+        assert scores == {
             "recall": F(1),
             "precision": F(2, 7),
             "fallout": F(5, 9),
@@ -133,7 +131,7 @@ class TestAlgorithmScores:
         narrative, matrix = pear9
         # Exactly-one-subject sites are {3, 4, 8}; the pause set hits 3.
         scores = algorithm_scores(pause_segment(narrative), matrix, exact=1)
-        assert scores.recall == F(1, 3)
+        assert scores["recall"] == F(1, 3)
 
     def test_threshold_and_exact_conflict(self, pear9):
         narrative, matrix = pear9
@@ -274,7 +272,7 @@ class TestIntegerCore:
     @settings(max_examples=300, deadline=None)
     @given(cell_counts)
     def test_ratio_pairs_match_metrics(self, cells):
-        scores = metrics(ConfusionCounts(*cells)).as_dict()
+        scores = metrics(*cells)
         columns = [np.array([x, x]) for x in cells]
         assert list(RATIOS) == list(scores)
         for name, ratio in RATIOS.items():
@@ -303,7 +301,7 @@ def human_scores(matrix, threshold=None, exact=None, leave_one_out=False):
     """Each subject's row scored as if it were an algorithm's output, as eval --method humans
     does: the target, its mode, each subject's cells and the summary over the subjects."""
     target, mode, cells = score_units(matrix, matrix.cells, threshold, exact, leave_one_out)
-    counts = list(map(ConfusionCounts, *cells[:, :, 0].tolist()))
+    counts = cells[:, :, 0].T.tolist()
     return target, mode, counts, aggregate_cells(cells[:, :, 0])
 
 
@@ -314,10 +312,10 @@ class TestHumanScores:
         assert np.flatnonzero(target).tolist() == [0, 10]
         assert mode == "threshold=4"
         by_id = dict(zip(matrix.subject_ids, counts))
-        assert metrics(by_id["s1"]).recall == F(1)
-        assert metrics(by_id["s1"]).error == F(0)
-        assert metrics(by_id["s4"]).precision == F(2, 3)
-        assert by_id["s7"] == ConfusionCounts(a=1, b=2, c=1, d=7)
+        assert metrics(*by_id["s1"])["recall"] == F(1)
+        assert metrics(*by_id["s1"])["error"] == F(0)
+        assert metrics(*by_id["s4"])["precision"] == F(2, 3)
+        assert by_id["s7"] == [1, 2, 1, 7]
         assert summary["recall"].mean == F(13, 14)
         assert summary["recall"].count == 7
 
@@ -354,10 +352,10 @@ class TestHumanScores:
         # With s1 removed the remaining 6 subjects still put 5 marks on
         # site 0 and 6 on site 10, majority of 6 is 4, so the target for
         # s1 stays {0, 10} and the score is unchanged.
-        assert metrics(counts[0]).recall == F(1)
+        assert metrics(*counts[0])["recall"] == F(1)
         # s7 is scored against the other six, whose extra marks all fall
         # below the reduced threshold.
-        assert metrics(counts[6]).recall == F(1, 2)
+        assert metrics(*counts[6])["recall"] == F(1, 2)
 
     def test_leave_one_out_needs_panel(self):
         matrix = make_matrix([[1, 0, 1]])

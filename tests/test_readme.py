@@ -158,7 +158,7 @@ def test_library_example_values():
             exec(code, namespace)
         elif code:
             value = eval(code, namespace)
-            literal = re.search(r"(Fraction\(\d+, \d+\)|\[[\d, ]*\]|\('.*'\))$", comment)
+            literal = re.search(r"(Fraction\(\d+, \d+\)|\[[\d, ]*\]|\('.*'\)|\b\d+)$", comment)
             if literal:
                 assert value == eval(literal[1], {"Fraction": Fraction}), (code, value)
                 checked.append(code)
@@ -167,6 +167,7 @@ def test_library_example_values():
                 checked.append(code)
     assert checked == [
         "percent_agreement(matrix).percent",
+        "percent_agreement(matrix).marks",
         "strengths.mask(4)",
         "narrative.site_labels(strengths.mask(4))",
         "np.flatnonzero(strengths.mask(2, exact=True)).tolist()",
@@ -175,4 +176,5 @@ def test_library_example_values():
         "narrative.site_labels(cue)",
         'aggregate_cells(cells[:, :, 0])["recall"].mean',
         "score_units(matrix, cue[None, :])[2][:, 0, 0].tolist()",
+        'metrics(1, 1, 1, 8)["fallout"]',
     ]

@@ -19,7 +19,6 @@ from hypothesis import strategies as hst
 from segtool import (
     AnnotationMatrix,
     BatchItem,
-    ConfusionCounts,
     MetricAggregate,
     ValidationError,
     build_report,
@@ -102,11 +101,11 @@ class TestAgreementBlock:
     def test_rows(self, report):
         rows = {row.narrative_id: row for row in report.agreement_rows}
         assert list(rows) == ["pear-09-excerpt", "synthetic-links", "pear-06-excerpt"]
-        assert rows["pear-09-excerpt"].report.percent == F(71, 77)
-        assert rows["synthetic-links"].report.percent == F(7, 9)
-        assert rows["synthetic-links"].report.percent_boundary == F(1)
-        assert rows["pear-06-excerpt"].report.percent == F(2, 3)
-        assert rows["pear-06-excerpt"].report.percent_non_boundary is None
+        assert rows["pear-09-excerpt"].percent == F(71, 77)
+        assert rows["synthetic-links"].percent == F(7, 9)
+        assert rows["synthetic-links"].percent_boundary == F(1)
+        assert rows["pear-06-excerpt"].percent == F(2, 3)
+        assert rows["pear-06-excerpt"].percent_non_boundary is None
 
     def test_summary(self, report):
         summary = report.agreement_summary
@@ -156,7 +155,7 @@ class TestMethodBlock:
         # Each narrative's subjects scored on their own, pooled, and recomputed straight-line.
         cells = np.concatenate(
             [score_units(item.matrix, item.matrix.cells)[2][:, :, 0] for item in batch], axis=1)
-        recalls = [metrics(ConfusionCounts(*unit)).recall for unit in zip(*cells.tolist())]
+        recalls = [metrics(*unit)["recall"] for unit in zip(*cells.tolist())]
         assert humans_row == aggregate_cells(cells)
         assert humans_row["recall"].mean == sum(recalls, F(0)) / len(recalls)
 
@@ -262,9 +261,12 @@ class TestRendering:
         assert first.to_tsv() == second.to_tsv()
         assert first.to_json() == second.to_json()
 
-    def test_unrenderable_value_refused(self):
-        with pytest.raises(TypeError, match="^cannot render object as JSON$"):
-            render.to_json({"cell": object()})
+    @pytest.mark.parametrize("value", [object(), frozenset({1}), np.int64(1)],
+                             ids=["object", "frozenset", "int64"])
+    def test_unrenderable_value_refused(self, value):
+        message = f"^cannot render {type(value).__name__} as JSON$"
+        with pytest.raises(TypeError, match=message):
+            render.to_json({"cell": value})
 
     def test_threshold_override_is_labelled(self, batch):
         report = build_report(batch, threshold=1)
@@ -375,12 +377,11 @@ def loop_counts(row, target):
             c += 1
         else:
             d += 1
-    return ConfusionCounts(a, b, c, d)
+    return [a, b, c, d]
 
 
 def loop_scores(row, target):
-    counts = loop_counts(row, target)
-    a, b, c, d = counts.a, counts.b, counts.c, counts.d
+    a, b, c, d = loop_counts(row, target)
 
     def ratio(num, den):
         return F(num, den) if den else None
@@ -457,7 +458,7 @@ class TestOracle:
             cells = item.matrix.cells.tolist()
             totals = loop_totals(cells)
             pooled = threshold or (len(cells) + 2) // 2
-            row = normalize_to_sites(np_segment(item.coding), item.coding).tolist()
+            row = normalize_to_sites(np_segment(item.coding)).tolist()
             assert len(row) == len(totals)
             for name, v in loop_scores(row, [x >= pooled for x in totals]).items():
                 methods.setdefault(name, []).append(v)
@@ -482,7 +483,7 @@ class TestOracle:
                 continue
             exact = data.draw(hst.none() | hst.integers(1, len(cells) - 1))
             scored = score_units(item.matrix, item.matrix.cells, exact=exact, leave_one_out=True)[2]
-            for r, counts in enumerate(map(ConfusionCounts, *scored[:, :, 0].tolist())):
+            for r, counts in enumerate(scored[:, :, 0].T.tolist()):
                 reduced = cells[:r] + cells[r + 1:]
                 totals = loop_totals(reduced)
                 if exact is None:
@@ -537,14 +538,14 @@ class TestOracle:
                 assert table.shape == (4, subjects, 1)
                 for r, row in enumerate(cells):
                     others = loop_totals(cells[:r] + cells[r + 1:])
-                    assert ConfusionCounts(*table[:, r, 0].tolist()) == loop_counts(
+                    assert table[:, r, 0].tolist() == loop_counts(
                         row, pooled(others, panel)
                     )
                 continue
             assert table.shape == (4, len(rows), subjects + 1)
             for u, row in enumerate(rows):
-                assert ConfusionCounts(*table[:, u, 0].tolist()) == loop_counts(row, target)
+                assert table[:, u, 0].tolist() == loop_counts(row, target)
                 for t in range(1, subjects + 1):
-                    assert ConfusionCounts(*table[:, u, t].tolist()) == loop_counts(
+                    assert table[:, u, t].tolist() == loop_counts(
                         row, [x == t for x in totals]
                     )

@@ -487,7 +487,7 @@ class TestNpWalkOracle:
         # Clause n spans phrase n.1 alone, so the junction after it is site n - 1.
         assert_site_mask(sites, narrative)
         assert marked(sites) == {left - 1 for left, _ in boundaries}
-        assert np.array_equal(sites, normalize_to_sites(traced, coding))
+        assert np.array_equal(sites, normalize_to_sites(traced))
         assert [(step.linked_by, step.segment_referents) for step in traced.trace] == steps
 
     @settings(max_examples=200, deadline=None)
@@ -505,7 +505,7 @@ class TestNpWalkOracle:
         traced = np_segment(loaded)
         sites, untraced = segment_by("np", narrative, loaded)
         assert traced.boundaries == untraced.boundaries == boundaries
-        assert np.array_equal(sites, normalize_to_sites(traced, coding))
+        assert np.array_equal(sites, normalize_to_sites(traced))
         assert [(step.linked_by, step.segment_referents) for step in traced.trace] == steps
 
     @settings(max_examples=200, deadline=None)
@@ -576,7 +576,7 @@ class TestSegmentBy:
         lexicon = CueLexicon(frozenset({"and"}))
         segmentation = np_segment(coding)
         sites, segmented = segment_by("np", narrative, coding)
-        assert np.array_equal(sites, normalize_to_sites(segmentation, coding))
+        assert np.array_equal(sites, normalize_to_sites(segmentation))
         assert segmented == segmentation
         assert segmented.trace == segmentation.trace
         for (mask, none), want in (
@@ -598,7 +598,7 @@ class TestSegmentBy:
         mask, segmentation = segment_by(method, narrative, coding)
         assert_site_mask(mask, narrative)
         direct = {"cue": lambda: cue_segment(narrative), "pause": lambda: pause_segment(narrative),
-                  "np": lambda: normalize_to_sites(np_segment(coding), coding)}[method]()
+                  "np": lambda: normalize_to_sites(np_segment(coding))}[method]()
         assert_site_mask(direct, narrative)
         assert np.array_equal(mask, direct)
         assert (segmentation is None) == (method != "np")
@@ -619,19 +619,13 @@ class TestNormalizeToSites:
         # Both clause junctions lie inside phrase 3.1, so both project to the site at its end.
         assert result.boundaries == ((6, 7), (7, 8))
         assert coding.junction_sites == {(6, 7): 0, (7, 8): 0}
-        sites = normalize_to_sites(result, coding)
+        sites = normalize_to_sites(result)
         assert sites.tolist() == [1]
         assert narrative.site_labels(sites) == ("3.1→3.2",)
 
     def test_three_link_projection(self, three_link):
         _, coding = three_link
-        assert marked(normalize_to_sites(np_segment(coding), coding)) == frozenset({2})
-
-    def test_narrative_mismatch_rejected(self, shared_phrase, three_link):
-        _, shared_coding = shared_phrase
-        _, link_coding = three_link
-        with pytest.raises(ValidationError):
-            normalize_to_sites(np_segment(link_coding), shared_coding)
+        assert marked(normalize_to_sites(np_segment(coding))) == frozenset({2})
 
     def test_final_phrase_junction_dropped(self):
         narrative = narrative_of(
@@ -654,7 +648,7 @@ class TestNormalizeToSites:
         # (1,2) lands on site 0; (2,3) sits inside the final phrase and has
         # no site to land on.
         assert coding.junction_sites == {(1, 2): 0, (2, 3): None}
-        assert normalize_to_sites(result, coding).tolist() == [1]
+        assert normalize_to_sites(result).tolist() == [1]
 
     @pytest.mark.parametrize("fixture", ["shared_phrase", "three_link", "bicycle"])
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -671,15 +665,15 @@ class TestNormalizeToSites:
             site = coding.junction_sites[junction]
             if site is not None:
                 expected[site] = 1
-        mask = normalize_to_sites(segmentation, coding)
+        mask = normalize_to_sites(segmentation)
         assert_site_mask(mask, narrative)
         assert mask.tolist() == expected
 
     def test_cardinality_never_grows(self, shared_phrase, three_link):
         for _, coding in (shared_phrase, three_link):
             result = np_segment(coding)
-            sites = normalize_to_sites(result, coding)
+            sites = normalize_to_sites(result)
             assert sites.sum() <= len(result.boundaries)
         _, link_coding = three_link
-        no_intra = normalize_to_sites(np_segment(link_coding), link_coding)
+        no_intra = normalize_to_sites(np_segment(link_coding))
         assert no_intra.sum() == len(np_segment(link_coding).boundaries)
