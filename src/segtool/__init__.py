@@ -9,10 +9,9 @@ any boundary set against the pooled human opinion.
 
 from .agreement import (
     AgreementReport,
-    BoundaryStrengths,
-    boundary_strengths,
     majority_threshold,
     percent_agreement,
+    pooled_target,
 )
 from .corpus import (
     AnnotationMatrix,
@@ -26,7 +25,7 @@ from .corpus import (
     serialize_narrative,
 )
 from .errors import DegenerateDataError, SchemaError, SegtoolError, ValidationError
-from .evaluation import MetricAggregate, metrics
+from .evaluation import metrics
 from .fixture_data import FIXTURE_NAMES, fixture_path
 from .report import BatchItem, Report, build_report
 from .segmenters import (

@@ -1,10 +1,11 @@
-"""Agreement among annotators: percent agreement and strength pools.
+"""Agreement among annotators: percent agreement and the pooled target.
 
 Percent agreement follows the pooled-opinion scheme: each site's majority
 label (boundary when at least ceil((i+1)/2) of i subjects marked it) is the
 reference, and every subject's judgement at every site counts as one
-agreement opportunity. Ratios are kept as exact fractions; callers format
-them as they see fit.
+agreement opportunity. pooled_target states that rule once, over a panel's
+column totals: the sites marked by at least t subjects, or by exactly t.
+Ratios are kept as exact fractions; callers format them as they see fit.
 """
 
 from __future__ import annotations
@@ -23,6 +24,31 @@ def majority_threshold(subjects: int) -> int:
     if subjects < 1:
         raise ValidationError("subject count must be positive")
     return (subjects + 2) // 2
+
+
+def pooled_target(
+    subjects: int, column_totals: np.ndarray, threshold: int | None = None,
+    exact: int | None = None,
+) -> tuple[np.ndarray, str]:
+    """The pooled reference mask over the sites and its label, "threshold=t" or "exact=t".
+
+    The mask marks the sites whose total is at least threshold (by default
+    the strict majority of the subjects) or exactly exact, as int64 0/1.
+    column_totals may also stack one row of totals per panel (the
+    leave-one-out panels); the mask then has one row per panel. A strength
+    must be an integer in [1, subjects], and only one of the two is given.
+    """
+    if threshold is not None and exact is not None:
+        raise ValidationError("give either threshold or exact, not both")
+    kind, strength = ("threshold", threshold) if exact is None else ("exact", exact)
+    if strength is None:
+        strength = majority_threshold(subjects)
+    if not isinstance(strength, (int, np.integer)) or isinstance(strength, bool):
+        raise ValidationError(f"strength must be an integer, got {strength!r}")
+    if not 1 <= strength <= subjects:
+        raise ValidationError(f"strength {strength} outside [1, {subjects}]")
+    mask = column_totals >= strength if exact is None else column_totals == strength
+    return mask.astype(np.int64), f"{kind}={strength}"
 
 
 @dataclass(frozen=True)
@@ -80,9 +106,9 @@ def percent_agreement(
     """
     if threshold is None:
         threshold = majority_threshold(matrix.subjects)
-    boundary = boundary_strengths(matrix).mask(threshold)
     i, j = matrix.subjects, matrix.sites
     totals = matrix.column_totals
+    boundary = pooled_target(i, totals, threshold)[0]
     boundary_sites = int(boundary.sum())
 
     # At a boundary site the agreeing judgements are the 1-cells, at a
@@ -104,30 +130,3 @@ def percent_agreement(
         observed_non_boundary=observed_nb,
         possible_non_boundary=possible_nb,
     )
-
-
-@dataclass(frozen=True, eq=False)
-class BoundaryStrengths:
-    """Sites grouped by how many subjects marked them, read off column totals.
-
-    mask(t) is the 0/1 vector of the sites marked by at least t subjects,
-    mask(t, exact=True) of those marked by exactly t. mask at the majority
-    threshold is the conventional reference pool for evaluation.
-    column_totals may also stack one row of totals per panel (the
-    leave-one-out panels); mask then returns one row per panel.
-    """
-
-    subjects: int
-    column_totals: np.ndarray
-
-    def mask(self, strength: int, exact: bool = False) -> np.ndarray:
-        if not 1 <= strength <= self.subjects:
-            raise ValidationError(
-                f"strength {strength} outside [1, {self.subjects}]"
-            )
-        totals = self.column_totals
-        return (totals == strength if exact else totals >= strength).astype(np.int64)
-
-
-def boundary_strengths(matrix: AnnotationMatrix) -> BoundaryStrengths:
-    return BoundaryStrengths(matrix.subjects, matrix.column_totals)

@@ -18,10 +18,10 @@ import sys
 
 import numpy as np
 
-from .agreement import boundary_strengths, percent_agreement
+from .agreement import percent_agreement, pooled_target
 from .corpus import load_annotations, load_fic_coding, load_manifest, load_narrative
 from .errors import DegenerateDataError, ValidationError
-from .evaluation import METRIC_NAMES, aggregate_cells, metrics, resolve_target, score_units
+from .evaluation import METRIC_NAMES, aggregate_cells, metrics, score_units
 from .render import PVALUE, RATIO, VARIANCE, num, sites_text, to_json, tsv
 from .report import BatchItem, build_report
 from .segmenters import CueLexicon, segment_by
@@ -113,13 +113,13 @@ def _cmd_agree(args) -> str:
 
 def _cmd_strengths(args) -> str:
     narrative, matrix = _load_pair(args)
-    strengths = boundary_strengths(matrix)
     levels = []
     rows = [["strength", "kind", "count", "sites"]]
     for t in range(1, matrix.subjects + 1):
         level = {"strength": t}
-        for kind, exact in (("exact", True), ("cumulative", False)):
-            sites = narrative.site_labels(strengths.mask(t, exact))
+        for kind, option in (("exact", "exact"), ("cumulative", "threshold")):
+            mask = pooled_target(matrix.subjects, matrix.column_totals, **{option: t})[0]
+            sites = narrative.site_labels(mask)
             level[kind] = {"count": len(sites), "sites": sites}
             rows.append([t, kind, len(sites), sites_text(sites)])
         levels.append(level)
@@ -231,7 +231,7 @@ def _cmd_eval(args) -> str:
         units, rows = matrix.subject_ids, matrix.cells
     else:
         # A target outside the panel is reported before --coding or --cues is read.
-        resolve_target(boundary_strengths(matrix), args.threshold, args.exact)
+        pooled_target(matrix.subjects, matrix.column_totals, args.threshold, args.exact)
         units = ["algorithm"]
         rows = _predict(args, narrative)[0][None, :]
     _, mode, cells = score_units(matrix, rows, args.threshold, args.exact, args.leave_one_out)
@@ -248,7 +248,7 @@ def _cmd_eval(args) -> str:
                                 "metrics": scores} for unit, c, scores in scored]
         payload["summary"] = summary
         table += [[*lead, label, "", "", "", "",
-                   *[num(getattr(summary[name], label), spec) for name in METRIC_NAMES]]
+                   *[num(summary[name][label], spec) for name in METRIC_NAMES]]
                   for label, spec in (("mean", RATIO), ("variance", VARIANCE))]
     else:
         _, c, scores = scored[0]

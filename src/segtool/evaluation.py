@@ -6,7 +6,8 @@ precision, fallout, and error rate follow from one table of integer
 (numerator, denominator) pairs; a zero denominator means undefined. The
 cells live in score_units' integer arrays; metrics(a, b, c, d) gives one
 unit's scores as a dict of exact fractions by name, None when undefined;
-aggregates stay integer until their mean and variance.
+aggregates stay integer until their mean and variance, and each is a plain
+dict of mean, variance, count and skipped.
 
 Human subjects are scored the same way: each subject's row is treated as a
 prediction against the pooled opinion of the panel. With the pooled target
@@ -14,18 +15,17 @@ at threshold t, the mean per-subject recall equals the boundary-class
 percent agreement identically, which doubles as a cross-check between this
 module and the agreement one. score_units is the one place that scores
 unit rows, subjects and segmenters alike, for the eval command and the
-batch report.
+batch report; agreement.pooled_target gives it each target.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .agreement import BoundaryStrengths, boundary_strengths, majority_threshold
+from .agreement import pooled_target
 from .corpus import AnnotationMatrix
 from .errors import ValidationError
 
@@ -61,19 +61,6 @@ def metrics(a: int, b: int, c: int, d: int) -> dict[str, Fraction | None]:
     return {name: Fraction(num, den) if den else None for name, (num, den) in pairs.items()}
 
 
-def resolve_target(
-    strengths: BoundaryStrengths, threshold: int | None, exact: int | None
-) -> tuple[np.ndarray, str]:
-    """The pooled reference mask and its label, "exact=t" or "threshold=t"."""
-    if threshold is not None and exact is not None:
-        raise ValidationError("give either threshold or exact, not both")
-    if exact is not None:
-        return strengths.mask(exact, exact=True), f"exact={exact}"
-    if threshold is None:
-        threshold = majority_threshold(strengths.subjects)
-    return strengths.mask(threshold), f"threshold={threshold}"
-
-
 def score_units(
     matrix: AnnotationMatrix, rows: np.ndarray, threshold: int | None = None,
     exact: int | None = None, leave_one_out: bool = False,
@@ -97,7 +84,7 @@ def score_units(
     if not ((rows == 0) | (rows == 1)).all():
         raise ValidationError(f"narrative {matrix.narrative_id}: unit rows hold a value "
                               "other than 0 or 1")
-    target, mode = resolve_target(boundary_strengths(matrix), threshold, exact)
+    target, mode = pooled_target(matrix.subjects, matrix.column_totals, threshold, exact)
     if not leave_one_out:
         levels = np.arange(1, matrix.subjects + 1)
         targets = np.column_stack([target, matrix.column_totals[:, None] == levels])
@@ -107,32 +94,20 @@ def score_units(
     if not np.array_equal(rows, matrix.cells):
         raise ValidationError("leave-one-out scores the subjects' own rows")
     # Row r of the stack is the opinion of every subject but r.
-    others = BoundaryStrengths(matrix.subjects - 1, matrix.column_totals - rows)
-    pooled, mode = resolve_target(others, threshold, exact)
+    pooled, mode = pooled_target(matrix.subjects - 1, matrix.column_totals - rows,
+                                 threshold, exact)
     cells = [np.diagonal(cell) for cell in confusion_table(rows, pooled.T)]
     return target, f"{mode} leave-one-out", np.stack(cells)[:, :, None]
 
 
-@dataclass(frozen=True)
-class MetricAggregate:
-    """Mean and population variance over defined observations.
-
-    count is the number of observations that entered; skipped counts the
-    undefined ones left out. Both summary values are None when nothing was
-    defined.
-    """
-
-    mean: Fraction | None
-    variance: Fraction | None
-    count: int
-    skipped: int
-
-
-def aggregate_pairs(numerators, denominators) -> MetricAggregate:
+def aggregate_pairs(numerators, denominators) -> dict:
     """Summarize the ratios numerators[k] / denominators[k] of two integer arrays.
 
-    Object arrays of Python ints keep integers beyond int64 exact. A zero
-    denominator marks an undefined observation, which is skipped.
+    Returns {"mean", "variance", "count", "skipped"}: the mean and population
+    variance over the defined observations (None when none is defined), how
+    many entered, and how many undefined ones were left out. Object arrays
+    of Python ints keep integers beyond int64 exact. A zero denominator
+    marks an undefined observation.
     Over a common denominator L, the lcm of the unreduced denominators, each
     ratio is s_k / L with s_k an integer, so with A = sum s_k and
     B = sum s_k^2 the mean is A / (n L) and the population variance
@@ -142,19 +117,19 @@ def aggregate_pairs(numerators, denominators) -> MetricAggregate:
     pairs = [(num, den) for num, den in zip(nums, dens) if den]
     n, skipped = len(pairs), len(dens) - len(pairs)
     if not pairs:
-        return MetricAggregate(mean=None, variance=None, count=0, skipped=skipped)
+        return {"mean": None, "variance": None, "count": 0, "skipped": skipped}
     common = math.lcm(*{den for _, den in pairs})
     scaled = [num * (common // den) for num, den in pairs]
     first = sum(scaled)
     second = sum(s * s for s in scaled)
-    return MetricAggregate(
-        mean=Fraction(first, n * common),
-        variance=Fraction(n * second - first * first, (n * common) ** 2),
-        count=n,
-        skipped=skipped,
-    )
+    return {
+        "mean": Fraction(first, n * common),
+        "variance": Fraction(n * second - first * first, (n * common) ** 2),
+        "count": n,
+        "skipped": skipped,
+    }
 
 
-def aggregate_cells(cells: np.ndarray, names=METRIC_NAMES) -> dict[str, MetricAggregate]:
+def aggregate_cells(cells: np.ndarray, names=METRIC_NAMES) -> dict[str, dict]:
     """Each named ratio of the units' cells (4 x units) summarized over the units."""
     return {name: aggregate_pairs(*RATIOS[name](*cells)) for name in names}

@@ -3,14 +3,13 @@
 Everything upstream keeps exact Fractions, ints and None. TSV rounds each
 cell by a named rule and writes an undefined value as NA; JSON keeps full
 float precision and writes an undefined value as null. A JSON payload holds
-plain values, Fractions and dataclasses only: a caller sorts a set into a
-list itself, and any other value is refused.
+plain values and Fractions only: a caller sorts a set into a list and turns
+a record into a dict itself, and any other value is refused.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, is_dataclass
 from fractions import Fraction
 
 RATIO = ".2f"
@@ -40,11 +39,9 @@ def tsv(*blocks) -> str:
 def _plain(value):
     if isinstance(value, Fraction):
         return float(value)
-    if is_dataclass(value):
-        return asdict(value)
     raise TypeError(f"cannot render {type(value).__name__} as JSON")
 
 
 def to_json(payload) -> str:
-    """Indented JSON; Fractions as floats, dataclasses as objects."""
+    """Indented JSON; Fractions as floats."""
     return json.dumps(payload, indent=2, default=_plain) + "\n"

@@ -26,13 +26,7 @@ import numpy as np
 from .agreement import AgreementReport, percent_agreement
 from .corpus import AnnotationMatrix, FicCoding, Narrative
 from .errors import ValidationError
-from .evaluation import (
-    METRIC_NAMES,
-    MetricAggregate,
-    aggregate_cells,
-    aggregate_pairs,
-    score_units,
-)
+from .evaluation import METRIC_NAMES, aggregate_cells, aggregate_pairs, score_units
 from .render import MEAN_COUNT, VARIANCE, num, to_json, tsv
 from .segmenters import CueLexicon, default_cue_lexicon, segment_by
 
@@ -86,14 +80,14 @@ class Report:
     threshold: int | None
     agreement_rows: tuple[AgreementReport, ...]
     agreement_summary: dict[str, object]
-    method_table: dict[str, dict[str, MetricAggregate]]
+    method_table: dict[str, dict[str, dict]]
     strength_levels: tuple[int, ...]
     strength_site_counts: dict[int, Fraction]
-    strength_table: dict[str, dict[str, dict[int, MetricAggregate]]]
+    strength_table: dict[str, dict[str, dict[int, dict]]]
 
     @property
     def _threshold_label(self) -> int | str:
-        return "majority" if self.threshold is None else self.threshold
+        return "majority" if self.threshold is None else int(self.threshold)  # a numpy int too
 
     def to_json(self) -> str:
         return to_json({
@@ -125,12 +119,12 @@ class Report:
             "percent_non_boundary",
         ):
             pooled = self.agreement_summary[key]
-            if isinstance(pooled, MetricAggregate):
+            if isinstance(pooled, dict):
                 agreement.append([
                     key,
                     *[num(row[key]) for row in rows],
-                    num(pooled.mean),
-                    num(pooled.variance, VARIANCE),
+                    num(pooled["mean"]),
+                    num(pooled["variance"], VARIANCE),
                 ])
             else:
                 agreement.append([key, *[row[key] for row in rows], pooled, ""])
@@ -143,7 +137,7 @@ class Report:
             cells = [method]
             for name in METRIC_NAMES:
                 agg = self.method_table[method][name]
-                cells += [num(agg.mean), num(agg.variance, VARIANCE)]
+                cells += [num(agg["mean"]), num(agg["variance"], VARIANCE)]
             methods.append(cells)
 
         levels = self.strength_levels
@@ -152,7 +146,7 @@ class Report:
             ["strength", *levels],
             ["sites", *[num(self.strength_site_counts[t], MEAN_COUNT) for t in levels]],
             *[
-                [f"{method}_{name}", *[num(agg.mean) for agg in by_level.values()]]
+                [f"{method}_{name}", *[num(agg["mean"]) for agg in by_level.values()]]
                 for method in METHODS
                 for name, by_level in self.strength_table[method].items()
             ],
@@ -205,7 +199,7 @@ def build_report(
         for t, count in zip(levels, (table[0, 0, 1:] + table[2, 0, 1:]).tolist()):
             site_counts[t].append(count)
 
-    def pooled(method: str, column: int, names) -> dict[str, MetricAggregate]:
+    def pooled(method: str, column: int, names) -> dict[str, dict]:
         """Aggregate one column over every narrative whose panel has it."""
         cells = np.concatenate(
             [block[:, :, column] for block in scored[method] if block.shape[2] > column], axis=1

@@ -20,7 +20,6 @@ import scipy.stats
 from segtool import (
     AnnotationMatrix,
     BatchItem,
-    boundary_strengths,
     build_report,
     chi_square_sf,
     cochran_q,
@@ -33,9 +32,10 @@ from segtool import (
     null_calibration,
     pause_segment,
     percent_agreement,
+    pooled_target,
 )
 from segtool.cli import run
-from segtool.evaluation import aggregate_cells, confusion_table, resolve_target, score_units
+from segtool.evaluation import aggregate_cells, confusion_table, score_units
 
 F = Fraction
 
@@ -78,10 +78,11 @@ def test_criterion_01_agreement_reconstruction(pear9):
 def test_criterion_02_majority_boundaries(pear9):
     """The panel majority validates exactly two of the eleven sites."""
     narrative, matrix = pear9
-    majority = boundary_strengths(matrix).mask(majority_threshold(matrix.subjects))
+    majority = pooled_target(matrix.subjects, matrix.column_totals,
+                             majority_threshold(matrix.subjects))[0]
     assert np.flatnonzero(majority).tolist() == [0, 10]
     assert narrative.site_labels(majority) == ("3.3→4.1", "8.4→9.1")
-    target, mode = resolve_target(boundary_strengths(matrix), None, None)
+    target, mode = pooled_target(matrix.subjects, matrix.column_totals)
     assert (target.tolist(), mode) == (majority.tolist(), "threshold=4")
 
 
@@ -157,7 +158,7 @@ def test_criterion_07_recall_agreement_identity():
         cells = (rng.random((7, 100)) < rng.uniform(0.05, 0.5)).astype(np.int64)
         matrix = make_matrix(cells.tolist())
         cells = score_units(matrix, matrix.cells, threshold=4)[2][:, :, 0]
-        mean_recall = aggregate_cells(cells, ("recall",))["recall"].mean
+        mean_recall = aggregate_cells(cells, ("recall",))["recall"]["mean"]
         boundary_agreement = percent_agreement(matrix, threshold=4).percent_boundary
         assert mean_recall == boundary_agreement
         if mean_recall is not None:
@@ -249,9 +250,9 @@ def test_criterion_10_report_shapes(pear9, three_link, shared_phrase):
     report = build_report(batch)
 
     # Hand-computed cells of the synthetic batch.
-    assert report.agreement_summary["percent"].mean == F(1640, 2079)
-    assert report.method_table["np"]["recall"].mean == F(1)
-    assert report.method_table["humans"]["recall"].mean == F(23, 26)
+    assert report.agreement_summary["percent"]["mean"] == F(1640, 2079)
+    assert report.method_table["np"]["recall"]["mean"] == F(1)
+    assert report.method_table["humans"]["recall"]["mean"] == F(23, 26)
     assert report.strength_site_counts[1] == F(5, 3)
 
     blocks = report.to_tsv().split("\n\n")

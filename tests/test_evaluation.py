@@ -11,16 +11,15 @@ from hypothesis import strategies as hst
 
 from segtool import (
     AnnotationMatrix,
-    MetricAggregate,
     ValidationError,
-    boundary_strengths,
     cue_segment,
     metrics,
     pause_segment,
     percent_agreement,
+    pooled_target,
 )
 from segtool.evaluation import (RATIOS, aggregate_cells, aggregate_pairs, confusion_table,
-                                resolve_target, score_units)
+                                score_units)
 
 F = Fraction
 
@@ -59,7 +58,7 @@ class TestConfusion:
 
     def test_segmenter_mask_against_the_target(self, pear9):
         narrative, matrix = pear9
-        target, _ = resolve_target(boundary_strengths(matrix), None, None)
+        target, _ = pooled_target(matrix.subjects, matrix.column_totals)
         assert counts_of(cue_segment(narrative), target) == (1, 1, 1, 8)
 
     def test_undefined_ratios_are_none(self):
@@ -138,7 +137,7 @@ class TestAlgorithmScores:
         with pytest.raises(ValidationError, match="either threshold or exact"):
             algorithm_scores(cue_segment(narrative), matrix, threshold=4, exact=2)
         with pytest.raises(ValidationError, match="either threshold or exact"):
-            resolve_target(boundary_strengths(matrix), 4, 2)
+            pooled_target(matrix.subjects, matrix.column_totals, 4, 2)
 
     @pytest.mark.parametrize("method", [cue_segment, pause_segment], ids=["cue", "pause"])
     @pytest.mark.parametrize("threshold, exact", [(1, None), (4, None), (7, None),
@@ -223,42 +222,44 @@ class TestAggregate:
 
     def test_exact_mean_and_variance(self):
         agg = aggregate_pairs(*fraction_pairs([F(1, 2), F(1), None, F(3, 4)]))
-        assert agg.count == 3
-        assert agg.skipped == 1
-        assert agg.mean == F(3, 4)
-        assert agg.variance == F(1, 24)
+        assert list(agg) == ["mean", "variance", "count", "skipped"]  # the JSON key order
+        assert agg["count"] == 3
+        assert agg["skipped"] == 1
+        assert agg["mean"] == F(3, 4)
+        assert agg["variance"] == F(1, 24)
 
     def test_zero_denominator_counts_skipped(self):
         agg = aggregate_pairs(np.array([1, 0], dtype=object), np.array([1, 0], dtype=object))
-        assert (agg.mean, agg.count, agg.skipped) == (F(1), 1, 1)
+        assert (agg["mean"], agg["count"], agg["skipped"]) == (F(1), 1, 1)
 
     @settings(max_examples=300, deadline=None)
     @given(hst.lists(hst.one_of(hst.none(), hst.fractions(max_denominator=1000)), max_size=30))
     def test_matches_fraction_sums(self, values):
         kept = [v for v in values if v is not None]
         agg = aggregate_pairs(*fraction_pairs(values))
-        assert (agg.count, agg.skipped) == (len(kept), len(values) - len(kept))
+        assert (agg["count"], agg["skipped"]) == (len(kept), len(values) - len(kept))
         if kept:
             mean = sum(kept, F(0)) / len(kept)
             variance = sum(((v - mean) ** 2 for v in kept), F(0)) / len(kept)
-            assert (agg.mean, agg.variance) == (mean, variance)
+            assert (agg["mean"], agg["variance"]) == (mean, variance)
 
     def test_all_none(self):
         agg = aggregate_pairs(*fraction_pairs([None, None]))
-        assert agg.mean is None
-        assert agg.variance is None
-        assert agg.count == 0
-        assert agg.skipped == 2
+        assert agg["mean"] is None
+        assert agg["variance"] is None
+        assert agg["count"] == 0
+        assert agg["skipped"] == 2
 
 
 def fraction_sums(values):
     """Mean and population variance by plain Fraction sums, None skipped."""
     kept = [v for v in values if v is not None]
     if not kept:
-        return MetricAggregate(None, None, 0, len(values))
+        return {"mean": None, "variance": None, "count": 0, "skipped": len(values)}
     mean = sum(kept, F(0)) / len(kept)
     variance = sum(((v - mean) ** 2 for v in kept), F(0)) / len(kept)
-    return MetricAggregate(mean, variance, len(kept), len(values) - len(kept))
+    return {"mean": mean, "variance": variance, "count": len(kept),
+            "skipped": len(values) - len(kept)}
 
 
 cell_counts = hst.tuples(*[hst.integers(0, 60)] * 4)
@@ -291,9 +292,10 @@ class TestIntegerCore:
 
     def test_all_undefined_pairs(self):
         agg = aggregate_pairs(np.array([0, 3, 0]), np.array([0, 0, 0]))
-        assert agg == MetricAggregate(None, None, 0, 3)
+        assert agg == {"mean": None, "variance": None, "count": 0, "skipped": 3}
+        assert list(agg) == ["mean", "variance", "count", "skipped"]
         assert aggregate_pairs(np.array([], dtype=np.int64), np.array([], dtype=np.int64)) == (
-            MetricAggregate(None, None, 0, 0)
+            {"mean": None, "variance": None, "count": 0, "skipped": 0}
         )
 
 
@@ -316,13 +318,13 @@ class TestHumanScores:
         assert metrics(*by_id["s1"])["error"] == F(0)
         assert metrics(*by_id["s4"])["precision"] == F(2, 3)
         assert by_id["s7"] == [1, 2, 1, 7]
-        assert summary["recall"].mean == F(13, 14)
-        assert summary["recall"].count == 7
+        assert summary["recall"]["mean"] == F(13, 14)
+        assert summary["recall"]["count"] == 7
 
     def test_mean_recall_matches_boundary_agreement(self, pear9):
         _, matrix = pear9
         report = percent_agreement(matrix)
-        assert human_scores(matrix)[3]["recall"].mean == report.percent_boundary
+        assert human_scores(matrix)[3]["recall"]["mean"] == report.percent_boundary
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -343,7 +345,7 @@ class TestHumanScores:
         matrix = make_matrix(rows)
         summary = human_scores(matrix, threshold=threshold)[3]
         report = percent_agreement(matrix, threshold=threshold)
-        assert summary["recall"].mean == report.percent_boundary
+        assert summary["recall"]["mean"] == report.percent_boundary
 
     def test_leave_one_out_smoke(self, pear9):
         _, matrix = pear9

@@ -168,13 +168,13 @@ def test_library_example_values():
     assert checked == [
         "percent_agreement(matrix).percent",
         "percent_agreement(matrix).marks",
-        "strengths.mask(4)",
-        "narrative.site_labels(strengths.mask(4))",
-        "np.flatnonzero(strengths.mask(2, exact=True)).tolist()",
+        "pooled_target(7, totals, 4)[0]",
+        "narrative.site_labels(pooled_target(7, totals)[0])",
+        "np.flatnonzero(pooled_target(7, totals, exact=2)[0]).tolist()",
         "cochran_q(matrix).p",
         "cochran_q(matrix).components",
         "narrative.site_labels(cue)",
-        'aggregate_cells(cells[:, :, 0])["recall"].mean',
+        'aggregate_cells(cells[:, :, 0])["recall"]["mean"]',
         "score_units(matrix, cue[None, :])[2][:, 0, 0].tolist()",
         'metrics(1, 1, 1, 8)["fallout"]',
     ]

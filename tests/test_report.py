@@ -19,7 +19,6 @@ from hypothesis import strategies as hst
 from segtool import (
     AnnotationMatrix,
     BatchItem,
-    MetricAggregate,
     ValidationError,
     build_report,
     cue_segment,
@@ -30,6 +29,7 @@ from segtool import (
     normalize_to_sites,
     np_segment,
     pause_segment,
+    percent_agreement,
     render,
     segmenters,
     serialize_annotations,
@@ -113,51 +113,51 @@ class TestAgreementBlock:
         assert summary["opinions"] == 25
         assert summary["boundary_sites"] == 4
         assert summary["non_boundary_sites"] == 11
-        assert summary["percent"].mean == F(1640, 2079)
-        assert summary["percent_boundary"].mean == F(109, 126)
-        assert summary["percent_non_boundary"].mean == F(50, 63)
-        assert summary["percent_non_boundary"].count == 2
-        assert summary["percent_non_boundary"].skipped == 1
+        assert summary["percent"]["mean"] == F(1640, 2079)
+        assert summary["percent_boundary"]["mean"] == F(109, 126)
+        assert summary["percent_non_boundary"]["mean"] == F(50, 63)
+        assert summary["percent_non_boundary"]["count"] == 2
+        assert summary["percent_non_boundary"]["skipped"] == 1
 
 
 class TestMethodBlock:
     def test_np_aggregates_only_coded_narratives(self, report):
         np_row = report.method_table["np"]
-        assert np_row["recall"].mean == F(1)
-        assert np_row["recall"].count == 2
-        assert np_row["precision"].mean == F(1)
-        assert np_row["error"].mean == F(0)
+        assert np_row["recall"]["mean"] == F(1)
+        assert np_row["recall"]["count"] == 2
+        assert np_row["precision"]["mean"] == F(1)
+        assert np_row["error"]["mean"] == F(0)
         # Fallout is undefined on the one-site narrative.
-        assert np_row["fallout"].mean == F(0)
-        assert np_row["fallout"].count == 1
-        assert np_row["fallout"].skipped == 1
+        assert np_row["fallout"]["mean"] == F(0)
+        assert np_row["fallout"]["count"] == 1
+        assert np_row["fallout"]["skipped"] == 1
 
     def test_cue_aggregates(self, report):
         cue_row = report.method_table["cue"]
-        assert cue_row["recall"].mean == F(1, 2)
-        assert cue_row["recall"].variance == F(1, 6)
-        assert cue_row["precision"].mean == F(3, 4)
-        assert cue_row["precision"].skipped == 1
-        assert cue_row["fallout"].mean == F(1, 18)
-        assert cue_row["error"].mean == F(17, 99)
+        assert cue_row["recall"]["mean"] == F(1, 2)
+        assert cue_row["recall"]["variance"] == F(1, 6)
+        assert cue_row["precision"]["mean"] == F(3, 4)
+        assert cue_row["precision"]["skipped"] == 1
+        assert cue_row["fallout"]["mean"] == F(1, 18)
+        assert cue_row["error"]["mean"] == F(17, 99)
 
     def test_pause_aggregates(self, report):
         pause_row = report.method_table["pause"]
-        assert pause_row["recall"].mean == F(1, 3)
-        assert pause_row["precision"].mean == F(2, 7)
-        assert pause_row["precision"].count == 1
-        assert pause_row["error"].mean == F(59, 99)
+        assert pause_row["recall"]["mean"] == F(1, 3)
+        assert pause_row["precision"]["mean"] == F(2, 7)
+        assert pause_row["precision"]["count"] == 1
+        assert pause_row["error"]["mean"] == F(59, 99)
 
     def test_humans_pool_subject_narrative_observations(self, report, batch):
         humans_row = report.method_table["humans"]
-        assert humans_row["recall"].count == 13
-        assert humans_row["recall"].mean == F(23, 26)
+        assert humans_row["recall"]["count"] == 13
+        assert humans_row["recall"]["mean"] == F(23, 26)
         # Each narrative's subjects scored on their own, pooled, and recomputed straight-line.
         cells = np.concatenate(
             [score_units(item.matrix, item.matrix.cells)[2][:, :, 0] for item in batch], axis=1)
         recalls = [metrics(*unit)["recall"] for unit in zip(*cells.tolist())]
         assert humans_row == aggregate_cells(cells)
-        assert humans_row["recall"].mean == sum(recalls, F(0)) / len(recalls)
+        assert humans_row["recall"]["mean"] == sum(recalls, F(0)) / len(recalls)
 
 
 class TestStrengthBlock:
@@ -175,15 +175,15 @@ class TestStrengthBlock:
 
     def test_spot_cells(self, report):
         table = report.strength_table
-        assert table["cue"]["recall"][7].mean == F(1)
-        assert table["cue"]["recall"][6].mean == F(0)
-        assert table["pause"]["recall"][6].mean == F(1)
-        assert table["np"]["recall"][3].mean == F(1)
-        assert table["np"]["recall"][3].count == 1
-        assert table["humans"]["recall"][7].mean == F(1)
-        assert table["humans"]["recall"][7].count == 7
+        assert table["cue"]["recall"][7]["mean"] == F(1)
+        assert table["cue"]["recall"][6]["mean"] == F(0)
+        assert table["pause"]["recall"][6]["mean"] == F(1)
+        assert table["np"]["recall"][3]["mean"] == F(1)
+        assert table["np"]["recall"][3]["count"] == 1
+        assert table["humans"]["recall"][7]["mean"] == F(1)
+        assert table["humans"]["recall"][7]["count"] == 7
         # Nobody has a strength-4 site, so recall is undefined everywhere.
-        assert table["cue"]["recall"][4].mean is None
+        assert table["cue"]["recall"][4]["mean"] is None
 
 
 class TestRendering:
@@ -261,8 +261,11 @@ class TestRendering:
         assert first.to_tsv() == second.to_tsv()
         assert first.to_json() == second.to_json()
 
-    @pytest.mark.parametrize("value", [object(), frozenset({1}), np.int64(1)],
-                             ids=["object", "frozenset", "int64"])
+    @pytest.mark.parametrize(
+        "value",
+        [object(), frozenset({1}), np.int64(1), percent_agreement(make_matrix("n", [[1]]))],
+        ids=["object", "frozenset", "int64", "AgreementReport"],
+    )
     def test_unrenderable_value_refused(self, value):
         message = f"^cannot render {type(value).__name__} as JSON$"
         with pytest.raises(TypeError, match=message):
@@ -272,6 +275,10 @@ class TestRendering:
         report = build_report(batch, threshold=1)
         assert "# methods threshold=1" in report.to_tsv()
         assert json.loads(report.to_json())["threshold"] == 1
+
+    def test_numpy_integer_threshold_renders_as_an_int(self, batch):
+        report, plain = build_report(batch, threshold=np.int64(1)), build_report(batch, threshold=1)
+        assert (report.to_json(), report.to_tsv()) == (plain.to_json(), plain.to_tsv())
 
 
 class TestValidation:
@@ -325,8 +332,8 @@ class TestValidation:
         narrative, matrix = pear9
         report = build_report([BatchItem(narrative, matrix)])
         np_row = report.method_table["np"]
-        assert all(np_row[name].count == 0 for name in np_row)
-        assert all(np_row[name].mean is None for name in np_row)
+        assert all(np_row[name]["count"] == 0 for name in np_row)
+        assert all(np_row[name]["mean"] is None for name in np_row)
         tsv_lines = report.to_tsv().splitlines()
         np_line = next(line for line in tsv_lines if line.startswith("np\t"))
         assert np_line.split("\t")[1:] == ["NA"] * 8
@@ -393,10 +400,11 @@ def loop_scores(row, target):
 def loop_aggregate(values):
     kept = [v for v in values if v is not None]
     if not kept:
-        return MetricAggregate(None, None, 0, len(values))
+        return {"mean": None, "variance": None, "count": 0, "skipped": len(values)}
     mean = sum(kept, F(0)) / len(kept)
     variance = sum(((v - mean) ** 2 for v in kept), F(0)) / len(kept)
-    return MetricAggregate(mean, variance, len(kept), len(values) - len(kept))
+    return {"mean": mean, "variance": variance, "count": len(kept),
+            "skipped": len(values) - len(kept)}
 
 
 def loop_totals(rows):
