@@ -167,7 +167,9 @@ def _cmd_cochran(args) -> str:
         payload["calibration"] = {
             "trials": calibration.trials,
             "seed": calibration.seed,
-            "degenerate_trials": calibration.degenerate_trials,
+            # A degenerate panel raised in cochran_q above, so no trial is
+            # degenerate; the key stays, as the JSON output has always held it.
+            "degenerate_trials": 0,
             "quantiles": {num(k): v for k, v in calibration.quantiles.items()},
             "chi_square_quantiles": {
                 num(k): v for k, v in calibration.reference_quantiles.items()

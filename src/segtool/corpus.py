@@ -31,7 +31,7 @@ from functools import cached_property
 from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import eq, is_, itemgetter, le, lt
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -190,44 +190,22 @@ class AnnotationMatrix:
 
     Cell (s, k) is 1 when subject s placed a boundary at site k. Row totals
     give each subject's boundary count; column totals give per-site agreement
-    strength. The cell array is read-only once constructed.
-
-    cells are rows of equal length or a 2-d array; each cell must be the
-    number 0 or 1 before any cast, so true, 0.5 or "1" is refused.
+    strength. The cell array and both totals are read-only int64 arrays.
+    Only load_annotations builds a matrix.
     """
 
-    def __init__(self, narrative_id: str, subject_ids: Iterable[str], cells):
-        _narrative_id(narrative_id)
-        subject_ids = _subject_ids(tuple(subject_ids))
-        if not subject_ids:
-            raise SchemaError("subjects", "expected at least one subject")
-        rows = cells.tolist() if isinstance(cells, np.ndarray) else cells
-        if not isinstance(rows, list) or len(rows) != len(subject_ids):
-            raise SchemaError("matrix", f"expected {len(subject_ids)} rows")
-        width = len(rows[0]) if isinstance(rows[0], list) else 0
-        if not width:
-            raise SchemaError("matrix[0]", "expected a non-empty list of cells")
-        for r, row in enumerate(rows):
-            if not isinstance(row, list) or len(row) != width:
-                raise SchemaError(f"matrix[{r}]", f"expected {width} cells")
-            # One pass in C for a good row; the type test comes first, as it
-            # also keeps unhashable cells away from set(row).
-            if set(map(type, row)) <= {int, float} and set(row) <= {0, 1}:
-                continue
-            for k, cell in enumerate(row):
-                if cell not in (0, 1) or isinstance(cell, bool):
-                    raise SchemaError(f"matrix[{r}][{k}]", "expected 0 or 1")
-        if len(set(subject_ids)) != len(subject_ids):
-            raise SchemaError("matrix", "subject ids must be distinct")
-        cells = np.array(rows, dtype=np.int64)
-        cells.setflags(write=False)
-        self.narrative_id = narrative_id
-        self.subject_ids = subject_ids
-        self.cells = cells
-        self._row_totals = cells.sum(axis=1)
-        self._col_totals = cells.sum(axis=0)
-        self._row_totals.setflags(write=False)
-        self._col_totals.setflags(write=False)
+    def __init__(self, *args, **kwargs):
+        raise TypeError("an AnnotationMatrix is built by load_annotations")
+
+    @classmethod
+    def _of_cells(cls, narrative_id, subject_ids, cells) -> "AnnotationMatrix":
+        """The matrix of the loader's checked int64 cells, with its totals."""
+        matrix = cls.__new__(cls)
+        matrix.narrative_id, matrix.subject_ids, matrix.cells = narrative_id, subject_ids, cells
+        matrix.row_totals, matrix.column_totals = cells.sum(axis=1), cells.sum(axis=0)
+        for array in (cells, matrix.row_totals, matrix.column_totals):
+            array.setflags(write=False)
+        return matrix
 
     @property
     def subjects(self) -> int:
@@ -236,16 +214,6 @@ class AnnotationMatrix:
     @property
     def sites(self) -> int:
         return self.cells.shape[1]
-
-    @property
-    def row_totals(self) -> np.ndarray:
-        """Boundary count per subject."""
-        return self._row_totals
-
-    @property
-    def column_totals(self) -> np.ndarray:
-        """Number of subjects marking each site."""
-        return self._col_totals
 
     def __eq__(self, other) -> bool:
         return (
@@ -565,6 +533,34 @@ def serialize_narrative(narrative: Narrative) -> dict:
     }
 
 
+def _binary_rows(rows: Any, subjects: int, sites: int) -> bool:
+    """The panel rule, a row at a time in C: at least one subject, one list of sites cells
+    per subject, and each cell the number 0 or 1 before any cast. The type test comes first,
+    as it also keeps unhashable cells away from set(row)."""
+    if (not subjects or type(rows) is not list or len(rows) != subjects
+            or not set(map(type, rows)) <= {list} or set(map(len, rows)) != {sites}):
+        return False
+    return all(set(map(type, row)) <= {int, float} and set(row) <= {0, 1} for row in rows)
+
+
+def _matrix_by_element(rows: Any, subjects: int, sites: int) -> None:
+    """Raise at the panel's first fault, with its location. The first row's width comes
+    before the subject and row counts, then each row's width and cells in row-major order."""
+    if isinstance(rows, list) and rows and not (isinstance(rows[0], list)
+                                                and len(rows[0]) == sites):
+        raise SchemaError("matrix[0]", f"expected {sites} cells")
+    if not subjects:
+        raise SchemaError("subjects", "expected at least one subject")
+    if not isinstance(rows, list) or len(rows) != subjects:
+        raise SchemaError("matrix", f"expected {subjects} rows")
+    for r, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != sites:
+            raise SchemaError(f"matrix[{r}]", f"expected {sites} cells")
+        for k, cell in enumerate(row):
+            if cell not in (0, 1) or isinstance(cell, bool):
+                raise SchemaError(f"matrix[{r}][{k}]", "expected 0 or 1")
+
+
 def load_annotations(source, narrative: Narrative) -> AnnotationMatrix:
     """Load a subjects x sites boundary matrix tied to a transcript.
 
@@ -573,7 +569,7 @@ def load_annotations(source, narrative: Narrative) -> AnnotationMatrix:
     """
     data = _read_object(source)
     narrative_id = _narrative_id(_require(data, "narrative_id", ""), narrative, "annotations are")
-    subjects = _subject_ids(_require(data, "subjects", ""))
+    subject_ids = _subject_ids(_require(data, "subjects", ""))
     sites = _require(data, "sites", "")
     if type(sites) is not int or sites < 1:
         raise SchemaError("sites", "expected a positive integer")
@@ -583,12 +579,11 @@ def load_annotations(source, narrative: Narrative) -> AnnotationMatrix:
             f"{narrative.narrative_id} has {narrative.site_count}"
         )
     rows = _require(data, "matrix", "")
-    # The constructor holds every row to the first one's width; sites sets it.
-    if isinstance(rows, list) and rows and (
-        not isinstance(rows[0], list) or len(rows[0]) != sites
-    ):
-        raise SchemaError("matrix[0]", f"expected {sites} cells")
-    return AnnotationMatrix(narrative_id, subjects, rows)
+    if not _binary_rows(rows, len(subject_ids), sites):
+        _matrix_by_element(rows, len(subject_ids), sites)  # names the fault the pass met
+    if len(set(subject_ids)) != len(subject_ids):
+        raise SchemaError("matrix", "subject ids must be distinct")
+    return AnnotationMatrix._of_cells(narrative_id, subject_ids, np.array(rows, dtype=np.int64))
 
 
 def serialize_annotations(matrix: AnnotationMatrix) -> dict:

@@ -22,7 +22,7 @@ import math
 import numbers
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -268,8 +268,8 @@ class CalibrationResult:
     or above the chi-square 5% critical value, so a well-calibrated null
     puts it near 0.05. rejection_rate_05_se and empirical_p_se are the
     Monte-Carlo standard errors sqrt(p * (1 - p) / trials) of those two
-    estimates. All distribution fields are None when the row totals admit
-    no variance (then every trial is degenerate).
+    estimates. observed_q, empirical_p and empirical_p_se are None when no
+    observed statistic was given.
     """
 
     row_totals: tuple[int, ...]
@@ -277,14 +277,13 @@ class CalibrationResult:
     trials: int
     seed: int
     df: int
-    degenerate_trials: int
-    quantiles: dict[float, float] | None = None
-    reference_quantiles: dict[float, float] | None = None
-    rejection_rate_05: float | None = None
-    observed_q: float | None = None
-    empirical_p: float | None = None
-    rejection_rate_05_se: float | None = None
-    empirical_p_se: float | None = None
+    quantiles: dict[float, float]
+    reference_quantiles: dict[float, float]
+    rejection_rate_05: float
+    observed_q: float | None
+    empirical_p: float | None
+    rejection_rate_05_se: float
+    empirical_p_se: float | None
 
 
 _QUANTILE_LEVELS = (0.5, 0.9, 0.95, 0.99)
@@ -308,7 +307,9 @@ def null_calibration(
     run longer than max(1, 2**18 // sites) trials gives other numbers than
     versions that used 2**18-cell chunks. observed_q, when given, is a real
     number (not a bool) that is finite and non-negative; its empirical p
-    uses the add-one rule (1 + exceedances) / (trials + 1).
+    uses the add-one rule (1 + exceedances) / (trials + 1). After the
+    argument checks, row totals with no variance (each 0 or sites) raise
+    DegenerateDataError, as cochran_q does.
     """
     u = tuple(row_totals)
     if not u:
@@ -341,19 +342,8 @@ def null_calibration(
     j = sites
     df = j - 1
     total, denom = _q_denominator(j, u)
-    degenerate = CalibrationResult(
-        row_totals=u,
-        sites=j,
-        trials=trials,
-        seed=seed,
-        df=df,
-        degenerate_trials=trials,
-        observed_q=observed_q,
-    )
-    if denom == 0:
-        # Every simulated matrix would be degenerate too; report that
-        # instead of fabricating a distribution.
-        return degenerate
+    if denom == 0:  # every simulated matrix keeps these row totals, so none has a Q
+        raise DegenerateDataError(DEGENERATE_MESSAGE)
 
     stats = np.empty(trials, dtype=np.float64)
     chunk = max(1, _CHUNK_CELLS // j)
@@ -373,12 +363,16 @@ def null_calibration(
     empirical_p = None
     if observed_q is not None:
         empirical_p = (1 + int((stats >= observed_q).sum())) / (trials + 1)
-    return replace(
-        degenerate,
-        degenerate_trials=0,
+    return CalibrationResult(
+        row_totals=u,
+        sites=j,
+        trials=trials,
+        seed=seed,
+        df=df,
         quantiles=quantiles,
         reference_quantiles=reference,
         rejection_rate_05=rejection_rate,
+        observed_q=observed_q,
         empirical_p=empirical_p,
         rejection_rate_05_se=_standard_error(rejection_rate, trials),
         empirical_p_se=_standard_error(empirical_p, trials),

@@ -1,10 +1,46 @@
-"""Shared fixtures and the acceptance summary hook."""
+"""Shared fixtures, the one test helper that builds a panel, and the acceptance summary hook."""
 
 from __future__ import annotations
 
+import json
+from functools import cache
+
+import numpy as np
 import pytest
 
-from segtool import fixture_path, load_annotations, load_fic_coding, load_narrative
+from segtool import (
+    AnnotationMatrix,
+    Narrative,
+    fixture_path,
+    load_annotations,
+    load_fic_coding,
+    load_narrative,
+)
+
+
+@cache
+def made_up_transcript(narrative_id: str, sites: int) -> Narrative:
+    """A transcript of sites + 1 one-word phrases, one sentence each."""
+    return load_narrative(json.dumps({"narrative_id": narrative_id, "phrases": [
+        {"id": f"{k}.1", "sentence_final": True, "pause_before": None, "text": ["word"]}
+        for k in range(1, sites + 2)
+    ]}).encode())
+
+
+def annotations_doc(narrative_id: str, rows: list) -> dict:
+    """The annotation file of rows (lists of cells), one per subject s1, s2, ..."""
+    return {"narrative_id": narrative_id, "subjects": [f"s{k + 1}" for k in range(len(rows))],
+            "sites": len(rows[0]), "matrix": rows}
+
+
+def load_panel(rows, narrative: Narrative | str = "m") -> AnnotationMatrix:
+    """rows (lists or a 2-d array of 0/1) loaded by load_annotations against narrative, or
+    against a made-up transcript of that id with one site per column."""
+    rows = np.asarray(rows).tolist()
+    if isinstance(narrative, str):
+        narrative = made_up_transcript(narrative, len(rows[0]))
+    doc = annotations_doc(narrative.narrative_id, rows)
+    return load_annotations(json.dumps(doc).encode(), narrative)
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,6 @@ import pytest
 import scipy.stats
 
 from segtool import (
-    AnnotationMatrix,
     BatchItem,
     build_report,
     chi_square_sf,
@@ -36,13 +35,9 @@ from segtool import (
 )
 from segtool.cli import run
 from segtool.evaluation import aggregate_cells, confusion_table, score_units
+from conftest import load_panel
 
 F = Fraction
-
-
-def make_matrix(rows, narrative_id="n"):
-    ids = [f"s{k + 1}" for k in range(len(rows))]
-    return AnnotationMatrix(narrative_id, ids, np.array(rows, dtype=np.int64))
 
 
 def test_criterion_01_agreement_reconstruction(pear9):
@@ -109,11 +104,11 @@ def test_criterion_03_cue_and_pause_marks(pear9):
 def test_criterion_04_cochran_q():
     """q=0/p=1 on balanced columns; worked 3x4 example; exact partition."""
     for rows in ([[1, 0], [0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]):
-        balanced = cochran_q(make_matrix(rows))
+        balanced = cochran_q(load_panel(rows))
         assert balanced.q == 0.0
         assert balanced.p == 1.0
 
-    worked = cochran_q(make_matrix([[1, 1, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0]]))
+    worked = cochran_q(load_panel([[1, 1, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0]]))
     assert worked.q == pytest.approx(7.2, abs=1e-12)
     assert worked.df == 3
     assert worked.p == pytest.approx(0.0658, abs=1e-3)
@@ -124,7 +119,7 @@ def test_criterion_04_cochran_q():
         cells = (rng.random((7, 50)) < rng.uniform(0.1, 0.6)).astype(np.int64)
         if not (cells.sum(axis=1) % 50).all():
             cells[0, 0] ^= 1  # keep every row non-constant
-        matrix = make_matrix(cells.tolist())
+        matrix = load_panel(cells.tolist())
         result = cochran_q(matrix)
         components = result.components
         total = sum(comp.q for comp in components.values())
@@ -156,7 +151,7 @@ def test_criterion_07_recall_agreement_identity():
     checked = 0
     for _ in range(500):
         cells = (rng.random((7, 100)) < rng.uniform(0.05, 0.5)).astype(np.int64)
-        matrix = make_matrix(cells.tolist())
+        matrix = load_panel(cells.tolist())
         cells = score_units(matrix, matrix.cells, threshold=4)[2][:, :, 0]
         mean_recall = aggregate_cells(cells, ("recall",))["recall"]["mean"]
         boundary_agreement = percent_agreement(matrix, threshold=4).percent_boundary
@@ -236,14 +231,12 @@ def test_criterion_10_report_shapes(pear9, three_link, shared_phrase):
         BatchItem(big_narrative, big_matrix),
         BatchItem(
             link_narrative,
-            make_matrix(
-                [[0, 0, 1], [0, 1, 1], [1, 0, 1]], link_narrative.narrative_id
-            ),
+            load_panel([[0, 0, 1], [0, 1, 1], [1, 0, 1]], link_narrative),
             link_coding,
         ),
         BatchItem(
             shared_narrative,
-            make_matrix([[1], [1], [0]], shared_narrative.narrative_id),
+            load_panel([[1], [1], [0]], shared_narrative),
             shared_coding,
         ),
     ]

@@ -17,7 +17,6 @@ from hypothesis import strategies as hst
 from hypothesis.extra.numpy import arrays
 
 from segtool import (
-    AnnotationMatrix,
     BatchItem,
     FIXTURE_NAMES,
     ValidationError,
@@ -30,19 +29,13 @@ from segtool import (
     pooled_target,
 )
 from segtool.evaluation import score_units
+from conftest import load_panel
 
 
 def target_sites(matrix, threshold=None) -> list[int]:
     """The sites of pooled_target's mask, by default the majority's."""
     mask = pooled_target(matrix.subjects, matrix.column_totals, threshold)[0]
     return np.flatnonzero(mask).tolist()
-
-
-def make_matrix(cells, narrative_id="m") -> AnnotationMatrix:
-    cells = np.asarray(cells)
-    return AnnotationMatrix(
-        narrative_id, [f"s{i}" for i in range(cells.shape[0])], cells
-    )
 
 
 def brute_force_agreement(cells, threshold):
@@ -116,14 +109,14 @@ class TestPercentAgreement:
     def test_single_site_four_of_seven(self):
         # 1 site marked by 4 of 7: the majority says boundary, the 4 markers
         # agree, so 4/7 by direct enumeration.
-        matrix = make_matrix([[1], [1], [1], [1], [0], [0], [0]])
+        matrix = load_panel([[1], [1], [1], [1], [0], [0], [0]])
         report = percent_agreement(matrix)
         assert report.percent == Fraction(4, 7)
         assert report.percent_boundary == Fraction(4, 7)
         assert report.percent_non_boundary is None
 
     def test_no_boundary_class_is_undefined_not_zero(self):
-        matrix = make_matrix([[0, 1], [1, 0], [0, 0]])
+        matrix = load_panel([[0, 1], [1, 0], [0, 0]])
         report = percent_agreement(matrix)
         assert report.possible_boundary == 0
         assert report.percent_boundary is None
@@ -135,7 +128,7 @@ class TestPercentAgreement:
             i = int(rng.integers(2, 9))
             j = int(rng.integers(1, 15))
             cells = rng.integers(0, 2, size=(i, j))
-            report = percent_agreement(make_matrix(cells))
+            report = percent_agreement(load_panel(cells))
             ob, pb, onb, pnb = brute_force_agreement(
                 cells.tolist(), majority_threshold(i)
             )
@@ -148,13 +141,13 @@ class TestPercentAgreement:
     @settings(max_examples=60, deadline=None)
     @given(binary_matrices, hst.randoms(use_true_random=False))
     def test_invariant_under_row_and_column_permutation(self, cells, rnd):
-        report = percent_agreement(make_matrix(cells))
+        report = percent_agreement(load_panel(cells))
         rows = list(range(cells.shape[0]))
         cols = list(range(cells.shape[1]))
         rnd.shuffle(rows)
         rnd.shuffle(cols)
         permuted = cells[np.ix_(rows, cols)]
-        other = percent_agreement(make_matrix(permuted))
+        other = percent_agreement(load_panel(permuted))
         assert report.percent == other.percent
         assert report.percent_boundary == other.percent_boundary
         assert report.percent_non_boundary == other.percent_non_boundary
@@ -200,7 +193,7 @@ class TestBoundaryStrengths:
     @settings(max_examples=60, deadline=None)
     @given(binary_matrices)
     def test_cumulative_nesting_and_exact_partition(self, cells):
-        matrix = make_matrix(cells)
+        matrix = load_panel(cells)
         i = matrix.subjects
         for t in range(1, i + 1):
             for exact in (False, True):

@@ -10,15 +10,15 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
 import segtool
-from segtool import AnnotationMatrix, fixture_path, segmenters, serialize_annotations
+from segtool import fixture_path, segmenters
 from segtool.cli import run
 from segtool.significance import MAX_TRIALS
+from conftest import annotations_doc
 
 
 def invoke(*argv):
@@ -54,22 +54,12 @@ def data(tmp_path_factory):
         "three_link_tests_coding.json",
     ):
         shutil.copy(fixture_path(name), root / name)
-    links = AnnotationMatrix(
-        "synthetic-links",
-        ["s1", "s2", "s3"],
-        np.array([[0, 0, 1], [0, 1, 1], [1, 0, 1]], dtype=np.int64),
-    )
-    (root / "three_link_tests_annotations.json").write_text(
-        json.dumps(serialize_annotations(links))
-    )
-    flat = AnnotationMatrix(
-        "synthetic-links",
-        ["s1", "s2"],
-        np.zeros((2, 3), dtype=np.int64),
-    )
-    (root / "all_zero_annotations.json").write_text(
-        json.dumps(serialize_annotations(flat))
-    )
+    (root / "three_link_tests_annotations.json").write_text(json.dumps(
+        annotations_doc("synthetic-links", [[0, 0, 1], [0, 1, 1], [1, 0, 1]])
+    ))
+    (root / "all_zero_annotations.json").write_text(json.dumps(
+        annotations_doc("synthetic-links", [[0, 0, 0], [0, 0, 0]])
+    ))
     (root / "maybe_cues.txt").write_text("# test lexicon\nmaybe\n")
     (root / "not_json.json").write_text("{ truncated")
     return root

@@ -5,15 +5,17 @@ from __future__ import annotations
 import copy
 import gc
 import io
+import itertools
 import json
 import sys
 from itertools import compress
+from operator import itemgetter
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
 from segtool import corpus
@@ -36,6 +38,7 @@ from segtool import (
 )
 from segtool.corpus import load_manifest
 from segtool.segmenters import TraceStep, first_lexical_token, np_segment
+from conftest import load_panel, made_up_transcript
 from test_segmenters import np_oracle
 
 
@@ -271,7 +274,8 @@ class TestAnnotationLoading:
         narrative = load_narrative(dumps(narrative_doc(n_phrases=9, narrative_id="rt")))
         for _ in range(25):
             cells = rng.integers(0, 2, size=(5, 8))
-            matrix = AnnotationMatrix("rt", [f"s{i}" for i in range(5)], cells)
+            matrix = load_panel(cells, narrative)
+            assert matrix.cells.tolist() == cells.tolist()
             again = load_annotations(dumps(serialize_annotations(matrix)), narrative)
             assert again == matrix
 
@@ -397,58 +401,42 @@ class TestIdsFitOneTsvCell:
         assert load_annotations(dumps(doc), narrative).subject_ids[0] == "s 1\x00\U0001f600"
 
 
+def load_rows(subjects: list, rows: list):
+    """load_annotations of rows under subjects, against a made-up transcript of 2 sites."""
+    doc = {"narrative_id": "m", "subjects": subjects, "sites": 2, "matrix": rows}
+    return load_annotations(dumps(doc), made_up_transcript("m", 2))
+
+
 class TestAnnotationMatrixConstruction:
-    """The constructor holds rows to the file format's 0/1 rule, before any cast."""
+    """The loader holds rows to the file format's 0/1 rule, before any cast."""
 
     @pytest.mark.parametrize("cell", ["1", 0.5, 1.9, True, None])
     def test_bad_cell_named(self, cell):
         with pytest.raises(ValidationError) as excinfo:
-            AnnotationMatrix("m", ["a", "b"], [[0, 1], [1, cell]])
+            load_rows(["a", "b"], [[0, 1], [1, cell]])
         assert str(excinfo.value) == "matrix[1][1]: expected 0 or 1"
-
-    def test_fractional_array_cell_named(self):
-        with pytest.raises(ValidationError) as excinfo:
-            AnnotationMatrix("m", ["a"], np.array([[0.0, 1.9]]))
-        assert str(excinfo.value) == "matrix[0][1]: expected 0 or 1"
 
     @pytest.mark.parametrize("row", [[1], [1, 0, 1], 5, None])
     def test_ragged_row_named(self, row):
         with pytest.raises(ValidationError) as excinfo:
-            AnnotationMatrix("m", ["a", "b"], [[0, 1], row])
+            load_rows(["a", "b"], [[0, 1], row])
         assert str(excinfo.value) == "matrix[1]: expected 2 cells"
-
-    def test_empty_first_row_named(self):
-        with pytest.raises(ValidationError) as excinfo:
-            AnnotationMatrix("n", ["s"], [[]])
-        assert str(excinfo.value) == "matrix[0]: expected a non-empty list of cells"
-
-    def test_integer_arrays_construct(self):
-        cells = np.random.default_rng(5).integers(0, 2, size=(4, 6))
-        matrix = AnnotationMatrix("m", ["a", "b", "c", "d"], cells)
-        assert matrix.cells.tolist() == cells.tolist()
-        assert matrix.cells.dtype == np.int64
-        small = AnnotationMatrix("m", ["a"], np.array([[0, 1]], dtype=np.int64))
-        assert (small.subjects, small.sites) == (1, 2)
 
 
 class TestAnnotationMatrixSubjectIds:
-    """The constructor holds subject ids to the loader's rule, with its messages."""
+    """The loader holds subject ids to their rule, with its messages."""
 
-    @pytest.mark.parametrize("bad", ["", 1, None, b"s"])
+    @pytest.mark.parametrize("bad", ["", 1, None, ["s"]])
     def test_non_string_or_empty_id(self, bad):
         with pytest.raises(SchemaError) as excinfo:
-            AnnotationMatrix("n", ["a", bad], [[0, 1], [1, 0]])
+            load_rows(["a", bad], [[0, 1], [1, 0]])
         assert str(excinfo.value) == "subjects: expected a list of non-empty strings"
 
     @pytest.mark.parametrize("bad", CELL_BREAKING_IDS)
     def test_cell_breaking_id(self, bad):
         with pytest.raises(SchemaError) as excinfo:
-            AnnotationMatrix("n", ["a", "b", bad], [[0, 1], [1, 0], [1, 1]])
+            load_rows(["a", "b", bad], [[0, 1], [1, 0], [1, 1]])
         assert str(excinfo.value) == "subjects[2]: expected no tab or line break"
-
-    def test_ids_from_any_iterable(self):
-        matrix = AnnotationMatrix("n", iter(["a", "b"]), [[0, 1], [1, 0]])
-        assert matrix.subject_ids == ("a", "b")
 
 
 class TestManifestLoading:
@@ -893,8 +881,8 @@ def _case_id(case):
 class TestEverySingleFaultIsNamed:
     """The exact text of each fault, at the first, a middle and the last element.
 
-    The loaders are the one way to build a transcript or a coding, so none is
-    built that skipped a rule.
+    The loaders are the one way to build a transcript, a panel or a coding, so
+    none is built that skipped a rule.
     """
 
     def test_toy_files_load(self):
@@ -904,9 +892,12 @@ class TestEverySingleFaultIsNamed:
 
     def test_only_the_loaders_build(self):
         narrative = load_narrative(dumps(toy_transcript()))
-        for cls, loader in ((Narrative, "load_narrative"), (FicCoding, "load_fic_coding")):
+        for cls, loader in ((Narrative, "load_narrative"), (AnnotationMatrix, "load_annotations"),
+                            (FicCoding, "load_fic_coding")):
+            article = "an" if cls is AnnotationMatrix else "a"
             for args in ((), ("toy", ()), (narrative, ())):
-                with pytest.raises(TypeError, match=f"^a {cls.__name__} is built by {loader}$"):
+                with pytest.raises(TypeError,
+                                   match=f"^{article} {cls.__name__} is built by {loader}$"):
                     cls(*args)
 
     @pytest.mark.parametrize(
@@ -1062,6 +1053,114 @@ class TestColumnPassAgreesWithTheWalk:
         elif len(chosen) == 2 and places[chosen[0]][:2] != places[chosen[1]][:2]:
             # Two faults in different elements: the first in document order is named.
             assert got == outcome(load, *first_alone)
+
+
+# Cell and row faults of a panel: each is named at its cell, or at its row.
+PANEL_FAULTS = [("cell", value) for value in (True, False, 2, 0.5, "1", None, [1])] + [
+    ("row", change) for change in (lambda row: row[:-1], lambda row: row + [0],
+                                   lambda row: 5, lambda row: None, lambda row: {})]
+
+
+@hst.composite
+def panel_docs(draw):
+    """A valid annotation file of 1-5 subjects over 1-6 sites; a cell may be 0.0 or 1.0."""
+    subjects, sites = draw(hst.integers(1, 5)), draw(hst.integers(1, 6))
+    rows = draw(hst.lists(hst.lists(hst.sampled_from([0, 1, 0.0, 1.0]), min_size=sites,
+                                    max_size=sites), min_size=subjects, max_size=subjects))
+    return {"narrative_id": "drawn", "subjects": [f"s{k}" for k in range(subjects)],
+            "sites": sites, "matrix": rows}
+
+
+class TestAnnotationColumnPassAgreesWithTheWalk:
+    """The panel's column pass is never looser than its located walk, nor names another fault."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(doc=panel_docs(), data=hst.data())
+    def test_planted_faults(self, doc, data):
+        sites, rows = doc["sites"], doc["matrix"]
+        narrative = made_up_transcript("drawn", sites)
+        places = [(r, k) for r in range(len(rows)) for k in range(sites)]
+        chosen = data.draw(hst.lists(hst.sampled_from(places), max_size=2, unique=True))
+        faults = [(*data.draw(hst.sampled_from(PANEL_FAULTS)), r, k) for r, k in chosen]
+        row_faults = [r for kind, _, r, _ in faults if kind == "row"]
+        assume(len(set(row_faults)) == len(row_faults))  # a second change could undo the first
+        planted_doc = copy.deepcopy(doc)
+        matrix, named = planted_doc["matrix"], []
+        # Cells first ("cell" < "row"), so that a row fault can take the place of a row that
+        # holds one; the walk names a row's width before any of its cells.
+        for kind, fault, r, k in sorted(faults, key=itemgetter(0)):
+            if kind == "row":
+                matrix[r] = fault(matrix[r])
+                named.append(((r, -1), f"matrix[{r}]: expected {sites} cells"))
+            else:
+                matrix[r][k] = fault
+                named.append(((r, k), f"matrix[{r}][{k}]: expected 0 or 1"))
+        args = dumps(planted_doc), narrative
+        got = outcome(load_annotations, *args)
+        with mock.patch.object(corpus, "_binary_rows", return_value=False):
+            assert outcome(load_annotations, *args) == got
+        if not faults:
+            # A valid file is built by the column pass alone, holding its rows as int64.
+            with mock.patch.object(corpus, "_matrix_by_element", side_effect=AssertionError):
+                assert outcome(load_annotations, *args) == got
+            assert got[0].cells.dtype == np.int64
+            assert np.array_equal(got[0].cells, np.array(rows))
+        else:
+            # One fault, or the first of two in row-major order, at its place.
+            assert got == ("SchemaError", min(named)[1])
+
+
+# File-level faults of a 2 x 3 panel, in the order the loader reports them.
+PANEL = {"narrative_id": "pair", "subjects": ["a", "b"], "sites": 3,
+         "matrix": [[0, 1, 0], [1, 1, 0]]}
+FILE_FAULTS = [  # (fields touched, the change, the message)
+    ({"narrative_id"}, lambda doc: doc.update(narrative_id=3),
+     "narrative_id: expected a non-empty string"),
+    ({"narrative_id"}, lambda doc: doc.update(narrative_id="other"),
+     "annotations are for 'other' but the transcript is 'pair'"),
+    ({"subjects"}, lambda doc: doc.update(subjects="ab"),
+     "subjects: expected a list of non-empty strings"),
+    ({"subjects"}, lambda doc: doc.update(subjects=["a", "b\t"]),
+     "subjects[1]: expected no tab or line break"),
+    ({"sites"}, lambda doc: doc.update(sites=True), "sites: expected a positive integer"),
+    ({"sites"}, lambda doc: doc.update(sites=4),
+     "annotations declare 4 sites but narrative pair has 3"),
+    ({"matrix", "rows", "row 0", "row 1"}, lambda doc: doc.pop("matrix"), "matrix: missing field"),
+    ({"row 0"}, lambda doc: doc["matrix"][0].pop(), "matrix[0]: expected 3 cells"),
+    ({"subjects"}, lambda doc: doc.update(subjects=[]), "subjects: expected at least one subject"),
+    ({"matrix", "rows", "row 0", "row 1"}, lambda doc: doc.update(matrix={}),
+     "matrix: expected 2 rows"),
+    ({"rows"}, lambda doc: doc["matrix"].append([0, 0, 0]), "matrix: expected 2 rows"),
+    ({"row 0"}, lambda doc: doc["matrix"][0].__setitem__(1, 0.5), "matrix[0][1]: expected 0 or 1"),
+    ({"row 1"}, lambda doc: doc["matrix"].__setitem__(1, [1]), "matrix[1]: expected 3 cells"),
+    ({"row 1"}, lambda doc: doc["matrix"][1].__setitem__(2, "1"), "matrix[1][2]: expected 0 or 1"),
+    ({"subjects"}, lambda doc: doc.update(subjects=["a", "a"]),
+     "matrix: subject ids must be distinct"),
+]
+FAULT_PAIRS = [(first, second) for first, second in itertools.combinations(FILE_FAULTS, 2)
+               if not first[0] & second[0]]
+
+
+class TestAnnotationFileFaults:
+    """Of two faults in an annotation file, the one the loader checks first is named."""
+
+    @pytest.mark.parametrize("fault", FILE_FAULTS, ids=lambda fault: fault[2])
+    def test_alone(self, fault):
+        self.assert_named([fault], fault[2])
+
+    @pytest.mark.parametrize("first, second", FAULT_PAIRS,
+                             ids=[f"{a[2]} + {b[2]}" for a, b in FAULT_PAIRS])
+    def test_pair(self, first, second):
+        self.assert_named([second, first], first[2])
+
+    @staticmethod
+    def assert_named(faults, message):
+        doc = copy.deepcopy(PANEL)
+        for _, change, _ in faults:
+            change(doc)
+        with pytest.raises(ValidationError) as excinfo:
+            load_annotations(dumps(doc), made_up_transcript("pair", 3))
+        assert str(excinfo.value) == message
 
 
 # Each clause, NP and coding rule that the column pass checks, planted alone

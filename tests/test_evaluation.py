@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from segtool import (
-    AnnotationMatrix,
     ValidationError,
     cue_segment,
     metrics,
@@ -20,13 +19,9 @@ from segtool import (
 )
 from segtool.evaluation import (RATIOS, aggregate_cells, aggregate_pairs, confusion_table,
                                 score_units)
+from conftest import load_panel
 
 F = Fraction
-
-
-def make_matrix(rows, narrative_id="n"):
-    ids = [f"s{k + 1}" for k in range(len(rows))]
-    return AnnotationMatrix(narrative_id, ids, np.array(rows, dtype=np.int64))
 
 
 def site_mask(sites, universe: int) -> np.ndarray:
@@ -342,7 +337,7 @@ class TestHumanScores:
     )
     def test_identity_holds_at_every_threshold(self, case):
         _j, rows, threshold = case
-        matrix = make_matrix(rows)
+        matrix = load_panel(rows)
         summary = human_scores(matrix, threshold=threshold)[3]
         report = percent_agreement(matrix, threshold=threshold)
         assert summary["recall"]["mean"] == report.percent_boundary
@@ -360,12 +355,12 @@ class TestHumanScores:
         assert metrics(*counts[6])["recall"] == F(1, 2)
 
     def test_leave_one_out_needs_panel(self):
-        matrix = make_matrix([[1, 0, 1]])
+        matrix = load_panel([[1, 0, 1]])
         with pytest.raises(ValidationError, match="^leave-one-out needs at least 2 subjects$"):
             human_scores(matrix, leave_one_out=True)
 
     def test_leave_one_out_scores_only_the_subjects_rows(self):
-        matrix = make_matrix([[1, 0, 1], [0, 0, 1]])
+        matrix = load_panel([[1, 0, 1], [0, 0, 1]])
         with pytest.raises(ValidationError, match="^leave-one-out scores the subjects' own rows$"):
             score_units(matrix, matrix.cells[::-1], leave_one_out=True)
         assert score_units(matrix, matrix.cells.copy(), leave_one_out=True)[2].shape == (4, 2, 1)

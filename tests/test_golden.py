@@ -17,11 +17,11 @@ import json
 import shutil
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from segtool import AnnotationMatrix, fixture_path, serialize_annotations
+from segtool import fixture_path
 from segtool.cli import run
+from conftest import annotations_doc
 
 GOLDEN = Path(__file__).with_name("golden")
 
@@ -110,13 +110,8 @@ def _write_inputs(root: Path) -> None:
             except KeyError:
                 pass
     for stem, (narrative_id, rows) in MATRICES.items():
-        matrix = AnnotationMatrix(
-            narrative_id,
-            [f"s{k + 1}" for k in range(len(rows))],
-            np.array(rows, dtype=np.int64),
-        )
         (root / f"{stem}_annotations.json").write_text(
-            json.dumps(serialize_annotations(matrix))
+            json.dumps(annotations_doc(narrative_id, rows))
         )
     (root / "cues.txt").write_text("# test lexicon\nand\nmaybe\n")
     items = [{"narrative": f"{stem}_narrative.json",

@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from segtool import (
-    AnnotationMatrix,
     BatchItem,
     ValidationError,
     build_report,
@@ -37,13 +36,9 @@ from segtool import (
     serialize_narrative,
 )
 from segtool.evaluation import aggregate_cells, score_units
+from conftest import load_panel
 
 F = Fraction
-
-
-def make_matrix(narrative_id, rows):
-    ids = [f"s{k + 1}" for k in range(len(rows))]
-    return AnnotationMatrix(narrative_id, ids, np.array(rows, dtype=np.int64))
 
 
 @pytest.fixture(scope="module")
@@ -51,10 +46,8 @@ def batch(pear9, three_link, shared_phrase):
     big_narrative, big_matrix = pear9
     link_narrative, link_coding = three_link
     shared_narrative, shared_coding = shared_phrase
-    link_matrix = make_matrix(
-        link_narrative.narrative_id, [[0, 0, 1], [0, 1, 1], [1, 0, 1]]
-    )
-    shared_matrix = make_matrix(shared_narrative.narrative_id, [[1], [1], [0]])
+    link_matrix = load_panel([[0, 0, 1], [0, 1, 1], [1, 0, 1]], link_narrative)
+    shared_matrix = load_panel([[1], [1], [0]], shared_narrative)
     return [
         BatchItem(big_narrative, big_matrix),
         BatchItem(link_narrative, link_matrix, link_coding),
@@ -263,7 +256,7 @@ class TestRendering:
 
     @pytest.mark.parametrize(
         "value",
-        [object(), frozenset({1}), np.int64(1), percent_agreement(make_matrix("n", [[1]]))],
+        [object(), frozenset({1}), np.int64(1), percent_agreement(load_panel([[1]], "n"))],
         ids=["object", "frozenset", "int64", "AgreementReport"],
     )
     def test_unrenderable_value_refused(self, value):
@@ -295,7 +288,7 @@ class TestValidation:
     def test_matrix_pairing_checked(self, pear9, three_link):
         narrative, _ = pear9
         link_narrative, _ = three_link
-        wrong = make_matrix(link_narrative.narrative_id, [[0, 1, 0]])
+        wrong = load_panel([[0, 1, 0]], link_narrative)
         with pytest.raises(ValidationError):
             BatchItem(narrative, wrong)
 
@@ -310,7 +303,7 @@ class TestValidation:
         narrative, _ = pear9
         with pytest.raises(ValidationError, match="^matrix of 3 sites paired with narrative "
                                                   "pear-09-excerpt of 11$"):
-            BatchItem(narrative, make_matrix(narrative.narrative_id, [[0, 1, 0]]))
+            BatchItem(narrative, load_panel([[0, 1, 0]], narrative.narrative_id))
         link_narrative, coding = three_link
         doc = serialize_narrative(link_narrative)
         doc["phrases"].append({**doc["phrases"][-1], "id": "99.1"})
@@ -318,13 +311,13 @@ class TestValidation:
         rows = [[0] * longer.site_count]
         with pytest.raises(ValidationError, match="^coding of 3 sites paired with narrative "
                                                   "synthetic-links of 4$"):
-            BatchItem(longer, make_matrix(longer.narrative_id, rows), coding)
+            BatchItem(longer, load_panel(rows, longer), coding)
 
     @pytest.mark.parametrize("sites", [1, 10, 12, 30])
     def test_a_matrix_of_any_other_site_count_is_refused(self, pear9, sites):
         narrative, _ = pear9
         with pytest.raises(ValidationError) as excinfo:
-            BatchItem(narrative, make_matrix(narrative.narrative_id, [[0] * sites, [1] * sites]))
+            BatchItem(narrative, load_panel([[0] * sites, [1] * sites], narrative.narrative_id))
         assert str(excinfo.value) == (
             f"matrix of {sites} sites paired with narrative pear-09-excerpt of 11")
 
@@ -366,7 +359,7 @@ def panels(draw):
         {"id": f"{k + 1}.1", "text": [word, "rest"], "sentence_final": True, "pause_before": pause}
         for k, (word, pause) in enumerate(zip(words, pauses))
     ]}).encode())
-    return BatchItem(narrative, make_matrix(nid, rows))
+    return BatchItem(narrative, load_panel(rows, narrative))
 
 
 batches = hst.lists(panels(), min_size=1, max_size=3, unique_by=lambda i: i.narrative.narrative_id)
@@ -456,7 +449,7 @@ class TestOracle:
                 hst.lists(hst.integers(0, 1), min_size=sites, max_size=sites),
                 min_size=1, max_size=6,
             ))
-            items.append(BatchItem(narrative, make_matrix(narrative.narrative_id, rows), coding))
+            items.append(BatchItem(narrative, load_panel(rows, narrative), coding))
         smallest = min(item.matrix.subjects for item in items)
         threshold = data.draw(hst.none() | hst.integers(1, smallest))
         report = build_report(items, threshold=threshold)

@@ -21,7 +21,6 @@ from scipy import integrate
 from scipy import stats as sps
 
 from segtool import (
-    AnnotationMatrix,
     DegenerateDataError,
     ValidationError,
     chi_square_critical,
@@ -30,13 +29,7 @@ from segtool import (
     null_calibration,
 )
 from segtool.significance import _CHUNK_CELLS, _chunk_columns, _FloydDraws
-
-
-def make_matrix(cells, narrative_id="m") -> AnnotationMatrix:
-    cells = np.asarray(cells)
-    return AnnotationMatrix(
-        narrative_id, [f"s{i}" for i in range(cells.shape[0])], cells
-    )
+from conftest import load_panel
 
 
 def quad_sf(x: float, df: int) -> float:
@@ -135,14 +128,14 @@ class TestChiSquareTail:
 
 class TestCochranQ:
     def test_worked_3x4_example(self):
-        result = cochran_q(make_matrix(WORKED_3x4))
+        result = cochran_q(load_panel(WORKED_3x4))
         assert result.q == pytest.approx(7.2, abs=1e-12)
         assert result.df == 3
         assert result.p == pytest.approx(0.0658, abs=1e-3)
         assert quad_sf(7.2, 3) == pytest.approx(0.0658, abs=1e-3)
 
     def test_worked_3x4_partition(self):
-        components = cochran_q(make_matrix(WORKED_3x4)).components
+        components = cochran_q(load_panel(WORKED_3x4)).components
         assert set(components) == {0, 1, 3}
         assert components[3].q == pytest.approx(4.8, abs=1e-12)
         assert components[3].site_count == 1
@@ -152,7 +145,7 @@ class TestCochranQ:
         assert components[0].df == 2
 
     def test_equal_column_totals_give_zero(self):
-        result = cochran_q(make_matrix([[1, 0], [0, 1]]))
+        result = cochran_q(load_panel([[1, 0], [0, 1]]))
         assert result.q == 0.0
         assert result.p == 1.0
 
@@ -164,7 +157,7 @@ class TestCochranQ:
             row = cells.sum(axis=1)
             if ((row == 0) | (row == 10)).all():
                 continue
-            result = cochran_q(make_matrix(cells))
+            result = cochran_q(load_panel(cells))
             assert result.q == pytest.approx(brute_force_q(cells.tolist()), rel=1e-12)
             done += 1
 
@@ -172,43 +165,43 @@ class TestCochranQ:
         rng = np.random.default_rng(31)
         for _ in range(200):
             cells = rng.integers(0, 2, size=(7, 50))
-            result = cochran_q(make_matrix(cells))
+            result = cochran_q(load_panel(cells))
             total = sum(c.q for c in result.components.values())
             assert total == pytest.approx(result.q, rel=1e-12)
 
     def test_invariant_under_permutations(self):
         rng = np.random.default_rng(37)
         cells = rng.integers(0, 2, size=(6, 12))
-        base = cochran_q(make_matrix(cells))
+        base = cochran_q(load_panel(cells))
         for _ in range(10):
             rows = rng.permutation(6)
             cols = rng.permutation(12)
-            permuted = cochran_q(make_matrix(cells[np.ix_(rows, cols)]))
+            permuted = cochran_q(load_panel(cells[np.ix_(rows, cols)]))
             assert permuted.q == pytest.approx(base.q, rel=1e-12)
             assert permuted.p == pytest.approx(base.p, rel=1e-9)
 
     def test_degenerate_rows_raise(self):
-        all_zero = make_matrix(np.zeros((7, 11), dtype=int))
+        all_zero = load_panel(np.zeros((7, 11), dtype=int))
         with pytest.raises(DegenerateDataError, match="no boundary variance"):
             cochran_q(all_zero)
-        all_ones = make_matrix(np.ones((3, 4), dtype=int))
+        all_ones = load_panel(np.ones((3, 4), dtype=int))
         with pytest.raises(DegenerateDataError):
             cochran_q(all_ones)
-        mixed = make_matrix([[0, 0, 0], [1, 1, 1]])
+        mixed = load_panel([[0, 0, 0], [1, 1, 1]])
         with pytest.raises(DegenerateDataError):
             cochran_q(mixed)
 
     def test_single_site_rejected(self):
         with pytest.raises(ValidationError):
-            cochran_q(make_matrix([[1], [0]]))
+            cochran_q(load_panel([[1], [0]]))
 
     def test_component_df_flag(self):
-        components = cochran_q(make_matrix(WORKED_3x4), component_df="count-1").components
+        components = cochran_q(load_panel(WORKED_3x4), component_df="count-1").components
         assert components[0].df == 1
         assert components[3].df == 0
         assert components[3].p is None
         with pytest.raises(ValidationError):
-            cochran_q(make_matrix(WORKED_3x4), component_df="bogus")
+            cochran_q(load_panel(WORKED_3x4), component_df="bogus")
 
     def test_fixture_scale_p_order_of_magnitude(self, pear9):
         _, matrix = pear9
@@ -224,7 +217,7 @@ class TestCochranQ:
             rng.random((7, 92)) < 0.1
         ).astype(int)
         cells[:, 8:] = scatter
-        result = cochran_q(make_matrix(cells))
+        result = cochran_q(load_panel(cells))
         assert result.p < 1e-6
 
 
@@ -252,14 +245,15 @@ class TestNullCalibration:
         assert result.empirical_p is not None
         assert result.empirical_p < 0.01
 
-    def test_all_zero_rows_reported_degenerate(self):
-        result = null_calibration((0, 0, 0), 5, trials=1000, seed=1)
-        assert result.degenerate_trials == 1000
-        assert result.quantiles is None
-        assert result.rejection_rate_05 is None
-        assert result.empirical_p is None
-        assert result.rejection_rate_05_se is None
-        assert result.empirical_p_se is None
+    @pytest.mark.parametrize("rows", [(0, 0, 0), (5, 5, 5)], ids=["all-zero", "all-ones"])
+    def test_degenerate_rows_raise(self, rows):
+        """Row totals of 0 or sites leave Q's denominator 0 in every trial, as in cochran_q."""
+        with pytest.raises(DegenerateDataError, match="^degenerate: no boundary variance$"):
+            null_calibration(rows, 5, trials=1000, seed=1, observed_q=0.0)
+
+    def test_bad_trials_reported_before_degenerate_rows(self):
+        with pytest.raises(ValidationError, match="^at least 1000 trials are required$"):
+            null_calibration((0, 0, 0), 5, trials=10, seed=1)
 
     def test_tracks_chi_square_reference(self):
         result = null_calibration((3, 4, 2, 5), 20, trials=4000, seed=8)
@@ -562,7 +556,7 @@ class TestExactNull:
         for target in (0.5, 0.05):
             deviation = min(deviations, key=lambda d: abs(tail(d) - target))
             matrix = next(m for d, m in placements if d == deviation)
-            observed.append((cochran_q(make_matrix(matrix)).q, tail(deviation)))
+            observed.append((cochran_q(load_panel(matrix)).q, tail(deviation)))
         j, total = sites, sum(rows)
         denom = j * total - sum(u * u for u in rows)
         critical = chi_square_critical(0.05, j - 1)
