@@ -21,6 +21,8 @@ from .errors import ValidationError
 
 def majority_threshold(subjects: int) -> int:
     """Smallest count that constitutes a strict majority (4 of 7)."""
+    if not isinstance(subjects, (int, np.integer)) or isinstance(subjects, bool):
+        raise ValidationError(f"subject count must be an integer, got {subjects!r}")
     if subjects < 1:
         raise ValidationError("subject count must be positive")
     return (subjects + 2) // 2

@@ -53,18 +53,11 @@ def _word(token: str) -> str:
     return normalize_token(token)
 
 
-def first_lexical_token(tokens) -> str | None:
-    """The first actual word of a phrase, normalized.
-
-    Bracketed pause and noise notations and punctuation-only tokens do not
-    count as words.
-    """
-    return next(filter(None, map(_word, tokens)), None)
-
-
 def _first_words(tokens, offsets) -> list[str | None]:
-    """first_lexical_token of each phrase, tokens[offsets[k]:offsets[k + 1]] of a flat
-    token column, read in place; each distinct token is normalized once."""
+    """The first word of each phrase tokens[offsets[k]:offsets[k + 1]] of a flat token
+    column, read in place: its first token that holds an ASCII letter and is no bracketed
+    pause or noise notation, normalized, or None when it has none. Each distinct token is
+    normalized once."""
     words: dict[str, str] = {}
     firsts = []
     for start, stop in zip(offsets, offsets[1:]):
@@ -82,28 +75,24 @@ def _first_words(tokens, offsets) -> list[str | None]:
     return firsts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CueLexicon:
-    """A set of lowercase single-word cue forms with a provenance label."""
+    """A non-empty set of lowercase single-word cue forms with a provenance label; only
+    CueLexicon.from_file builds one, so every lexicon has a file behind it."""
 
     words: frozenset[str]
-    label: str = "custom"
+    label: str
 
-    def __post_init__(self):
-        if not self.words:
-            raise ValidationError("cue lexicon must be non-empty")
-        for word in self.words:
-            if not word or word != word.lower() or re.search(r"\s", word):
-                raise ValidationError(
-                    f"cue lexicon entries must be single lowercase words: {word!r}"
-                )
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a CueLexicon is built by CueLexicon.from_file")
 
     def __contains__(self, word: str) -> bool:
         return word in self.words
 
     @classmethod
     def from_file(cls, path, label: str | None = None) -> "CueLexicon":
-        """Read one word per line; blank lines and # comments are skipped."""
+        """Read one word per line, lowercased; blank lines and # comments are skipped, and
+        an entry holding whitespace or a file with no entry is refused."""
         words = set()
         try:
             text = Path(path).read_text(encoding="utf-8-sig")
@@ -120,7 +109,10 @@ class CueLexicon:
             words.add(entry.lower())
         if not words:
             raise ValidationError(f"{path}: no cue words found")
-        return cls(frozenset(words), label=label or str(path))
+        lexicon = cls.__new__(cls)
+        object.__setattr__(lexicon, "words", frozenset(words))
+        object.__setattr__(lexicon, "label", label or str(path))
+        return lexicon
 
 
 def default_cue_lexicon() -> CueLexicon:

@@ -95,11 +95,21 @@ def _upper_gamma_cf(a: float, x: float) -> float:
     raise _NoConvergence(f"gamma continued fraction did not converge for a={a}, x={x}")
 
 
-def _check_chi_args(x: float, df: int) -> None:
-    if not isinstance(df, int) or isinstance(df, bool) or df < 1:
+def _real(value) -> float:
+    """value as a float; nan, which every range check refuses, for a bool, a non-real (a
+    string) or a real past the float range."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)  # np.bool_ is no Real
+    try:
+        return float(value) if real else math.nan
+    except OverflowError:
+        return math.nan
+
+
+def _degrees(df) -> int:
+    """df as an int, refused unless it is a positive integer, numpy's too, and no bool."""
+    if not isinstance(df, (int, np.integer)) or isinstance(df, bool) or df < 1:
         raise ValidationError(f"degrees of freedom must be a positive integer, got {df!r}")
-    if not math.isfinite(x) or x < 0:
-        raise ValidationError(f"chi-square statistic must be finite and non-negative, got {x!r}")
+    return int(df)
 
 
 def chi_square_sf(x: float, df: int) -> float:
@@ -108,9 +118,9 @@ def chi_square_sf(x: float, df: int) -> float:
     Parameters
     ----------
     x : float
-        Observed statistic, >= 0.
+        Observed statistic, a finite real >= 0 and no bool.
     df : int
-        Degrees of freedom, >= 1.
+        Degrees of freedom, an integer >= 1 (numpy's too) and no bool.
 
     Returns
     -------
@@ -118,12 +128,13 @@ def chi_square_sf(x: float, df: int) -> float:
         The survival function value, in [0, 1]. chi_square_sf(0, df) is
         exactly 1.
     """
-    x = float(x)
-    _check_chi_args(x, df)
-    if x == 0.0:
+    df, value = _degrees(df), _real(x)
+    if not 0 <= value < math.inf:
+        raise ValidationError(f"chi-square statistic must be finite and non-negative, got {x!r}")
+    if value == 0.0:
         return 1.0
     a = df / 2.0
-    half = x / 2.0
+    half = value / 2.0
     if half < a + 1.0:
         upper = 1.0 - _lower_gamma_series(a, half)
     else:
@@ -133,17 +144,18 @@ def chi_square_sf(x: float, df: int) -> float:
 
 def chi_square_critical(tail: float, df: int) -> float:
     """The x with chi_square_sf(x, df) == tail, found by bisection."""
-    if not 0.0 < tail < 1.0:
+    p = _real(tail)
+    if not 0.0 < p < 1.0:
         raise ValidationError(f"tail probability must be in (0, 1), got {tail!r}")
-    _check_chi_args(0.0, df)
+    df = _degrees(df)
     lo, hi = 0.0, max(df * 4.0, 16.0)
-    while chi_square_sf(hi, df) > tail:
+    while chi_square_sf(hi, df) > p:
         hi *= 2.0
         if hi > 1e12:
             raise ValidationError(f"no chi-square quantile found for tail {tail}")
     while hi - lo > _QUANTILE_TOL * max(1.0, hi):
         mid = (lo + hi) / 2.0
-        if chi_square_sf(mid, df) > tail:
+        if chi_square_sf(mid, df) > p:
             lo = mid
         else:
             hi = mid
@@ -263,24 +275,21 @@ class CalibrationResult:
     Each trial keeps the observed row totals and scatters every subject's
     marks uniformly at random over the sites, independently per subject.
     quantiles maps probability levels to empirical Q quantiles;
-    reference_quantiles holds the chi-square(df) quantiles at the same
+    reference_quantiles holds the chi-square(sites - 1) quantiles at the same
     levels for comparison. rejection_rate_05 is the fraction of trials at
     or above the chi-square 5% critical value, so a well-calibrated null
     puts it near 0.05. rejection_rate_05_se and empirical_p_se are the
     Monte-Carlo standard errors sqrt(p * (1 - p) / trials) of those two
-    estimates. observed_q, empirical_p and empirical_p_se are None when no
-    observed statistic was given.
+    estimates. empirical_p and empirical_p_se are None when no observed
+    statistic was given. Besides what the run computed it holds only the
+    trials and seed, which the output prints.
     """
 
-    row_totals: tuple[int, ...]
-    sites: int
     trials: int
     seed: int
-    df: int
     quantiles: dict[float, float]
     reference_quantiles: dict[float, float]
     rejection_rate_05: float
-    observed_q: float | None
     empirical_p: float | None
     rejection_rate_05_se: float
     empirical_p_se: float | None
@@ -330,12 +339,7 @@ def null_calibration(
     if seed < 0:
         raise ValidationError("seed must be non-negative")
     if observed_q is not None:
-        # A bool or a string is no statistic; an int past the float range has no float.
-        real = isinstance(observed_q, numbers.Real) and not isinstance(observed_q, (bool, np.bool_))
-        try:
-            observed_q = float(observed_q) if real else math.nan
-        except OverflowError:
-            observed_q = math.nan
+        observed_q = _real(observed_q)
         if not 0 <= observed_q < math.inf:
             raise ValidationError("observed_q must be finite and non-negative")
 
@@ -364,15 +368,11 @@ def null_calibration(
     if observed_q is not None:
         empirical_p = (1 + int((stats >= observed_q).sum())) / (trials + 1)
     return CalibrationResult(
-        row_totals=u,
-        sites=j,
         trials=trials,
         seed=seed,
-        df=df,
         quantiles=quantiles,
         reference_quantiles=reference,
         rejection_rate_05=rejection_rate,
-        observed_q=observed_q,
         empirical_p=empirical_p,
         rejection_rate_05_se=_standard_error(rejection_rate, trials),
         empirical_p_se=_standard_error(empirical_p, trials),

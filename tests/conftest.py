@@ -1,21 +1,25 @@
-"""Shared fixtures, the one test helper that builds a panel, and the acceptance summary hook."""
+"""Shared fixtures, the test helpers that build a panel and a cue lexicon, the first-word
+oracle, and the acceptance summary hook."""
 
 from __future__ import annotations
 
 import json
 from functools import cache
+from itertools import count
 
 import numpy as np
 import pytest
 
 from segtool import (
     AnnotationMatrix,
+    CueLexicon,
     Narrative,
     fixture_path,
     load_annotations,
     load_fic_coding,
     load_narrative,
 )
+from segtool import segmenters
 
 
 @cache
@@ -41,6 +45,32 @@ def load_panel(rows, narrative: Narrative | str = "m") -> AnnotationMatrix:
         narrative = made_up_transcript(narrative, len(rows[0]))
     doc = annotations_doc(narrative.narrative_id, rows)
     return load_annotations(json.dumps(doc).encode(), narrative)
+
+
+def first_word(tokens) -> str | None:
+    """A phrase's first word by the plain loop: its first token that holds an ASCII letter
+    and is no bracketed notation, normalized."""
+    for token in tokens:
+        if token.startswith("[") or not segmenters._HAS_ALPHA.search(token):
+            continue
+        word = segmenters.normalize_token(token)
+        if word:
+            return word
+    return None
+
+
+@pytest.fixture(scope="session")
+def lexicon_of(tmp_path_factory):
+    """A function of cue words giving CueLexicon.from_file of a new file that holds them one
+    per line, in a session temporary directory (so a Hypothesis test may use it too)."""
+    directory, names = tmp_path_factory.mktemp("cues"), count()
+
+    def lexicon(words) -> CueLexicon:
+        path = directory / f"cues-{next(names)}.txt"
+        path.write_text("".join(f"{word}\n" for word in sorted(words)), encoding="utf-8")
+        return CueLexicon.from_file(path)
+
+    return lexicon
 
 
 @pytest.fixture(scope="session")

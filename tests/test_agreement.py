@@ -71,11 +71,18 @@ class TestMajority:
         assert majority_threshold(6) == 4
         assert majority_threshold(5) == 3
         assert majority_threshold(1) == 1
+        assert majority_threshold(np.int64(7)) == majority_threshold(np.uint8(7)) == 4
 
     @pytest.mark.parametrize("subjects", [0, -3])
     def test_threshold_needs_a_subject(self, subjects):
         with pytest.raises(ValidationError, match="^subject count must be positive$"):
             majority_threshold(subjects)
+
+    @pytest.mark.parametrize("subjects", [True, False, np.bool_(True), 2.5, 7.0, "7", None])
+    def test_threshold_needs_an_integer_count(self, subjects):
+        with pytest.raises(ValidationError) as excinfo:
+            majority_threshold(subjects)
+        assert str(excinfo.value) == f"subject count must be an integer, got {subjects!r}"
 
     def test_fixture_majority_sites(self, pear9):
         _, matrix = pear9

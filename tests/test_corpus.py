@@ -21,6 +21,7 @@ from hypothesis import strategies as hst
 from segtool import corpus
 from segtool import (
     AnnotationMatrix,
+    CueLexicon,
     FicCoding,
     Narrative,
     SchemaError,
@@ -37,8 +38,8 @@ from segtool import (
     serialize_narrative,
 )
 from segtool.corpus import load_manifest
-from segtool.segmenters import TraceStep, first_lexical_token, np_segment
-from conftest import load_panel, made_up_transcript
+from segtool.segmenters import TraceStep, np_segment
+from conftest import first_word, load_panel, made_up_transcript
 from test_segmenters import np_oracle
 
 
@@ -893,7 +894,8 @@ class TestEverySingleFaultIsNamed:
     def test_only_the_loaders_build(self):
         narrative = load_narrative(dumps(toy_transcript()))
         for cls, loader in ((Narrative, "load_narrative"), (AnnotationMatrix, "load_annotations"),
-                            (FicCoding, "load_fic_coding")):
+                            (FicCoding, "load_fic_coding"),
+                            (CueLexicon, "CueLexicon.from_file")):
             article = "an" if cls is AnnotationMatrix else "a"
             for args in ((), ("toy", ()), (narrative, ())):
                 with pytest.raises(TypeError,
@@ -1315,7 +1317,7 @@ class TestNarrativeColumns:
         assert serialize_narrative(loaded) == {**doc, "phrases": [
             {"pause_truncated": False, **raw} for raw in phrases]}
         lexicon = default_cue_lexicon()
-        cues = [first_lexical_token(raw["text"]) in lexicon for raw in phrases[1:]]
+        cues = [first_word(raw["text"]) in lexicon for raw in phrases[1:]]
         pauses = [raw["pause_before"] is not None
                   and (raw["pause_before"] > 0 or raw.get("pause_truncated", False))
                   for raw in phrases[1:]]

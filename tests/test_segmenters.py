@@ -26,7 +26,8 @@ from segtool import (
     serialize_narrative,
 )
 from segtool import segmenters
-from segtool.segmenters import first_lexical_token, normalize_token, segment_by
+from segtool.segmenters import normalize_token, segment_by
+from conftest import first_word
 
 
 def phrase(pid, tokens, pause=None, truncated=False, final=True):
@@ -94,10 +95,9 @@ class TestTokenNormalization:
         assert normalize_token(token) == segmenters._EDGE_PUNCT.sub(
             "", token.lower().replace("-", ""))
 
-    def test_first_lexical_skips_pause_and_noise_tokens(self):
-        assert first_lexical_token(["[.9]", "A-nd", "um"]) == "and"
-        assert first_lexical_token(["[.35]", "..", "...", "he-"]) == "he"
-        assert first_lexical_token(["[.2]", "[1.15]"]) is None
+    def test_first_words_skip_pause_and_noise_tokens(self):
+        tokens = ["[.9]", "A-nd", "um", "[.35]", "..", "...", "he-", "[.2]", "[1.15]"]
+        assert segmenters._first_words(tokens, [0, 3, 7, 9]) == ["and", "he", None]
 
     @settings(max_examples=300, deadline=None)
     @given(hst.lists(hst.lists(hst.one_of(
@@ -105,21 +105,10 @@ class TestTokenNormalization:
                           "And", "SO", "Oh.", "Über", "éé", "İ", "ß", "\u212a", "don't,", "0"]),
         hst.text(hst.sampled_from("-'.,[]09aZİßéK\u212a"), min_size=1, max_size=5),
     ), max_size=5), max_size=8))
-    def test_first_words_are_first_lexical_tokens(self, texts):
+    def test_first_words_match_the_loop(self, texts):
         """The one-call memo of cue_segment, over the lists as a flat token column with
         offsets, gives each list's first word, as the loop does."""
-
-        def first_word(tokens):
-            for token in tokens:
-                if token.startswith("[") or not segmenters._HAS_ALPHA.search(token):
-                    continue
-                word = normalize_token(token)
-                if word:
-                    return word
-            return None
-
         expected = [first_word(tokens) for tokens in texts]
-        assert [first_lexical_token(tokens) for tokens in texts] == expected
         tokens = [token for tokens in texts for token in tokens]
         offsets = list(accumulate(map(len, texts), initial=0))
         assert segmenters._first_words(tokens, offsets) == expected
@@ -179,15 +168,25 @@ class TestCueLexicon:
             CueLexicon.from_file(path)
         assert str(excinfo.value) == f"{path}:4: cue entries must be single words, got 'a b'"
 
-    def test_constructor_validation(self):
-        with pytest.raises(ValidationError, match="^cue lexicon must be non-empty$"):
-            CueLexicon(frozenset())
-        for word in ("And", "So"):
-            with pytest.raises(ValidationError) as excinfo:
-                CueLexicon(frozenset({word}))
-            assert str(excinfo.value) == (
-                f"cue lexicon entries must be single lowercase words: {word!r}"
-            )
+    @settings(max_examples=300, deadline=None)
+    @given(hst.text(hst.one_of(
+        hst.sampled_from(["#", "\n", "\r", " ", "\t", "\x0b", "\x1c", "\x85", "\u2028",
+                          "\u3000", "\ufeff", "A", "İ", "ß", "\u212a", "Σ", "ǅ"]),
+        hst.characters(exclude_categories=("Cs",)),
+    ), max_size=30))
+    def test_every_accepted_file_gives_single_lowercase_words(self, tmp_path_factory, text):
+        """What a built lexicon holds: non-empty words, each its own lowercase, with no
+        whitespace."""
+        path = tmp_path_factory.getbasetemp() / "accepted-cues.txt"
+        path.write_text(text, encoding="utf-8")
+        try:
+            lexicon = CueLexicon.from_file(path)
+        except ValidationError:
+            return
+        assert lexicon.words
+        for word in lexicon.words:
+            assert word and word == word.lower()
+            assert not any(char.isspace() for char in word)
 
 
 class TestCueSegmenter:
@@ -201,9 +200,9 @@ class TestCueSegmenter:
         # not fire there.
         assert 3 not in marked(cue_segment(narrative))
 
-    def test_custom_lexicon(self, pear9):
+    def test_custom_lexicon(self, pear9, lexicon_of):
         narrative, _ = pear9
-        maybe_only = CueLexicon(frozenset({"maybe"}))
+        maybe_only = lexicon_of({"maybe"})
         assert marked(cue_segment(narrative, maybe_only)) == frozenset({9})
 
     def test_first_phrase_never_yields_a_site(self):
@@ -226,15 +225,15 @@ class TestCueSegmenter:
         hst.sets(hst.sampled_from(["and", "well", "now", "so"]), min_size=1),
         hst.sets(hst.sampled_from(["the", "cat", "ran"]), min_size=0),
     )
-    def test_larger_lexicon_only_adds_sites(self, openers, base, extra):
+    def test_larger_lexicon_only_adds_sites(self, lexicon_of, openers, base, extra):
         narrative = narrative_of(
             "n",
             tuple(
                 phrase(f"{k}.1", [word, "rest"]) for k, word in enumerate(openers, 1)
             ),
         )
-        small = cue_segment(narrative, CueLexicon(frozenset(base)))
-        large = cue_segment(narrative, CueLexicon(frozenset(base | extra)))
+        small = cue_segment(narrative, lexicon_of(base))
+        large = cue_segment(narrative, lexicon_of(base | extra))
         assert (small <= large).all()
 
 
@@ -571,9 +570,9 @@ class TestTraceView:
 
 
 class TestSegmentBy:
-    def test_each_method_runs_its_segmenter(self, three_link):
+    def test_each_method_runs_its_segmenter(self, three_link, lexicon_of):
         narrative, coding = three_link
-        lexicon = CueLexicon(frozenset({"and"}))
+        lexicon = lexicon_of({"and"})
         segmentation = np_segment(coding)
         sites, segmented = segment_by("np", narrative, coding)
         assert np.array_equal(sites, normalize_to_sites(segmentation))
