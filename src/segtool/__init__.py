@@ -39,9 +39,6 @@ from .segmenters import (
     pause_segment,
 )
 from .significance import (
-    CalibrationResult,
-    CochranResult,
-    QComponent,
     chi_square_critical,
     chi_square_sf,
     cochran_q,

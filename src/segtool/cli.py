@@ -29,11 +29,10 @@ from .significance import MAX_TRIALS, cochran_q, null_calibration
 
 # Each optional input of segment and eval belongs to exactly one --method.
 _FLAG_METHOD = {"coding": "np", "trace": "np", "cues": "cue", "leave_one_out": "humans"}
-# Output fields, each listed once for both --json and --tsv. Partition
-# columns: (JSON key and TSV column, attribute, TSV format or None for ints).
-# Calibration statistics map to a TSV format, trace referent sets to a column.
-_COMPONENT_FIELDS = (("strength", "strength", None), ("sites", "site_count", None),
-                     ("q", "q", RATIO), ("df", "df", None), ("p", "p", PVALUE))
+# Output fields, each listed once for both --json and --tsv: partition
+# columns and calibration statistics map to a TSV format (None for ints),
+# trace referent sets to a column.
+_COMPONENT_FIELDS = {"strength": None, "sites": None, "q": RATIO, "df": None, "p": PVALUE}
 _CALIBRATION_STATS = {"rejection_rate_05": VARIANCE, "rejection_rate_05_se": VARIANCE,
                       "empirical_p": PVALUE, "empirical_p_se": PVALUE}
 _TRACE_SETS = {"clause_referents": "clause_referents", "inferable_referents": "inferable",
@@ -137,23 +136,14 @@ def _cmd_cochran(args) -> str:
         raise ValidationError("--seed only applies with --calibrate")
     matrix = _load_pair(args)[1]
     result = cochran_q(matrix, component_df=args.component_df)
-    components = result.components.values()  # built in ascending strength
-    payload = {
-        "narrative_id": matrix.narrative_id,
-        "q": result.q,
-        "df": result.df,
-        "p": result.p,
-        "components": [
-            {key: getattr(c, attr) for key, attr, _ in _COMPONENT_FIELDS} for c in components
-        ],
-    }
+    payload = {"narrative_id": matrix.narrative_id, **result}
     blocks = [
-        [["statistic", "value"], ["q", num(result.q)], ["df", result.df],
-         ["p", num(result.p, PVALUE)]],
+        [["statistic", "value"], ["q", num(result["q"])], ["df", result["df"]],
+         ["p", num(result["p"], PVALUE)]],
         [
-            [key for key, _, _ in _COMPONENT_FIELDS],
-            *[[getattr(c, attr) if spec is None else num(getattr(c, attr), spec)
-               for _, attr, spec in _COMPONENT_FIELDS] for c in components],
+            list(_COMPONENT_FIELDS),
+            *[[c[key] if spec is None else num(c[key], spec)
+               for key, spec in _COMPONENT_FIELDS.items()] for c in result["components"]],
         ],
     ]
     if args.calibrate is not None:
@@ -162,28 +152,25 @@ def _cmd_cochran(args) -> str:
             matrix.sites,
             trials=args.calibrate,
             seed=0 if args.seed is None else args.seed,
-            observed_q=result.q,
+            observed_q=result["q"],
         )
+        trials, seed = calibration["trials"], calibration["seed"]
+        quantiles, reference = calibration["quantiles"], calibration["chi_square_quantiles"]
         payload["calibration"] = {
-            "trials": calibration.trials,
-            "seed": calibration.seed,
+            "trials": trials,
+            "seed": seed,
             # A degenerate panel raised in cochran_q above, so no trial is
             # degenerate; the key stays, as the JSON output has always held it.
             "degenerate_trials": 0,
-            "quantiles": {num(k): v for k, v in calibration.quantiles.items()},
-            "chi_square_quantiles": {
-                num(k): v for k, v in calibration.reference_quantiles.items()
-            },
-            **{name: getattr(calibration, name) for name in _CALIBRATION_STATS},
+            **calibration,  # trials and seed stay first, the rest follow in order
+            "quantiles": {num(level): q for level, q in quantiles.items()},
+            "chi_square_quantiles": {num(level): q for level, q in reference.items()},
         }
         blocks.append([
-            [f"# calibration trials={calibration.trials} seed={calibration.seed}"],
+            [f"# calibration trials={trials} seed={seed}"],
             ["level", "empirical_q", "chi_square_q"],
-            *[
-                [num(level), num(q), num(calibration.reference_quantiles[level])]
-                for level, q in calibration.quantiles.items()
-            ],
-            *[[name, num(getattr(calibration, name), spec), ""]
+            *[[num(level), num(q), num(reference[level])] for level, q in quantiles.items()],
+            *[[name, num(calibration[name], spec), ""]
               for name, spec in _CALIBRATION_STATS.items()],
         ])
     return _output(args, payload, *blocks)

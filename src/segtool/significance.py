@@ -10,6 +10,10 @@ by agreement strength: columns marked by exactly t subjects contribute one
 additive component each, so the components sum to Q and can be tested
 separately.
 
+Results are plain dicts: cochran_q returns exactly what `segtool cochran
+--json` prints after the narrative id, and null_calibration the statistics
+of its calibration block.
+
 The chi-square survival function is computed here from the regularized
 incomplete gamma function (series below a + 1, continued fraction above)
 rather than taken from a stats library, so the toolkit's p-values do not
@@ -22,7 +26,6 @@ import math
 import numbers
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -166,25 +169,6 @@ def chi_square_critical(tail: float, df: int) -> float:
 # Cochran's Q
 
 
-@dataclass(frozen=True)
-class QComponent:
-    """Additive share of Q contributed by columns of one agreement strength."""
-
-    strength: int
-    site_count: int
-    q: float
-    df: int
-    p: float | None
-
-
-@dataclass(frozen=True)
-class CochranResult:
-    q: float
-    df: int
-    p: float
-    components: dict[int, QComponent]
-
-
 def _q_denominator(sites: int, row_totals) -> tuple[int, int]:
     """N = sum(u) and j*N - sum(u^2) = sum_i u_i * (j - u_i), 0 iff no row has variance."""
     total = sum(row_totals)
@@ -200,9 +184,7 @@ def _q_from_square_sum(sites: int, total: int, denom: int, square_sum):
     return (sites - 1) * (sites * square_sum - total * total) / denom
 
 
-def cochran_q(
-    matrix: AnnotationMatrix, component_df: str = "count"
-) -> CochranResult:
+def cochran_q(matrix: AnnotationMatrix, component_df: str = "count") -> dict:
     """Cochran's Q test of whether subjects mark sites at equal rates.
 
     Parameters
@@ -218,11 +200,13 @@ def cochran_q(
 
     Returns
     -------
-    CochranResult
-        Statistic, j - 1 degrees of freedom, upper-tail p, and the
-        per-strength partition. Columns marked by exactly t subjects
-        (t = 0 included) share the squared deviation (t - mean(T))^2, so
-        strength t contributes
+    dict
+        "q", the statistic; "df", j - 1; "p", its upper-tail probability;
+        and "components", the per-strength partition as a list of
+        {"strength", "sites", "q", "df", "p"} in ascending strength, one
+        for each strength t (t = 0 included) of the "sites" = n_t > 0
+        columns marked by exactly t subjects. Those columns share the
+        squared deviation (t - mean(T))^2, so strength t contributes
 
             q_t = j * (j - 1) * n_t * (t - mean(T))^2 / denominator
 
@@ -244,7 +228,7 @@ def cochran_q(
         raise ValidationError(f"component_df must be 'count' or 'count-1', got {component_df!r}")
     counts = np.bincount(matrix.column_totals, minlength=matrix.subjects + 1)
     square_sum = 0
-    components: dict[int, QComponent] = {}
+    components = []
     for t, n_t in enumerate(counts.tolist()):
         if n_t == 0:
             continue
@@ -253,46 +237,14 @@ def cochran_q(
         q_t = (j - 1) * n_t * (j * t - total) ** 2 / (j * denom)
         df_t = n_t if component_df == "count" else n_t - 1
         p_t = chi_square_sf(q_t, df_t) if df_t >= 1 else None
-        components[t] = QComponent(strength=t, site_count=n_t, q=q_t, df=df_t, p=p_t)
+        components.append({"strength": t, "sites": n_t, "q": q_t, "df": df_t, "p": p_t})
     q = _q_from_square_sum(j, total, denom, square_sum)
     df = j - 1
-    return CochranResult(
-        q=q,
-        df=df,
-        p=chi_square_sf(q, df),
-        components=components,
-    )
+    return {"q": q, "df": df, "p": chi_square_sf(q, df), "components": components}
 
 
 # ---------------------------------------------------------------------------
 # Monte-Carlo calibration of the null
-
-
-@dataclass(frozen=True)
-class CalibrationResult:
-    """Null distribution of Q estimated by simulation.
-
-    Each trial keeps the observed row totals and scatters every subject's
-    marks uniformly at random over the sites, independently per subject.
-    quantiles maps probability levels to empirical Q quantiles;
-    reference_quantiles holds the chi-square(sites - 1) quantiles at the same
-    levels for comparison. rejection_rate_05 is the fraction of trials at
-    or above the chi-square 5% critical value, so a well-calibrated null
-    puts it near 0.05. rejection_rate_05_se and empirical_p_se are the
-    Monte-Carlo standard errors sqrt(p * (1 - p) / trials) of those two
-    estimates. empirical_p and empirical_p_se are None when no observed
-    statistic was given. Besides what the run computed it holds only the
-    trials and seed, which the output prints.
-    """
-
-    trials: int
-    seed: int
-    quantiles: dict[float, float]
-    reference_quantiles: dict[float, float]
-    rejection_rate_05: float
-    empirical_p: float | None
-    rejection_rate_05_se: float
-    empirical_p_se: float | None
 
 
 _QUANTILE_LEVELS = (0.5, 0.9, 0.95, 0.99)
@@ -304,7 +256,7 @@ def null_calibration(
     trials: int,
     seed: int,
     observed_q: float | None = None,
-) -> CalibrationResult:
+) -> dict:
     """Simulate Q under row-preserving random placement of boundary marks.
 
     Each trial places every subject's u marks on a uniformly random u-subset
@@ -319,6 +271,16 @@ def null_calibration(
     uses the add-one rule (1 + exceedances) / (trials + 1). After the
     argument checks, row totals with no variance (each 0 or sites) raise
     DegenerateDataError, as cochran_q does.
+
+    Returns a dict of the run's statistics. "trials" and "seed" are the
+    arguments as ints. "quantiles" maps the levels 0.5, 0.9, 0.95 and 0.99
+    (floats) to the empirical Q quantiles, and "chi_square_quantiles" maps
+    them to the chi-square(sites - 1) quantiles. "rejection_rate_05" is the
+    fraction of trials at or above the chi-square 5% critical value, so a
+    well-calibrated null puts it near 0.05. "empirical_p" is observed_q's
+    empirical p. "rejection_rate_05_se" and "empirical_p_se" are the
+    Monte-Carlo standard errors sqrt(p * (1 - p) / trials) of those two
+    estimates. empirical_p and empirical_p_se are None when observed_q is.
     """
     u = tuple(row_totals)
     if not u:
@@ -328,7 +290,7 @@ def null_calibration(
     for name, x in (*(("row total", x) for x in u), ("trials", trials), ("seed", seed)):
         if not isinstance(x, (int, np.integer)) or isinstance(x, bool):
             raise ValidationError(f"{name} must be an integer, got {x!r}")
-    u, sites = tuple(map(int, u)), int(sites)
+    u, sites, trials, seed = tuple(map(int, u)), int(sites), int(trials), int(seed)
     for x in u:
         if not 0 <= x <= sites:
             raise ValidationError(f"row total {x} outside [0, {sites}]")
@@ -359,24 +321,22 @@ def null_calibration(
         stats[start:start + n] = _q_from_square_sum(j, total, denom, square_sums)
 
     critical_05 = chi_square_critical(0.05, df)
-    quantiles = dict(zip(_QUANTILE_LEVELS, np.quantile(stats, _QUANTILE_LEVELS).tolist()))
-    reference = {
-        level: chi_square_critical(1.0 - level, df) for level in _QUANTILE_LEVELS
-    }
     rejection_rate = float((stats >= critical_05).mean())
     empirical_p = None
     if observed_q is not None:
         empirical_p = (1 + int((stats >= observed_q).sum())) / (trials + 1)
-    return CalibrationResult(
-        trials=trials,
-        seed=seed,
-        quantiles=quantiles,
-        reference_quantiles=reference,
-        rejection_rate_05=rejection_rate,
-        empirical_p=empirical_p,
-        rejection_rate_05_se=_standard_error(rejection_rate, trials),
-        empirical_p_se=_standard_error(empirical_p, trials),
-    )
+    return {
+        "trials": trials,
+        "seed": seed,
+        "quantiles": dict(zip(_QUANTILE_LEVELS, np.quantile(stats, _QUANTILE_LEVELS).tolist())),
+        "chi_square_quantiles": {
+            level: chi_square_critical(1.0 - level, df) for level in _QUANTILE_LEVELS
+        },
+        "rejection_rate_05": rejection_rate,
+        "rejection_rate_05_se": _standard_error(rejection_rate, trials),
+        "empirical_p": empirical_p,
+        "empirical_p_se": _standard_error(empirical_p, trials),
+    }
 
 
 def _standard_error(p: float | None, trials: int) -> float | None:

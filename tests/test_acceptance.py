@@ -105,14 +105,14 @@ def test_criterion_04_cochran_q():
     """q=0/p=1 on balanced columns; worked 3x4 example; exact partition."""
     for rows in ([[1, 0], [0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]):
         balanced = cochran_q(load_panel(rows))
-        assert balanced.q == 0.0
-        assert balanced.p == 1.0
+        assert balanced["q"] == 0.0
+        assert balanced["p"] == 1.0
 
     worked = cochran_q(load_panel([[1, 1, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0]]))
-    assert worked.q == pytest.approx(7.2, abs=1e-12)
-    assert worked.df == 3
-    assert worked.p == pytest.approx(0.0658, abs=1e-3)
-    assert worked.p == pytest.approx(scipy.stats.chi2.sf(7.2, 3), abs=1e-12)
+    assert worked["q"] == pytest.approx(7.2, abs=1e-12)
+    assert worked["df"] == 3
+    assert worked["p"] == pytest.approx(0.0658, abs=1e-3)
+    assert worked["p"] == pytest.approx(scipy.stats.chi2.sf(7.2, 3), abs=1e-12)
 
     rng = np.random.default_rng(11)
     for _ in range(1000):
@@ -121,9 +121,8 @@ def test_criterion_04_cochran_q():
             cells[0, 0] ^= 1  # keep every row non-constant
         matrix = load_panel(cells.tolist())
         result = cochran_q(matrix)
-        components = result.components
-        total = sum(comp.q for comp in components.values())
-        assert abs(total - result.q) <= 1e-12 * max(1.0, abs(result.q))
+        total = sum(comp["q"] for comp in result["components"])
+        assert abs(total - result["q"]) <= 1e-12 * max(1.0, abs(result["q"]))
 
 
 def test_criterion_05_chi_square_tail():
@@ -141,7 +140,7 @@ def test_criterion_06_null_calibration():
     start = time.perf_counter()
     result = null_calibration((16,) * 7, sites=100, trials=10_000, seed=0)
     elapsed = time.perf_counter() - start
-    assert 0.03 <= result.rejection_rate_05 <= 0.07
+    assert 0.03 <= result["rejection_rate_05"] <= 0.07
     assert elapsed < 10.0
 
 

@@ -15,7 +15,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
 import segtool
-from segtool import fixture_path, segmenters
+from segtool import (
+    cochran_q, fixture_path, load_annotations, load_narrative, null_calibration, segmenters,
+)
 from segtool.cli import run
 from segtool.significance import MAX_TRIALS
 from conftest import annotations_doc
@@ -163,6 +165,25 @@ class TestCochran:
         assert by_strength[0]["df"] == 4
         assert by_strength[7]["df"] == 0
         assert by_strength[7]["p"] is None
+
+    @pytest.mark.parametrize("component_df", ["count", "count-1"])
+    @pytest.mark.parametrize("args, calibrate", [(pear_args, False), (link_args, False),
+                                                 (pear_args, True)],
+                             ids=["pear9", "three_link_tests", "pear9-calibrate"])
+    def test_json_is_the_library_result(self, data, args, calibrate, component_df):
+        _, narrative, _, annotations = args(data)
+        matrix = load_annotations(annotations, load_narrative(narrative))
+        argv = ["--component-df", component_df, *args(data)]
+        expected = {"narrative_id": matrix.narrative_id, **cochran_q(matrix, component_df)}
+        if calibrate:
+            argv += ["--calibrate", "1000", "--seed", "3"]
+            calibration = null_calibration(matrix.row_totals.tolist(), matrix.sites, 1000, 3,
+                                           observed_q=expected["q"])
+            for key in ("quantiles", "chi_square_quantiles"):
+                calibration[key] = {f"{level:.2f}": q for level, q in calibration[key].items()}
+            expected["calibration"] = {"degenerate_trials": 0, **calibration}
+        rc, out, _ = invoke("cochran", "--json", *argv)
+        assert (rc, json.loads(out)) == (0, json.loads(json.dumps(expected)))
 
     def test_calibration_block(self, data):
         rc, out, _ = invoke(

@@ -146,9 +146,9 @@ def test_library_example_values():
         ),
         "float survival probability": lambda value: isinstance(value, float) and 0 < value < 1,
         "the per-strength partition of Q": lambda value: (
-            sum(c.site_count for c in value.values()) == namespace["matrix"].sites
-            and abs(sum(c.q for c in value.values()) - namespace["cochran_q"](
-                namespace["matrix"]).q) <= 1e-12
+            sum(c["sites"] for c in value) == namespace["matrix"].sites
+            and abs(sum(c["q"] for c in value) - namespace["cochran_q"](
+                namespace["matrix"])["q"]) <= 1e-12
         ),
     }
     checked = []
@@ -171,8 +171,8 @@ def test_library_example_values():
         "pooled_target(7, totals, 4)[0]",
         "narrative.site_labels(pooled_target(7, totals)[0])",
         "np.flatnonzero(pooled_target(7, totals, exact=2)[0]).tolist()",
-        "cochran_q(matrix).p",
-        "cochran_q(matrix).components",
+        'cochran_q(matrix)["p"]',
+        'cochran_q(matrix)["components"]',
         "narrative.site_labels(cue)",
         'aggregate_cells(cells[:, :, 0])["recall"]["mean"]',
         "score_units(matrix, cue[None, :])[2][:, 0, 0].tolist()",

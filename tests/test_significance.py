@@ -8,6 +8,7 @@ for the statistic. The library itself never imports scipy.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import tracemalloc
 from collections import Counter, defaultdict
@@ -157,25 +158,26 @@ class TestChiSquareTail:
 class TestCochranQ:
     def test_worked_3x4_example(self):
         result = cochran_q(load_panel(WORKED_3x4))
-        assert result.q == pytest.approx(7.2, abs=1e-12)
-        assert result.df == 3
-        assert result.p == pytest.approx(0.0658, abs=1e-3)
+        assert result["q"] == pytest.approx(7.2, abs=1e-12)
+        assert result["df"] == 3
+        assert result["p"] == pytest.approx(0.0658, abs=1e-3)
         assert quad_sf(7.2, 3) == pytest.approx(0.0658, abs=1e-3)
 
     def test_worked_3x4_partition(self):
-        components = cochran_q(load_panel(WORKED_3x4)).components
-        assert set(components) == {0, 1, 3}
-        assert components[3].q == pytest.approx(4.8, abs=1e-12)
-        assert components[3].site_count == 1
-        assert components[1].q == pytest.approx(0.0, abs=1e-12)
-        assert components[0].q == pytest.approx(2.4, abs=1e-12)
-        assert components[0].site_count == 2
-        assert components[0].df == 2
+        components = cochran_q(load_panel(WORKED_3x4))["components"]
+        assert [c["strength"] for c in components] == [0, 1, 3]
+        zero, one, three = components
+        assert three["q"] == pytest.approx(4.8, abs=1e-12)
+        assert three["sites"] == 1
+        assert one["q"] == pytest.approx(0.0, abs=1e-12)
+        assert zero["q"] == pytest.approx(2.4, abs=1e-12)
+        assert zero["sites"] == 2
+        assert zero["df"] == 2
 
     def test_equal_column_totals_give_zero(self):
         result = cochran_q(load_panel([[1, 0], [0, 1]]))
-        assert result.q == 0.0
-        assert result.p == 1.0
+        assert result["q"] == 0.0
+        assert result["p"] == 1.0
 
     def test_matches_straight_line_formula(self):
         rng = np.random.default_rng(29)
@@ -186,7 +188,7 @@ class TestCochranQ:
             if ((row == 0) | (row == 10)).all():
                 continue
             result = cochran_q(load_panel(cells))
-            assert result.q == pytest.approx(brute_force_q(cells.tolist()), rel=1e-12)
+            assert result["q"] == pytest.approx(brute_force_q(cells.tolist()), rel=1e-12)
             done += 1
 
     def test_partition_sums_to_q(self):
@@ -194,8 +196,8 @@ class TestCochranQ:
         for _ in range(200):
             cells = rng.integers(0, 2, size=(7, 50))
             result = cochran_q(load_panel(cells))
-            total = sum(c.q for c in result.components.values())
-            assert total == pytest.approx(result.q, rel=1e-12)
+            total = sum(c["q"] for c in result["components"])
+            assert total == pytest.approx(result["q"], rel=1e-12)
 
     def test_invariant_under_permutations(self):
         rng = np.random.default_rng(37)
@@ -205,8 +207,8 @@ class TestCochranQ:
             rows = rng.permutation(6)
             cols = rng.permutation(12)
             permuted = cochran_q(load_panel(cells[np.ix_(rows, cols)]))
-            assert permuted.q == pytest.approx(base.q, rel=1e-12)
-            assert permuted.p == pytest.approx(base.p, rel=1e-9)
+            assert permuted["q"] == pytest.approx(base["q"], rel=1e-12)
+            assert permuted["p"] == pytest.approx(base["p"], rel=1e-9)
 
     def test_degenerate_rows_raise(self):
         all_zero = load_panel(np.zeros((7, 11), dtype=int))
@@ -224,18 +226,18 @@ class TestCochranQ:
             cochran_q(load_panel([[1], [0]]))
 
     def test_component_df_flag(self):
-        components = cochran_q(load_panel(WORKED_3x4), component_df="count-1").components
-        assert components[0].df == 1
-        assert components[3].df == 0
-        assert components[3].p is None
+        zero, _, three = cochran_q(load_panel(WORKED_3x4), component_df="count-1")["components"]
+        assert zero["df"] == 1
+        assert three["df"] == 0
+        assert three["p"] is None
         with pytest.raises(ValidationError):
             cochran_q(load_panel(WORKED_3x4), component_df="bogus")
 
     def test_fixture_scale_p_order_of_magnitude(self, pear9):
         _, matrix = pear9
         result = cochran_q(matrix)
-        assert result.q == pytest.approx(45.8667, abs=1e-3)
-        assert 1e-7 < result.p < 1e-5
+        assert result["q"] == pytest.approx(45.8667, abs=1e-3)
+        assert 1e-7 < result["p"] < 1e-5
 
     def test_strong_columns_drive_p_below_1e6(self):
         rng = np.random.default_rng(41)
@@ -246,7 +248,7 @@ class TestCochranQ:
         ).astype(int)
         cells[:, 8:] = scatter
         result = cochran_q(load_panel(cells))
-        assert result.p < 1e-6
+        assert result["p"] < 1e-6
 
 
 class TestNullCalibration:
@@ -255,14 +257,14 @@ class TestNullCalibration:
         second = null_calibration((2, 3, 1), 8, trials=1000, seed=99)
         assert first == second
         third = null_calibration((2, 3, 1), 8, trials=1000, seed=100)
-        assert (third.rejection_rate_05, third.quantiles) != (
-            first.rejection_rate_05,
-            first.quantiles,
+        assert (third["rejection_rate_05"], third["quantiles"]) != (
+            first["rejection_rate_05"],
+            first["quantiles"],
         )
 
     def test_empirical_p_for_fixture_profile(self, pear9):
         _, matrix = pear9
-        observed = cochran_q(matrix).q
+        observed = cochran_q(matrix)["q"]
         result = null_calibration(
             [int(x) for x in matrix.row_totals],
             matrix.sites,
@@ -270,8 +272,8 @@ class TestNullCalibration:
             seed=4,
             observed_q=observed,
         )
-        assert result.empirical_p is not None
-        assert result.empirical_p < 0.01
+        assert result["empirical_p"] is not None
+        assert result["empirical_p"] < 0.01
 
     @pytest.mark.parametrize("rows", [(0, 0, 0), (5, 5, 5)], ids=["all-zero", "all-ones"])
     def test_degenerate_rows_raise(self, rows):
@@ -286,8 +288,8 @@ class TestNullCalibration:
     def test_tracks_chi_square_reference(self):
         result = null_calibration((3, 4, 2, 5), 20, trials=4000, seed=8)
         for level in (0.5, 0.9, 0.95):
-            empirical = result.quantiles[level]
-            reference = result.reference_quantiles[level]
+            empirical = result["quantiles"][level]
+            reference = result["chi_square_quantiles"][level]
             assert empirical == pytest.approx(reference, rel=0.15)
 
     def test_validation(self):
@@ -310,7 +312,7 @@ class TestNullCalibration:
         for observed in (3, np.int64(3), np.float32(3), Fraction(3)):
             again = null_calibration((2, 3), 8, trials=1000, seed=0, observed_q=observed)
             assert again == result
-        assert null_calibration((2, 3), 8, 1000, 0, observed_q=10**300).empirical_p == 1 / 1001
+        assert null_calibration((2, 3), 8, 1000, 0, observed_q=10**300)["empirical_p"] == 1 / 1001
 
     @pytest.mark.parametrize("rows, trials, seed, message", [
         ((2, 2.5), 1000, 0, "row total must be an integer, got 2.5"),
@@ -332,6 +334,11 @@ class TestNullCalibration:
         # uint8 row totals would wrap in their sum, 270.
         result = null_calibration(np.array([150, 120], dtype=np.uint8), 200, 1000, 0)
         assert result == null_calibration((150, 120), 200, 1000, 0)
+
+    def test_numpy_trials_and_seed_stored_as_ints(self):
+        result = null_calibration((2, 3), 8, np.int64(1000), np.uint8(7))
+        assert (type(result["trials"]), type(result["seed"])) == (int, int)
+        assert json.loads(json.dumps(result))["seed"] == 7
 
     def test_numpy_integer_sites_accepted(self):
         result = null_calibration((2, 3), np.int64(8), 1000, 0)
@@ -356,15 +363,15 @@ class TestNullCalibration:
         stats = (sites - 1) * (sites * (columns**2).sum(axis=1) - total**2) / denom
         observed = float(np.median(stats))
         result = null_calibration(rows, sites, trials, seed, observed_q=observed)
-        assert result.quantiles == {level: float(np.quantile(stats, level))
-                                    for level in result.quantiles}
-        assert result.empirical_p == (1 + (stats >= observed).sum()) / (trials + 1)
+        assert result["quantiles"] == {level: float(np.quantile(stats, level))
+                                       for level in result["quantiles"]}
+        assert result["empirical_p"] == (1 + (stats >= observed).sum()) / (trials + 1)
 
     def test_column_totals_past_255_subjects(self):
         # Both columns are marked by at least 299 subjects, so every trial
         # has the observed profile (300, 299) in some order and Q = 1.
         result = null_calibration((2,) * 299 + (1,), 2, 1000, 0)
-        assert result.quantiles == dict.fromkeys((0.5, 0.9, 0.95, 0.99), 1.0)
+        assert result["quantiles"] == dict.fromkeys((0.5, 0.9, 0.95, 0.99), 1.0)
 
     STRESS_ROWS = tuple(np.random.default_rng(3).integers(100, 200, size=40).tolist())
 
@@ -384,8 +391,8 @@ class TestNullCalibration:
         # Printed by the reader that drew one Floyd step per call; the
         # 40 x 1000 runs take two chunks of 1048 and 952 trials.
         result = null_calibration(rows, sites, trials, seed, observed_q=observed)
-        assert result.quantiles == dict(zip((0.5, 0.9, 0.95, 0.99), quantiles))
-        assert (result.rejection_rate_05, result.empirical_p) == (rate, p)
+        assert result["quantiles"] == dict(zip((0.5, 0.9, 0.95, 0.99), quantiles))
+        assert (result["rejection_rate_05"], result["empirical_p"]) == (rate, p)
 
     def test_memory_of_a_stress_panel(self):
         rows = np.random.default_rng(3).integers(100, 200, size=40).tolist()
@@ -585,7 +592,7 @@ class TestExactNull:
         for target in (0.5, 0.05):
             deviation = min(deviations, key=lambda d: abs(tail(d) - target))
             matrix = next(m for d, m in placements if d == deviation)
-            observed.append((cochran_q(load_panel(matrix)).q, tail(deviation)))
+            observed.append((cochran_q(load_panel(matrix))["q"], tail(deviation)))
         j, total = sites, sum(rows)
         denom = j * total - sum(u * u for u in rows)
         critical = chi_square_critical(0.05, j - 1)
@@ -595,10 +602,10 @@ class TestExactNull:
         for seed in (1, 2, 3):
             for q, exact_p in observed:
                 result = null_calibration(rows, sites, self.TRIALS, seed, observed_q=q)
-                self.within_4se(result.empirical_p, exact_p)
-                self.within_4se(result.rejection_rate_05, exact_rejection)
-                for value, se in ((result.empirical_p, result.empirical_p_se),
-                                  (result.rejection_rate_05, result.rejection_rate_05_se)):
+                self.within_4se(result["empirical_p"], exact_p)
+                self.within_4se(result["rejection_rate_05"], exact_rejection)
+                for value, se in ((result["empirical_p"], result["empirical_p_se"]),
+                                  (result["rejection_rate_05"], result["rejection_rate_05_se"])):
                     assert se == pytest.approx(math.sqrt(value * (1 - value) / self.TRIALS))
 
     @pytest.mark.parametrize("n", [1, 7, 50])
@@ -719,11 +726,12 @@ class TestExactNullByHistogram:
         _, matrix = pear9
         rows = matrix.row_totals.tolist()
         distribution = exact_q_distribution(rows, matrix.sites)
-        result = null_calibration(rows, matrix.sites, 10_000, 0, observed_q=cochran_q(matrix).q)
-        assert_within_4se(result.rejection_rate_05,
+        observed = cochran_q(matrix)["q"]
+        result = null_calibration(rows, matrix.sites, 10_000, 0, observed_q=observed)
+        assert_within_4se(result["rejection_rate_05"],
                           exact_tail(distribution, chi_square_critical(0.05, matrix.sites - 1)),
                           10_000)
-        assert_within_4se(result.empirical_p, exact_tail(distribution, exact_q(matrix.cells)),
+        assert_within_4se(result["empirical_p"], exact_tail(distribution, exact_q(matrix.cells)),
                           10_000)
 
     def test_trials_spanning_chunks_within_4se(self):
@@ -732,9 +740,9 @@ class TestExactNullByHistogram:
         distribution = exact_q_distribution(rows, sites)
         observed = min(distribution, key=lambda q: abs(exact_tail(distribution, q) - 0.1))
         result = null_calibration(rows, sites, trials, 5, observed_q=float(observed))
-        assert_within_4se(result.rejection_rate_05,
+        assert_within_4se(result["rejection_rate_05"],
                           exact_tail(distribution, chi_square_critical(0.05, sites - 1)), trials)
-        assert_within_4se(result.empirical_p, exact_tail(distribution, observed), trials)
+        assert_within_4se(result["empirical_p"], exact_tail(distribution, observed), trials)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(data=hst.data())
@@ -749,6 +757,6 @@ class TestExactNullByHistogram:
         observed = exact_q(cells)
         distribution = exact_q_distribution(rows, sites)
         result = null_calibration(rows, sites, 2000, seed, observed_q=float(observed))
-        assert_within_4se(result.rejection_rate_05,
+        assert_within_4se(result["rejection_rate_05"],
                           exact_tail(distribution, chi_square_critical(0.05, sites - 1)), 2000)
-        assert_within_4se(result.empirical_p, exact_tail(distribution, observed), 2000)
+        assert_within_4se(result["empirical_p"], exact_tail(distribution, observed), 2000)
